@@ -13,10 +13,8 @@ surrogate drivers.
 
 from .core import (
     AlphaGridSpec,
-    FirstOrderSystem,
     UdeSpec,
     alpha_grid,
-    companion_system,
     phi_inv,
     validate_spec,
 )
@@ -26,7 +24,6 @@ from .solver import (
     IntegralResidual,
     Trajectory,
     integral_residual,
-    rk4_step,
     solve_alpha_path,
     solve_fan,
     solve_sample_path,
@@ -89,7 +86,6 @@ __all__ = [
     "DistributionPoint",
     "DistributionTable",
     "DominanceReport",
-    "FirstOrderSystem",
     "HypothesisReport",
     "IntegralResidual",
     "MonotoneCheck",
@@ -102,14 +98,12 @@ __all__ = [
     "check_hypotheses",
     "check_monotone",
     "check_regularity",
-    "companion_system",
     "distribution_at",
     "dominance_check",
     "expected_value",
     "integral_residual",
     "inverse_distribution",
     "phi_inv",
-    "rk4_step",
     "sample_lipschitz_path",
     "solve_alpha_path",
     "solve_fan",

@@ -9,7 +9,7 @@ configs produce byte-identical outputs.
 Exit codes partition outcomes:
     0  success
     2  configuration / usage error
-    3  numeric failure (trajectory blow-up)
+    3  numeric failure (trajectory blow-up, non-finite f or g at an audited point)
     4  a check or assertion failed (hypotheses, monotonicity, dominance)
     5  refused precondition (oracle hypotheses not established)
 """
@@ -23,14 +23,16 @@ from pathlib import Path
 
 from . import analysis, oracle
 from .config import RunConfig, load_config
-from .core import alpha_grid, validate_spec
+from .core import alpha_grid
 from .errors import (
+    AlignmentError,
     BlowUpError,
     ConfigError,
     DomainError,
     FanSolveError,
     HypothesisError,
     MonotonicityError,
+    NonFiniteError,
 )
 from .solver import AlphaFan, solve_fan
 
@@ -89,6 +91,7 @@ def _fan_json_payload(fan: AlphaFan) -> dict:
 
 
 def _run_json_payload(config: RunConfig, fan: AlphaFan) -> dict:
+    cap = analysis.MAX_EXPORTED_VIOLATIONS
     return {
         "config": config.raw,
         "solver": {
@@ -96,7 +99,10 @@ def _run_json_payload(config: RunConfig, fan: AlphaFan) -> dict:
             "nodes": fan.spec.step_count + 1,
             "alpha_count": len(fan.grid),
             "diffusion_warnings": {
-                repr(p.alpha): [list(w) for w in p.diffusion_warnings]
+                repr(p.alpha): {
+                    "warnings_total": len(p.diffusion_warnings),
+                    "warnings": [list(w) for w in p.diffusion_warnings[:cap]],
+                }
                 for p in fan.paths
                 if p.diffusion_warnings
             },
@@ -114,11 +120,7 @@ def _update_run_json(outdir: Path, extra: dict) -> None:
 
 
 def _solve_configured_fan(config: RunConfig) -> AlphaFan:
-    problems = validate_spec(config.spec)
-    if problems:
-        raise ConfigError("invalid spec: " + "; ".join(problems))
-    grid = alpha_grid(config.alpha)
-    return solve_fan(config.spec, grid)
+    return solve_fan(config.spec, alpha_grid(config.alpha))
 
 
 def cmd_solve(config: RunConfig, outdir: Path) -> int:
@@ -288,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "dist":
             return cmd_dist(config, outdir, args.t)
         return cmd_oracle(config, outdir)
-    except (FanSolveError, BlowUpError) as exc:
+    except (FanSolveError, BlowUpError, NonFiniteError) as exc:
         _fail(str(exc))
         return EXIT_SOLVE
     except MonotonicityError as exc:
@@ -297,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisError as exc:
         _fail(f"{exc}; run `alphapath check` for the full report")
         return EXIT_REFUSED
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, AlignmentError) as exc:
         _fail(str(exc))
         return EXIT_CONFIG
 

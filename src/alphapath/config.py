@@ -134,9 +134,13 @@ def _context(lines: dict[str, int], key: str) -> str:
     return f"line {lines[key]}: " if key in lines else ""
 
 
+def _is_number(v: Value) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _as_number(values, lines, key, kind=float):
     v = values[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_number(v):
         raise ConfigError(f"{_context(lines, key)}`{key}` must be a number, got {v!r}")
     if kind is int:
         if isinstance(v, float) and not v.is_integer():
@@ -167,9 +171,7 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
 
     order = _as_number(values, lines, "order", int)
     initial = values["initial"]
-    if not isinstance(initial, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in initial
-    ):
+    if not isinstance(initial, list) or not all(map(_is_number, initial)):
         raise ConfigError(
             f"{_context(lines, 'initial')}`initial` must be a list of numbers"
         )
@@ -219,10 +221,10 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
         oracle_kwargs["seed"] = _as_number(values, lines, "oracle.seed", int)
     if "oracle.alphas" in values:
         v = values["oracle.alphas"]
-        if not isinstance(v, list) or not v:
+        if not isinstance(v, list) or not v or not all(map(_is_number, v)):
             raise ConfigError(
                 f"{_context(lines, 'oracle.alphas')}`oracle.alphas` must be a "
-                "non-empty list of numbers"
+                f"non-empty list of numbers, got {v!r}"
             )
         oracle_kwargs["alphas"] = tuple(float(a) for a in v)
     oracle = OracleSettings(**oracle_kwargs)

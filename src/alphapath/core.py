@@ -1,5 +1,5 @@
-"""Problem specifications, the inverse normal uncertainty quantile, alpha
-grids, and the reduction of order-n scalar problems to first-order systems.
+"""Problem specifications, the inverse normal uncertainty quantile, and
+alpha grids.
 
 An order-n problem prescribes x^(n) = f(t, x0..x{n-1}) + g(t, x0..x{n-1}) * dC/dt
 with n initial values (position and derivatives at t = 0). For a fixed
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import expr
 from .errors import ConfigError, DomainError
@@ -142,56 +142,3 @@ def alpha_grid(gspec: AlphaGridSpec) -> list[float]:
         lower = [lo + i * step for i in range(half)]
         return lower + [0.5] + [1.0 - v for v in reversed(lower)]
     return [lo + i * step for i in range(count)]
-
-
-@dataclass(frozen=True)
-class FirstOrderSystem:
-    """First-order reduction of an order-n scalar problem.
-
-    ``rhs(t, y)`` returns the derivative of the state vector
-    y = (x, x', ..., x^(n-1)). The first n-1 components are the shift map
-    y_k' = y_{k+1} by construction; only the top row is problem-specific.
-    ``alpha`` records provenance (None for pathwise sample systems).
-    """
-
-    dimension: int
-    rhs: Callable[[float, Sequence[float]], tuple[float, ...]]
-    spec: UdeSpec
-    alpha: float | None
-
-
-def companion_system(spec: UdeSpec, alpha: float) -> FirstOrderSystem:
-    """System whose top row is f(t, y) + |g(t, y)| * phi_inv(alpha).
-
-    At alpha = 0.5 the driver constant is exactly zero, so the system
-    coincides with the drift-only dynamics.
-    """
-    c = phi_inv(alpha)
-    f_fn = expr.compile_evaluator(spec.drift, spec.order)
-    g_fn = expr.compile_evaluator(spec.diffusion, spec.order)
-
-    def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
-        return (*y[1:], f_fn(t, y) + abs(g_fn(t, y)) * c)
-
-    return FirstOrderSystem(spec.order, rhs, spec, alpha)
-
-
-def pathwise_system_factory(
-    spec: UdeSpec,
-) -> Callable[[float], FirstOrderSystem]:
-    """Builder for per-segment systems with top row f(t, y) + g(t, y) * slope.
-
-    The driver derivative keeps its sign here (no absolute value): the
-    surrogate path's slope plays the role dC/dt plays in the original
-    problem. Compiles f and g once and reuses them across segments.
-    """
-    f_fn = expr.compile_evaluator(spec.drift, spec.order)
-    g_fn = expr.compile_evaluator(spec.diffusion, spec.order)
-
-    def make(slope: float) -> FirstOrderSystem:
-        def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
-            return (*y[1:], f_fn(t, y) + g_fn(t, y) * slope)
-
-        return FirstOrderSystem(spec.order, rhs, spec, None)
-
-    return make

@@ -13,8 +13,10 @@ Trees are immutable and safe to share across concurrent solves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import CodeType
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import (
@@ -391,6 +393,7 @@ _COMPILE_NAMESPACE = {
     "sqrt": math.sqrt,
     "abs": abs,
     "pow": math.pow,
+    "OverflowError": OverflowError,
     "__builtins__": {},
 }
 
@@ -407,26 +410,44 @@ def compile_evaluator(
     ValueError / OverflowError / ZeroDivisionError (the solver translates
     them). Variables outside t, x0..x{order-1} are rejected here.
     """
-    legal = frozenset(state_variables(order))
-    for name in variables_of(ast):
-        if name not in legal:
-            raise UnknownVariableError(name)
-    body = _emit(ast)
-    source = f"def _compiled(t, y):\n    return {body}\n"
+    row = [f"y[{k}]" for k in range(order)]
+    names = dict(zip(state_variables(order), ["t", *row]))
+    source = f"def _compiled(t, y):\n    return {_emit(ast, names)}\n"
+    return _exec(source)["_compiled"]
+
+
+def _exec(source: str) -> dict:
+    """Run generated source in a fresh copy of the compile namespace."""
     namespace = dict(_COMPILE_NAMESPACE)
-    exec(compile(source, "<expr>", "exec"), namespace)
-    return namespace["_compiled"]
+    exec(_compile_source(source), namespace)
+    return namespace
 
 
-def _emit(node: ExprAst) -> str:
+@functools.lru_cache(maxsize=64)
+def _compile_source(source: str) -> CodeType:
+    # code objects are immutable and can be shared; the dominance oracle
+    # generates the same RK4 step again for every sample path it solves
+    return compile(source, "<expr>", "exec")
+
+
+def _emit(node: ExprAst, names: Mapping[str, str]) -> str:
+    """Python source for the tree, each variable replaced by names[variable].
+
+    Every result is an atom (a name, a call or a parenthesized expression),
+    so callers can splice it into larger expressions as is.
+    """
     if isinstance(node, Const):
         return f"({node.value!r})"
     if isinstance(node, Var):
-        return "t" if node.name == "t" else f"y[{node.name[1:]}]"
+        try:
+            return names[node.name]
+        except KeyError:
+            raise UnknownVariableError(node.name) from None
     if isinstance(node, Neg):
-        return f"(-{_emit(node.operand)})"
+        return f"(-{_emit(node.operand, names)})"
     if isinstance(node, BinOp):
+        left, right = _emit(node.left, names), _emit(node.right, names)
         if node.op == "^":
-            return f"pow({_emit(node.left)}, {_emit(node.right)})"
-        return f"({_emit(node.left)} {node.op} {_emit(node.right)})"
-    return f"{_CALL_NAMES.get(node.func, node.func)}({_emit(node.arg)})"
+            return f"pow({left}, {right})"
+        return f"({left} {node.op} {right})"
+    return f"{_CALL_NAMES.get(node.func, node.func)}({_emit(node.arg, names)})"

@@ -4,32 +4,23 @@ trajectories, plus the integral-form residual diagnostic.
 The step size is fixed (no adaptivity) so that every path in a fan shares
 one uniform grid: fan-wide monotonicity checks and the Simpson residual
 both need aligned nodes, and node placement stays reproducible.
+
+Every path is integrated by one loop, ``_integrate``, driving one classical
+RK4 step generated per problem with f and g inlined (``_compile_step``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import expr
-from .core import (
-    FirstOrderSystem,
-    UdeSpec,
-    companion_system,
-    pathwise_system_factory,
-    phi_inv,
-    validate_spec,
-)
-from .errors import (
-    AlignmentError,
-    BlowUpError,
-    ConfigError,
-    FanSolveError,
-    NonFiniteError,
-)
+from .core import UdeSpec, phi_inv, validate_spec
+from .errors import AlignmentError, BlowUpError, ConfigError, FanSolveError
 
 if TYPE_CHECKING:
     from .oracle import SamplePath
@@ -37,6 +28,11 @@ if TYPE_CHECKING:
 # any |state| beyond this aborts a solve: distinguishes hypothesis failure
 # from numeric overflow noise
 BLOWUP_LIMIT = 1e12
+
+# failures a generated step can raise: domain errors of the math functions,
+# float division by zero, and OverflowError for a state that is not finite
+# or beyond BLOWUP_LIMIT
+_STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 
 
 @dataclass
@@ -82,34 +78,101 @@ def time_grid(spec: UdeSpec) -> np.ndarray:
     return np.linspace(0.0, spec.horizon, spec.step_count + 1)
 
 
-def rk4_step(
-    system: FirstOrderSystem, t: float, y: Sequence[float], h: float
-) -> tuple[float, ...]:
-    """One classical 4-stage Runge-Kutta update. Deterministic.
+def _forcing(
+    spec: UdeSpec, signed: bool, time: str, row: Sequence[str], g: str = ""
+) -> str:
+    """Source of the companion system's top row, f + w(g) * c, over the
+    given source text for t and x0 .. x{n-1}.
 
-    Raises NonFiniteError if any stage evaluation fails or the updated
-    state is not finite.
+    The driver weight w is abs for alpha-paths (c = phi_inv(alpha)) and the
+    identity for surrogate drivers, whose slope c keeps the sign of dC/dt.
+    A non-empty ``g`` names an already computed diffusion value.
     """
-    rhs = system.rhs
+    names = dict(zip(expr.state_variables(spec.order), [time, *row]))
+    g = g or expr._emit(spec.diffusion, names)
+    weight = g if signed else f"abs({g})"
+    return f"{expr._emit(spec.drift, names)} + {weight} * c"
+
+
+def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
+    """Generate one classical RK4 step of the companion system, f and g inlined.
+
+    ``step(t, y, c)`` returns the state one step after (t, y) and g(t, y);
+    it raises OverflowError for a state that is not finite or beyond
+    BLOWUP_LIMIT. ``diffusion(t, y)`` is g alone. Each stage derivative is
+    the stage state shifted up one row with the forcing on top, and the
+    arithmetic is the classical tableau's, operation for operation.
+    """
+    n = spec.order
+    h = spec.horizon / spec.step_count
+    hh, w = 0.5 * h, h / 6.0
+    y, a, b, e, z = ([f"{v}{k}" for k in range(n)] for v in "yabez")
+    k1, k2, k3, k4 = y[1:] + ["p"], a[1:] + ["q"], b[1:] + ["r"], e[1:] + ["s"]
+    g = expr._emit(spec.diffusion, dict(zip(expr.state_variables(n), ["t", *y])))
+
+    def stage(out: list[str], coef: float, derivative: list[str]) -> list[str]:
+        return [f"{o} = {s} + {coef!r} * {d}" for o, s, d in zip(out, y, derivative)]
+
+    unpack = f"{', '.join(y)}, = y"
+    body = [
+        unpack,
+        f"g = {g}",
+        f"p = {_forcing(spec, signed, 't', y, 'g')}",
+        f"u = t + {hh!r}",
+        *stage(a, hh, k1),
+        f"q = {_forcing(spec, signed, 'u', a)}",
+        *stage(b, hh, k2),
+        f"r = {_forcing(spec, signed, 'u', b)}",
+        *stage(e, h, k3),
+        f"v = t + {h!r}",
+        f"s = {_forcing(spec, signed, 'v', e)}",
+        *(
+            f"{o} = {s} + {w!r} * ({p} + 2.0 * ({q} + {r}) + {d})"
+            for o, s, p, q, r, d in zip(z, y, k1, k2, k3, k4)
+        ),
+        "if " + " and ".join(f"abs({v}) <= {BLOWUP_LIMIT!r}" for v in z) + ":",
+        f"    return ({', '.join(z)},), g",
+        "raise OverflowError('state left the finite range')",
+    ]
+    source = "def step(t, y, c):\n" + "".join(f"    {line}\n" for line in body)
+    source += f"def diffusion(t, y):\n    {unpack}\n    return {g}\n"
+    namespace = expr._exec(source)
+    return namespace["step"], namespace["diffusion"]
+
+
+def _integrate(
+    spec: UdeSpec,
+    compiled: tuple[Callable, Callable],
+    drivers: Iterable[float],
+    alpha: float | None = None,
+) -> Trajectory:
+    """The integration loop: one generated step per grid interval, with the
+    driver constant c of each step taken from ``drivers``.
+
+    A failure inside a step aborts with BlowUpError at the step's start, the
+    last good node. Non-positive diffusion at a node is recorded as a warning.
+    """
+    step, diffusion = compiled
+    times = time_grid(spec)
+    tlist = times.tolist()
+    y = tuple(float(v) for v in spec.initial)
+    states = [y]
+    warnings: list[tuple[float, float]] = []
     try:
-        k1 = rhs(t, y)
-        y1 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
-        k2 = rhs(t + 0.5 * h, y1)
-        y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
-        k3 = rhs(t + 0.5 * h, y2)
-        y3 = tuple(a + h * b for a, b in zip(y, k3))
-        k4 = rhs(t + h, y3)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise NonFiniteError(f"stage evaluation at t={t}") from exc
-    w = h / 6.0
-    out = tuple(
-        a + w * (p + 2.0 * (q + r) + s)
-        for a, p, q, r, s in zip(y, k1, k2, k3, k4)
-    )
-    for v in out:
-        if not math.isfinite(v):
-            raise NonFiniteError(f"state after step from t={t}")
-    return out
+        for t, c in zip(tlist, drivers):
+            y, g = step(t, y, c)
+            if not g > 0.0:
+                warnings.append((t, g))
+            states.append(y)
+    except _STEP_FAILURES as exc:
+        raise BlowUpError(t, alpha) from exc
+    try:
+        g = diffusion(tlist[-1], y)
+    except _STEP_FAILURES:
+        g = math.nan
+    if not g > 0.0:
+        warnings.append((tlist[-1], g))
+    return Trajectory(times, np.array(states, dtype=float), warnings)
 
 
 def _require_valid(spec: UdeSpec) -> None:
@@ -118,53 +181,23 @@ def _require_valid(spec: UdeSpec) -> None:
         raise ConfigError("invalid spec: " + "; ".join(problems))
 
 
+def _alpha_path(spec: UdeSpec, compiled, alpha: float) -> AlphaPath:
+    drivers = repeat(phi_inv(alpha), spec.step_count)
+    path = _integrate(spec, compiled, drivers, alpha)
+    return AlphaPath(path.times, path.states, path.diffusion_warnings, alpha)
+
+
 def solve_alpha_path(spec: UdeSpec, alpha: float) -> AlphaPath:
     """Integrate the alpha-path ODE over [0, horizon] with the spec's step.
 
-    Component 0 of the states is the path itself, component k its k-th
-    derivative. Raises BlowUpError (naming the last good time) when a state
-    leaves the finite range; non-positive diffusion along the path is
-    recorded as a warning, not an error.
+    The top row is f + |g| * phi_inv(alpha). Component 0 of the states is
+    the path itself, component k its k-th derivative. Raises BlowUpError
+    (naming the last good time) when a state leaves the finite range;
+    non-positive diffusion along the path is recorded as a warning, not an
+    error.
     """
     _require_valid(spec)
-    system = companion_system(spec, alpha)
-    g_fn = expr.compile_evaluator(spec.diffusion, spec.order)
-    times = time_grid(spec)
-    tlist = [float(v) for v in times]
-    n_steps = spec.step_count
-    h = spec.horizon / n_steps
-
-    y = tuple(float(v) for v in spec.initial)
-    states = [y]
-    warnings: list[tuple[float, float]] = []
-
-    def check_diffusion(t: float, state: tuple[float, ...]) -> None:
-        try:
-            gv = g_fn(t, state)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            gv = float("nan")
-        if not gv > 0.0:
-            warnings.append((t, gv))
-
-    check_diffusion(0.0, y)
-    for i in range(n_steps):
-        t = tlist[i]
-        try:
-            y = rk4_step(system, t, y, h)
-        except NonFiniteError as exc:
-            raise BlowUpError(t, alpha) from exc
-        for v in y:
-            if abs(v) > BLOWUP_LIMIT:
-                raise BlowUpError(t, alpha)
-        states.append(y)
-        check_diffusion(tlist[i + 1], y)
-
-    return AlphaPath(
-        times=times,
-        states=np.array(states, dtype=float),
-        diffusion_warnings=warnings,
-        alpha=alpha,
-    )
+    return _alpha_path(spec, _compile_step(spec, signed=False), alpha)
 
 
 def solve_fan(spec: UdeSpec, grid: Sequence[float]) -> AlphaFan:
@@ -177,11 +210,12 @@ def solve_fan(spec: UdeSpec, grid: Sequence[float]) -> AlphaFan:
     grid = [float(a) for a in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("alpha grid must be strictly increasing")
+    compiled = _compile_step(spec, signed=False)
     paths: list[AlphaPath] = []
     failures: list[tuple[float, BlowUpError]] = []
     for alpha in grid:
         try:
-            paths.append(solve_alpha_path(spec, alpha))
+            paths.append(_alpha_path(spec, compiled, alpha))
         except BlowUpError as exc:
             failures.append((alpha, exc))
     if failures:
@@ -248,13 +282,11 @@ def integral_residual(
     """
     n = spec.order
     c = phi_inv(alpha)
-    f_fn = expr.compile_evaluator(spec.drift, n)
-    g_fn = expr.compile_evaluator(spec.diffusion, n)
+    top = _forcing(spec, False, "t", [f"y[{k}]" for k in range(n)])
+    forcing_fn = expr._exec(f"def forcing(t, y, c):\n    return {top}\n")["forcing"]
     times = path.times
     rows = path.states.tolist()
-    forcing = np.array(
-        [f_fn(t, row) + abs(g_fn(t, row)) * c for t, row in zip(times, rows)]
-    )
+    forcing = np.array([forcing_fn(t, row, c) for t, row in zip(times, rows)])
     positions = path.states[:, 0]
     factor = 1.0 / math.factorial(n - 1)
     h = spec.horizon / spec.step_count
@@ -286,8 +318,7 @@ def solve_sample_path(spec: UdeSpec, c: "SamplePath") -> Trajectory:
     lies inside a single segment, so every stage sees that segment's slope).
     """
     _require_valid(spec)
-    times = time_grid(spec)
-    tlist = [float(v) for v in times]
+    tlist = time_grid(spec).tolist()
     n_steps = spec.step_count
     h = spec.horizon / n_steps
     tolerance = 1e-9 * max(spec.horizon, 1.0)
@@ -307,19 +338,7 @@ def solve_sample_path(spec: UdeSpec, c: "SamplePath") -> Trajectory:
     if any(b <= a for a, b in zip(node_index, node_index[1:])):
         raise AlignmentError("breakpoints collapse onto the same solver node")
 
-    make_system = pathwise_system_factory(spec)
-    y = tuple(float(v) for v in spec.initial)
-    states = [y]
-    for seg in range(len(c.slopes)):
-        system = make_system(float(c.slopes[seg]))
-        for i in range(node_index[seg], node_index[seg + 1]):
-            t = tlist[i]
-            try:
-                y = rk4_step(system, t, y, h)
-            except NonFiniteError as exc:
-                raise BlowUpError(t) from exc
-            for v in y:
-                if abs(v) > BLOWUP_LIMIT:
-                    raise BlowUpError(t)
-            states.append(y)
-    return Trajectory(times=times, states=np.array(states, dtype=float))
+    drivers: list[float] = []
+    for seg, slope in enumerate(c.slopes):
+        drivers += [float(slope)] * (node_index[seg + 1] - node_index[seg])
+    return _integrate(spec, _compile_step(spec, signed=True), drivers)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from alphapath import AlphaGridSpec, UdeSpec, alpha_grid, solve_fan
+from alphapath.expr import evaluate
 
 
 def polynomial_spec(order: int, initial=None, horizon=1.0, step=1e-3) -> UdeSpec:
@@ -24,6 +25,39 @@ def tanh_spec(order: int, initial=None, horizon=1.0, step=1e-3) -> UdeSpec:
     if initial is None:
         initial = [0.1] + [0.0] * (order - 1)
     return UdeSpec.from_strings(order, "x0", "2+tanh(x0)", initial, horizon, step)
+
+
+def one_step_spec(order: int, f: str, g: str, initial, h: float) -> UdeSpec:
+    """Spec whose grid is a single step of size h: solving it takes one RK4 step."""
+    return UdeSpec.from_strings(order, f, g, initial, h, h)
+
+
+def companion_rhs(spec: UdeSpec, c: float, weight=abs):
+    """Reference right-hand side (y1, ..., x^(n-1), f + weight(g) * c) built on
+    the tree-walking evaluator."""
+
+    def rhs(t, y):
+        env = {"t": t, **{f"x{k}": v for k, v in enumerate(y)}}
+        top = evaluate(spec.drift, env) + weight(evaluate(spec.diffusion, env)) * c
+        return (*y[1:], top)
+
+    return rhs
+
+
+def reference_rk4_step(rhs, t, y, h):
+    """Classical RK4 written out generically; the solver's generated step
+    must reproduce it bit for bit."""
+    k1 = rhs(t, y)
+    y1 = tuple(a + 0.5 * h * b for a, b in zip(y, k1))
+    k2 = rhs(t + 0.5 * h, y1)
+    y2 = tuple(a + 0.5 * h * b for a, b in zip(y, k2))
+    k3 = rhs(t + 0.5 * h, y2)
+    y3 = tuple(a + h * b for a, b in zip(y, k3))
+    k4 = rhs(t + h, y3)
+    w = h / 6.0
+    return tuple(
+        a + w * (p + 2.0 * (q + r) + s) for a, p, q, r, s in zip(y, k1, k2, k3, k4)
+    )
 
 
 SMALL_GRID = AlphaGridSpec(count=9, lo=0.1)

@@ -264,3 +264,52 @@ def test_no_output_directory_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["solve", "--config", cfg]) == 2
     assert "output directory" in capsys.readouterr().err
+
+
+def test_oracle_misaligned_segments_exits_2(tmp_path, capsys):
+    # 1000 steps do not split into the default 32 surrogate segments
+    text = BASE_CONFIG.replace("step    = 0.0025", "step    = 0.001").replace(
+        "oracle.segments = 16\n", ""
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "does not fall on a solver node" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alphas", ["[abc]", "[0.2, true]"])
+def test_oracle_alphas_must_be_numbers(tmp_path, capsys, alphas):
+    cfg = write_config(tmp_path, BASE_CONFIG + f"oracle.alphas = {alphas}\n")
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {BASE_CONFIG.count(chr(10)) + 1}: `oracle.alphas`" in err
+
+
+def test_check_nonfinite_audit_point_exits_3(tmp_path, capsys):
+    # the condition-h audit samples x0 below 0, where sqrt(x0) is undefined
+    text = (
+        BASE_CONFIG.replace('f       = "x0"', 'f       = "sqrt(x0)"')
+        .replace('g       = "2 + tanh(x0)"', 'g       = "1"')
+        .replace("initial = [0.1, 0]", "initial = [0.001, 0.5]")
+        .replace("step    = 0.0025", "step    = 0.01")
+        .replace("alpha.count = 9", "alpha.count = 3")
+        .replace("alpha.lo    = 0.1", "alpha.lo    = 0.3")
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "non-finite value in sqrt(x0)" in capsys.readouterr().err
+
+
+def test_run_json_caps_diffusion_warnings(tmp_path):
+    # g = t - 0.5 is non-positive on the first half of 2500 steps
+    text = BASE_CONFIG.replace('g       = "2 + tanh(x0)"', 'g       = "t-0.5"').replace(
+        "step    = 0.0025", "step    = 0.0004"
+    )
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    warnings = json.loads((out / "run.json").read_text())["solver"]["diffusion_warnings"]
+    assert len(warnings) == 9
+    for entry in warnings.values():
+        assert entry["warnings_total"] == 1251
+        assert len(entry["warnings"]) == 1000
+        assert entry["warnings"][0] == [0.0, -0.5]

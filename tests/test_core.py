@@ -1,5 +1,5 @@
 """Tests for the quantile function, alpha grids, spec validation, and the
-first-order reduction."""
+companion first-order reduction, observed through one-step solves."""
 
 from __future__ import annotations
 
@@ -10,17 +10,18 @@ import pytest
 
 from alphapath import (
     AlphaGridSpec,
+    SamplePath,
     UdeSpec,
     alpha_grid,
-    companion_system,
     phi_inv,
+    solve_alpha_path,
+    solve_sample_path,
     validate_spec,
 )
-from alphapath.core import pathwise_system_factory
 from alphapath.errors import ConfigError, DomainError
 from alphapath.expr import evaluate, parse_source
 
-from conftest import tanh_spec
+from conftest import companion_rhs, one_step_spec, reference_rk4_step, tanh_spec
 
 
 def test_phi_inv_center_is_exactly_zero():
@@ -88,65 +89,82 @@ def test_alpha_grid_asymmetric_variant():
     assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
+def _one_step(spec, alpha):
+    return tuple(solve_alpha_path(spec, alpha).states[-1])
+
+
 def test_companion_constant_driver():
-    spec = UdeSpec.from_strings(2, "0", "1", [0.0, 0.0], 1.0, 1e-3)
-    system = companion_system(spec, 0.9)
-    out = system.rhs(0.3, (2.0, 5.0))
-    assert out[0] == 5.0
-    assert out[1] == phi_inv(0.9)
-    assert out[1] == pytest.approx(1.21139, abs=1e-5)
+    h = 0.3
+    c = phi_inv(0.9)
+    x, v = _one_step(one_step_spec(2, "0", "1", [2.0, 5.0], h), 0.9)
+    assert v == pytest.approx(5.0 + c * h, rel=1e-14)
+    assert x == pytest.approx(2.0 + 5.0 * h + c * h * h / 2.0, rel=1e-14)
+    assert (v - 5.0) / h == pytest.approx(1.21139, abs=1e-5)
 
 
 def test_companion_median_alpha_drops_driver():
-    spec = UdeSpec.from_strings(2, "0", "1", [0.0, 0.0], 1.0, 1e-3)
-    system = companion_system(spec, 0.5)
-    assert system.rhs(0.0, (1.0, 2.0)) == (2.0, 0.0)
+    h = 0.25
+    x, v = _one_step(one_step_spec(2, "0", "1", [1.0, 2.0], h), 0.5)
+    assert v == 2.0
+    assert x == pytest.approx(1.0 + 2.0 * h, rel=1e-15)
 
 
 def test_companion_median_equals_drift_only():
-    spec = tanh_spec(2)
-    system = companion_system(spec, 0.5)
     f = parse_source("x0", 2)
+
+    def drift_only(t, y):
+        return (y[1], evaluate(f, {"t": t, "x0": y[0], "x1": y[1]}))
+
     rng = random.Random(3)
     for _ in range(20):
-        t = rng.uniform(0.0, 1.0)
+        h = rng.uniform(0.01, 0.5)
         y = (rng.uniform(-2, 2), rng.uniform(-2, 2))
-        env = {"t": t, "x0": y[0], "x1": y[1]}
-        assert system.rhs(t, y)[-1] == evaluate(f, env)
+        spec = one_step_spec(2, "x0", "2+tanh(x0)", y, h)
+        assert _one_step(spec, 0.5) == reference_rk4_step(drift_only, 0.0, y, h)
 
 
 def test_companion_order_three_structure():
-    spec = UdeSpec.from_strings(3, "x0", "2+tanh(x0)", [0.0, 0.0, 0.0], 1.0, 1e-3)
     alpha = 0.73
-    system = companion_system(spec, alpha)
+    h = 0.1
     y = (0.4, -1.1, 2.2)
-    out = system.rhs(0.0, y)
-    assert out[:2] == (-1.1, 2.2)
-    expected = 0.4 + (2.0 + math.tanh(0.4)) * phi_inv(alpha)
-    assert out[2] == pytest.approx(expected, rel=1e-15)
+    spec = one_step_spec(3, "x0", "2+tanh(x0)", y, h)
+    # the reference right-hand side is (x1, x2, x0 + (2 + tanh(x0)) * c)
+    rhs = companion_rhs(spec, phi_inv(alpha))
+    assert rhs(0.0, y)[:2] == (-1.1, 2.2)
+    assert _one_step(spec, alpha) == reference_rk4_step(rhs, 0.0, y, h)
 
 
 def test_companion_shift_components_pass_through():
-    # the chain rows forward the state entries themselves, untouched
-    spec = UdeSpec.from_strings(3, "x0", "1", [0.0, 0.0, 0.0], 1.0, 1e-3)
-    system = companion_system(spec, 0.25)
-    y = (1.5, math.nan, 2.5)  # NaN survives only if the entry is passed through
-    out = system.rhs(0.0, y)
-    assert out[0] is y[1]
-    assert out[1] is y[2]
+    # with a zero top row, each chain row's stage derivatives are the stage
+    # states of the row above, taken as they are
+    h = 0.25
+    hh, w = 0.5 * h, h / 6.0
+    y0, y1, y2 = 1.5, -0.75, 2.5
+    spec = one_step_spec(3, "0", "0", [y0, y1, y2], h)
+    a1 = y1 + hh * y2
+    e1 = y1 + h * y2
+    z1 = y1 + w * (y2 + 2.0 * (y2 + y2) + y2)
+    z0 = y0 + w * (y1 + 2.0 * (a1 + a1) + e1)
+    assert _one_step(spec, 0.25) == (z0, z1, y2)
 
 
 def test_companion_uses_absolute_diffusion():
-    spec = UdeSpec.from_strings(2, "0", "0-1", [0.0, 0.0], 1.0, 1e-3)
-    system = companion_system(spec, 0.9)
+    h = 0.2
+    negative = _one_step(one_step_spec(2, "0", "0-1", [0.0, 0.0], h), 0.9)
+    positive = _one_step(one_step_spec(2, "0", "1", [0.0, 0.0], h), 0.9)
     # g is -1 but the driver weight is |g|
-    assert system.rhs(0.0, (0.0, 0.0))[1] == phi_inv(0.9)
+    assert negative == positive
+    assert negative[1] == pytest.approx(phi_inv(0.9) * h, rel=1e-14)
 
 
 def test_pathwise_system_keeps_diffusion_sign():
-    spec = UdeSpec.from_strings(2, "0", "0-1", [0.0, 0.0], 1.0, 1e-3)
-    system = pathwise_system_factory(spec)(2.0)
-    assert system.rhs(0.0, (0.0, 0.0))[1] == -2.0
+    h = 0.2
+    spec = one_step_spec(2, "0", "0-1", [0.0, 0.0], h)
+    mirrored = one_step_spec(2, "0", "1", [0.0, 0.0], h)
+    out = solve_sample_path(spec, SamplePath((0.0, h), (2.0,))).states[-1]
+    reference = solve_sample_path(mirrored, SamplePath((0.0, h), (-2.0,))).states[-1]
+    assert tuple(out) == tuple(reference)
+    assert out[1] == pytest.approx(-2.0 * h, rel=1e-14)
 
 
 def test_validate_spec_accepts_valid():

@@ -9,51 +9,55 @@ import numpy as np
 import pytest
 
 from alphapath import (
+    AlphaGridSpec,
     SamplePath,
     UdeSpec,
+    alpha_grid,
     integral_residual,
     phi_inv,
-    rk4_step,
     solve_alpha_path,
     solve_fan,
     solve_sample_path,
 )
-from alphapath.core import FirstOrderSystem
 from alphapath.errors import (
     AlignmentError,
     BlowUpError,
     ConfigError,
     FanSolveError,
-    NonFiniteError,
 )
 
-from conftest import polynomial_spec, tanh_spec
+from conftest import (
+    companion_rhs,
+    one_step_spec,
+    polynomial_spec,
+    reference_rk4_step,
+    tanh_spec,
+)
 
 
-def _system(dimension, rhs):
-    spec = polynomial_spec(max(dimension, 1))
-    return FirstOrderSystem(dimension, rhs, spec, None)
+# one-step solves: at alpha = 0.5 the driver term is exactly zero, so the
+# top row is f alone
 
 
 def test_rk4_constant_solution():
-    system = _system(1, lambda t, y: (0.0,))
-    assert rk4_step(system, 0.0, (1.0,), 0.37) == (1.0,)
+    spec = one_step_spec(1, "0", "1", [1.0], 0.37)
+    assert tuple(solve_alpha_path(spec, 0.5).states[-1]) == (1.0,)
 
 
 def test_rk4_exact_for_constant_forcing_chain():
     # chain y0' = y1, y1' = c has closed form [c h^2/2, c h] from rest
     c = 1.75
-    system = _system(2, lambda t, y: (y[1], c))
     h = 0.2
-    out = rk4_step(system, 0.0, (0.0, 0.0), h)
+    spec = one_step_spec(2, "1.75", "1", [0.0, 0.0], h)
+    out = solve_alpha_path(spec, 0.5).states[-1]
     assert out[0] == pytest.approx(c * h * h / 2.0, rel=1e-14)
     assert out[1] == pytest.approx(c * h, rel=1e-14)
 
 
 def test_rk4_exponential_one_step():
-    system = _system(1, lambda t, y: (y[0],))
     h = 0.1
-    (out,) = rk4_step(system, 0.0, (1.0,), h)
+    spec = one_step_spec(1, "x0", "1", [1.0], h)
+    (out,) = solve_alpha_path(spec, 0.5).states[-1]
     # one RK4 step on y' = y is the degree-4 Taylor sum of e^h
     taylor = 1.0 + h + h**2 / 2.0 + h**3 / 6.0 + h**4 / 24.0
     assert out == pytest.approx(taylor, abs=1e-15)
@@ -62,15 +66,50 @@ def test_rk4_exponential_one_step():
 
 
 def test_rk4_detects_nonfinite_stage():
-    system = _system(1, lambda t, y: (1.0 / t,))
-    with pytest.raises(NonFiniteError):
-        rk4_step(system, 0.0, (1.0,), 0.1)
+    spec = one_step_spec(1, "1/t", "1", [1.0], 0.1)
+    with pytest.raises(BlowUpError) as excinfo:
+        solve_alpha_path(spec, 0.5)
+    assert excinfo.value.last_good_time == 0.0
 
 
 def test_rk4_detects_overflowing_state():
-    system = _system(1, lambda t, y: (y[0] * y[0],))
-    with pytest.raises(NonFiniteError):
-        rk4_step(system, 0.0, (1e200,), 1.0)
+    spec = one_step_spec(1, "x0*x0", "1", [1e200], 1.0)
+    with pytest.raises(BlowUpError) as excinfo:
+        solve_alpha_path(spec, 0.5)
+    assert excinfo.value.last_good_time == 0.0
+
+
+REFERENCE_CASES = [
+    (1, "sin(t) - x0", "1 + t*t", [0.3]),
+    (2, "0.5*x0 + sin(3*t)*x1", "1.5 + tanh(x0) + 0.25*cos(t)", [0.1, 0.0]),
+    (3, "x0 - x2/(1 + t)", "2 + tanh(x0)", [0.1, -0.2, 0.4]),
+    (2, "x0^2 - exp(-t)", "t - 0.5", [0.2, 0.1]),
+]
+
+
+@pytest.mark.parametrize("order,f,g,initial", REFERENCE_CASES)
+def test_solves_match_reference_rk4_bitwise(order, f, g, initial):
+    spec = UdeSpec.from_strings(order, f, g, initial, 0.5, 0.05)
+    times = np.linspace(0.0, 0.5, 11).tolist()
+
+    def reference(rhs_for_step):
+        y = spec.initial
+        states = [y]
+        for i, t in enumerate(times[:-1]):
+            y = reference_rk4_step(rhs_for_step(i), t, y, spec.step)
+            states.append(y)
+        return np.array(states)
+
+    for alpha in (0.1, 0.5, 0.8):
+        rhs = companion_rhs(spec, phi_inv(alpha))
+        expected = reference(lambda i: rhs)
+        assert np.array_equal(solve_alpha_path(spec, alpha).states, expected)
+
+    slopes = (0.7, -1.3)
+    surrogate = SamplePath(breakpoints=(0.0, 0.25, 0.5), slopes=slopes)
+    signed = [companion_rhs(spec, m, weight=lambda g: g) for m in slopes]
+    expected = reference(lambda i: signed[i // 5])
+    assert np.array_equal(solve_sample_path(spec, surrogate).states, expected)
 
 
 def _poly_reference(spec, alpha, times):
@@ -176,6 +215,37 @@ def test_fan_blowup_names_offending_alpha():
     assert failed  # every failure carries its alpha
     assert failed <= {0.5, 0.9}
     assert str(excinfo.value.failures[0][0]) in str(excinfo.value)
+
+
+def test_fan_blowup_failures_pinned():
+    # alphas and last good times measured with the generic RK4 stepper
+    spec = UdeSpec.from_strings(2, "x0^2", "1", [1.0, 0.0], 3.0, 1e-3)
+    with pytest.raises(FanSolveError) as excinfo:
+        solve_fan(spec, [0.1, 0.3, 0.5, 0.7, 0.9])
+    failures = [(a, exc.last_good_time) for a, exc in excinfo.value.failures]
+    assert failures == [(0.5, 2.974), (0.7, 2.759), (0.9, 2.539)]
+    assert [exc.alpha for _, exc in excinfo.value.failures] == [0.5, 0.7, 0.9]
+
+
+def test_blowup_in_stage_hidden_by_result():
+    # exp(710) overflows inside the first stage; tanh would map the infinity
+    # back to 1.0, and the solve must fail all the same
+    spec = UdeSpec.from_strings(2, "tanh(exp(x0))", "1", [710.0, 0.0], 1.0, 1e-2)
+    with pytest.raises(BlowUpError) as excinfo:
+        solve_alpha_path(spec, 0.7)
+    assert excinfo.value.last_good_time == 0.0
+    assert excinfo.value.alpha == 0.7
+
+
+def test_single_alpha_equals_its_fan_row():
+    # a path's bits do not depend on the fan it was solved in
+    spec = tanh_spec(2)
+    grid = alpha_grid(AlphaGridSpec())
+    fan = solve_fan(spec, grid)
+    alpha = grid[17]
+    alone = solve_alpha_path(spec, alpha)
+    assert np.array_equal(alone.states, fan.paths[17].states)
+    assert alone.diffusion_warnings == fan.paths[17].diffusion_warnings == []
 
 
 def test_fan_rejects_unsorted_grid():

@@ -24,6 +24,10 @@ from .solver import AlphaFan
 # so the monotonicity condition is tested against -TOL_CONDITION_H, not 0
 TOL_CONDITION_H = 1e-8
 
+# relative step of the condition-h central differences: h = step * max(1, |x0|),
+# balancing truncation against roundoff in doubles
+FD_STEP_CONDITION_H = 1e-6
+
 # JSON exports keep at most this many violation entries (full lists stay
 # on the report objects); the total count is always exported
 MAX_EXPORTED_VIOLATIONS = 1000
@@ -159,7 +163,6 @@ def check_condition_h(
     spec: UdeSpec,
     fan: AlphaFan,
     samples: int = 256,
-    eps: float = 1e-6,
     seed: int = 0,
 ) -> ConditionHCheck:
     """Finite-difference check that df/dx0 >= 0 and dg/dx0 >= 0.
@@ -167,19 +170,17 @@ def check_condition_h(
     Partials are sampled (a) at every node of every path and (b) at
     ``samples`` pseudo-random points drawn from the bounding box of the
     fan's states inflated by 10 percent, with t uniform over the horizon.
-    A value is a violation when it falls below -TOL_CONDITION_H.
+    Each is a central difference with step FD_STEP_CONDITION_H * max(1, |x0|)
+    on the compiled f and g the solver integrates. A value is a violation
+    when it falls below -TOL_CONDITION_H. A point where f or g fails or is
+    not finite is re-run through ``expr.evaluate``, whose NonFiniteError
+    names the failing subexpression.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     names = expr.state_variables(spec.order)
-    envs: list[dict[str, float]] = []
-    for path in fan.paths:
-        tlist = path.times.tolist()
-        for t, row in zip(tlist, path.states.tolist()):
-            env = {"t": t}
-            for k, name in enumerate(names[1:]):
-                env[name] = row[k]
-            envs.append(env)
+    trees = (spec.drift, spec.diffusion)
+    f_fn, g_fn = (expr.compile_evaluator(tree, spec.order) for tree in trees)
 
     all_states = np.concatenate([p.states for p in fan.paths], axis=0)
     lo = all_states.min(axis=0)
@@ -188,30 +189,48 @@ def check_condition_h(
     rng = np.random.default_rng(seed)
     t_draw = rng.uniform(0.0, spec.horizon, samples)
     state_draw = rng.uniform(lo - pad, hi + pad, size=(samples, spec.order))
-    for i in range(samples):
-        env = {"t": float(t_draw[i])}
-        for k, name in enumerate(names[1:]):
-            env[name] = float(state_draw[i, k])
-        envs.append(env)
+
+    def points():
+        # one path's rows at a time, so the audit never holds every node
+        for path in fan.paths:
+            yield from zip(path.times.tolist(), path.states.tolist())
+        yield from zip(t_draw.tolist(), state_draw.tolist())
 
     min_partial = math.inf
     min_function = "f"
     min_env: dict[str, float] = {}
     violations: list[dict] = []
-    for env in envs:
-        for label, tree in (("f", spec.drift), ("g", spec.diffusion)):
-            value = expr.partial_fd(tree, "x0", env, eps)
+    for t, row in points():
+        x = row[0]
+        h = FD_STEP_CONDITION_H * max(1.0, abs(x))
+        try:
+            row[0] = x + h
+            f_hi, g_hi = f_fn(t, row), g_fn(t, row)
+            row[0] = x - h
+            f_lo, g_lo = f_fn(t, row), g_fn(t, row)
+            df = (f_hi - f_lo) / (2.0 * h)
+            dg = (g_hi - g_lo) / (2.0 * h)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            df = dg = math.nan
+        row[0] = x
+        if not (math.isfinite(df) and math.isfinite(dg)):
+            hi_env = dict(zip(names, [t, x + h, *row[1:]]))
+            lo_env = dict(zip(names, [t, x - h, *row[1:]]))
+            df, dg = (
+                (expr.evaluate(tree, hi_env) - expr.evaluate(tree, lo_env)) / (2.0 * h)
+                for tree in trees
+            )
+        for label, value in (("f", df), ("g", dg)):
             if value < min_partial:
                 min_partial = value
                 min_function = label
-                min_env = dict(env)
+                min_env = dict(zip(names, [t, *row]))
             if value < -TOL_CONDITION_H:
-                violations.append(
-                    {"function": label, "env": dict(env), "value": value}
-                )
+                env = dict(zip(names, [t, *row]))
+                violations.append({"function": label, "env": env, "value": value})
     return ConditionHCheck(
         passed=not violations,
-        sampled_points=len(envs),
+        sampled_points=samples + sum(len(path.times) for path in fan.paths),
         min_partial=min_partial,
         min_function=min_function,
         min_env=min_env,
@@ -223,13 +242,12 @@ def check_hypotheses(
     spec: UdeSpec,
     fan: AlphaFan,
     samples: int = 256,
-    eps: float = 1e-6,
     seed: int = 0,
 ) -> HypothesisReport:
     """Run both hypothesis checks and bundle the fragments."""
     return HypothesisReport(
         regularity=check_regularity(fan),
-        condition_h=check_condition_h(spec, fan, samples=samples, eps=eps, seed=seed),
+        condition_h=check_condition_h(spec, fan, samples=samples, seed=seed),
     )
 
 
@@ -377,13 +395,8 @@ def expected_value(fan: AlphaFan, t: float) -> float:
     for a, b in zip(grid, reversed(grid)):
         if abs((a + b) - 1.0) > 1e-12:
             raise ConfigError("alpha grid is not symmetric about 0.5")
-    j = _snap_to_node(fan, t)
-    column = np.array([p.position[j] for p in fan.paths])
-    if j > 0 and not (np.diff(column) > 0.0).all():
-        raise MonotonicityError(
-            f"fan is not strictly increasing in alpha at t={float(fan.paths[0].times[j])}"
-        )
-    alphas = np.array(grid, dtype=float)
+    table = inverse_distribution(fan, t)
+    alphas, column = table.alphas, table.values
     widths = np.diff(alphas)
     integral = float(np.sum(0.5 * widths * (column[:-1] + column[1:])))
     return integral / float(alphas[-1] - alphas[0])

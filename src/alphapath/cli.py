@@ -90,10 +90,9 @@ def _fan_json_payload(fan: AlphaFan) -> dict:
     }
 
 
-def _run_json_payload(config: RunConfig, fan: AlphaFan) -> dict:
+def _run_json_payload(fan: AlphaFan) -> dict:
     cap = analysis.MAX_EXPORTED_VIOLATIONS
     return {
-        "config": config.raw,
         "solver": {
             "step": fan.spec.step,
             "nodes": fan.spec.step_count + 1,
@@ -110,12 +109,17 @@ def _run_json_payload(config: RunConfig, fan: AlphaFan) -> dict:
     }
 
 
-def _update_run_json(outdir: Path, extra: dict) -> None:
+def _update_run_json(outdir: Path, config: RunConfig, extra: dict) -> None:
+    """Merge ``extra`` and the config echo into run.json. Sections written by
+    a run of another config, or a file that is not a JSON object, are dropped."""
     path = outdir / "run.json"
-    payload: dict = {}
-    if path.exists():
+    try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    payload.update(extra)
+    except (FileNotFoundError, ValueError):  # absent, not UTF-8 or not JSON
+        payload = {}
+    if not isinstance(payload, dict) or payload.get("config") != config.raw:
+        payload = {}
+    payload.update(extra, config=config.raw)
     _write_json(path, payload)
 
 
@@ -129,7 +133,7 @@ def cmd_solve(config: RunConfig, outdir: Path) -> int:
         _write_text(outdir / "fan.csv", _fan_csv(fan))
     if "json" in config.output_formats:
         _write_json(outdir / "fan.json", _fan_json_payload(fan))
-    _update_run_json(outdir, _run_json_payload(config, fan))
+    _update_run_json(outdir, config, _run_json_payload(fan))
     return EXIT_OK
 
 
@@ -146,7 +150,7 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
         "passed": hypotheses.passed and monotone.passed,
     }
     _write_json(outdir / "checks.json", payload)
-    _update_run_json(outdir, {"config": config.raw})
+    _update_run_json(outdir, config, {})
     if not payload["passed"]:
         _fail(
             "checks failed: "
@@ -181,10 +185,7 @@ def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
                 "entries": [list(e) for e in table.entries],
             },
         )
-    extra: dict = {
-        "distribution": {"t": table.t, "degenerate": table.degenerate},
-        "config": config.raw,
-    }
+    extra: dict = {"distribution": {"t": table.t, "degenerate": table.degenerate}}
     if table.degenerate:
         extra["distribution"]["note"] = "all entries equal the initial value"
         extra["expected_value"] = {"t": table.t, "value": float(table.values[0])}
@@ -193,7 +194,7 @@ def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
             "t": table.t,
             "value": analysis.expected_value(fan, t),
         }
-    _update_run_json(outdir, extra)
+    _update_run_json(outdir, config, extra)
     return EXIT_OK
 
 
@@ -224,7 +225,7 @@ def cmd_oracle(config: RunConfig, outdir: Path) -> int:
             "reports": [r.to_dict() for r in reports],
         },
     )
-    _update_run_json(outdir, {"config": config.raw})
+    _update_run_json(outdir, config, {})
     if not passed:
         _fail("dominance violations found; see oracle.json")
         return EXIT_CHECK

@@ -175,6 +175,12 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
         raise ConfigError(
             f"{_context(lines, 'initial')}`initial` must be a list of numbers"
         )
+    # before parsing, which builds the names of all `order` state variables
+    if order != len(initial):
+        raise ConfigError(
+            f"{_context(lines, 'order')}`order` = {order} disagrees with the "
+            f"{len(initial)} values of `initial`"
+        )
     trees = {}
     for key in ("f", "g"):
         source = _as_string(values, lines, key)

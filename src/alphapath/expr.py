@@ -39,6 +39,16 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 
 _OPERATORS = "+-*/^"
 
+# ASCII only: str.isdigit also accepts digits such as '²' that float() rejects
+_DIGITS = "0123456789"
+
+# deepest expression the parser accepts, both as nodes on a root-to-leaf path
+# of the tree and as nested parentheses, negations, powers and calls in the
+# source (each costs the recursive parser up to 6 frames); this keeps every
+# accepted tree inside the recursion limit and the Python compiler's 200
+# levels of nesting in every function generated from it
+MAX_DEPTH = 100
+
 
 def state_variables(order: int) -> list[str]:
     """Legal variable names for an order-n problem: t, x0 .. x{n-1}."""
@@ -97,20 +107,20 @@ def tokenize(source: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
-                    while k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
+                    while k < n and source[k] in _DIGITS:
                         k += 1
                     j = k
             lexeme = source[i:j]
@@ -148,6 +158,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.variables = frozenset(state_variables(order))
+        self.nesting = 0
 
     def _peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -174,6 +185,8 @@ class _Parser:
         tok = self._peek()
         if tok is not None:
             raise ParseError(tok.position, "end of input")
+        if depth(node) > MAX_DEPTH:
+            raise ParseError(0, f"at most {MAX_DEPTH} levels of nesting")
         return node
 
     def expression(self) -> ExprAst:
@@ -191,10 +204,21 @@ class _Parser:
         return node
 
     def unary(self) -> ExprAst:
+        # every recursion of the parser passes through here
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            tok = self._peek()
+            raise ParseError(
+                tok.position if tok else self._end_position(),
+                f"at most {MAX_DEPTH} levels of nesting",
+            )
         if self._at_operator("-"):
             self._advance()
-            return Neg(self.unary())
-        return self.power()
+            node: ExprAst = Neg(self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> ExprAst:
         node = self.primary()
@@ -346,27 +370,24 @@ def evaluate(ast: ExprAst, env: Mapping[str, float]) -> float:
     return float(value)
 
 
-def partial_fd(
-    ast: ExprAst, var: str, env: Mapping[str, float], eps: float = 1e-6
-) -> float:
-    """Central finite-difference estimate of the partial derivative wrt ``var``.
+def depth(ast: ExprAst) -> int:
+    """Nodes on the longest root-to-leaf path; walks level by level, so a
+    tree of any depth is measured without recursion."""
+    level, count = [ast], 0
+    while level:
+        count += 1
+        level = [child for node in level for child in _children(node)]
+    return count
 
-    Uses step h = eps * max(1, |env[var]|), balancing truncation against
-    roundoff for doubles at the default eps. Propagates NonFiniteError from
-    either one-sided evaluation.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    try:
-        x = env[var]
-    except KeyError:
-        raise UnknownVariableError(var) from None
-    h = eps * max(1.0, abs(x))
-    hi = dict(env)
-    hi[var] = x + h
-    lo = dict(env)
-    lo[var] = x - h
-    return (evaluate(ast, hi) - evaluate(ast, lo)) / (2.0 * h)
+
+def _children(node: ExprAst) -> tuple[ExprAst, ...]:
+    if isinstance(node, BinOp):
+        return node.left, node.right
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
 
 
 def variables_of(ast: ExprAst) -> set[str]:

@@ -60,6 +60,17 @@ def reference_rk4_step(rhs, t, y, h):
     )
 
 
+def reference_partial_fd(ast, var, env, eps=1e-6):
+    """Central difference of the tree-walking evaluator with step
+    eps * max(1, |env[var]|); the condition-h audit must reproduce it bit
+    for bit."""
+    x = env[var]
+    h = eps * max(1.0, abs(x))
+    hi = {**env, var: x + h}
+    lo = {**env, var: x - h}
+    return (evaluate(ast, hi) - evaluate(ast, lo)) / (2.0 * h)
+
+
 SMALL_GRID = AlphaGridSpec(count=9, lo=0.1)
 
 

@@ -21,9 +21,16 @@ from alphapath import (
     phi_inv,
     solve_fan,
 )
-from alphapath.errors import ConfigError, DomainError, MonotonicityError
+from alphapath.analysis import TOL_CONDITION_H
+from alphapath.errors import (
+    ConfigError,
+    DomainError,
+    MonotonicityError,
+    NonFiniteError,
+)
+from alphapath.expr import state_variables
 
-from conftest import SMALL_GRID, polynomial_spec, tanh_spec
+from conftest import SMALL_GRID, polynomial_spec, reference_partial_fd, tanh_spec
 
 
 def _synthetic_fan(columns: np.ndarray, grid: list[float], initial=0.0) -> AlphaFan:
@@ -102,6 +109,68 @@ def test_condition_h_deterministic():
     a = check_condition_h(spec, fan, samples=32, seed=9)
     b = check_condition_h(spec, fan, samples=32, seed=9)
     assert a == b
+
+
+def _reference_condition_h(spec, fan, samples, seed):
+    """The audit written out over env dicts and the tree-walking evaluator:
+    every node of every path, then the sampled points, f before g. Returns
+    the first smallest (function, env, partial) and the violations."""
+    names = state_variables(spec.order)
+    states = np.concatenate([p.states for p in fan.paths], axis=0)
+    lo, hi = states.min(axis=0), states.max(axis=0)
+    pad = 0.05 * (hi - lo)
+    rng = np.random.default_rng(seed)
+    t_draw = rng.uniform(0.0, spec.horizon, samples)
+    state_draw = rng.uniform(lo - pad, hi + pad, size=(samples, spec.order))
+    points = [(t, row) for p in fan.paths for t, row in zip(p.times, p.states)]
+    points += list(zip(t_draw, state_draw))
+    partials = []
+    for t, row in points:
+        env = dict(zip(names, [float(t), *map(float, row)]))
+        for label, tree in (("f", spec.drift), ("g", spec.diffusion)):
+            partials.append((label, env, reference_partial_fd(tree, "x0", env)))
+    minimum = min(partials, key=lambda entry: entry[2])
+    violations = [
+        {"function": label, "env": env, "value": value}
+        for label, env, value in partials
+        if value < -TOL_CONDITION_H
+    ]
+    return minimum, violations
+
+
+@pytest.mark.parametrize(
+    "order, f, g",
+    [
+        (2, "x0", "2 + tanh(x0)"),
+        (2, "0-x0", "1"),
+        (2, "t", "3 - tanh(x0)"),
+        (2, "t", "1"),  # every partial is 0.0: the first point holds the minimum
+        (3, "x0*sin(t) + x1 - x2^2", "2 + tanh(x0) - 0.1*x2"),
+        # the difference of two finite values overflows: partials of +-inf
+        (2, "1.7e308*tanh(1e9*(x0 - 0.1))", "0 - 1.7e308*tanh(1e9*(x0 - 0.1))"),
+    ],
+)
+def test_condition_h_matches_reference_bitwise(order, f, g):
+    fan = solve_fan(tanh_spec(order, step=1e-2), alpha_grid(SMALL_GRID))
+    spec = UdeSpec.from_strings(order, f, g, fan.spec.initial, 1.0, 1e-2)
+    report = check_condition_h(spec, fan, samples=64, seed=11)
+    (label, env, value), violations = _reference_condition_h(spec, fan, 64, 11)
+    assert report.min_partial.hex() == value.hex()
+    assert (report.min_function, report.min_env) == (label, env)
+    assert report.violations == violations
+    assert [v["value"].hex() for v in report.violations] == [
+        v["value"].hex() for v in violations
+    ]
+    assert report.passed == (not violations)
+
+
+def test_condition_h_rejects_nonfinite_values_that_do_not_raise():
+    # every point sits at x0 = 0.1, where f overflows to +inf above and to
+    # -inf below without a Python exception; the partial would read +inf
+    fan = _synthetic_fan(np.full((1, 3), 0.1), [0.5], initial=0.1)
+    spec = UdeSpec.from_strings(1, "(x0 - 0.1)*1e308*1e308", "1", [0.1], 1.0, 0.5)
+    with pytest.raises(NonFiniteError, match=r"\(x0 - 0.1\) \* 1e\+308 \* 1e\+308"):
+        check_condition_h(spec, fan, samples=4)
 
 
 def test_hypothesis_report_combines(tanh_fan_small):
@@ -262,6 +331,15 @@ def test_expected_value_requires_symmetric_grid():
     fan = solve_fan(spec, [0.2, 0.5, 0.6])
     with pytest.raises(ConfigError, match="symmetric"):
         expected_value(fan, 1.0)
+
+
+def test_expected_value_monotonicity_gate():
+    lower = np.array([0.0, 1.0, 2.0])
+    upper = np.array([0.0, 0.5, 1.0])  # out of order everywhere after t=0
+    fan = _synthetic_fan(np.stack([lower, upper]), [0.4, 0.6])
+    with pytest.raises(MonotonicityError):
+        expected_value(fan, 1.0)
+    assert expected_value(fan, 0.0) == 0.0  # the shared start carries no order
 
 
 def test_reports_serialize(tanh_fan_small):

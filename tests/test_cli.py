@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from alphapath import AlphaGridSpec, alpha_grid, phi_inv, solve_fan
 from alphapath.cli import main
 from alphapath.config import load_config, parse_config_text
 from alphapath.errors import ConfigError
+from alphapath.expr import MAX_DEPTH
 
 from conftest import tanh_spec
 
@@ -313,3 +315,88 @@ def test_run_json_caps_diffusion_warnings(tmp_path):
         assert entry["warnings_total"] == 1251
         assert len(entry["warnings"]) == 1000
         assert entry["warnings"][0] == [0.0, -0.5]
+
+
+def test_check_decides_on_the_values_the_solver_integrates(tmp_path):
+    # 1e307*x0 overflows to inf at x0 = 20; tanh maps it to 1.0 in the
+    # compiled f that the solver and the audit run, while the tree-walking
+    # evaluator would reject the overflow
+    text = (
+        BASE_CONFIG.replace('f       = "x0"', 'f       = "tanh(1e307*x0)"')
+        .replace("initial = [0.1, 0]", "initial = [20, 0]")
+    )
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["check", "--config", cfg, "--out", str(out), "--force"]) == 0
+    checks = json.loads((out / "checks.json").read_text())
+    assert checks["condition_h"]["passed"]
+
+
+def test_expressions_at_the_depth_limit_solve_and_check(tmp_path):
+    f = "x0" + " + x0" * (MAX_DEPTH - 1)
+    # the parentheses and the call nest 2 + tanh(x0) MAX_DEPTH levels deep
+    g = "(" * (MAX_DEPTH - 2) + "2 + tanh(x0)" + ")" * (MAX_DEPTH - 2)
+    text = BASE_CONFIG.replace('f       = "x0"', f'f       = "{f}"').replace(
+        'g       = "2 + tanh(x0)"', f'g       = "{g}"'
+    )
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["check", "--config", cfg, "--out", str(out), "--force"]) == 0
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        "x0" + " + x0" * MAX_DEPTH,
+        "(" * 3000 + "x0" + ")" * 3000,
+        "-" * 5000 + "x0",
+    ],
+    ids=["sum", "parentheses", "negation"],
+)
+def test_expressions_past_the_depth_limit_exit_2(tmp_path, capsys, f):
+    text = BASE_CONFIG.replace('f       = "x0"', f'f       = "{f}"')
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: `f` does not parse" in err
+    assert f"at most {MAX_DEPTH} levels of nesting" in err
+
+
+def test_order_disagreeing_with_initial_exits_2_fast(tmp_path, capsys):
+    text = BASE_CONFIG.replace("order   = 2", f"order   = {10**12}")
+    cfg = write_config(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "line 2: `order` = 1000000000000 disagrees with the 2 values" in err
+
+
+def test_run_json_drops_sections_of_another_config(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["dist", "--config", cfg, "--out", str(out), "--t", "1.0"]) == 0
+    assert "expected_value" in json.loads((out / "run.json").read_text())
+    other = BASE_CONFIG.replace('g       = "2 + tanh(x0)"', 'g       = "3 + tanh(x0)"')
+    cfg = write_config(tmp_path, other, "other.conf")
+    assert main(["solve", "--config", cfg, "--out", str(out), "--force"]) == 0
+    run = json.loads((out / "run.json").read_text())
+    assert sorted(run) == ["config", "solver"]
+    assert run["config"]["g"] == "3 + tanh(x0)"
+
+
+@pytest.mark.parametrize(
+    "previous",
+    ["{not json", "[1, 2]", "\udcff"],
+    ids=["not-json", "not-an-object", "not-utf8"],
+)
+def test_run_json_replaces_a_foreign_file(tmp_path, previous):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "run.json").write_text(previous, encoding="utf-8", errors="surrogateescape")
+    assert main(["solve", "--config", cfg, "--out", str(out), "--force"]) == 0
+    run = json.loads((out / "run.json").read_text())
+    assert sorted(run) == ["config", "solver"]

@@ -1,4 +1,5 @@
-"""Tokenizer, parser, evaluator, and finite-difference tests for the DSL."""
+"""Tokenizer, parser and evaluator tests for the DSL, and checks of the
+finite-difference reference the condition-h audit is compared against."""
 
 from __future__ import annotations
 
@@ -14,21 +15,24 @@ from alphapath.errors import (
     UnknownVariableError,
 )
 from alphapath.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
     Neg,
     Var,
     compile_evaluator,
+    depth,
     evaluate,
     parse,
     parse_source,
-    partial_fd,
     pretty,
     state_variables,
     tokenize,
     variables_of,
 )
+
+from conftest import reference_partial_fd
 
 # expressions exercised by the round-trip and compilation tests
 CORPUS = [
@@ -74,6 +78,10 @@ def test_tokenize_rejects_illegal_character():
         tokenize("x0 $ t")
     assert excinfo.value.position == 3
     assert excinfo.value.character == "$"
+    # Python counts these as digits; the grammar's digits are ASCII
+    for source in ("\u00b2", "1.\u00b2", "\u0663"):
+        with pytest.raises(LexError):
+            tokenize(source)
 
 
 def test_tokenize_rejects_nonfinite_literal():
@@ -184,17 +192,19 @@ def test_eval_deterministic_bit_identical():
 
 def test_partial_fd_quadratic():
     tree = parse_source("x0^2", 1)
-    assert partial_fd(tree, "x0", {"x0": 3.0}, 1e-6) == pytest.approx(6.0, abs=1e-5)
+    got = reference_partial_fd(tree, "x0", {"x0": 3.0}, 1e-6)
+    assert got == pytest.approx(6.0, abs=1e-5)
 
 
 def test_partial_fd_no_dependence():
     tree = parse_source("t", 1)
-    assert partial_fd(tree, "x0", {"t": 5.0, "x0": 1.0}, 1e-6) == 0.0
+    assert reference_partial_fd(tree, "x0", {"t": 5.0, "x0": 1.0}, 1e-6) == 0.0
 
 
 def test_partial_fd_tanh_at_origin():
     tree = parse_source("tanh(x0)", 1)
-    assert partial_fd(tree, "x0", {"x0": 0.0}, 1e-6) == pytest.approx(1.0, abs=1e-8)
+    got = reference_partial_fd(tree, "x0", {"x0": 0.0}, 1e-6)
+    assert got == pytest.approx(1.0, abs=1e-8)
 
 
 def test_partial_fd_matches_analytic_for_low_degree():
@@ -205,8 +215,42 @@ def test_partial_fd_matches_analytic_for_low_degree():
         x = rng.uniform(-8.0, 8.0)
         env = {"x0": x, "t": rng.uniform(-2.0, 2.0)}
         exact = 5.0 * x + 0.75
-        got = partial_fd(tree, "x0", env, 1e-6)
+        got = reference_partial_fd(tree, "x0", env, 1e-6)
         assert got == pytest.approx(exact, rel=1e-6, abs=1e-9)
+
+
+DEEP_SHAPES = {
+    "sum": lambda n: "x0" + "+x0" * (n - 1),
+    "negation": lambda n: "-" * (n - 1) + "x0",
+    "call": lambda n: "tanh(" * (n - 1) + "x0" + ")" * (n - 1),
+    "parentheses": lambda n: "(" * (n - 1) + "x0" + ")" * (n - 1),
+    "power": lambda n: "^".join(["x0"] * n),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_SHAPES))
+def test_parse_depth_limit(shape):
+    source = DEEP_SHAPES[shape]
+    tree = parse_source(source(MAX_DEPTH), 1)
+    compile_evaluator(tree, 1)
+    with pytest.raises(ParseError, match=f"at most {MAX_DEPTH} levels of nesting"):
+        parse_source(source(MAX_DEPTH + 1), 1)
+
+
+@pytest.mark.parametrize("source", ["(" * 3000 + "x0" + ")" * 3000, "-" * 5000 + "x0"])
+def test_parse_rejects_far_too_deep_input(source):
+    with pytest.raises(ParseError, match=f"at most {MAX_DEPTH} levels"):
+        parse_source(source, 1)
+
+
+def test_depth():
+    assert depth(parse_source("x0", 1)) == 1
+    assert depth(parse_source("-(x0 + 2*t)", 1)) == 4
+    # far deeper than any parse: measured without recursion
+    tree = Var("x0")
+    for _ in range(4999):
+        tree = BinOp("+", tree, Const(1.0))
+    assert depth(tree) == 5000
 
 
 def test_variables_of():

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -60,7 +61,16 @@ def _prepare_outdir(path: Path, force: bool) -> None:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
+    """Write through a temporary file in the same directory, then rename it
+    over ``path``: a write that fails partway leaves the previous artifact
+    intact."""
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text(text, encoding="utf-8", newline="\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -202,7 +212,11 @@ def cmd_oracle(config: RunConfig, outdir: Path) -> int:
     settings = config.oracle
     reports = []
     for alpha in settings.alphas:
+        target = None  # solved and gated once, for the first side it is needed
         for side in oracle.SIDES:
+            oracle._check_arguments(alpha, settings.delta, settings.n_paths, side)
+            if target is None:
+                target = oracle._gated_target(config.spec, alpha, settings.seed)
             report = oracle.dominance_check(
                 config.spec,
                 alpha=alpha,
@@ -211,6 +225,7 @@ def cmd_oracle(config: RunConfig, outdir: Path) -> int:
                 segments=settings.segments,
                 side=side,
                 seed=settings.seed,
+                target=target,
             )
             reports.append(report)
     passed = all(r.passed for r in reports)

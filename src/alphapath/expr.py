@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from types import CodeType
 from typing import Callable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     LexError,
     NonFiniteError,
@@ -421,6 +423,43 @@ _COMPILE_NAMESPACE = {
 _CALL_NAMES = {"ln": "log"}
 
 
+def _elementwise(fn: Callable[[float], float]) -> Callable:
+    """``fn`` applied element by element: the same libm call the scalar
+    namespace makes, so each element gets the scalar result's bits. numpy's
+    own sin, tanh, exp, ... differ from libm in the last bits."""
+
+    def apply(x):
+        if isinstance(x, np.ndarray):
+            return np.fromiter(map(fn, x.tolist()), float, len(x))
+        return fn(x)
+
+    return apply
+
+
+def _elementwise_pow(base, exponent):
+    if isinstance(base, np.ndarray) or isinstance(exponent, np.ndarray):
+        base, exponent = np.broadcast_arrays(base, exponent)
+        values = map(math.pow, base.tolist(), exponent.tolist())
+        return np.fromiter(values, float, base.size)
+    return math.pow(base, exponent)
+
+
+# the block namespace runs the same generated source over (B,) columns:
+# + - * / abs and sqrt are numpy's IEEE-exact operations, the transcendental
+# functions stay on libm, and ``all`` reduces a column of tests (a ufunc, as
+# ndarray methods may import, which the empty builtins forbid)
+_BLOCK_NAMESPACE = {
+    **_COMPILE_NAMESPACE,
+    **{
+        name: _elementwise(_COMPILE_NAMESPACE[name])
+        for name in ("sin", "cos", "tanh", "exp", "log")
+    },
+    "pow": _elementwise_pow,
+    "sqrt": np.sqrt,
+    "all": np.logical_and.reduce,
+}
+
+
 def compile_evaluator(
     ast: ExprAst, order: int
 ) -> Callable[[float, Sequence[float]], float]:
@@ -437,9 +476,10 @@ def compile_evaluator(
     return _exec(source)["_compiled"]
 
 
-def _exec(source: str) -> dict:
-    """Run generated source in a fresh copy of the compile namespace."""
-    namespace = dict(_COMPILE_NAMESPACE)
+def _exec(source: str, block: bool = False) -> dict:
+    """Run generated source in a fresh copy of the compile namespace, or of
+    the block namespace, where its variables may be numpy columns."""
+    namespace = dict(_BLOCK_NAMESPACE if block else _COMPILE_NAMESPACE)
     exec(_compile_source(source), namespace)
     return namespace
 

@@ -22,12 +22,16 @@ import numpy as np
 from .analysis import check_hypotheses
 from .core import UdeSpec, phi_inv
 from .errors import ConfigError, DomainError, HypothesisError
-from .solver import AlphaFan, solve_alpha_path, solve_sample_path
+from .solver import AlphaFan, AlphaPath, sample_positions, solve_alpha_path
 
 SLOPE_WINDOW = 2.0  # W: how far below/above the bound slopes are drawn
 SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
 
 SIDES = ("below", "above")
+
+# surrogates integrated together in one dominance run; bounds the memory of a
+# run to CHUNK_PATHS trajectories whatever n_paths is
+CHUNK_PATHS = 1024
 
 
 @dataclass(frozen=True)
@@ -137,25 +141,7 @@ def sample_lipschitz_path(
     return SamplePath(breakpoints=breakpoints, slopes=tuple(map(float, draws)))
 
 
-def dominance_check(
-    spec: UdeSpec,
-    alpha: float,
-    delta: float,
-    n_paths: int,
-    segments: int,
-    side: str,
-    seed: int,
-) -> DominanceReport:
-    """Solve the alpha-path once, then verify dominance for sampled drivers.
-
-    Each sampled surrogate is bounded by phi_inv(alpha - delta) from below
-    (or phi_inv(alpha + delta) from above) and its trajectory must stay
-    strictly on that side of the alpha-path at every node t >= h; at t = 0
-    both trajectories share the initial state exactly, so the first node is
-    excluded. Refuses to run (HypothesisError) when the regularity or
-    position-monotonicity checks fail, since dominance is only guaranteed
-    under them.
-    """
+def _check_arguments(alpha: float, delta: float, n_paths: int, side: str) -> None:
     if side not in SIDES:
         raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
     if not delta > 0:
@@ -167,6 +153,11 @@ def dominance_check(
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
 
+
+def _gated_target(spec: UdeSpec, alpha: float, seed: int) -> AlphaPath:
+    """Solve the alpha-path, refusing (HypothesisError) when the regularity or
+    position-monotonicity checks fail, since dominance is only guaranteed
+    under them. Both sides of one alpha share the result."""
     target = solve_alpha_path(spec, alpha)
     gate_fan = AlphaFan(spec=spec, grid=[alpha], paths=[target])
     hypotheses = check_hypotheses(spec, gate_fan, samples=128, seed=seed)
@@ -177,29 +168,71 @@ def dominance_check(
             f"condition_h pass={hypotheses.condition_h.passed}); "
             "run the hypothesis checks for details"
         )
+    return target
+
+
+def dominance_check(
+    spec: UdeSpec,
+    alpha: float,
+    delta: float,
+    n_paths: int,
+    segments: int,
+    side: str,
+    seed: int,
+    *,
+    target: AlphaPath | None = None,
+) -> DominanceReport:
+    """Solve the alpha-path once, then verify dominance for sampled drivers.
+
+    Each sampled surrogate is bounded by phi_inv(alpha - delta) from below
+    (or phi_inv(alpha + delta) from above) and its trajectory must stay
+    strictly on that side of the alpha-path at every node t >= h; at t = 0
+    both trajectories share the initial state exactly, so the first node is
+    excluded. Refuses to run (HypothesisError) when the regularity or
+    position-monotonicity checks fail, since dominance is only guaranteed
+    under them. A ``target`` given by the caller replaces that solve and
+    gate: it must be the alpha-path of this spec and alpha that passed the
+    gate for this seed, as ``_gated_target`` returns it.
+
+    The surrogates share their breakpoints, so they are integrated together
+    (see ``sample_positions``), in chunks of at most CHUNK_PATHS.
+    """
+    _check_arguments(alpha, delta, n_paths, side)
+    if target is None:
+        target = _gated_target(spec, alpha, seed)
 
     bound = phi_inv(alpha - delta) if side == "below" else phi_inv(alpha + delta)
     reference = target.position
     times = target.times
     violations: list[tuple[int, float, float, float]] = []
     min_margin = math.inf
-    for k in range(n_paths):
-        surrogate = sample_lipschitz_path(
-            bound, side, spec.horizon, segments, _path_seed(seed, k)
-        )
-        trajectory = solve_sample_path(spec, surrogate)
-        sampled = trajectory.position
-        if side == "below":
-            margin = reference[1:] - sampled[1:]
-        else:
-            margin = sampled[1:] - reference[1:]
-        running_min = float(margin.min())
-        if running_min < min_margin:
-            min_margin = running_min
-        for j in np.nonzero(margin <= 0.0)[0]:
-            violations.append(
-                (k, float(times[j + 1]), float(sampled[j + 1]), float(reference[j + 1]))
+    for first in range(0, n_paths, CHUNK_PATHS):
+        chunk = range(first, min(first + CHUNK_PATHS, n_paths))
+        for row, k in enumerate(chunk):
+            surrogate = sample_lipschitz_path(
+                bound, side, spec.horizon, segments, _path_seed(seed, k)
             )
+            if row == 0:  # the first draw has validated segments
+                slopes = np.empty((len(chunk), segments))
+            slopes[row] = surrogate.slopes
+        positions = sample_positions(spec, surrogate.breakpoints, slopes)
+        for k, sampled in zip(chunk, positions):
+            if side == "below":
+                margin = reference[1:] - sampled[1:]
+            else:
+                margin = sampled[1:] - reference[1:]
+            running_min = float(margin.min())
+            if running_min < min_margin:
+                min_margin = running_min
+            for j in np.nonzero(margin <= 0.0)[0]:
+                violations.append(
+                    (
+                        k,
+                        float(times[j + 1]),
+                        float(sampled[j + 1]),
+                        float(reference[j + 1]),
+                    )
+                )
     return DominanceReport(
         alpha=alpha,
         delta=delta,

@@ -5,8 +5,11 @@ The step size is fixed (no adaptivity) so that every path in a fan shares
 one uniform grid: fan-wide monotonicity checks and the Simpson residual
 both need aligned nodes, and node placement stays reproducible.
 
-Every path is integrated by one loop, ``_integrate``, driving one classical
-RK4 step generated per problem with f and g inlined (``_compile_step``).
+Every path is integrated by one classical RK4 step generated per problem
+with f and g inlined (``_compile_step``). A batch of fewer than
+BLOCK_MIN_ROWS rows runs it one row at a time (``_integrate``); a wider batch
+runs the same step text over numpy columns, one loop advancing every row
+(``_integrate_block``), and gets the same bits.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ BLOWUP_LIMIT = 1e12
 # float division by zero, and OverflowError for a state that is not finite
 # or beyond BLOWUP_LIMIT
 _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
+
+# batches of at least this many rows are integrated as one numpy block; below
+# it the per-step cost of numpy calls outweighs what they save (the crossover
+# measured at 32-48 rows)
+BLOCK_MIN_ROWS = 64
 
 
 @dataclass
@@ -94,7 +102,9 @@ def _forcing(
     return f"{expr._emit(spec.drift, names)} + {weight} * c"
 
 
-def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
+def _compile_step(
+    spec: UdeSpec, signed: bool, block: bool = False
+) -> tuple[Callable, Callable]:
     """Generate one classical RK4 step of the companion system, f and g inlined.
 
     ``step(t, y, c)`` returns the state one step after (t, y) and g(t, y);
@@ -102,6 +112,10 @@ def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
     BLOWUP_LIMIT. ``diffusion(t, y)`` is g alone. Each stage derivative is
     the stage state shifted up one row with the forcing on top, and the
     arithmetic is the classical tableau's, operation for operation.
+
+    With ``block`` the same text runs in the expression compiler's block
+    namespace, where y and c hold one (B,) column per component and the
+    blow-up test reduces over the rows.
     """
     n = spec.order
     h = spec.horizon / spec.step_count
@@ -113,6 +127,9 @@ def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
     def stage(out: list[str], coef: float, derivative: list[str]) -> list[str]:
         return [f"{o} = {s} + {coef!r} * {d}" for o, s, d in zip(out, y, derivative)]
 
+    within = [f"abs({v}) <= {BLOWUP_LIMIT!r}" for v in z]
+    if block:
+        within = [f"all({test})" for test in within]
     unpack = f"{', '.join(y)}, = y"
     body = [
         unpack,
@@ -130,13 +147,13 @@ def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
             f"{o} = {s} + {w!r} * ({p} + 2.0 * ({q} + {r}) + {d})"
             for o, s, p, q, r, d in zip(z, y, k1, k2, k3, k4)
         ),
-        "if " + " and ".join(f"abs({v}) <= {BLOWUP_LIMIT!r}" for v in z) + ":",
+        "if " + " and ".join(within) + ":",
         f"    return ({', '.join(z)},), g",
         "raise OverflowError('state left the finite range')",
     ]
     source = "def step(t, y, c):\n" + "".join(f"    {line}\n" for line in body)
     source += f"def diffusion(t, y):\n    {unpack}\n    return {g}\n"
-    namespace = expr._exec(source)
+    namespace = expr._exec(source, block)
     return namespace["step"], namespace["diffusion"]
 
 
@@ -175,6 +192,52 @@ def _integrate(
     return Trajectory(times, np.array(states, dtype=float), warnings)
 
 
+def _integrate_block(
+    spec: UdeSpec,
+    compiled: tuple[Callable, Callable],
+    drivers: Iterable[np.ndarray],
+    rows: int,
+    kept: int,
+) -> tuple[np.ndarray, list[list[tuple[float, float]]]] | None:
+    """The integration loop over a block of rows: the state is one (rows,)
+    column per component, and each step advances every row at once, with
+    the driver column c of each step taken from ``drivers``.
+
+    Returns the first ``kept`` state components of every row at every
+    node, shape (rows, N+1, kept), and each row's diffusion warnings.
+    Returns None when any step fails, meets a numpy floating-point error or
+    puts a row beyond BLOWUP_LIMIT; the caller then reruns the rows one by
+    one through ``_integrate``, which names the failing row and its last
+    good time.
+    """
+    step, diffusion = compiled
+    tlist = time_grid(spec).tolist()
+    y = tuple(np.full(rows, float(v)) for v in spec.initial)
+    states = np.empty((rows, len(tlist), kept))
+    for k in range(kept):
+        states[:, 0, k] = y[k]
+    low: list[tuple[float, object]] = []  # (t, g) where some row has g <= 0
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for j, (t, c) in enumerate(zip(tlist, drivers), 1):
+                y, g = step(t, y, c)
+                if not np.all(g > 0.0):
+                    low.append((t, g))
+                for k in range(kept):
+                    states[:, j, k] = y[k]
+            g = diffusion(tlist[-1], y)
+    except (*_STEP_FAILURES, FloatingPointError):
+        return None
+    if not np.all(g > 0.0):
+        low.append((tlist[-1], g))
+    warnings: list[list[tuple[float, float]]] = [[] for _ in range(rows)]
+    for t, g in low:
+        values = np.broadcast_to(g, (rows,))
+        for r in np.flatnonzero(~(values > 0.0)).tolist():
+            warnings[r].append((t, float(values[r])))
+    return states, warnings
+
+
 def _require_valid(spec: UdeSpec) -> None:
     problems = validate_spec(spec)
     if problems:
@@ -200,16 +263,35 @@ def solve_alpha_path(spec: UdeSpec, alpha: float) -> AlphaPath:
     return _alpha_path(spec, _compile_step(spec, signed=False), alpha)
 
 
+def _alpha_block(spec: UdeSpec, grid: list[float]) -> list[AlphaPath] | None:
+    """The fan's paths from one block integration, or None if it failed."""
+    compiled = _compile_step(spec, signed=False, block=True)
+    drivers = repeat(np.array([phi_inv(a) for a in grid]), spec.step_count)
+    block = _integrate_block(spec, compiled, drivers, len(grid), spec.order)
+    if block is None:
+        return None
+    states, warnings = block
+    times = time_grid(spec)
+    return [
+        AlphaPath(times, states[r], warnings[r], alpha) for r, alpha in enumerate(grid)
+    ]
+
+
 def solve_fan(spec: UdeSpec, grid: Sequence[float]) -> AlphaFan:
     """Solve one alpha-path per grid value.
 
     Solves are independent; the fan is assembled in grid order and fails
-    only if a path fails, aggregating every failure with its alpha.
+    only if a path fails, aggregating every failure with its alpha. A grid of
+    BLOCK_MIN_ROWS alphas or more is integrated as one block.
     """
     _require_valid(spec)
     grid = [float(a) for a in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("alpha grid must be strictly increasing")
+    if len(grid) >= BLOCK_MIN_ROWS:
+        block = _alpha_block(spec, grid)
+        if block is not None:
+            return AlphaFan(spec=spec, grid=grid, paths=block)
     compiled = _compile_step(spec, signed=False)
     paths: list[AlphaPath] = []
     failures: list[tuple[float, BlowUpError]] = []
@@ -285,8 +367,9 @@ def integral_residual(
     top = _forcing(spec, False, "t", [f"y[{k}]" for k in range(n)])
     forcing_fn = expr._exec(f"def forcing(t, y, c):\n    return {top}\n")["forcing"]
     times = path.times
-    rows = path.states.tolist()
-    forcing = np.array([forcing_fn(t, row, c) for t, row in zip(times, rows)])
+    # Python floats, so the forcing fails as the solver's step does
+    tlist, rows = times.tolist(), path.states.tolist()
+    forcing = np.array([forcing_fn(t, row, c) for t, row in zip(tlist, rows)])
     positions = path.states[:, 0]
     factor = 1.0 / math.factorial(n - 1)
     h = spec.horizon / spec.step_count
@@ -295,7 +378,7 @@ def integral_residual(
     at_time = 0.0
     used_trapezoid = False
     for j in range(len(times)):
-        tj = float(times[j])
+        tj = tlist[j]
         poly = sum(tj**k / math.factorial(k) * spec.initial[k] for k in range(n))
         if j == 0:
             integral = 0.0
@@ -310,21 +393,17 @@ def integral_residual(
     return IntegralResidual(float(max_residual), at_time, used_trapezoid)
 
 
-def solve_sample_path(spec: UdeSpec, c: "SamplePath") -> Trajectory:
-    """Integrate the pathwise ODE driven by a piecewise-linear surrogate.
-
-    The top row becomes f + g * slope, with the slope constant per surrogate
-    segment. Breakpoints must land on solver grid nodes (each RK4 step then
-    lies inside a single segment, so every stage sees that segment's slope).
-    """
-    _require_valid(spec)
+def _segment_steps(spec: UdeSpec, breakpoints: Sequence[float]) -> list[int]:
+    """Solver steps per surrogate segment; every breakpoint must land on a
+    solver grid node, so that each RK4 step lies inside a single segment and
+    every stage sees that segment's slope."""
     tlist = time_grid(spec).tolist()
     n_steps = spec.step_count
     h = spec.horizon / n_steps
     tolerance = 1e-9 * max(spec.horizon, 1.0)
 
     node_index: list[int] = []
-    for s in c.breakpoints:
+    for s in breakpoints:
         k = int(round(s / h))
         if k < 0 or k > n_steps or abs(s - tlist[k]) > tolerance:
             raise AlignmentError(
@@ -337,8 +416,44 @@ def solve_sample_path(spec: UdeSpec, c: "SamplePath") -> Trajectory:
         )
     if any(b <= a for a, b in zip(node_index, node_index[1:])):
         raise AlignmentError("breakpoints collapse onto the same solver node")
+    return [b - a for a, b in zip(node_index, node_index[1:])]
 
-    drivers: list[float] = []
-    for seg, slope in enumerate(c.slopes):
-        drivers += [float(slope)] * (node_index[seg + 1] - node_index[seg])
+
+def solve_sample_path(spec: UdeSpec, c: "SamplePath") -> Trajectory:
+    """Integrate the pathwise ODE driven by a piecewise-linear surrogate.
+
+    The top row becomes f + g * slope, with the slope constant per surrogate
+    segment. Breakpoints must land on solver grid nodes.
+    """
+    _require_valid(spec)
+    counts = _segment_steps(spec, c.breakpoints)
+    drivers = [float(m) for m, count in zip(c.slopes, counts) for _ in range(count)]
     return _integrate(spec, _compile_step(spec, signed=True), drivers)
+
+
+def sample_positions(
+    spec: UdeSpec, breakpoints: Sequence[float], slopes: np.ndarray
+) -> np.ndarray:
+    """Positions of the pathwise ODE for surrogates that share breakpoints.
+
+    Row k of ``slopes`` (paths, segments) holds surrogate k's segment slopes;
+    row k of the result (paths, N+1) is its position at every node, the bits
+    solve_sample_path gives it. BLOCK_MIN_ROWS surrogates or more are
+    integrated as one block.
+    """
+    _require_valid(spec)
+    counts = _segment_steps(spec, breakpoints)
+    rows = len(slopes)
+    if rows >= BLOCK_MIN_ROWS:
+        compiled = _compile_step(spec, signed=True, block=True)
+        segments = np.ascontiguousarray(slopes.T)
+        drivers = (c for c, count in zip(segments, counts) for _ in range(count))
+        block = _integrate_block(spec, compiled, drivers, rows, 1)
+        if block is not None:
+            return block[0][:, :, 0]
+    compiled = _compile_step(spec, signed=True)
+    positions = np.empty((rows, spec.step_count + 1))
+    for k, row in enumerate(slopes.tolist()):
+        drivers = [m for m, count in zip(row, counts) for _ in range(count)]
+        positions[k] = _integrate(spec, compiled, drivers).position
+    return positions

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from alphapath import AlphaGridSpec, alpha_grid, phi_inv, solve_fan
-from alphapath.cli import main
+from alphapath import oracle
+from alphapath.cli import _write_text, main
 from alphapath.config import load_config, parse_config_text
 from alphapath.errors import ConfigError
 from alphapath.expr import MAX_DEPTH
@@ -200,6 +201,39 @@ def test_oracle_refuses_on_failed_hypotheses(tmp_path, capsys):
     cfg = write_config(tmp_path, text)
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
     assert "check" in capsys.readouterr().err
+
+
+def test_oracle_solves_and_gates_once_per_alpha(tmp_path, monkeypatch):
+    calls = {"solve_alpha_path": 0, "check_hypotheses": 0}
+    for name in calls:
+        original = getattr(oracle, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    cfg = write_config(tmp_path)
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"solve_alpha_path": 2, "check_hypotheses": 2}
+
+
+def test_oracle_argument_errors_precede_the_gate(tmp_path, capsys):
+    # alpha - delta <= 0 is a usage error (exit 2) even when the gate, which
+    # would refuse with exit 5, is never reached
+    text = BASE_CONFIG.replace('f       = "x0"', 'f       = "0-x0"')
+    cfg = write_config(tmp_path, text + "oracle.alphas = [0.02, 0.8]\n")
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "alpha - delta > 0" in capsys.readouterr().err
+
+
+def test_failed_write_keeps_the_previous_artifact(tmp_path):
+    path = tmp_path / "fan.csv"
+    _write_text(path, "previous\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(path, "x" * 100_000 + "\ud800")  # cannot be UTF-8 encoded
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["fan.csv"]
 
 
 def test_refuses_overwrite_without_force(tmp_path, capsys):

@@ -16,7 +16,8 @@ from alphapath import (
     solve_sample_path,
 )
 from alphapath import oracle as oracle_module
-from alphapath.errors import ConfigError, DomainError, HypothesisError
+from alphapath import solver
+from alphapath.errors import BlowUpError, ConfigError, DomainError, HypothesisError
 from alphapath.oracle import SLOPE_MARGIN, SLOPE_WINDOW
 
 from conftest import polynomial_spec, tanh_spec
@@ -139,13 +140,20 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
         return SamplePath(breakpoints=(0.0, horizon), slopes=(phi_inv(alpha),))
 
     monkeypatch.setattr(oracle_module, "sample_lipschitz_path", constant_bound_path)
+    # enough paths that the drivers are integrated as one block
+    n_paths = solver.BLOCK_MIN_ROWS
     report = dominance_check(
-        spec, alpha=alpha, delta=0.05, n_paths=2, segments=1, side="below", seed=0
+        spec, alpha=alpha, delta=0.05, n_paths=n_paths, segments=1, side="below", seed=0
     )
     assert not report.passed
     assert report.min_margin == 0.0
-    assert len(report.violations) == 2 * 64  # every node t >= h, both paths
+    assert len(report.violations) == n_paths * 64  # every node t >= h, every path
     assert report.violations == sorted(report.violations)
+    assert {v[0] for v in report.violations} == set(range(n_paths))
+    # chunks of 10 paths, integrated row by row, give the same report
+    monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 10)
+    kwargs = dict(alpha=alpha, delta=0.05, n_paths=n_paths, segments=1, seed=0)
+    assert dominance_check(spec, side="below", **kwargs) == report
 
 
 def test_dominance_monotone_coupling():
@@ -198,3 +206,54 @@ def test_report_serializes():
     assert payload["passed"] is True
     assert payload["paths_tested"] == 3
     assert payload["violations_total"] == 0
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
+    # one block, a block of 66 paths and 4 paths alone, and path-by-path
+    # scalar solves give the same report, bit for bit
+    spec = tanh_spec(3, step=1.0 / 128)
+    kwargs = dict(alpha=0.7, delta=0.05, n_paths=70, segments=8, side=side, seed=5)
+    block = dominance_check(spec, **kwargs)
+    monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 66)
+    chunked = dominance_check(spec, **kwargs)
+    monkeypatch.setattr(solver, "BLOCK_MIN_ROWS", 10**9)
+    scalar = dominance_check(spec, **kwargs)
+    assert block == chunked == scalar
+    target = solve_alpha_path(spec, 0.7).position[1:]
+    margins = []
+    for k in range(70):
+        surrogate = sample_lipschitz_path(
+            phi_inv(0.65 if side == "below" else 0.75),
+            side,
+            1.0,
+            8,
+            oracle_module._path_seed(5, k),
+        )
+        sampled = solve_sample_path(spec, surrogate).position[1:]
+        margin = target - sampled if side == "below" else sampled - target
+        margins.append(margin.min())
+    assert block.min_margin == min(margins) > 0.0
+
+
+def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
+    # x' = x^2 + k on path k blows up within the horizon for k >= 3: the
+    # block fails, the rows are rerun one by one, and the error is path 3's,
+    # as when every path is solved alone
+    def slope_k_path(bound, side, horizon, segments, seed):
+        return SamplePath(breakpoints=(0.0, horizon), slopes=(float(seed),))
+
+    monkeypatch.setattr(oracle_module, "sample_lipschitz_path", slope_k_path)
+    spec = type(polynomial_spec(1)).from_strings(1, "x0^2", "1", [0.0], 1.0, 1 / 64)
+    target = solve_alpha_path(polynomial_spec(1, step=1 / 64), 0.8)
+    with pytest.raises(BlowUpError) as excinfo:
+        dominance_check(
+            spec, alpha=0.8, delta=0.05, n_paths=solver.BLOCK_MIN_ROWS,
+            segments=1, side="below", seed=0, target=target,
+        )
+    for k in range(3):
+        solve_sample_path(spec, slope_k_path(0, "", 1.0, 1, k))
+    with pytest.raises(BlowUpError) as alone:
+        solve_sample_path(spec, slope_k_path(0, "", 1.0, 1, 3))
+    assert str(excinfo.value) == str(alone.value)
+    assert excinfo.value.last_good_time > 0.5

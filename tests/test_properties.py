@@ -20,11 +20,15 @@ from alphapath.expr import (
     Const,
     Neg,
     Var,
+    _emit,
+    _exec,
     compile_evaluator,
     depth,
     evaluate,
     parse_source,
     pretty,
+    state_variables,
+    variables_of,
 )
 from alphapath.solver import AlphaPath, _compile_step
 
@@ -85,6 +89,29 @@ def test_compiled_equals_evaluate_bitwise(tree, point):
     except NonFiniteError:
         return
     assert compile_evaluator(tree, ORDER)(t, y).hex() == expected.hex()
+
+
+state_trees = trees.filter(lambda tree: variables_of(tree) - {"t"})
+
+
+@settings(SETTINGS, max_examples=100)
+@given(state_trees, st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_block_equals_compiled_bitwise(tree, t, seed):
+    # the block namespace over a column of 64 states, as the solver runs it:
+    # every element has the scalar result's bits, and a point where the
+    # scalar code fails makes the block fail (the solver then reruns the rows)
+    columns = np.random.default_rng(seed).uniform(-3.0, 3.0, (ORDER, 64))
+    names = dict(zip(state_variables(ORDER), ["t", "y[0]", "y[1]", "y[2]"]))
+    source = f"def _block(t, y):\n    return {_emit(tree, names)}\n"
+    block = _exec(source, block=True)["_block"]
+    scalar = compile_evaluator(tree, ORDER)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values = np.broadcast_to(block(t, columns), (64,))
+    except (ValueError, OverflowError, ZeroDivisionError, FloatingPointError):
+        return
+    for value, row in zip(values.tolist(), columns.T.tolist()):
+        assert value.hex() == scalar(t, row).hex()
 
 
 @settings(SETTINGS, max_examples=20)

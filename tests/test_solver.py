@@ -10,6 +10,7 @@ import pytest
 
 from alphapath import (
     AlphaGridSpec,
+    AlphaPath,
     SamplePath,
     UdeSpec,
     alpha_grid,
@@ -19,6 +20,7 @@ from alphapath import (
     solve_fan,
     solve_sample_path,
 )
+from alphapath import solver
 from alphapath.errors import (
     AlignmentError,
     BlowUpError,
@@ -248,6 +250,86 @@ def test_single_alpha_equals_its_fan_row():
     assert alone.diffusion_warnings == fan.paths[17].diffusion_warnings == []
 
 
+# the block engine: specs that use every DSL function and ^; the last one's
+# diffusion changes sign, so rows record diffusion warnings
+BLOCK_CASES = [
+    (1, "cos(x0) + sqrt(1 + t) - ln(2 + x0^2)", "2 + tanh(x0) + 0.5*sin(t)", [0.3]),
+    (
+        2,
+        "0.5*x0 + sin(3*t)*x1 - abs(x1)^1.5",
+        "1.5 + tanh(x0) + 0.25*cos(t) + 0.1*exp(-x1^2)",
+        [0.1, 0.0],
+    ),
+    (
+        3,
+        "x0 - x2/(1 + t) + 0.1*ln(1 + abs(x1)) + sqrt(1 + x0^2)",
+        "sin(4*t) + 0.2*tanh(x0) + 0.1*cos(x1) + 0.01*exp(x2)",
+        [0.1, -0.2, 0.4],
+    ),
+]
+
+
+@pytest.mark.parametrize("rows", [solver.BLOCK_MIN_ROWS, 200])
+@pytest.mark.parametrize("order,f,g,initial", BLOCK_CASES)
+def test_block_rows_equal_scalar_rows_bitwise(order, f, g, initial, rows):
+    spec = UdeSpec.from_strings(order, f, g, initial, 1.0, 1.0 / 64)
+    grid = np.linspace(0.01, 0.99, rows).tolist()
+    block = solver._alpha_block(spec, grid)
+    assert block is not None  # no fallback: the block itself is compared
+    compiled = solver._compile_step(spec, signed=False)
+    for alpha, path in zip(grid, block):
+        alone = solver._alpha_path(spec, compiled, alpha)
+        assert np.array_equal(path.states, alone.states)
+        assert path.diffusion_warnings == alone.diffusion_warnings
+    if order == 3:
+        assert block[0].diffusion_warnings  # the comparison covered warnings
+
+    # surrogate rows: signed g, slopes that change per segment and per row
+    slopes = np.random.default_rng(order).uniform(-3.0, 3.0, (rows, 4))
+    drivers = np.repeat(slopes.T, 16, axis=0)
+    signed = solver._compile_step(spec, signed=True, block=True)
+    states, warnings = solver._integrate_block(spec, signed, drivers, rows, order)
+    assert np.array_equal(
+        solver.sample_positions(spec, (0.0, 0.25, 0.5, 0.75, 1.0), slopes),
+        states[:, :, 0],
+    )
+    for r in range(rows):
+        surrogate = SamplePath((0.0, 0.25, 0.5, 0.75, 1.0), tuple(slopes[r]))
+        alone = solve_sample_path(spec, surrogate)
+        assert np.array_equal(states[r], alone.states)
+        assert warnings[r] == alone.diffusion_warnings
+
+
+def test_wide_fan_blowup_failures_match_scalar():
+    # the block fails, every row is rerun alone, and the failures name the
+    # same alphas and last good times as row-by-row solves
+    spec = UdeSpec.from_strings(2, "x0^2", "1", [1.0, 0.0], 3.0, 1e-2)
+    grid = np.linspace(0.02, 0.98, solver.BLOCK_MIN_ROWS + 1).tolist()
+    with pytest.raises(FanSolveError) as excinfo:
+        solve_fan(spec, grid)
+    expected = []
+    for alpha in grid:
+        try:
+            solve_alpha_path(spec, alpha)
+        except BlowUpError as exc:
+            expected.append((alpha, exc.last_good_time, str(exc)))
+    failures = [(a, e.last_good_time, str(e)) for a, e in excinfo.value.failures]
+    assert failures == expected
+    assert 0 < len(expected) < len(grid)
+
+
+def test_block_falls_back_when_a_step_raises():
+    # a domain error in one row of a wide fan: the fallback reruns the
+    # rows alone and only the failing ones are reported
+    spec = UdeSpec.from_strings(1, "ln(x0)", "1", [1.0], 1.0, 1e-2)
+    grid = np.linspace(0.01, 0.99, solver.BLOCK_MIN_ROWS).tolist()
+    assert solver._alpha_block(spec, grid) is None
+    with pytest.raises(FanSolveError) as excinfo:
+        solve_fan(spec, grid)
+    failed = [a for a, _ in excinfo.value.failures]
+    assert failed and failed == sorted(failed) and failed[-1] < 0.5
+
+
 def test_fan_rejects_unsorted_grid():
     with pytest.raises(ConfigError):
         solve_fan(polynomial_spec(2, step=1e-2), [0.5, 0.5])
@@ -268,6 +350,16 @@ def test_residual_single_step_path():
     result = integral_residual(path, spec, 0.8)
     assert result.used_trapezoid
     assert result.max_residual <= 1e-14
+
+
+def test_residual_division_by_zero_raises_like_the_solver():
+    # the forcing sees Python floats, so x0/t at t = 0 raises as in a step
+    spec = UdeSpec.from_strings(1, "x0/t", "1", [1.0], 1.0, 0.5)
+    path = AlphaPath(np.array([0.0, 0.5, 1.0]), np.ones((3, 1)), alpha=0.5)
+    with pytest.raises(ZeroDivisionError):
+        integral_residual(path, spec, 0.5)
+    with pytest.raises(BlowUpError):
+        solve_alpha_path(spec, 0.5)
 
 
 def test_residual_nonlinear_decays_with_step():

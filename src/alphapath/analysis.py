@@ -131,25 +131,21 @@ class MonotoneCheck:
 
 
 def check_regularity(fan: AlphaFan) -> RegularityCheck:
-    """Evaluate g along every stored path at every node; pass iff min > 0."""
-    g_fn = expr.compile_evaluator(fan.spec.diffusion, fan.spec.order)
-    min_value = math.inf
-    min_alpha = math.nan
-    min_time = math.nan
-    violations: list[tuple[float, float, float]] = []
+    """Read g along every path at every node, as the solver recorded it; pass
+    iff every value is strictly positive. The minimum is the first smallest
+    value in path order, then node order; nan is a violation, never the
+    minimum."""
+    min_value, min_alpha, min_time = math.inf, math.nan, math.nan
     for path in fan.paths:
-        tlist = path.times.tolist()
-        for t, row in zip(tlist, path.states.tolist()):
-            try:
-                gv = g_fn(t, row)
-            except (ValueError, OverflowError, ZeroDivisionError):
-                gv = float("nan")
-            if not math.isnan(gv) and gv < min_value:
-                min_value = gv
-                min_alpha = path.alpha
-                min_time = t
-            if not gv > 0.0:
-                violations.append((path.alpha, t, gv))
+        g = path.diffusion
+        j = int(np.argmin(np.where(np.isnan(g), math.inf, g)))
+        if g[j] < min_value:
+            min_value = float(g[j])
+            min_alpha = path.alpha
+            min_time = float(path.times[j])
+    violations = [
+        (path.alpha, t, gv) for path in fan.paths for t, gv in path.diffusion_warnings
+    ]
     return RegularityCheck(
         passed=not violations,
         min_value=min_value,
@@ -178,6 +174,8 @@ def check_condition_h(
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     names = expr.state_variables(spec.order)
     trees = (spec.drift, spec.diffusion)
     f_fn, g_fn = (expr.compile_evaluator(tree, spec.order) for tree in trees)

@@ -109,11 +109,11 @@ def _run_json_payload(fan: AlphaFan) -> dict:
             "alpha_count": len(fan.grid),
             "diffusion_warnings": {
                 repr(p.alpha): {
-                    "warnings_total": len(p.diffusion_warnings),
-                    "warnings": [list(w) for w in p.diffusion_warnings[:cap]],
+                    "warnings_total": len(found),
+                    "warnings": [list(w) for w in found[:cap]],
                 }
                 for p in fan.paths
-                if p.diffusion_warnings
+                if (found := p.diffusion_warnings)
             },
         },
     }
@@ -214,20 +214,14 @@ def cmd_oracle(config: RunConfig, outdir: Path) -> int:
     for alpha in settings.alphas:
         target = None  # solved and gated once, for the first side it is needed
         for side in oracle.SIDES:
-            oracle._check_arguments(alpha, settings.delta, settings.n_paths, side)
+            # dominance_check's arguments, checked before the gate can refuse
+            args = (alpha, settings.delta, settings.n_paths, settings.segments, side)
+            oracle._check_arguments(*args)
             if target is None:
                 target = oracle._gated_target(config.spec, alpha, settings.seed)
-            report = oracle.dominance_check(
-                config.spec,
-                alpha=alpha,
-                delta=settings.delta,
-                n_paths=settings.n_paths,
-                segments=settings.segments,
-                side=side,
-                seed=settings.seed,
-                target=target,
+            reports.append(
+                oracle.dominance_check(config.spec, *args, settings.seed, target=target)
             )
-            reports.append(report)
     passed = all(r.passed for r in reports)
     _write_json(
         outdir / "oracle.json",

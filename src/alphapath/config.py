@@ -224,7 +224,13 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
     if "oracle.segments" in values:
         oracle_kwargs["segments"] = _as_number(values, lines, "oracle.segments", int)
     if "oracle.seed" in values:
-        oracle_kwargs["seed"] = _as_number(values, lines, "oracle.seed", int)
+        seed = _as_number(values, lines, "oracle.seed", int)
+        if seed < 0:
+            raise ConfigError(
+                f"{_context(lines, 'oracle.seed')}`oracle.seed` must be >= 0, "
+                f"got {seed}"
+            )
+        oracle_kwargs["seed"] = seed
     if "oracle.alphas" in values:
         v = values["oracle.alphas"]
         if not isinstance(v, list) or not v or not all(map(_is_number, v)):

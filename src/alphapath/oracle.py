@@ -141,7 +141,9 @@ def sample_lipschitz_path(
     return SamplePath(breakpoints=breakpoints, slopes=tuple(map(float, draws)))
 
 
-def _check_arguments(alpha: float, delta: float, n_paths: int, side: str) -> None:
+def _check_arguments(
+    alpha: float, delta: float, n_paths: int, segments: int, side: str
+) -> None:
     if side not in SIDES:
         raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
     if not delta > 0:
@@ -152,6 +154,8 @@ def _check_arguments(alpha: float, delta: float, n_paths: int, side: str) -> Non
         raise DomainError(f"need alpha + delta < 1, got alpha={alpha}, delta={delta}")
     if n_paths < 1:
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
+    if segments < 1:
+        raise ConfigError(f"segments must be >= 1, got {segments}")
 
 
 def _gated_target(spec: UdeSpec, alpha: float, seed: int) -> AlphaPath:
@@ -197,7 +201,7 @@ def dominance_check(
     The surrogates share their breakpoints, so they are integrated together
     (see ``sample_positions``), in chunks of at most CHUNK_PATHS.
     """
-    _check_arguments(alpha, delta, n_paths, side)
+    _check_arguments(alpha, delta, n_paths, segments, side)
     if target is None:
         target = _gated_target(spec, alpha, seed)
 
@@ -208,12 +212,11 @@ def dominance_check(
     min_margin = math.inf
     for first in range(0, n_paths, CHUNK_PATHS):
         chunk = range(first, min(first + CHUNK_PATHS, n_paths))
+        slopes = np.empty((len(chunk), segments))
         for row, k in enumerate(chunk):
             surrogate = sample_lipschitz_path(
                 bound, side, spec.horizon, segments, _path_seed(seed, k)
             )
-            if row == 0:  # the first draw has validated segments
-                slopes = np.empty((len(chunk), segments))
             slopes[row] = surrogate.slopes
         positions = sample_positions(spec, surrogate.breakpoints, slopes)
         for k, sampled in zip(chunk, positions):

@@ -5,18 +5,20 @@ The step size is fixed (no adaptivity) so that every path in a fan shares
 one uniform grid: fan-wide monotonicity checks and the Simpson residual
 both need aligned nodes, and node placement stays reproducible.
 
-Every path is integrated by one classical RK4 step generated per problem
-with f and g inlined (``_compile_step``). A batch of fewer than
-BLOCK_MIN_ROWS rows runs it one row at a time (``_integrate``); a wider batch
-runs the same step text over numpy columns, one loop advancing every row
-(``_integrate_block``), and gets the same bits.
+Every solve goes through ``_solve_rows``, where a row has one driver slope
+per segment; an alpha-path is one segment with slope phi_inv(alpha). Rows are
+integrated by one RK4 step generated per problem with f and g inlined
+(``_compile_step``), one row at a time (``_integrate``) or, for
+BLOCK_MIN_ROWS rows or more, over numpy columns (``_integrate_block``) with
+the same bits. The step also returns g at its starting node, so every
+trajectory carries g at every node for the regularity check to read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import repeat
+from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -47,18 +49,24 @@ BLOCK_MIN_ROWS = 64
 class Trajectory:
     """Uniform-grid trajectory of the full state vector (x, x', ..., x^(n-1)).
 
-    ``diffusion_warnings`` records (t, g value) at every node where the
-    diffusion evaluated along the trajectory was not strictly positive;
-    such nodes void the regularity hypothesis but do not stop the solve.
+    ``diffusion`` holds g at every node as the solver's step computed it, nan
+    at the last node if g fails there. A node where g is not strictly
+    positive voids the regularity hypothesis but does not stop the solve.
     """
 
     times: np.ndarray  # (N+1,)
     states: np.ndarray  # (N+1, n)
-    diffusion_warnings: list[tuple[float, float]] = field(default_factory=list)
+    diffusion: np.ndarray  # (N+1,)
 
     @property
     def position(self) -> np.ndarray:
         return self.states[:, 0]
+
+    @property
+    def diffusion_warnings(self) -> list[tuple[float, float]]:
+        """(t, g) at every node where g is not strictly positive."""
+        low = ~(self.diffusion > 0.0)
+        return list(zip(self.times[low].tolist(), self.diffusion[low].tolist()))
 
 
 @dataclass
@@ -107,11 +115,13 @@ def _compile_step(
 ) -> tuple[Callable, Callable]:
     """Generate one classical RK4 step of the companion system, f and g inlined.
 
-    ``step(t, y, c)`` returns the state one step after (t, y) and g(t, y);
-    it raises OverflowError for a state that is not finite or beyond
-    BLOWUP_LIMIT. ``diffusion(t, y)`` is g alone. Each stage derivative is
-    the stage state shifted up one row with the forcing on top, and the
-    arithmetic is the classical tableau's, operation for operation.
+    ``step(t, y, c)`` takes a record (g, y0, ..., y{n-1}) whose state is the
+    state at t, and returns the record one step later: g at the given node,
+    then the next state. It raises OverflowError for a state that is not
+    finite or beyond BLOWUP_LIMIT. ``diffusion(t, y)`` is g alone at the
+    record's state. Each stage derivative is the stage state shifted up one
+    row with the forcing on top, and the arithmetic is the classical
+    tableau's, operation for operation.
 
     With ``block`` the same text runs in the expression compiler's block
     namespace, where y and c hold one (B,) column per component and the
@@ -130,7 +140,7 @@ def _compile_step(
     within = [f"abs({v}) <= {BLOWUP_LIMIT!r}" for v in z]
     if block:
         within = [f"all({test})" for test in within]
-    unpack = f"{', '.join(y)}, = y"
+    unpack = f"_, {', '.join(y)}, = y"
     body = [
         unpack,
         f"g = {g}",
@@ -148,7 +158,7 @@ def _compile_step(
             for o, s, p, q, r, d in zip(z, y, k1, k2, k3, k4)
         ),
         "if " + " and ".join(within) + ":",
-        f"    return ({', '.join(z)},), g",
+        f"    return g, {', '.join(z)}",
         "raise OverflowError('state left the finite range')",
     ]
     source = "def step(t, y, c):\n" + "".join(f"    {line}\n" for line in body)
@@ -161,81 +171,94 @@ def _integrate(
     spec: UdeSpec,
     compiled: tuple[Callable, Callable],
     drivers: Iterable[float],
-    alpha: float | None = None,
-) -> Trajectory:
-    """The integration loop: one generated step per grid interval, with the
-    driver constant c of each step taken from ``drivers``.
-
-    A failure inside a step aborts with BlowUpError at the step's start, the
-    last good node. Non-positive diffusion at a node is recorded as a warning.
-    """
+    alpha: float | None,
+    kept: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row loop: one generated step per grid interval, with the driver
+    constant c of each step taken from ``drivers``. Returns the first
+    ``kept`` state components, (N+1, kept), and g, (N+1,), at every node. A
+    failure inside a step aborts with BlowUpError at the step's start, the
+    last good node; g failing at the last node is nan."""
     step, diffusion = compiled
-    times = time_grid(spec)
-    tlist = times.tolist()
-    y = tuple(float(v) for v in spec.initial)
-    states = [y]
-    warnings: list[tuple[float, float]] = []
+    tlist = time_grid(spec).tolist()
+    record = (math.nan, *(float(v) for v in spec.initial))
+    records = [record]
     try:
         for t, c in zip(tlist, drivers):
-            y, g = step(t, y, c)
-            if not g > 0.0:
-                warnings.append((t, g))
-            states.append(y)
+            record = step(t, record, c)
+            records.append(record)
     except _STEP_FAILURES as exc:
         raise BlowUpError(t, alpha) from exc
     try:
-        g = diffusion(tlist[-1], y)
+        g = diffusion(tlist[-1], record)
     except _STEP_FAILURES:
         g = math.nan
-    if not g > 0.0:
-        warnings.append((tlist[-1], g))
-    return Trajectory(times, np.array(states, dtype=float), warnings)
+    table = np.array(records, dtype=float)
+    return table[:, 1 : kept + 1], np.append(table[1:, 0], g)
 
 
 def _integrate_block(
-    spec: UdeSpec,
-    compiled: tuple[Callable, Callable],
-    drivers: Iterable[np.ndarray],
-    rows: int,
-    kept: int,
-) -> tuple[np.ndarray, list[list[tuple[float, float]]]] | None:
-    """The integration loop over a block of rows: the state is one (rows,)
-    column per component, and each step advances every row at once, with
-    the driver column c of each step taken from ``drivers``.
-
-    Returns the first ``kept`` state components of every row at every
-    node, shape (rows, N+1, kept), and each row's diffusion warnings.
-    Returns None when any step fails, meets a numpy floating-point error or
-    puts a row beyond BLOWUP_LIMIT; the caller then reruns the rows one by
-    one through ``_integrate``, which names the failing row and its last
-    good time.
-    """
-    step, diffusion = compiled
+    spec: UdeSpec, signed: bool, counts: Sequence[int], slopes: np.ndarray, kept: int
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The block loop: the state is one column per component, each step
+    advances every row at once, and the driver column c holds the rows'
+    slopes of the step's segment. Returns what ``_solve_rows`` does, or None
+    when any step fails, meets a numpy floating-point error or puts a row
+    beyond BLOWUP_LIMIT."""
+    step, diffusion = _compile_step(spec, signed, block=True)
+    columns = np.ascontiguousarray(slopes.T)
+    drivers = (c for c, count in zip(columns, counts) for _ in range(count))
     tlist = time_grid(spec).tolist()
-    y = tuple(np.full(rows, float(v)) for v in spec.initial)
+    rows = len(slopes)
+    record = (None, *(np.full(rows, float(v)) for v in spec.initial))
     states = np.empty((rows, len(tlist), kept))
-    for k in range(kept):
-        states[:, 0, k] = y[k]
-    low: list[tuple[float, object]] = []  # (t, g) where some row has g <= 0
+    g_nodes = np.empty((rows, len(tlist)))
+    states[:, 0] = spec.initial[:kept]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for j, (t, c) in enumerate(zip(tlist, drivers), 1):
-                y, g = step(t, y, c)
-                if not np.all(g > 0.0):
-                    low.append((t, g))
+                record = step(t, record, c)
+                g_nodes[:, j - 1] = record[0]
                 for k in range(kept):
-                    states[:, j, k] = y[k]
-            g = diffusion(tlist[-1], y)
+                    states[:, j, k] = record[k + 1]
+            g_nodes[:, -1] = diffusion(tlist[-1], record)
     except (*_STEP_FAILURES, FloatingPointError):
         return None
-    if not np.all(g > 0.0):
-        low.append((tlist[-1], g))
-    warnings: list[list[tuple[float, float]]] = [[] for _ in range(rows)]
-    for t, g in low:
-        values = np.broadcast_to(g, (rows,))
-        for r in np.flatnonzero(~(values > 0.0)).tolist():
-            warnings[r].append((t, float(values[r])))
-    return states, warnings
+    return states, g_nodes
+
+
+def _solve_rows(
+    spec: UdeSpec,
+    signed: bool,
+    counts: Sequence[int],
+    slopes: np.ndarray,
+    kept: int,
+    alphas: Sequence[float] | None,
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, BlowUpError]]]:
+    """Integrate one row per row of ``slopes`` (rows, segments); segment k
+    spans counts[k] steps. Returns the first ``kept`` state components,
+    (rows, N+1, kept), and g, (rows, N+1), at every node, and each failing
+    row's index and BlowUpError, naming alphas[row] (None without
+    ``alphas``); failed rows hold nan. BLOCK_MIN_ROWS rows or more run as one
+    block; if it fails, every row is rerun alone, so the errors are those of
+    row-by-row solves.
+    """
+    if len(slopes) >= BLOCK_MIN_ROWS:
+        block = _integrate_block(spec, signed, counts, slopes, kept)
+        if block is not None:
+            return (*block, [])
+    compiled = _compile_step(spec, signed)
+    states = np.full((len(slopes), spec.step_count + 1, kept), math.nan)
+    diffusion = np.full(states.shape[:2], math.nan)
+    failures: list[tuple[int, BlowUpError]] = []
+    for r, row in enumerate(slopes.tolist()):
+        drivers = chain.from_iterable(map(repeat, row, counts))
+        alpha = None if alphas is None else alphas[r]
+        try:
+            states[r], diffusion[r] = _integrate(spec, compiled, drivers, alpha, kept)
+        except BlowUpError as exc:
+            failures.append((r, exc))
+    return states, diffusion, failures
 
 
 def _require_valid(spec: UdeSpec) -> None:
@@ -244,64 +267,44 @@ def _require_valid(spec: UdeSpec) -> None:
         raise ConfigError("invalid spec: " + "; ".join(problems))
 
 
-def _alpha_path(spec: UdeSpec, compiled, alpha: float) -> AlphaPath:
-    drivers = repeat(phi_inv(alpha), spec.step_count)
-    path = _integrate(spec, compiled, drivers, alpha)
-    return AlphaPath(path.times, path.states, path.diffusion_warnings, alpha)
-
-
 def solve_alpha_path(spec: UdeSpec, alpha: float) -> AlphaPath:
     """Integrate the alpha-path ODE over [0, horizon] with the spec's step.
 
     The top row is f + |g| * phi_inv(alpha). Component 0 of the states is
     the path itself, component k its k-th derivative. Raises BlowUpError
     (naming the last good time) when a state leaves the finite range;
-    non-positive diffusion along the path is recorded as a warning, not an
-    error.
+    non-positive diffusion along the path is recorded, not an error.
     """
     _require_valid(spec)
-    return _alpha_path(spec, _compile_step(spec, signed=False), alpha)
-
-
-def _alpha_block(spec: UdeSpec, grid: list[float]) -> list[AlphaPath] | None:
-    """The fan's paths from one block integration, or None if it failed."""
-    compiled = _compile_step(spec, signed=False, block=True)
-    drivers = repeat(np.array([phi_inv(a) for a in grid]), spec.step_count)
-    block = _integrate_block(spec, compiled, drivers, len(grid), spec.order)
-    if block is None:
-        return None
-    states, warnings = block
-    times = time_grid(spec)
-    return [
-        AlphaPath(times, states[r], warnings[r], alpha) for r, alpha in enumerate(grid)
-    ]
+    slopes = np.array([[phi_inv(alpha)]])
+    states, diffusion, failures = _solve_rows(
+        spec, False, [spec.step_count], slopes, spec.order, [alpha]
+    )
+    if failures:
+        raise failures[0][1]
+    return AlphaPath(time_grid(spec), states[0], diffusion[0], alpha)
 
 
 def solve_fan(spec: UdeSpec, grid: Sequence[float]) -> AlphaFan:
     """Solve one alpha-path per grid value.
 
     Solves are independent; the fan is assembled in grid order and fails
-    only if a path fails, aggregating every failure with its alpha. A grid of
-    BLOCK_MIN_ROWS alphas or more is integrated as one block.
+    only if a path fails, aggregating every failure with its alpha.
     """
     _require_valid(spec)
     grid = [float(a) for a in grid]
+    if not grid:
+        raise ConfigError("alpha grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("alpha grid must be strictly increasing")
-    if len(grid) >= BLOCK_MIN_ROWS:
-        block = _alpha_block(spec, grid)
-        if block is not None:
-            return AlphaFan(spec=spec, grid=grid, paths=block)
-    compiled = _compile_step(spec, signed=False)
-    paths: list[AlphaPath] = []
-    failures: list[tuple[float, BlowUpError]] = []
-    for alpha in grid:
-        try:
-            paths.append(_alpha_path(spec, compiled, alpha))
-        except BlowUpError as exc:
-            failures.append((alpha, exc))
+    slopes = np.array([[phi_inv(a)] for a in grid])
+    states, diffusion, failures = _solve_rows(
+        spec, False, [spec.step_count], slopes, spec.order, grid
+    )
     if failures:
-        raise FanSolveError(failures)
+        raise FanSolveError([(grid[r], exc) for r, exc in failures])
+    times = time_grid(spec)
+    paths = [AlphaPath(times, s, g, a) for s, g, a in zip(states, diffusion, grid)]
     return AlphaFan(spec=spec, grid=grid, paths=paths)
 
 
@@ -427,8 +430,13 @@ def solve_sample_path(spec: UdeSpec, c: "SamplePath") -> Trajectory:
     """
     _require_valid(spec)
     counts = _segment_steps(spec, c.breakpoints)
-    drivers = [float(m) for m, count in zip(c.slopes, counts) for _ in range(count)]
-    return _integrate(spec, _compile_step(spec, signed=True), drivers)
+    slopes = np.array([c.slopes], dtype=float)
+    states, diffusion, failures = _solve_rows(
+        spec, True, counts, slopes, spec.order, None
+    )
+    if failures:
+        raise failures[0][1]
+    return Trajectory(time_grid(spec), states[0], diffusion[0])
 
 
 def sample_positions(
@@ -438,22 +446,11 @@ def sample_positions(
 
     Row k of ``slopes`` (paths, segments) holds surrogate k's segment slopes;
     row k of the result (paths, N+1) is its position at every node, the bits
-    solve_sample_path gives it. BLOCK_MIN_ROWS surrogates or more are
-    integrated as one block.
+    solve_sample_path gives it. Raises the first failing row's BlowUpError.
     """
     _require_valid(spec)
     counts = _segment_steps(spec, breakpoints)
-    rows = len(slopes)
-    if rows >= BLOCK_MIN_ROWS:
-        compiled = _compile_step(spec, signed=True, block=True)
-        segments = np.ascontiguousarray(slopes.T)
-        drivers = (c for c, count in zip(segments, counts) for _ in range(count))
-        block = _integrate_block(spec, compiled, drivers, rows, 1)
-        if block is not None:
-            return block[0][:, :, 0]
-    compiled = _compile_step(spec, signed=True)
-    positions = np.empty((rows, spec.step_count + 1))
-    for k, row in enumerate(slopes.tolist()):
-        drivers = [m for m, count in zip(row, counts) for _ in range(count)]
-        positions[k] = _integrate(spec, compiled, drivers).position
-    return positions
+    states, _, failures = _solve_rows(spec, True, counts, slopes, 1, None)
+    if failures:
+        raise failures[0][1]
+    return states[:, :, 0]

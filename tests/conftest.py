@@ -7,10 +7,12 @@ positivity and position-monotonicity hypotheses everywhere.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from alphapath import AlphaGridSpec, UdeSpec, alpha_grid, solve_fan
-from alphapath.expr import evaluate
+from alphapath import AlphaGridSpec, RegularityCheck, UdeSpec, alpha_grid, solve_fan
+from alphapath.expr import compile_evaluator, evaluate
 
 
 def polynomial_spec(order: int, initial=None, horizon=1.0, step=1e-3) -> UdeSpec:
@@ -69,6 +71,37 @@ def reference_partial_fd(ast, var, env, eps=1e-6):
     hi = {**env, var: x + h}
     lo = {**env, var: x - h}
     return (evaluate(ast, hi) - evaluate(ast, lo)) / (2.0 * h)
+
+
+def reference_regularity(fan) -> RegularityCheck:
+    """g evaluated again by the compiled evaluator at every stored node, path
+    by path, nan where it fails, the minimum kept on strict <; the regularity
+    check, which reads the values the solver recorded, must reproduce every
+    field bit for bit."""
+    g_fn = compile_evaluator(fan.spec.diffusion, fan.spec.order)
+    min_value = math.inf
+    min_alpha = math.nan
+    min_time = math.nan
+    violations = []
+    for path in fan.paths:
+        for t, row in zip(path.times.tolist(), path.states.tolist()):
+            try:
+                gv = g_fn(t, row)
+            except (ValueError, OverflowError, ZeroDivisionError):
+                gv = math.nan
+            if not math.isnan(gv) and gv < min_value:
+                min_value = gv
+                min_alpha = path.alpha
+                min_time = t
+            if not gv > 0.0:
+                violations.append((path.alpha, t, gv))
+    return RegularityCheck(
+        passed=not violations,
+        min_value=min_value,
+        min_alpha=min_alpha,
+        min_time=min_time,
+        violations=violations,
+    )
 
 
 SMALL_GRID = AlphaGridSpec(count=9, lo=0.1)

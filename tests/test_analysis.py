@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from alphapath import (
     phi_inv,
     solve_fan,
 )
+from alphapath import expr
 from alphapath.analysis import TOL_CONDITION_H
 from alphapath.errors import (
     ConfigError,
@@ -30,7 +33,13 @@ from alphapath.errors import (
 )
 from alphapath.expr import state_variables
 
-from conftest import SMALL_GRID, polynomial_spec, reference_partial_fd, tanh_spec
+from conftest import (
+    SMALL_GRID,
+    polynomial_spec,
+    reference_partial_fd,
+    reference_regularity,
+    tanh_spec,
+)
 
 
 def _synthetic_fan(columns: np.ndarray, grid: list[float], initial=0.0) -> AlphaFan:
@@ -42,7 +51,7 @@ def _synthetic_fan(columns: np.ndarray, grid: list[float], initial=0.0) -> Alpha
         AlphaPath(
             times=times,
             states=columns[i].reshape(-1, 1).copy(),
-            diffusion_warnings=[],
+            diffusion=np.ones(nodes),  # g = 1
             alpha=grid[i],
         )
         for i in range(m)
@@ -76,12 +85,78 @@ def test_regularity_sign_change_localized():
     assert report.min_value <= -0.5 + 1e-12
 
 
+def _hexed(*values) -> tuple[str, ...]:
+    return tuple(float(v).hex() for v in values)
+
+
+def _regularity_bits(report):
+    """Every field, floats as hex: nan-aware and telling -0.0 from 0.0."""
+    return (
+        report.passed,
+        _hexed(report.min_value, report.min_alpha, report.min_time),
+        [_hexed(*v) for v in report.violations],
+    )
+
+
+NARROW_GRID = alpha_grid(SMALL_GRID)  # 9 alphas: the fan is solved row by row
+WIDE_GRID = alpha_grid(AlphaGridSpec())  # 99 alphas: the fan is one block
+
+# (order, f, g, initial, step, grid); "0*(t-0.5)" is -0.0 before t = 0.5 and
+# 0.0 after, so every node ties for the minimum; ln(x0) fails at the last
+# node only, where x0 reaches 0 and the last stage did not
+REGULARITY_CASES = {
+    "sign-change-rows": (2, "0", "t-0.5", [0.0, 0.0], 1e-2, NARROW_GRID),
+    "sign-change-block": (2, "0", "t-0.5", [0.0, 0.0], 1e-2, WIDE_GRID),
+    "readme-fan": (2, "x0", "2 + tanh(x0)", [0.1, 0.0], 1e-3, WIDE_GRID),
+    "signed-zero-rows": (2, "x0", "0*(t-0.5)", [0.1, 0.0], 1e-2, NARROW_GRID),
+    "signed-zero-block": (2, "x0", "0*(t-0.5)", [0.1, 0.0], 1e-2, WIDE_GRID),
+    "nan-at-last-node": (1, "0-3*t^2", "ln(x0)", [1.0], 0.25, [0.5]),
+}
+
+
+@pytest.mark.parametrize(
+    "order,f,g,initial,step,grid",
+    REGULARITY_CASES.values(),
+    ids=REGULARITY_CASES.keys(),
+)
+def test_regularity_matches_reference_bitwise(order, f, g, initial, step, grid):
+    spec = UdeSpec.from_strings(order, f, g, initial, 1.0, step)
+    fan = solve_fan(spec, grid)
+    report = check_regularity(fan)
+    assert _regularity_bits(report) == _regularity_bits(reference_regularity(fan))
+    if g == "0*(t-0.5)":  # the first of the tied minima, with its sign
+        assert _regularity_bits(report)[1] == _hexed(-0.0, grid[0], 0.0)
+    if g == "ln(x0)":
+        assert math.isnan(report.violations[-1][2])
+
+
+def test_regularity_reads_the_recorded_diffusion(tanh_fan_small, monkeypatch):
+    # the check neither compiles nor evaluates g: it reads the solver's record
+    _, fan = tanh_fan_small
+    expected = reference_regularity(fan)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("g evaluated again")
+
+    monkeypatch.setattr(expr, "compile_evaluator", forbidden)
+    monkeypatch.setattr(expr, "evaluate", forbidden)
+    assert _regularity_bits(check_regularity(fan)) == _regularity_bits(expected)
+
+
 def test_condition_h_positive_drift_passes(tanh_fan_small):
     spec, fan = tanh_fan_small
     report = check_condition_h(spec, fan, samples=64, seed=5)
     assert report.passed
     assert report.min_partial > 0.0
     assert report.sampled_points > 64
+
+
+def test_condition_h_rejects_a_negative_seed(tanh_fan_small):
+    spec, fan = tanh_fan_small
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        check_condition_h(spec, fan, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        check_hypotheses(spec, fan, seed=-1)
 
 
 def test_condition_h_negative_drift_fails():

@@ -227,6 +227,29 @@ def test_oracle_argument_errors_precede_the_gate(tmp_path, capsys):
     assert "alpha - delta > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("segments", [0, -1])
+def test_oracle_nonpositive_segments_exit_2_before_the_gate(
+    tmp_path, capsys, segments
+):
+    # the gate would refuse f = 0-x0 with exit 5; the segment count is a
+    # usage error, found before any alpha-path is solved
+    text = BASE_CONFIG.replace('f       = "x0"', 'f       = "0-x0"').replace(
+        "oracle.segments = 16", f"oracle.segments = {segments}"
+    )
+    cfg = write_config(tmp_path, text)
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"segments must be >= 1, got {segments}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_negative_seed_exits_2_naming_its_line(tmp_path, capsys, command):
+    text = BASE_CONFIG.replace("oracle.seed     = 2718", "oracle.seed     = -1")
+    line = text.splitlines().index("oracle.seed     = -1") + 1
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"line {line}: `oracle.seed` must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_failed_write_keeps_the_previous_artifact(tmp_path):
     path = tmp_path / "fan.csv"
     _write_text(path, "previous\n")

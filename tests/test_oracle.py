@@ -9,6 +9,7 @@ import pytest
 
 from alphapath import (
     SamplePath,
+    UdeSpec,
     dominance_check,
     phi_inv,
     sample_lipschitz_path,
@@ -185,6 +186,22 @@ def test_dominance_requires_valid_delta():
     with pytest.raises(DomainError):
         dominance_check(
             spec, alpha=0.98, delta=0.05, n_paths=1, segments=1, side="above", seed=0
+        )
+
+
+@pytest.mark.parametrize("segments", [0, -1])
+def test_dominance_rejects_segments_before_the_gate(monkeypatch, segments):
+    # the gate would refuse this spec; the segment count is checked first,
+    # and no alpha-path is solved for a run that cannot start
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the alpha-path was solved")
+
+    monkeypatch.setattr(oracle_module, "solve_alpha_path", unreachable)
+    bad = UdeSpec.from_strings(2, "0-x0", "1", [0.1, 0.0], 1.0, 1.0 / 64)
+    with pytest.raises(ConfigError, match=f"segments must be >= 1, got {segments}"):
+        dominance_check(
+            bad, alpha=0.8, delta=0.05, n_paths=1, segments=segments,
+            side="below", seed=0,
         )
 
 

@@ -127,7 +127,9 @@ def test_every_accepted_tree_compiles(tree):
     compile_evaluator(parsed, ORDER)
     _compile_step(spec, signed=False)
     _compile_step(spec, signed=True)
-    path = AlphaPath(np.array([0.0, 1.0]), np.full((2, ORDER), 0.5), alpha=0.5)
+    path = AlphaPath(
+        np.array([0.0, 1.0]), np.full((2, ORDER), 0.5), np.ones(2), alpha=0.5
+    )
     try:
         integral_residual(path, spec, 0.5)
     except (ValueError, OverflowError, ZeroDivisionError):

@@ -1,0 +1,29 @@
+"""The README's examples run as written."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from alphapath.config import build_config, parse_config_text
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _fenced(info: str) -> list[str]:
+    """Bodies of the README's fenced blocks whose info string is ``info``."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(rf"^```{info}\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_library_example_runs():
+    (source,) = _fenced("python")
+    namespace: dict = {}
+    exec(compile(source, str(README), "exec"), namespace)
+    assert namespace["report"].passed
+
+
+def test_readme_config_segments_divide_its_step_count():
+    (text,) = [block for block in _fenced("") if "oracle.segments" in block]
+    config = build_config(*parse_config_text(text))
+    assert config.spec.step_count % config.oracle.segments == 0

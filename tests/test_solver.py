@@ -269,35 +269,44 @@ BLOCK_CASES = [
 ]
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("rows", [solver.BLOCK_MIN_ROWS, 200])
 @pytest.mark.parametrize("order,f,g,initial", BLOCK_CASES)
 def test_block_rows_equal_scalar_rows_bitwise(order, f, g, initial, rows):
     spec = UdeSpec.from_strings(order, f, g, initial, 1.0, 1.0 / 64)
     grid = np.linspace(0.01, 0.99, rows).tolist()
-    block = solver._alpha_block(spec, grid)
+    slopes = np.array([[phi_inv(a)] for a in grid])
+    block = solver._integrate_block(spec, False, [64], slopes, order)
     assert block is not None  # no fallback: the block itself is compared
-    compiled = solver._compile_step(spec, signed=False)
-    for alpha, path in zip(grid, block):
-        alone = solver._alpha_path(spec, compiled, alpha)
-        assert np.array_equal(path.states, alone.states)
+    states, diffusion = block
+    fan = solve_fan(spec, grid)  # the same block, through the entry point
+    for r, (alpha, path) in enumerate(zip(grid, fan.paths)):
+        alone = solve_alpha_path(spec, alpha)
+        assert _same_bits(states[r], alone.states)
+        assert _same_bits(diffusion[r], alone.diffusion)
+        assert _same_bits(path.states, alone.states)
+        assert _same_bits(path.diffusion, alone.diffusion)
         assert path.diffusion_warnings == alone.diffusion_warnings
     if order == 3:
-        assert block[0].diffusion_warnings  # the comparison covered warnings
+        assert fan.paths[0].diffusion_warnings  # the comparison covered warnings
 
     # surrogate rows: signed g, slopes that change per segment and per row
     slopes = np.random.default_rng(order).uniform(-3.0, 3.0, (rows, 4))
-    drivers = np.repeat(slopes.T, 16, axis=0)
-    signed = solver._compile_step(spec, signed=True, block=True)
-    states, warnings = solver._integrate_block(spec, signed, drivers, rows, order)
-    assert np.array_equal(
+    block = solver._integrate_block(spec, True, [16] * 4, slopes, order)
+    assert block is not None
+    states, diffusion = block
+    assert _same_bits(
         solver.sample_positions(spec, (0.0, 0.25, 0.5, 0.75, 1.0), slopes),
         states[:, :, 0],
     )
     for r in range(rows):
         surrogate = SamplePath((0.0, 0.25, 0.5, 0.75, 1.0), tuple(slopes[r]))
         alone = solve_sample_path(spec, surrogate)
-        assert np.array_equal(states[r], alone.states)
-        assert warnings[r] == alone.diffusion_warnings
+        assert _same_bits(states[r], alone.states)
+        assert _same_bits(diffusion[r], alone.diffusion)
 
 
 def test_wide_fan_blowup_failures_match_scalar():
@@ -323,11 +332,17 @@ def test_block_falls_back_when_a_step_raises():
     # rows alone and only the failing ones are reported
     spec = UdeSpec.from_strings(1, "ln(x0)", "1", [1.0], 1.0, 1e-2)
     grid = np.linspace(0.01, 0.99, solver.BLOCK_MIN_ROWS).tolist()
-    assert solver._alpha_block(spec, grid) is None
+    slopes = np.array([[phi_inv(a)] for a in grid])
+    assert solver._integrate_block(spec, False, [100], slopes, 1) is None
     with pytest.raises(FanSolveError) as excinfo:
         solve_fan(spec, grid)
     failed = [a for a, _ in excinfo.value.failures]
     assert failed and failed == sorted(failed) and failed[-1] < 0.5
+
+
+def test_fan_rejects_an_empty_grid():
+    with pytest.raises(ConfigError, match="alpha grid is empty"):
+        solve_fan(polynomial_spec(2, step=1e-2), [])
 
 
 def test_fan_rejects_unsorted_grid():
@@ -355,7 +370,8 @@ def test_residual_single_step_path():
 def test_residual_division_by_zero_raises_like_the_solver():
     # the forcing sees Python floats, so x0/t at t = 0 raises as in a step
     spec = UdeSpec.from_strings(1, "x0/t", "1", [1.0], 1.0, 0.5)
-    path = AlphaPath(np.array([0.0, 0.5, 1.0]), np.ones((3, 1)), alpha=0.5)
+    times = np.array([0.0, 0.5, 1.0])
+    path = AlphaPath(times, np.ones((3, 1)), np.ones(3), alpha=0.5)
     with pytest.raises(ZeroDivisionError):
         integral_residual(path, spec, 0.5)
     with pytest.raises(BlowUpError):

@@ -20,6 +20,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from operator import itemgetter
 from pathlib import Path
 
 from . import analysis, oracle
@@ -60,13 +62,15 @@ def _prepare_outdir(path: Path, force: bool) -> None:
         path.mkdir(parents=True)
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write through a temporary file in the same directory, then rename it
-    over ``path``: a write that fails partway leaves the previous artifact
-    intact."""
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order through a temporary file in the same
+    directory, then rename it over ``path``: a write that fails partway, in
+    the file system or in the code producing the chunks, leaves the previous
+    artifact intact."""
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        partial.write_text(text, encoding="utf-8", newline="\n")
+        with open(partial, "w", encoding="utf-8", newline="\n") as stream:
+            stream.writelines(chunks)
         os.replace(partial, path)
     except BaseException:
         partial.unlink(missing_ok=True)
@@ -74,30 +78,64 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def _fan_csv(fan: AlphaFan) -> str:
-    n = fan.spec.order
-    header = "alpha,t," + ",".join(f"x{k}" for k in range(n))
-    lines = [header]
+def _float_texts(values: list[float]) -> list[str]:
+    """repr of each value, from one list repr (see ``_fan_texts``)."""
+    return repr(values)[1:-1].split(", ")
+
+
+def _fan_texts(fan: AlphaFan) -> Iterator[tuple[str, str]]:
+    """(repr(alpha), row texts) per path in grid order, where the row texts
+    are ``repr(path.states.tolist())`` without its outer brackets: rows
+    separated by "], [" and values by ", ".
+
+    This is the one place the fan's states become text. CPython's list repr
+    calls float.__repr__, the shortest round-trip form json.dumps also uses,
+    on each element. A finite float's repr holds only digits, ".", "-", "e"
+    and "+", so splitting on ", " and "], [" is exact; the solver bounds
+    every state by BLOWUP_LIMIT."""
     for path in fan.paths:
-        alpha_text = repr(path.alpha)
-        tlist = path.times.tolist()
-        for t, row in zip(tlist, path.states.tolist()):
-            lines.append(
-                alpha_text + "," + repr(t) + "," + ",".join(repr(v) for v in row)
-            )
-    return "\n".join(lines) + "\n"
+        yield repr(path.alpha), repr(path.states.tolist())[2:-2]
 
 
-def _fan_json_payload(fan: AlphaFan) -> dict:
-    return {
-        "order": fan.spec.order,
-        "alphas": fan.grid,
-        "times": fan.paths[0].times.tolist(),
-        "states": {repr(p.alpha): p.states.tolist() for p in fan.paths},
-    }
+def _fan_csv_chunks(
+    order: int, times: list[str], texts: Iterable[tuple[str, str]]
+) -> Iterator[str]:
+    """fan.csv: the header, then one chunk of `alpha,t,x0,...` rows per path."""
+    yield "alpha,t," + ",".join(f"x{k}" for k in range(order)) + "\n"
+    middles = [f",{t}," for t in times]
+    for alpha, rows in texts:
+        parts = [alpha, "", "", "\n"] * len(middles)
+        parts[1::4] = middles
+        parts[2::4] = rows.replace(", ", ",").split("],[")
+        yield "".join(parts)
+
+
+# separators of json.dumps(indent=2) between the values and rows of a path
+_JSON_VALUE_SEP = ",\n        "
+_JSON_ROW_SEP = "\n      ],\n      [\n        "
+
+
+def _fan_json_chunks(
+    fan: AlphaFan, times: list[str], texts: Iterable[tuple[str, str]]
+) -> Iterator[str]:
+    """fan.json in the layout of ``json.dumps(payload, indent=2,
+    sort_keys=True) + "\\n"`` for the payload {order, alphas, times, states}:
+    one chunk per path, in the order of the ``states`` keys sorted as
+    strings."""
+    yield (
+        '{\n  "alphas": [\n    '
+        + ",\n    ".join(_float_texts(fan.grid))
+        + f'\n  ],\n  "order": {fan.spec.order!r},\n  "states": {{\n'
+    )
+    separator = ""
+    for alpha, rows in sorted(texts, key=itemgetter(0)):
+        body = rows.replace("], [", _JSON_ROW_SEP).replace(", ", _JSON_VALUE_SEP)
+        yield f'{separator}    "{alpha}": [\n      [\n        {body}\n      ]\n    ]'
+        separator = ",\n"
+    yield '\n  },\n  "times": [\n    ' + ",\n    ".join(times) + "\n  ]\n}\n"
 
 
 def _run_json_payload(fan: AlphaFan) -> dict:
@@ -139,10 +177,15 @@ def _solve_configured_fan(config: RunConfig) -> AlphaFan:
 
 def cmd_solve(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
-    if "csv" in config.output_formats:
-        _write_text(outdir / "fan.csv", _fan_csv(fan))
-    if "json" in config.output_formats:
-        _write_json(outdir / "fan.json", _fan_json_payload(fan))
+    formats = config.output_formats
+    times = _float_texts(fan.paths[0].times.tolist())  # one grid for every path
+    texts: Iterable[tuple[str, str]] = _fan_texts(fan)
+    if len(formats) > 1:
+        texts = list(texts)  # both files are rendered from this one repr pass
+    if "csv" in formats:
+        _write_text(outdir / "fan.csv", _fan_csv_chunks(fan.spec.order, times, texts))
+    if "json" in formats:
+        _write_text(outdir / "fan.json", _fan_json_chunks(fan, times, texts))
     _update_run_json(outdir, config, _run_json_payload(fan))
     return EXIT_OK
 
@@ -185,7 +228,7 @@ def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
     if "csv" in config.output_formats:
         lines = ["alpha,x"]
         lines += [f"{a!r},{x!r}" for a, x in table.entries]
-        _write_text(outdir / f"{name}.csv", "\n".join(lines) + "\n")
+        _write_text(outdir / f"{name}.csv", ["\n".join(lines) + "\n"])
     if "json" in config.output_formats:
         _write_json(
             outdir / f"{name}.json",
@@ -216,7 +259,16 @@ def cmd_oracle(config: RunConfig, outdir: Path) -> int:
         for side in oracle.SIDES:
             # dominance_check's arguments, checked before the gate can refuse
             args = (alpha, settings.delta, settings.n_paths, settings.segments, side)
-            oracle._check_arguments(*args)
+            try:
+                oracle._check_arguments(config.spec, *args)
+            except AlignmentError as exc:
+                origin = (
+                    f"line {config.lines['oracle.segments']}: `oracle.segments`"
+                    if "oracle.segments" in config.lines
+                    else f"`oracle.segments` is not set, so the default "
+                    f"{settings.segments} applies"
+                )
+                raise AlignmentError(f"{origin}: {exc}") from exc
             if target is None:
                 target = oracle._gated_target(config.spec, alpha, settings.seed)
             reports.append(

@@ -21,8 +21,14 @@ import numpy as np
 
 from .analysis import check_hypotheses
 from .core import UdeSpec, phi_inv
-from .errors import ConfigError, DomainError, HypothesisError
-from .solver import AlphaFan, AlphaPath, sample_positions, solve_alpha_path
+from .errors import AlignmentError, ConfigError, DomainError, HypothesisError
+from .solver import (
+    AlphaFan,
+    AlphaPath,
+    _require_valid,
+    sample_positions,
+    solve_alpha_path,
+)
 
 SLOPE_WINDOW = 2.0  # W: how far below/above the bound slopes are drawn
 SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
@@ -141,9 +147,21 @@ def sample_lipschitz_path(
     return SamplePath(breakpoints=breakpoints, slopes=tuple(map(float, draws)))
 
 
+def _nearest_divisors(n: int, k: int) -> list[int]:
+    """The largest divisor of n below k and the smallest above it, if any."""
+    divisors = [
+        d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)
+    ]
+    below = [d for d in divisors if d < k]
+    above = [d for d in divisors if d > k]
+    return ([max(below)] if below else []) + ([min(above)] if above else [])
+
+
 def _check_arguments(
-    alpha: float, delta: float, n_paths: int, segments: int, side: str
+    spec: UdeSpec, alpha: float, delta: float, n_paths: int, segments: int, side: str
 ) -> None:
+    """Every precondition of a dominance run that needs no solve: the
+    arguments, a valid spec, and surrogate breakpoints on solver nodes."""
     if side not in SIDES:
         raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
     if not delta > 0:
@@ -156,6 +174,15 @@ def _check_arguments(
         raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
     if segments < 1:
         raise ConfigError(f"segments must be >= 1, got {segments}")
+    _require_valid(spec)
+    steps = spec.step_count
+    if steps % segments:
+        divisors = ", ".join(map(str, _nearest_divisors(steps, segments)))
+        raise AlignmentError(
+            f"{segments} segments do not divide the {steps} solver steps, so "
+            f"the breakpoint t={spec.horizon / segments!r} does not fall on a "
+            f"solver node; nearest divisors of {steps}: {divisors}"
+        )
 
 
 def _gated_target(spec: UdeSpec, alpha: float, seed: int) -> AlphaPath:
@@ -194,14 +221,16 @@ def dominance_check(
     both trajectories share the initial state exactly, so the first node is
     excluded. Refuses to run (HypothesisError) when the regularity or
     position-monotonicity checks fail, since dominance is only guaranteed
-    under them. A ``target`` given by the caller replaces that solve and
-    gate: it must be the alpha-path of this spec and alpha that passed the
-    gate for this seed, as ``_gated_target`` returns it.
+    under them; before that, raises AlignmentError when ``segments`` does
+    not divide the spec's step count. A ``target`` given by the caller
+    replaces that solve and gate: it must be the alpha-path of this spec and
+    alpha that passed the gate for this seed, as ``_gated_target`` returns
+    it.
 
     The surrogates share their breakpoints, so they are integrated together
     (see ``sample_positions``), in chunks of at most CHUNK_PATHS.
     """
-    _check_arguments(alpha, delta, n_paths, segments, side)
+    _check_arguments(spec, alpha, delta, n_paths, segments, side)
     if target is None:
         target = _gated_target(spec, alpha, seed)
 

@@ -7,6 +7,7 @@ positivity and position-monotonicity hypotheses everywhere.
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -102,6 +103,34 @@ def reference_regularity(fan) -> RegularityCheck:
         min_time=min_time,
         violations=violations,
     )
+
+
+def reference_fan_csv(fan) -> str:
+    """fan.csv built as one string, every float repr'd on its own; the
+    streamed writer must reproduce it byte for byte."""
+    n = fan.spec.order
+    header = "alpha,t," + ",".join(f"x{k}" for k in range(n))
+    lines = [header]
+    for path in fan.paths:
+        alpha_text = repr(path.alpha)
+        tlist = path.times.tolist()
+        for t, row in zip(tlist, path.states.tolist()):
+            lines.append(
+                alpha_text + "," + repr(t) + "," + ",".join(repr(v) for v in row)
+            )
+    return "\n".join(lines) + "\n"
+
+
+def reference_fan_json(fan) -> str:
+    """fan.json as json.dumps renders the fan payload with indent=2 and
+    sorted keys; the streamed writer must reproduce it byte for byte."""
+    payload = {
+        "order": fan.spec.order,
+        "alphas": fan.grid,
+        "times": fan.paths[0].times.tolist(),
+        "states": {repr(p.alpha): p.states.tolist() for p in fan.paths},
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 SMALL_GRID = AlphaGridSpec(count=9, lo=0.1)

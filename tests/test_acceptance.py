@@ -215,6 +215,7 @@ output.formats  = [csv, json]
 """
     config_path = tmp_path / "run.conf"
     config_path.write_text(config_text, encoding="utf-8")
+    compared = ("fan.csv", "fan.json", "oracle.json")
     with criterion(9, "byte-identical artifacts across reruns", 60.0):
         artifacts = []
         for name in ("first", "second"):
@@ -227,7 +228,7 @@ output.formats  = [csv, json]
                 == 0
             )
             artifacts.append(
-                ((out / "fan.csv").read_bytes(), (out / "oracle.json").read_bytes())
+                {artifact: (out / artifact).read_bytes() for artifact in compared}
             )
-        assert artifacts[0][0] == artifacts[1][0]
-        assert artifacts[0][1] == artifacts[1][1]
+        for artifact in compared:
+            assert artifacts[0][artifact] == artifacts[1][artifact], artifact

@@ -14,8 +14,9 @@ from alphapath.cli import _write_text, main
 from alphapath.config import load_config, parse_config_text
 from alphapath.errors import ConfigError
 from alphapath.expr import MAX_DEPTH
+from alphapath.solver import BLOCK_MIN_ROWS
 
-from conftest import tanh_spec
+from conftest import reference_fan_csv, reference_fan_json, tanh_spec
 
 BASE_CONFIG = """\
 # nonlinear second-order run
@@ -259,6 +260,108 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["fan.csv"]
 
 
+def test_failed_streamed_write_keeps_the_previous_artifact(tmp_path):
+    path = tmp_path / "fan.csv"
+    _write_text(path, ["previous\n"])
+
+    def chunks():
+        for _ in range(4):
+            yield "x" * 1_000_000
+        # the chunks so far have reached the temporary file
+        (partial,) = tmp_path.glob(".fan.csv.*.tmp")
+        assert partial.stat().st_size >= 3_000_000
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        _write_text(path, chunks())
+    assert path.read_text(encoding="utf-8") == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["fan.csv"]
+
+
+def _fan_config(
+    order=2,
+    f="x0",
+    g="2 + tanh(x0)",
+    initial="[0.1, 0]",
+    horizon="1.0",
+    step="0.01",
+    count=9,
+    lo="0.1",
+    formats="[csv, json]",
+):
+    return (
+        f'order = {order}\nf = "{f}"\ng = "{g}"\ninitial = {initial}\n'
+        f"horizon = {horizon}\nstep = {step}\n"
+        f"alpha.count = {count}\nalpha.lo = {lo}\noutput.formats = {formats}\n"
+    )
+
+
+# (config, substrings the rendered csv + json must hold, in this order)
+FAN_RENDER_CASES = [
+    pytest.param(
+        _fan_config(order=1, initial="[0.1]"), ["alpha,t,x0\n"], id="order-1"
+    ),
+    pytest.param(
+        _fan_config(order=3, initial="[0.1, 0, 0]"),
+        ["alpha,t,x0,x1,x2\n", '"order": 3,'],
+        id="order-3",
+    ),
+    pytest.param(
+        _fan_config(f="0", g="1", initial="[-0.0, -0.0]"),
+        ["\n0.5,0.0,-0.0,-0.0\n", "        -0.0,\n        -0.0\n"],
+        id="negative-zero",
+    ),
+    pytest.param(
+        _fan_config(initial="[1e-07, 0]", horizon="0.0001", step="1e-05"),
+        ["\n0.1,0.0,1e-07,0.0\n0.1,1e-05,", '"times": [\n    0.0,\n    1e-05,'],
+        id="exponent-form",
+    ),
+    # "1e-05" is the first path in grid order and the last key sorted as text
+    pytest.param(
+        _fan_config(lo="1e-05"),
+        ["alpha,t,x0,x1\n1e-05,", '"0.99999": [', '"1e-05": ['],
+        id="keys-sort-apart-from-the-grid",
+    ),
+    pytest.param(
+        _fan_config(lo="1e-05", formats="[json]"),
+        ['"0.99999": [', '"1e-05": ['],
+        id="json-only",
+    ),
+    pytest.param(
+        _fan_config(
+            order=3, initial="[0.1, 0, 0]", count=BLOCK_MIN_ROWS + 1, lo="0.01"
+        ),
+        ["alpha,t,x0,x1,x2\n"],
+        id="block-rows",
+    ),
+    pytest.param(
+        _fan_config(count=BLOCK_MIN_ROWS - 1, lo="0.01", formats="[csv]"),
+        ["alpha,t,x0,x1\n"],
+        id="scalar-rows-csv-only",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", FAN_RENDER_CASES)
+def test_fan_artifacts_equal_the_reference_renders(tmp_path, text, expected):
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    config = load_config(cfg)
+    fan = solve_fan(config.spec, alpha_grid(config.alpha))
+    rendered = ""
+    for fmt, reference in (("csv", reference_fan_csv), ("json", reference_fan_json)):
+        if fmt in config.output_formats:
+            want = reference(fan)
+            assert (out / f"fan.{fmt}").read_bytes() == want.encode("utf-8")
+            rendered += want
+        else:
+            assert not (out / f"fan.{fmt}").exists()
+    at = 0
+    for part in expected:
+        at = rendered.index(part, at) + len(part)
+
+
 def test_refuses_overwrite_without_force(tmp_path, capsys):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -277,6 +380,7 @@ def test_runs_reproduce_byte_identical_artifacts(tmp_path):
         assert main(["oracle", "--config", cfg, "--out", str(out), "--force"]) == 0
         outs.append(out)
     assert (outs[0] / "fan.csv").read_bytes() == (outs[1] / "fan.csv").read_bytes()
+    assert (outs[0] / "fan.json").read_bytes() == (outs[1] / "fan.json").read_bytes()
     assert (outs[0] / "oracle.json").read_bytes() == (
         outs[1] / "oracle.json"
     ).read_bytes()
@@ -325,14 +429,44 @@ def test_no_output_directory_exits_2(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
-def test_oracle_misaligned_segments_exits_2(tmp_path, capsys):
-    # 1000 steps do not split into the default 32 surrogate segments
+def _count_alpha_path_solves(monkeypatch) -> list:
+    solves = []
+    original = oracle.solve_alpha_path
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "solve_alpha_path", counted)
+    return solves
+
+
+def test_oracle_misaligned_segments_exits_2(tmp_path, capsys, monkeypatch):
+    # 1000 steps do not split into the default 32 surrogate segments; that is
+    # found before any alpha-path is solved
+    solves = _count_alpha_path_solves(monkeypatch)
     text = BASE_CONFIG.replace("step    = 0.0025", "step    = 0.001").replace(
         "oracle.segments = 16\n", ""
     )
     cfg = write_config(tmp_path, text)
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "does not fall on a solver node" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "does not fall on a solver node" in err
+    assert "`oracle.segments` is not set, so the default 32 applies" in err
+    assert "nearest divisors of 1000: 25, 40" in err
+    assert solves == []
+
+
+def test_oracle_misaligned_segments_name_their_line(tmp_path, capsys, monkeypatch):
+    solves = _count_alpha_path_solves(monkeypatch)
+    text = BASE_CONFIG.replace("oracle.segments = 16", "oracle.segments = 30")
+    line = text.splitlines().index("oracle.segments = 30") + 1
+    cfg = write_config(tmp_path, text)
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: `oracle.segments`: 30 segments do not divide the 400" in err
+    assert "nearest divisors of 400: 25, 40" in err
+    assert solves == []
 
 
 @pytest.mark.parametrize("alphas", ["[abc]", "[0.2, true]"])

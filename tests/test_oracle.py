@@ -18,7 +18,13 @@ from alphapath import (
 )
 from alphapath import oracle as oracle_module
 from alphapath import solver
-from alphapath.errors import BlowUpError, ConfigError, DomainError, HypothesisError
+from alphapath.errors import (
+    AlignmentError,
+    BlowUpError,
+    ConfigError,
+    DomainError,
+    HypothesisError,
+)
 from alphapath.oracle import SLOPE_MARGIN, SLOPE_WINDOW
 
 from conftest import polynomial_spec, tanh_spec
@@ -203,6 +209,38 @@ def test_dominance_rejects_segments_before_the_gate(monkeypatch, segments):
             bad, alpha=0.8, delta=0.05, n_paths=1, segments=segments,
             side="below", seed=0,
         )
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        (65, "65 segments do not divide the 64 solver steps, so the breakpoint "
+         "t=0.015384615384615385 does not fall on a solver node; nearest "
+         "divisors of 64: 64"),
+        (24, "24 segments do not divide the 64 solver steps, .*; nearest "
+         "divisors of 64: 16, 32"),
+    ],
+    ids=["more-segments-than-steps", "between-two-divisors"],
+)
+def test_dominance_rejects_misaligned_segments_before_any_work(
+    monkeypatch, segments, message
+):
+    # neither the alpha-path nor a surrogate is computed for a run whose
+    # breakpoints cannot fall on solver nodes
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work was done for a run that cannot start")
+
+    monkeypatch.setattr(oracle_module, "solve_alpha_path", unreachable)
+    monkeypatch.setattr(oracle_module, "sample_lipschitz_path", unreachable)
+    spec = tanh_spec(2, step=1.0 / 64)
+    with pytest.raises(AlignmentError, match=message):
+        dominance_check(spec, 0.8, 0.05, 50, segments, "below", 0)
+
+
+def test_dominance_rejects_an_invalid_spec_before_the_alignment_check():
+    spec = UdeSpec.from_strings(2, "x0", "1", [0.1, 0.0], 1.0, 0.0)
+    with pytest.raises(ConfigError, match="step must be positive"):
+        dominance_check(spec, 0.8, 0.05, 1, 4, "below", 0)
 
 
 def test_dominance_refuses_without_hypotheses():

@@ -18,7 +18,7 @@ import numpy as np
 from . import expr
 from .core import UdeSpec
 from .errors import ConfigError, DomainError, MonotonicityError
-from .solver import AlphaFan
+from .solver import AlphaFan, _STEP_FAILURES
 
 # finite-difference noise must not fail boundary cases like df/dx0 == 0,
 # so the monotonicity condition is tested against -TOL_CONDITION_H, not 0
@@ -155,6 +155,69 @@ def check_regularity(fan: AlphaFan) -> RegularityCheck:
     )
 
 
+def _partials_source(spec: UdeSpec) -> str:
+    """The one text of the condition-h audit, f and g inlined:
+    ``partials(t, y0, ..., y{n-1}, h)`` returns the central differences
+    (f(x0 + h) - f(x0 - h)) / (2h) and the same of g. Run over numpy columns
+    in the block namespace or over floats in the scalar one."""
+    y = [f"y{k}" for k in range(spec.order)]
+    names = expr.state_variables(spec.order)
+    hi, lo = (dict(zip(names, ["t", x, *y[1:]])) for x in ("hi", "lo"))
+    differences = ", ".join(
+        f"({expr._emit(tree, hi)} - {expr._emit(tree, lo)}) / w"
+        for tree in (spec.drift, spec.diffusion)
+    )
+    return (
+        f"def partials(t, {', '.join(y)}, h):\n"
+        "    hi = y0 + h\n"
+        "    lo = y0 - h\n"
+        "    w = 2.0 * h\n"
+        f"    return {differences}\n"
+    )
+
+
+def _block_partials(
+    partials, times: np.ndarray, states: np.ndarray, h: np.ndarray
+) -> np.ndarray | None:
+    """(points, 2) partials of f and g over a group of points in one call of
+    the block text, or None when it fails, meets a numpy floating-point error
+    or gives a partial that is not finite."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            df, dg = partials(times, *states.T, h)
+    except (*_STEP_FAILURES, FloatingPointError):
+        return None
+    values = np.column_stack((df, dg))  # each is a column: divided by the column w
+    return values if np.isfinite(values).all() else None
+
+
+def _scalar_partials(
+    spec: UdeSpec, partials, times: np.ndarray, states: np.ndarray, h: np.ndarray
+) -> np.ndarray:
+    """The same partials point by point through the scalar text. A point
+    where it fails or is not finite is evaluated again by ``expr.evaluate``,
+    whose NonFiniteError names the failing subexpression."""
+    names = expr.state_variables(spec.order)
+    values = np.empty((len(times), 2))
+    points = zip(times.tolist(), states.tolist(), h.tolist())
+    for i, (t, row, step) in enumerate(points):
+        try:
+            df, dg = partials(t, *row, step)
+        except _STEP_FAILURES:
+            df = dg = math.nan
+        if not (math.isfinite(df) and math.isfinite(dg)):
+            x = row[0]
+            hi_env = dict(zip(names, [t, x + step, *row[1:]]))
+            lo_env = dict(zip(names, [t, x - step, *row[1:]]))
+            df, dg = (
+                (expr.evaluate(tree, hi_env) - expr.evaluate(tree, lo_env))
+                / (2.0 * step)
+                for tree in (spec.drift, spec.diffusion)
+            )
+        values[i] = df, dg
+    return values
+
+
 def check_condition_h(
     spec: UdeSpec,
     fan: AlphaFan,
@@ -163,22 +226,32 @@ def check_condition_h(
 ) -> ConditionHCheck:
     """Finite-difference check that df/dx0 >= 0 and dg/dx0 >= 0.
 
-    Partials are sampled (a) at every node of every path and (b) at
+    Partials are taken (a) at every node of every path and (b) at
     ``samples`` pseudo-random points drawn from the bounding box of the
     fan's states inflated by 10 percent, with t uniform over the horizon.
     Each is a central difference with step FD_STEP_CONDITION_H * max(1, |x0|)
-    on the compiled f and g the solver integrates. A value is a violation
-    when it falls below -TOL_CONDITION_H. A point where f or g fails or is
-    not finite is re-run through ``expr.evaluate``, whose NonFiniteError
-    names the failing subexpression.
+    on the f and g the solver integrates, inlined into one generated text. A
+    value is a violation when it falls below -TOL_CONDITION_H.
+
+    The text runs once per path over the path's columns, then once over the
+    sampled points, in the expression compiler's block namespace: + - * /,
+    abs and sqrt are IEEE-exact numpy operations and the transcendental
+    functions are the scalar libm calls, so every partial has the bits of a
+    point-by-point evaluation. A group whose call fails, meets a numpy
+    floating-point error or gives a partial that is not finite is rerun point
+    by point through the same text in the scalar namespace, where a point
+    that still fails or is not finite is evaluated again by ``expr.evaluate``
+    (see ``_scalar_partials``). The minimum is the first smallest partial in
+    point order, f before g at each point.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     names = expr.state_variables(spec.order)
-    trees = (spec.drift, spec.diffusion)
-    f_fn, g_fn = (expr.compile_evaluator(tree, spec.order) for tree in trees)
+    source = _partials_source(spec)
+    block = expr._exec(source, block=True)["partials"]
+    scalar = expr._exec(source)["partials"]
 
     all_states = np.concatenate([p.states for p in fan.paths], axis=0)
     lo = all_states.min(axis=0)
@@ -187,45 +260,32 @@ def check_condition_h(
     rng = np.random.default_rng(seed)
     t_draw = rng.uniform(0.0, spec.horizon, samples)
     state_draw = rng.uniform(lo - pad, hi + pad, size=(samples, spec.order))
-
-    def points():
-        # one path's rows at a time, so the audit never holds every node
-        for path in fan.paths:
-            yield from zip(path.times.tolist(), path.states.tolist())
-        yield from zip(t_draw.tolist(), state_draw.tolist())
+    groups = [(path.times, path.states) for path in fan.paths]
+    groups.append((t_draw, state_draw))
 
     min_partial = math.inf
     min_function = "f"
     min_env: dict[str, float] = {}
     violations: list[dict] = []
-    for t, row in points():
-        x = row[0]
-        h = FD_STEP_CONDITION_H * max(1.0, abs(x))
-        try:
-            row[0] = x + h
-            f_hi, g_hi = f_fn(t, row), g_fn(t, row)
-            row[0] = x - h
-            f_lo, g_lo = f_fn(t, row), g_fn(t, row)
-            df = (f_hi - f_lo) / (2.0 * h)
-            dg = (g_hi - g_lo) / (2.0 * h)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            df = dg = math.nan
-        row[0] = x
-        if not (math.isfinite(df) and math.isfinite(dg)):
-            hi_env = dict(zip(names, [t, x + h, *row[1:]]))
-            lo_env = dict(zip(names, [t, x - h, *row[1:]]))
-            df, dg = (
-                (expr.evaluate(tree, hi_env) - expr.evaluate(tree, lo_env)) / (2.0 * h)
-                for tree in trees
-            )
-        for label, value in (("f", df), ("g", dg)):
-            if value < min_partial:
-                min_partial = value
-                min_function = label
-                min_env = dict(zip(names, [t, *row]))
-            if value < -TOL_CONDITION_H:
-                env = dict(zip(names, [t, *row]))
-                violations.append({"function": label, "env": env, "value": value})
+    for times, states in groups:
+        h = FD_STEP_CONDITION_H * np.maximum(1.0, np.abs(states[:, 0]))
+        values = _block_partials(block, times, states, h)
+        if values is None:
+            values = _scalar_partials(spec, scalar, times, states, h)
+        flat = values.ravel()  # point by point, f then g
+
+        def env(i: int) -> dict[str, float]:
+            point = i // 2
+            return dict(zip(names, [float(times[point]), *states[point].tolist()]))
+
+        first = int(np.argmin(flat))
+        if flat[first] < min_partial:
+            min_partial = float(flat[first])
+            min_function = "fg"[first % 2]
+            min_env = env(first)
+        for i in np.nonzero(flat < -TOL_CONDITION_H)[0].tolist():
+            label, value = "fg"[i % 2], float(flat[i])
+            violations.append({"function": label, "env": env(i), "value": value})
     return ConditionHCheck(
         passed=not violations,
         sampled_points=samples + sum(len(path.times) for path in fan.paths),

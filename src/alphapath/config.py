@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import expr
-from .core import AlphaGridSpec, UdeSpec
+from .core import AlphaGridSpec, UdeSpec, grid_problems
 from .errors import AlphaPathError, ConfigError
+from .oracle import CHUNK_PATHS
 
 Scalar = bool | int | float | str
 Value = Scalar | list[Scalar]
@@ -50,6 +51,13 @@ KNOWN_KEYS = {
 REQUIRED_KEYS = ("order", "f", "g", "initial", "horizon", "step")
 
 FORMATS = ("csv", "json")
+
+# most state values a run may store: (N+1) nodes x rows x order, where rows is
+# the wider of the run's batches, the alpha grid or one chunk of the oracle's
+# sample paths. The solver allocates a batch's states up front, so a larger
+# run fails here (exit 2) instead of exhausting memory. 10**7 doubles are
+# 80 MB; the README fan with its oracle stores 400,400.
+MAX_STATE_VALUES = 10**7
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,28 @@ def _as_string(values, lines, key) -> str:
     return v
 
 
+def _check_size(spec: UdeSpec, count: int, n_paths: int, lines) -> None:
+    """Refuse a run that would store more than MAX_STATE_VALUES state values,
+    naming `step` when one path alone is over the cap and otherwise the key
+    that sets the row count."""
+    nodes = spec.step_count + 1
+    oracle_rows = min(n_paths, CHUNK_PATHS)
+    rows = max(count, oracle_rows)
+    stored = nodes * rows * spec.order
+    if stored <= MAX_STATE_VALUES:
+        return
+    if nodes * spec.order > MAX_STATE_VALUES:
+        key = "step"
+    else:
+        key = "alpha.count" if count >= oracle_rows else "oracle.n_paths"
+    raise ConfigError(
+        f"{_context(lines, key)}the run would store {stored} state values "
+        f"({nodes} nodes x {rows} rows x order {spec.order}), over the cap of "
+        f"{MAX_STATE_VALUES}; raise `step` or lower `alpha.count` or "
+        "`oracle.n_paths`"
+    )
+
+
 def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
     """Validate keys, build the problem objects, and keep the raw echo."""
     unknown = sorted(set(values) - KNOWN_KEYS)
@@ -190,13 +220,19 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
             raise ConfigError(
                 f"{_context(lines, key)}`{key}` does not parse: {exc}"
             ) from exc
+    horizon = _as_number(values, lines, "horizon")
+    step = _as_number(values, lines, "step")
+    problems = grid_problems(horizon, step)
+    if problems:
+        key, problem = problems[0]
+        raise ConfigError(f"{_context(lines, key)}{problem}")
     spec = UdeSpec(
         order=order,
         drift=trees["f"],
         diffusion=trees["g"],
         initial=tuple(float(v) for v in initial),
-        horizon=_as_number(values, lines, "horizon"),
-        step=_as_number(values, lines, "step"),
+        horizon=horizon,
+        step=step,
     )
 
     count = 99
@@ -240,6 +276,7 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
             )
         oracle_kwargs["alphas"] = tuple(float(a) for a in v)
     oracle = OracleSettings(**oracle_kwargs)
+    _check_size(spec, count, oracle.n_paths, lines)
 
     directory = None
     if "output.directory" in values:

@@ -72,6 +72,35 @@ class UdeSpec:
         return int(round(self.horizon / self.step))
 
 
+def grid_problems(horizon: float, step: float) -> list[tuple[str, str]]:
+    """Problems of the time grid, each with the key (``horizon`` or ``step``)
+    whose value is at fault; empty when horizon / step is a positive integer
+    node count."""
+    problems: list[tuple[str, str]] = []
+    horizon_ok = math.isfinite(horizon) and horizon > 0
+    step_ok = math.isfinite(step) and step > 0
+    if not horizon_ok:
+        problems.append(
+            ("horizon", f"horizon must be positive and finite, got {horizon!r}")
+        )
+    if not step_ok:
+        problems.append(("step", f"step must be positive and finite, got {step!r}"))
+    if horizon_ok and step_ok:
+        if step > horizon:
+            problems.append(("step", f"step {step} exceeds horizon {horizon}"))
+        else:
+            ratio = horizon / step
+            if abs(ratio - round(ratio)) > 1e-9:
+                problems.append(
+                    (
+                        "step",
+                        f"horizon/step = {ratio!r} is not an integer node count "
+                        "(within 1e-9)",
+                    )
+                )
+    return problems
+
+
 def validate_spec(spec: UdeSpec) -> list[str]:
     """Check every spec invariant; returns all problems found (empty = valid)."""
     problems: list[str] = []
@@ -85,24 +114,7 @@ def validate_spec(spec: UdeSpec) -> list[str]:
         )
     if any(not math.isfinite(v) for v in spec.initial):
         problems.append("initial conditions must all be finite")
-    horizon_ok = math.isfinite(spec.horizon) and spec.horizon > 0
-    step_ok = math.isfinite(spec.step) and spec.step > 0
-    if not horizon_ok:
-        problems.append(f"horizon must be positive and finite, got {spec.horizon!r}")
-    if not step_ok:
-        problems.append(f"step must be positive and finite, got {spec.step!r}")
-    if horizon_ok and step_ok:
-        if spec.step > spec.horizon:
-            problems.append(
-                f"step {spec.step} exceeds horizon {spec.horizon}"
-            )
-        else:
-            ratio = spec.horizon / spec.step
-            if abs(ratio - round(ratio)) > 1e-9:
-                problems.append(
-                    f"horizon/step = {ratio!r} is not an integer node count "
-                    "(within 1e-9)"
-                )
+    problems += [problem for _, problem in grid_problems(spec.horizon, spec.step)]
     if order_ok:
         legal = set(expr.state_variables(spec.order))
         exposed = ", ".join(expr.state_variables(spec.order))

@@ -17,7 +17,7 @@ import functools
 import math
 from dataclasses import dataclass
 from types import CodeType
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Union
 
 import numpy as np
 
@@ -458,22 +458,6 @@ _BLOCK_NAMESPACE = {
     "sqrt": np.sqrt,
     "all": np.logical_and.reduce,
 }
-
-
-def compile_evaluator(
-    ast: ExprAst, order: int
-) -> Callable[[float, Sequence[float]], float]:
-    """Compile the tree to a Python function of (t, y) where y[k] binds xk.
-
-    The generated code performs the same operations in the same order as
-    evaluate(), so results are bit-identical; domain failures surface as
-    ValueError / OverflowError / ZeroDivisionError (the solver translates
-    them). Variables outside t, x0..x{order-1} are rejected here.
-    """
-    row = [f"y[{k}]" for k in range(order)]
-    names = dict(zip(state_variables(order), ["t", *row]))
-    source = f"def _compiled(t, y):\n    return {_emit(ast, names)}\n"
-    return _exec(source)["_compiled"]
 
 
 def _exec(source: str, block: bool = False) -> dict:

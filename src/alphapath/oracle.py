@@ -91,7 +91,9 @@ class DominanceReport:
     """Outcome of one dominance run: all sampled trajectories vs one alpha-path.
 
     ``min_margin`` is the closest approach over every path and node t >= h:
-    x_t^alpha - x_t(sample) on the below side, the reverse above. Violations
+    x_t^alpha - x_t(sample) on the below side, the reverse above. It is
+    located at the first smallest margin, in path order and then node order:
+    path index ``min_margin_path`` at time ``min_margin_time``. Violations
     are sorted by (path index, t).
     """
 
@@ -101,6 +103,8 @@ class DominanceReport:
     paths_tested: int
     violations: list[tuple[int, float, float, float]]  # (path, t, x_sample, x_alpha)
     min_margin: float
+    min_margin_path: int
+    min_margin_time: float
 
     @property
     def passed(self) -> bool:
@@ -114,6 +118,8 @@ class DominanceReport:
             "paths_tested": self.paths_tested,
             "passed": self.passed,
             "min_margin": self.min_margin,
+            "min_margin_path": self.min_margin_path,
+            "min_margin_time": self.min_margin_time,
             "violations_total": len(self.violations),
             "violations": [list(v) for v in self.violations[:1000]],
         }
@@ -238,7 +244,7 @@ def dominance_check(
     reference = target.position
     times = target.times
     violations: list[tuple[int, float, float, float]] = []
-    min_margin = math.inf
+    min_margin, min_margin_path, min_margin_time = math.inf, -1, math.nan
     for first in range(0, n_paths, CHUNK_PATHS):
         chunk = range(first, min(first + CHUNK_PATHS, n_paths))
         slopes = np.empty((len(chunk), segments))
@@ -253,9 +259,10 @@ def dominance_check(
                 margin = reference[1:] - sampled[1:]
             else:
                 margin = sampled[1:] - reference[1:]
-            running_min = float(margin.min())
-            if running_min < min_margin:
-                min_margin = running_min
+            j = int(np.argmin(margin))
+            if margin[j] < min_margin:
+                min_margin = float(margin[j])
+                min_margin_path, min_margin_time = k, float(times[j + 1])
             for j in np.nonzero(margin <= 0.0)[0]:
                 violations.append(
                     (
@@ -272,4 +279,6 @@ def dominance_check(
         paths_tested=n_paths,
         violations=violations,
         min_margin=min_margin,
+        min_margin_path=min_margin_path,
+        min_margin_time=min_margin_time,
     )

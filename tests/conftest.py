@@ -10,10 +10,12 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from alphapath import AlphaGridSpec, RegularityCheck, UdeSpec, alpha_grid, solve_fan
-from alphapath.expr import compile_evaluator, evaluate
+from alphapath.analysis import TOL_CONDITION_H
+from alphapath.expr import _emit, _exec, evaluate, state_variables
 
 
 def polynomial_spec(order: int, initial=None, horizon=1.0, step=1e-3) -> UdeSpec:
@@ -72,6 +74,46 @@ def reference_partial_fd(ast, var, env, eps=1e-6):
     hi = {**env, var: x + h}
     lo = {**env, var: x - h}
     return (evaluate(ast, hi) - evaluate(ast, lo)) / (2.0 * h)
+
+
+def compile_evaluator(ast, order: int):
+    """The tree compiled to a Python function of (t, y), y[k] binding xk, in
+    the scalar namespace of the generated code: the same operations in the
+    same order as evaluate(), so results are bit-identical where evaluate
+    succeeds; domain failures surface as ValueError / OverflowError /
+    ZeroDivisionError."""
+    row = [f"y[{k}]" for k in range(order)]
+    names = dict(zip(state_variables(order), ["t", *row]))
+    source = f"def _compiled(t, y):\n    return {_emit(ast, names)}\n"
+    return _exec(source)["_compiled"]
+
+
+def reference_condition_h(spec, fan, samples, seed):
+    """The condition-h audit written out over env dicts and the tree-walking
+    evaluator: every node of every path, then the sampled points, f before
+    g. Returns the first smallest (function, env, partial) and the
+    violations."""
+    names = state_variables(spec.order)
+    states = np.concatenate([p.states for p in fan.paths], axis=0)
+    lo, hi = states.min(axis=0), states.max(axis=0)
+    pad = 0.05 * (hi - lo)
+    rng = np.random.default_rng(seed)
+    t_draw = rng.uniform(0.0, spec.horizon, samples)
+    state_draw = rng.uniform(lo - pad, hi + pad, size=(samples, spec.order))
+    points = [(t, row) for p in fan.paths for t, row in zip(p.times, p.states)]
+    points += list(zip(t_draw, state_draw))
+    partials = []
+    for t, row in points:
+        env = dict(zip(names, [float(t), *map(float, row)]))
+        for label, tree in (("f", spec.drift), ("g", spec.diffusion)):
+            partials.append((label, env, reference_partial_fd(tree, "x0", env)))
+    minimum = min(partials, key=lambda entry: entry[2])
+    violations = [
+        {"function": label, "env": env, "value": value}
+        for label, env, value in partials
+        if value < -TOL_CONDITION_H
+    ]
+    return minimum, violations
 
 
 def reference_regularity(fan) -> RegularityCheck:

@@ -23,20 +23,18 @@ from alphapath import (
     phi_inv,
     solve_fan,
 )
-from alphapath import expr
-from alphapath.analysis import TOL_CONDITION_H
+from alphapath import analysis, expr
 from alphapath.errors import (
     ConfigError,
     DomainError,
     MonotonicityError,
     NonFiniteError,
 )
-from alphapath.expr import state_variables
 
 from conftest import (
     SMALL_GRID,
     polynomial_spec,
-    reference_partial_fd,
+    reference_condition_h,
     reference_regularity,
     tanh_spec,
 )
@@ -138,7 +136,7 @@ def test_regularity_reads_the_recorded_diffusion(tanh_fan_small, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("g evaluated again")
 
-    monkeypatch.setattr(expr, "compile_evaluator", forbidden)
+    monkeypatch.setattr(expr, "_exec", forbidden)
     monkeypatch.setattr(expr, "evaluate", forbidden)
     assert _regularity_bits(check_regularity(fan)) == _regularity_bits(expected)
 
@@ -186,50 +184,73 @@ def test_condition_h_deterministic():
     assert a == b
 
 
-def _reference_condition_h(spec, fan, samples, seed):
-    """The audit written out over env dicts and the tree-walking evaluator:
-    every node of every path, then the sampled points, f before g. Returns
-    the first smallest (function, env, partial) and the violations."""
-    names = state_variables(spec.order)
-    states = np.concatenate([p.states for p in fan.paths], axis=0)
-    lo, hi = states.min(axis=0), states.max(axis=0)
-    pad = 0.05 * (hi - lo)
-    rng = np.random.default_rng(seed)
-    t_draw = rng.uniform(0.0, spec.horizon, samples)
-    state_draw = rng.uniform(lo - pad, hi + pad, size=(samples, spec.order))
-    points = [(t, row) for p in fan.paths for t, row in zip(p.times, p.states)]
-    points += list(zip(t_draw, state_draw))
-    partials = []
-    for t, row in points:
-        env = dict(zip(names, [float(t), *map(float, row)]))
-        for label, tree in (("f", spec.drift), ("g", spec.diffusion)):
-            partials.append((label, env, reference_partial_fd(tree, "x0", env)))
-    minimum = min(partials, key=lambda entry: entry[2])
-    violations = [
-        {"function": label, "env": env, "value": value}
-        for label, env, value in partials
-        if value < -TOL_CONDITION_H
+# position columns of order-1 fans: in the first, only the middle path has a
+# node (x0 = 0.5) where a difference overflows; in the second, no path node
+# lies where the partial of 1.7e308*tanh(2*x0) overflows (|x0| < 0.41), but
+# sampled points do
+ONE_PATH_FALLS_BACK = np.array(
+    [
+        [1.0, 1.25, 1.5, 1.75, 2.0],
+        [0.3, 0.4, 0.5, 0.6, 0.7],
+        [3.0, 3.25, 3.5, 3.75, 4.0],
     ]
-    return minimum, violations
+)
+SAMPLES_FALL_BACK = np.array(
+    [[1.0, 1.25, 1.5, 1.75, 2.0], [-2.0, -1.75, -1.5, -1.25, -1.0]]
+)
+
+# (order, f, g, position columns or None for the solved 9-alpha tanh fan,
+# the groups rerun through the scalar text: path indices, "samples")
+CONDITION_H_CASES = [
+    (2, "x0", "2 + tanh(x0)", None, []),
+    (2, "0-x0", "1", None, []),
+    (2, "t", "3 - tanh(x0)", None, []),
+    # every partial is 0.0: the first point holds the minimum
+    (2, "t", "1", None, []),
+    (3, "x0*sin(t) + x1 - x2^2", "2 + tanh(x0) - 0.1*x2", None, []),
+    # the difference of two finite values overflows at x0 = 0.1, where every
+    # path starts: partials of +-inf, every path rerun
+    (
+        2,
+        "1.7e308*tanh(1e9*(x0 - 0.1))",
+        "0 - 1.7e308*tanh(1e9*(x0 - 0.1))",
+        None,
+        list(range(9)),
+    ),
+    (2, "1", "2 + tanh(x0)", None, []),
+    (2, "abs(x0 - 0.2) + x1^2", "sqrt(x0 + 5) + (x0 + 5)^1.5 - x0^3", None, []),
+    # the minimum (-inf, for g) lies in the rerun path, violations (f) in all
+    (1, "0 - x0", "0 - 1.7e308*tanh(1e9*(x0 - 0.5))", ONE_PATH_FALLS_BACK, [1]),
+    # +inf partials of f; the minimum and the violations of g in the samples
+    (1, "1.7e308*tanh(2*x0)", "x0^3 - 2*x0", SAMPLES_FALL_BACK, ["samples"]),
+]
 
 
 @pytest.mark.parametrize(
-    "order, f, g",
-    [
-        (2, "x0", "2 + tanh(x0)"),
-        (2, "0-x0", "1"),
-        (2, "t", "3 - tanh(x0)"),
-        (2, "t", "1"),  # every partial is 0.0: the first point holds the minimum
-        (3, "x0*sin(t) + x1 - x2^2", "2 + tanh(x0) - 0.1*x2"),
-        # the difference of two finite values overflows: partials of +-inf
-        (2, "1.7e308*tanh(1e9*(x0 - 0.1))", "0 - 1.7e308*tanh(1e9*(x0 - 0.1))"),
-    ],
+    "order, f, g, columns, rerun",
+    CONDITION_H_CASES,
+    ids=[f"{order}-{f}-{g}" for order, f, g, _, _ in CONDITION_H_CASES],
 )
-def test_condition_h_matches_reference_bitwise(order, f, g):
-    fan = solve_fan(tanh_spec(order, step=1e-2), alpha_grid(SMALL_GRID))
-    spec = UdeSpec.from_strings(order, f, g, fan.spec.initial, 1.0, 1e-2)
+def test_condition_h_matches_reference_bitwise(
+    order, f, g, columns, rerun, monkeypatch
+):
+    if columns is None:
+        fan = solve_fan(tanh_spec(order, step=1e-2), alpha_grid(SMALL_GRID))
+    else:
+        fan = _synthetic_fan(columns, [0.25, 0.5, 0.75][: len(columns)])
+    spec = UdeSpec.from_strings(order, f, g, fan.spec.initial, 1.0, fan.spec.step)
+    scalar_groups = []
+
+    def spy(spec, partials, times, states, h):
+        paths = [k for k, p in enumerate(fan.paths) if p.states is states]
+        scalar_groups.extend(paths or ["samples"])
+        return scalar_partials(spec, partials, times, states, h)
+
+    scalar_partials = analysis._scalar_partials
+    monkeypatch.setattr(analysis, "_scalar_partials", spy)
     report = check_condition_h(spec, fan, samples=64, seed=11)
-    (label, env, value), violations = _reference_condition_h(spec, fan, 64, 11)
+    assert scalar_groups == rerun
+    (label, env, value), violations = reference_condition_h(spec, fan, 64, 11)
     assert report.min_partial.hex() == value.hex()
     assert (report.min_function, report.min_env) == (label, env)
     assert report.violations == violations
@@ -237,6 +258,25 @@ def test_condition_h_matches_reference_bitwise(order, f, g):
         v["value"].hex() for v in violations
     ]
     assert report.passed == (not violations)
+    if rerun == [1]:
+        assert (label, value, env["x0"]) == ("g", -math.inf, 0.5)
+    if rerun == ["samples"]:  # no path node has |x0| < 1
+        assert label == "g" and abs(env["x0"]) < 1.0
+
+
+def test_condition_h_keeps_an_overflow_that_a_later_operation_absorbs(
+    tanh_fan_small,
+):
+    # 1e308*(x0 + 10) overflows to inf and tanh takes it to 1.0: the block
+    # meets the overflow, the scalar text absorbs it as the solver's step
+    # does, and every partial of f reads 0.0; evaluate would refuse the point
+    _, fan = tanh_fan_small
+    spec = UdeSpec.from_strings(2, "tanh(1e308*(x0 + 10))", "1", [0.1, 0.0], 1.0, 1e-2)
+    report = check_condition_h(spec, fan, samples=16, seed=3)
+    assert report.passed
+    assert report.min_partial.hex() == (0.0).hex()
+    with pytest.raises(NonFiniteError):
+        expr.evaluate(spec.drift, {"t": 0.0, "x0": 0.1, "x1": 0.0})
 
 
 def test_condition_h_rejects_nonfinite_values_that_do_not_raise():

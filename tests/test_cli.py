@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from alphapath import AlphaGridSpec, alpha_grid, phi_inv, solve_fan
+from alphapath import config as config_module
 from alphapath import oracle
 from alphapath.cli import _write_text, main
 from alphapath.config import load_config, parse_config_text
@@ -563,6 +564,61 @@ def test_order_disagreeing_with_initial_exits_2_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert "line 2: `order` = 1000000000000 disagrees with the 2 values" in err
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("step    = 0.0025", "step    = 1e-10", "line 7: the run would store"),
+        ("alpha.count = 9", "alpha.count = 1000000000", "line 8: the run would"),
+        ("alpha.count = 9", "alpha.count = 1000000001", "line 8: the run would"),
+        ("oracle.n_paths  = 6", "oracle.n_paths  = 10000", "line 10: the run"),
+    ],
+    ids=["step", "alpha-count-even", "alpha-count-odd", "oracle-n-paths"],
+)
+def test_oversized_runs_exit_2_before_any_allocation(
+    tmp_path, capsys, monkeypatch, old, new, named
+):
+    # 1024 oracle rows (one chunk of 10,000 paths) x 401 nodes x order 2 is
+    # 821,248 values: over a cap lowered to 10**5, far under the real one
+    if "n_paths" in new:
+        monkeypatch.setattr(config_module, "MAX_STATE_VALUES", 10**5)
+    cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    start = time.perf_counter()
+    for command in ("solve", "check", "oracle"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg, "--out", out]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert named in err
+    assert f"over the cap of {config_module.MAX_STATE_VALUES}" in err
+
+
+def test_size_cap_is_far_above_the_documented_runs():
+    # the README fan with the default 200 oracle paths: 200 x 1001 x 2
+    readme = BASE_CONFIG.replace("step    = 0.0025", "step    = 0.001").replace(
+        "alpha.count = 9", "alpha.count = 99"
+    ).replace("oracle.n_paths  = 6", "oracle.n_paths  = 200")
+    config = config_module.build_config(*parse_config_text(readme))
+    stored = (config.spec.step_count + 1) * 200 * config.spec.order
+    assert stored == 400_400
+    assert 20 * stored < config_module.MAX_STATE_VALUES
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("horizon = 1.0", "horizon = -1.0", "line 6: horizon must be positive"),
+        ("step    = 0.0025", "step    = 0", "line 7: step must be positive"),
+        ("step    = 0.0025", "step    = 2.0", "line 7: step 2.0 exceeds horizon"),
+        ("step    = 0.0025", "step    = 0.003", "line 7: horizon/step = "),
+    ],
+    ids=["horizon", "step", "step-over-horizon", "ratio"],
+)
+def test_grid_problems_name_their_line(tmp_path, capsys, old, new, message):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_run_json_drops_sections_of_another_config(tmp_path):

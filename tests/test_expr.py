@@ -21,7 +21,6 @@ from alphapath.expr import (
     Const,
     Neg,
     Var,
-    compile_evaluator,
     depth,
     evaluate,
     parse,
@@ -32,7 +31,7 @@ from alphapath.expr import (
     variables_of,
 )
 
-from conftest import reference_partial_fd
+from conftest import compile_evaluator, reference_partial_fd
 
 # expressions exercised by the round-trip and compilation tests
 CORPUS = [

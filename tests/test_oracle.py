@@ -312,3 +312,43 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
         solve_sample_path(spec, slope_k_path(0, "", 1.0, 1, 3))
     assert str(excinfo.value) == str(alone.value)
     assert excinfo.value.last_good_time > 0.5
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, tied):
+    # tied: every path draws the same surrogate, so each margin is tied across
+    # paths and the first path holds the minimum
+    if tied:
+        draw = sample_lipschitz_path
+
+        def same_surrogate(bound, side, horizon, segments, seed):
+            return draw(bound, side, horizon, segments, 0)
+
+        monkeypatch.setattr(oracle_module, "sample_lipschitz_path", same_surrogate)
+    spec = tanh_spec(2, step=1.0 / 64)
+    report = dominance_check(
+        spec, alpha=0.6, delta=0.05, n_paths=5, segments=4, side=side, seed=1
+    )
+    target = solve_alpha_path(spec, 0.6)
+    bound = phi_inv(0.55 if side == "below" else 0.65)
+    best = (np.inf, -1, np.nan)
+    for k in range(5):
+        surrogate = oracle_module.sample_lipschitz_path(
+            bound, side, 1.0, 4, oracle_module._path_seed(1, k)
+        )
+        sampled = solve_sample_path(spec, surrogate).position
+        for j in range(1, len(target.times)):
+            gap = target.position[j] - sampled[j]
+            margin = gap if side == "below" else -gap
+            if margin < best[0]:
+                best = (float(margin), k, float(target.times[j]))
+    located = (report.min_margin, report.min_margin_path, report.min_margin_time)
+    assert located == best
+    exported = report.to_dict()
+    assert (
+        exported["min_margin"],
+        exported["min_margin_path"],
+        exported["min_margin_time"],
+    ) == best
+    assert (best[1] == 0) if tied else (best[1] > 0)

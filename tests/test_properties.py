@@ -1,15 +1,19 @@
-"""Property tests of the expression DSL and the config loader.
+"""Property tests of the expression DSL, the condition-H audit, the config
+loader and the CLI.
 
 Examples are derandomized, so every run checks the same inputs.
 """
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphapath import UdeSpec, integral_residual
+from alphapath import AlphaFan, UdeSpec, check_condition_h, integral_residual
+from alphapath.cli import main
 from alphapath.config import KNOWN_KEYS, RunConfig, build_config, parse_config_text
 from alphapath.errors import ConfigError, NonFiniteError, ParseError
 from alphapath.expr import (
@@ -22,7 +26,6 @@ from alphapath.expr import (
     Var,
     _emit,
     _exec,
-    compile_evaluator,
     depth,
     evaluate,
     parse_source,
@@ -31,6 +34,8 @@ from alphapath.expr import (
     variables_of,
 )
 from alphapath.solver import AlphaPath, _compile_step
+
+from conftest import compile_evaluator, reference_condition_h
 
 ORDER = 3
 SETTINGS = settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -114,6 +119,33 @@ def test_block_equals_compiled_bitwise(tree, t, seed):
         assert value.hex() == scalar(t, row).hex()
 
 
+@settings(SETTINGS, max_examples=100)
+@given(state_trees, trees, st.integers(0, 2**32 - 1))
+def test_condition_h_equals_the_reference_bitwise(f, g, seed):
+    # two paths of four nodes at random states, 8 sampled points: each group
+    # runs as a block or, where the block fails, point by point; wherever the
+    # tree-walking reference is defined, every field has its bits
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, 1.0, 4)
+    paths = [
+        AlphaPath(times, rng.uniform(-3.0, 3.0, (4, ORDER)), np.ones(4), alpha=a)
+        for a in (0.25, 0.75)
+    ]
+    spec = UdeSpec(ORDER, f, g, tuple(paths[0].states[0]), 1.0, 1.0 / 3.0)
+    fan = AlphaFan(spec, [0.25, 0.75], paths)
+    try:
+        (label, env, value), violations = reference_condition_h(spec, fan, 8, seed)
+    except NonFiniteError:
+        return
+    report = check_condition_h(spec, fan, samples=8, seed=seed)
+    assert (report.min_function, report.min_env) == (label, env)
+    assert report.min_partial.hex() == value.hex()
+    assert report.violations == violations
+    assert [v["value"].hex() for v in report.violations] == [
+        v["value"].hex() for v in violations
+    ]
+
+
 @settings(SETTINGS, max_examples=20)
 @given(deep_trees())
 def test_every_accepted_tree_compiles(tree):
@@ -169,3 +201,62 @@ def test_config_text_builds_or_raises_config_error(f, changes, noise):
     except ConfigError:
         return
     assert isinstance(config, RunConfig)
+
+
+# a small valid run (16 steps, 5 alphas, 2 oracle paths of 2 segments), its
+# f and g drawn from expressions that hold, fail, overflow or violate the
+# hypotheses, and up to three keys replaced by values valid or not; the one
+# large value, an alpha count, is refused by the run-size cap
+SMALL_RUN = {
+    "order": "2",
+    "initial": "[0.1, 0]",
+    "horizon": "1.0",
+    "step": "0.0625",
+    "alpha.count": "5",
+    "alpha.lo": "0.1",
+    "oracle.n_paths": "2",
+    "oracle.segments": "2",
+}
+expressions = st.sampled_from(
+    [
+        "x0", "2 + tanh(x0)", "x0 + t", "1", "t - 0.5", "0-x0", "x1",
+        "ln(x0)", "1/(x0 - 0.1)", "exp(1000*x0)", "1e308*x0*10", "x0 +",
+    ]
+).map(lambda s: f'"{s}"')
+CLI_VALUES = {
+    "order": ["1", "3", "0", "x"],
+    "initial": ["[0.1]", "[0.1, 0, 0]", "[]", "[nan, 0]", "[1e300, 0]"],
+    "horizon": ["0.5", "0", "-1", "nan"],
+    "step": ["0.25", "0.125", "0.3", "0", "2"],
+    "alpha.count": ["3", "4", "1", "1000000001"],
+    "alpha.lo": ["0.01", "0", "0.7"],
+    "alpha.symmetric": ["false", "1"],
+    "oracle.delta": ["0.5", "0", "-1"],
+    "oracle.n_paths": ["1", "0"],
+    "oracle.segments": ["1", "3", "0"],
+    "oracle.seed": ["7", "-1"],
+    "oracle.alphas": ["[0.5]", "[]", "[1.5]", "[0.01]"],
+    "output.formats": ["[json]", "[csv, json]", "[xml]"],
+}
+overrides = st.lists(
+    st.sampled_from(sorted(CLI_VALUES)).flatmap(
+        lambda key: st.sampled_from(CLI_VALUES[key]).map(lambda v: (key, v))
+    ),
+    max_size=3,
+)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(expressions, expressions, overrides, st.sampled_from(["1.0", "0.5", "0", "2"]))
+def test_every_command_maps_a_generated_config_to_an_exit_code(f, g, changes, t):
+    config = {**SMALL_RUN, "f": f, "g": g, **dict(changes)}
+    text = "".join(f"{key} = {value}\n" for key, value in config.items())
+    with tempfile.TemporaryDirectory() as workdir:
+        path = f"{workdir}/run.conf"
+        with open(path, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        for command in ("solve", "check", "dist", "oracle"):
+            argv = [command, "--config", path, "--out", f"{workdir}/out", "--force"]
+            if command == "dist":
+                argv += ["--t", t]
+            assert main(argv) in (0, 2, 3, 4, 5), (command, text)

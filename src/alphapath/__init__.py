@@ -47,6 +47,7 @@ from .oracle import (
     DominanceReport,
     SamplePath,
     dominance_check,
+    dominance_checks,
     sample_lipschitz_path,
 )
 from .errors import (
@@ -100,6 +101,7 @@ __all__ = [
     "check_regularity",
     "distribution_at",
     "dominance_check",
+    "dominance_checks",
     "expected_value",
     "integral_residual",
     "inverse_distribution",

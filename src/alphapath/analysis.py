@@ -389,8 +389,8 @@ class DistributionPoint:
     saturated: bool
 
 
-def _snap_to_node(fan: AlphaFan, t: float) -> int:
-    times = fan.paths[0].times
+def snap_to_node(times: np.ndarray, t: float) -> int:
+    """Index of the node of the uniform grid ``times`` nearest t (h/2 at most)."""
     horizon = float(times[-1])
     if len(times) < 2:
         raise ConfigError("fan has no interior nodes")
@@ -410,7 +410,7 @@ def inverse_distribution(fan: AlphaFan, t: float) -> DistributionTable:
     Requires strict monotonicity across alphas at that node; at t = 0 the
     table is the common initial value, returned flagged degenerate instead.
     """
-    j = _snap_to_node(fan, t)
+    j = snap_to_node(fan.paths[0].times, t)
     column = np.array([p.position[j] for p in fan.paths])
     if j > 0 and len(fan.paths) > 1 and not (np.diff(column) > 0.0).all():
         raise MonotonicityError(

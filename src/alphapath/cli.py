@@ -37,7 +37,7 @@ from .errors import (
     MonotonicityError,
     NonFiniteError,
 )
-from .solver import AlphaFan, solve_fan
+from .solver import AlphaFan, solve_fan, time_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -222,6 +222,7 @@ def cmd_check(config: RunConfig, outdir: Path) -> int:
 
 
 def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
+    analysis.snap_to_node(time_grid(config.spec), t)  # a bad t fails before the solve
     fan = _solve_configured_fan(config)
     table = analysis.inverse_distribution(fan, t)
     name = f"dist_t{t:g}"
@@ -253,27 +254,23 @@ def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
 
 def cmd_oracle(config: RunConfig, outdir: Path) -> int:
     settings = config.oracle
-    reports = []
-    for alpha in settings.alphas:
-        target = None  # solved and gated once, for the first side it is needed
-        for side in oracle.SIDES:
-            # dominance_check's arguments, checked before the gate can refuse
-            args = (alpha, settings.delta, settings.n_paths, settings.segments, side)
-            try:
-                oracle._check_arguments(config.spec, *args)
-            except AlignmentError as exc:
-                origin = (
-                    f"line {config.lines['oracle.segments']}: `oracle.segments`"
-                    if "oracle.segments" in config.lines
-                    else f"`oracle.segments` is not set, so the default "
-                    f"{settings.segments} applies"
-                )
-                raise AlignmentError(f"{origin}: {exc}") from exc
-            if target is None:
-                target = oracle._gated_target(config.spec, alpha, settings.seed)
-            reports.append(
-                oracle.dominance_check(config.spec, *args, settings.seed, target=target)
-            )
+    try:
+        reports = oracle.dominance_checks(
+            config.spec,
+            settings.alphas,
+            settings.delta,
+            settings.n_paths,
+            settings.segments,
+            settings.seed,
+        )
+    except AlignmentError as exc:
+        origin = (
+            f"line {config.lines['oracle.segments']}: `oracle.segments`"
+            if "oracle.segments" in config.lines
+            else f"`oracle.segments` is not set, so the default "
+            f"{settings.segments} applies"
+        )
+        raise AlignmentError(f"{origin}: {exc}") from exc
     passed = all(r.passed for r in reports)
     _write_json(
         outdir / "oracle.json",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import expr
-from .core import AlphaGridSpec, UdeSpec, grid_problems
+from .core import AlphaGridSpec, UdeSpec, alpha_grid_problems, grid_problems
 from .errors import AlphaPathError, ConfigError
 from .oracle import CHUNK_PATHS
 
@@ -235,13 +235,11 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
         step=step,
     )
 
-    count = 99
-    lo = 0.01
-    symmetric = True
+    grid_kwargs: dict = {}
     if "alpha.count" in values:
-        count = _as_number(values, lines, "alpha.count", int)
+        grid_kwargs["count"] = _as_number(values, lines, "alpha.count", int)
     if "alpha.lo" in values:
-        lo = _as_number(values, lines, "alpha.lo")
+        grid_kwargs["lo"] = _as_number(values, lines, "alpha.lo")
     if "alpha.symmetric" in values:
         v = values["alpha.symmetric"]
         if not isinstance(v, bool):
@@ -249,8 +247,8 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
                 f"{_context(lines, 'alpha.symmetric')}`alpha.symmetric` must be "
                 f"true or false, got {v!r}"
             )
-        symmetric = v
-    grid = AlphaGridSpec(count=count, lo=lo, symmetric=symmetric)
+        grid_kwargs["symmetric"] = v
+    grid = AlphaGridSpec(**grid_kwargs)
 
     oracle_kwargs: dict = {}
     if "oracle.delta" in values:
@@ -276,7 +274,11 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
             )
         oracle_kwargs["alphas"] = tuple(float(a) for a in v)
     oracle = OracleSettings(**oracle_kwargs)
-    _check_size(spec, count, oracle.n_paths, lines)
+    _check_size(spec, grid.count, oracle.n_paths, lines)
+    problems = alpha_grid_problems(grid)  # after the cap: a huge even count is too big
+    if problems:
+        key, problem = problems[0]
+        raise ConfigError(f"{_context(lines, key)}{problem}")
 
     directory = None
     if "output.directory" in values:

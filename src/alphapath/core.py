@@ -136,6 +136,20 @@ class AlphaGridSpec:
     symmetric: bool = True
 
 
+def alpha_grid_problems(gspec: AlphaGridSpec) -> list[tuple[str, str]]:
+    """Problems of the alpha grid, each with the key whose value is at fault;
+    empty when ``alpha_grid`` can build the grid."""
+    count, lo = gspec.count, gspec.lo
+    problems: list[tuple[str, str]] = []
+    if not isinstance(count, int) or count < 3 or count % 2 == 0:
+        problems.append(
+            ("alpha.count", f"alpha count must be an odd integer >= 3, got {count!r}")
+        )
+    if not (math.isfinite(lo) and 0.0 < lo < 0.5):
+        problems.append(("alpha.lo", f"alpha lo must lie in (0, 0.5), got {lo!r}"))
+    return problems
+
+
 def alpha_grid(gspec: AlphaGridSpec) -> list[float]:
     """Strictly increasing alpha values from lo to 1 - lo.
 
@@ -143,11 +157,10 @@ def alpha_grid(gspec: AlphaGridSpec) -> list[float]:
     about 0.5, so paired values satisfy a_i + a_{count-1-i} = 1 up to one
     rounding, and 0.5 is a grid point exactly.
     """
+    problems = alpha_grid_problems(gspec)
+    if problems:
+        raise ConfigError(problems[0][1])
     count, lo = gspec.count, gspec.lo
-    if not isinstance(count, int) or count < 3 or count % 2 == 0:
-        raise ConfigError(f"alpha count must be an odd integer >= 3, got {count!r}")
-    if not (math.isfinite(lo) and 0.0 < lo < 0.5):
-        raise ConfigError(f"alpha lo must lie in (0, 0.5), got {lo!r}")
     step = (1.0 - 2.0 * lo) / (count - 1)
     if gspec.symmetric:
         half = count // 2

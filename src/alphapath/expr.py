@@ -407,20 +407,13 @@ def variables_of(ast: ExprAst) -> set[str]:
 
 # ── Compilation for tight solver loops ───────────────────────────────
 
+# generated code calls the DSL's functions by their DSL names
 _COMPILE_NAMESPACE = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
+    **FUNCTIONS,
     "pow": math.pow,
     "OverflowError": OverflowError,
     "__builtins__": {},
 }
-
-_CALL_NAMES = {"ln": "log"}
 
 
 def _elementwise(fn: Callable[[float], float]) -> Callable:
@@ -450,12 +443,10 @@ def _elementwise_pow(base, exponent):
 # ndarray methods may import, which the empty builtins forbid)
 _BLOCK_NAMESPACE = {
     **_COMPILE_NAMESPACE,
-    **{
-        name: _elementwise(_COMPILE_NAMESPACE[name])
-        for name in ("sin", "cos", "tanh", "exp", "log")
-    },
-    "pow": _elementwise_pow,
+    **{name: _elementwise(fn) for name, fn in FUNCTIONS.items()},
+    "abs": abs,
     "sqrt": np.sqrt,
+    "pow": _elementwise_pow,
     "all": np.logical_and.reduce,
 }
 
@@ -495,4 +486,4 @@ def _emit(node: ExprAst, names: Mapping[str, str]) -> str:
         if node.op == "^":
             return f"pow({left}, {right})"
         return f"({left} {node.op} {right})"
-    return f"{_CALL_NAMES.get(node.func, node.func)}({_emit(node.arg, names)})"
+    return f"{node.func}({_emit(node.arg, names)})"

@@ -15,20 +15,15 @@ universally quantified dominance is being tested, path by path.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import check_hypotheses
+from .analysis import MAX_EXPORTED_VIOLATIONS, check_hypotheses
 from .core import UdeSpec, phi_inv
 from .errors import AlignmentError, ConfigError, DomainError, HypothesisError
-from .solver import (
-    AlphaFan,
-    AlphaPath,
-    _require_valid,
-    sample_positions,
-    solve_alpha_path,
-)
+from .solver import AlphaFan, _require_valid, sample_positions, solve_alpha_path
 
 SLOPE_WINDOW = 2.0  # W: how far below/above the bound slopes are drawn
 SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
@@ -121,7 +116,7 @@ class DominanceReport:
             "min_margin_path": self.min_margin_path,
             "min_margin_time": self.min_margin_time,
             "violations_total": len(self.violations),
-            "violations": [list(v) for v in self.violations[:1000]],
+            "violations": list(map(list, self.violations[:MAX_EXPORTED_VIOLATIONS])),
         }
 
 
@@ -191,21 +186,79 @@ def _check_arguments(
         )
 
 
-def _gated_target(spec: UdeSpec, alpha: float, seed: int) -> AlphaPath:
-    """Solve the alpha-path, refusing (HypothesisError) when the regularity or
-    position-monotonicity checks fail, since dominance is only guaranteed
-    under them. Both sides of one alpha share the result."""
-    target = solve_alpha_path(spec, alpha)
-    gate_fan = AlphaFan(spec=spec, grid=[alpha], paths=[target])
-    hypotheses = check_hypotheses(spec, gate_fan, samples=128, seed=seed)
-    if not hypotheses.passed:
-        raise HypothesisError(
-            "dominance is only guaranteed under regularity and the position-"
-            f"monotonicity condition (regularity pass={hypotheses.regularity.passed}, "
-            f"condition_h pass={hypotheses.condition_h.passed}); "
-            "run the hypothesis checks for details"
-        )
-    return target
+def dominance_checks(
+    spec: UdeSpec,
+    alphas: Sequence[float],
+    delta: float,
+    n_paths: int,
+    segments: int,
+    seed: int,
+    *,
+    sides: Sequence[str] = SIDES,
+) -> list[DominanceReport]:
+    """Verify dominance for sampled drivers: one report per (alpha, side),
+    alpha by alpha and the sides in the given order.
+
+    The arguments of every (alpha, side) are checked before any solve;
+    ``segments`` must divide the spec's step count (AlignmentError). Each
+    alpha-path is then solved once, and the run refuses (HypothesisError)
+    when the regularity or position-monotonicity checks fail on it, since
+    dominance is only guaranteed under them.
+
+    Each surrogate's slopes lie below phi_inv(alpha - delta) (or above
+    phi_inv(alpha + delta)), and its trajectory must stay strictly on that
+    side of the alpha-path at every node t >= h; at t = 0 both share the
+    initial state exactly. The surrogates share their breakpoints, so they
+    are integrated together (see ``sample_positions``), in chunks of at most
+    CHUNK_PATHS.
+    """
+    for alpha in alphas:
+        for side in sides:
+            _check_arguments(spec, alpha, delta, n_paths, segments, side)
+    reports = []
+    for alpha in alphas:
+        target = solve_alpha_path(spec, alpha)
+        gate_fan = AlphaFan(spec=spec, grid=[alpha], paths=[target])
+        hypotheses = check_hypotheses(spec, gate_fan, samples=128, seed=seed)
+        if not hypotheses.passed:
+            raise HypothesisError(
+                "dominance is only guaranteed under regularity and the position-"
+                "monotonicity condition (regularity pass="
+                f"{hypotheses.regularity.passed}, condition_h pass="
+                f"{hypotheses.condition_h.passed})"
+            )
+        reference, times = target.position[1:], target.times[1:]
+        for side in sides:
+            bound = phi_inv(alpha - delta if side == "below" else alpha + delta)
+            report = DominanceReport(  # no violation and no margin yet
+                alpha, delta, side, n_paths, [], math.inf, -1, math.nan
+            )
+            for first in range(0, n_paths, CHUNK_PATHS):
+                chunk = range(first, min(first + CHUNK_PATHS, n_paths))
+                slopes = np.empty((len(chunk), segments))
+                for row, k in enumerate(chunk):
+                    surrogate = sample_lipschitz_path(
+                        bound, side, spec.horizon, segments, _path_seed(seed, k)
+                    )
+                    slopes[row] = surrogate.slopes
+                sampled = sample_positions(spec, surrogate.breakpoints, slopes)[:, 1:]
+                for k, path in enumerate(sampled, start=first):
+                    margin = reference - path if side == "below" else path - reference
+                    j = int(np.argmin(margin))
+                    if margin[j] < report.min_margin:
+                        report.min_margin = float(margin[j])
+                        report.min_margin_path = k
+                        report.min_margin_time = float(times[j])
+                    bad = np.nonzero(margin <= 0.0)[0]
+                    report.violations += zip(
+                        [k] * len(bad),
+                        times[bad].tolist(),
+                        path[bad].tolist(),
+                        reference[bad].tolist(),
+                    )
+                del sampled, path  # one chunk's trajectories in memory at a time
+            reports.append(report)
+    return reports
 
 
 def dominance_check(
@@ -216,69 +269,9 @@ def dominance_check(
     segments: int,
     side: str,
     seed: int,
-    *,
-    target: AlphaPath | None = None,
 ) -> DominanceReport:
-    """Solve the alpha-path once, then verify dominance for sampled drivers.
-
-    Each sampled surrogate is bounded by phi_inv(alpha - delta) from below
-    (or phi_inv(alpha + delta) from above) and its trajectory must stay
-    strictly on that side of the alpha-path at every node t >= h; at t = 0
-    both trajectories share the initial state exactly, so the first node is
-    excluded. Refuses to run (HypothesisError) when the regularity or
-    position-monotonicity checks fail, since dominance is only guaranteed
-    under them; before that, raises AlignmentError when ``segments`` does
-    not divide the spec's step count. A ``target`` given by the caller
-    replaces that solve and gate: it must be the alpha-path of this spec and
-    alpha that passed the gate for this seed, as ``_gated_target`` returns
-    it.
-
-    The surrogates share their breakpoints, so they are integrated together
-    (see ``sample_positions``), in chunks of at most CHUNK_PATHS.
-    """
-    _check_arguments(spec, alpha, delta, n_paths, segments, side)
-    if target is None:
-        target = _gated_target(spec, alpha, seed)
-
-    bound = phi_inv(alpha - delta) if side == "below" else phi_inv(alpha + delta)
-    reference = target.position
-    times = target.times
-    violations: list[tuple[int, float, float, float]] = []
-    min_margin, min_margin_path, min_margin_time = math.inf, -1, math.nan
-    for first in range(0, n_paths, CHUNK_PATHS):
-        chunk = range(first, min(first + CHUNK_PATHS, n_paths))
-        slopes = np.empty((len(chunk), segments))
-        for row, k in enumerate(chunk):
-            surrogate = sample_lipschitz_path(
-                bound, side, spec.horizon, segments, _path_seed(seed, k)
-            )
-            slopes[row] = surrogate.slopes
-        positions = sample_positions(spec, surrogate.breakpoints, slopes)
-        for k, sampled in zip(chunk, positions):
-            if side == "below":
-                margin = reference[1:] - sampled[1:]
-            else:
-                margin = sampled[1:] - reference[1:]
-            j = int(np.argmin(margin))
-            if margin[j] < min_margin:
-                min_margin = float(margin[j])
-                min_margin_path, min_margin_time = k, float(times[j + 1])
-            for j in np.nonzero(margin <= 0.0)[0]:
-                violations.append(
-                    (
-                        k,
-                        float(times[j + 1]),
-                        float(sampled[j + 1]),
-                        float(reference[j + 1]),
-                    )
-                )
-    return DominanceReport(
-        alpha=alpha,
-        delta=delta,
-        side=side,
-        paths_tested=n_paths,
-        violations=violations,
-        min_margin=min_margin,
-        min_margin_path=min_margin_path,
-        min_margin_time=min_margin_time,
+    """The report of ``dominance_checks`` for one alpha and one side."""
+    (report,) = dominance_checks(
+        spec, [alpha], delta, n_paths, segments, seed, sides=(side,)
     )
+    return report

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from alphapath import AlphaGridSpec, alpha_grid, phi_inv, solve_fan
+from alphapath import cli
 from alphapath import config as config_module
 from alphapath import oracle
 from alphapath.cli import _write_text, main
@@ -180,11 +181,16 @@ def test_dist_at_zero_flags_degenerate(tmp_path):
     assert run["expected_value"]["value"] == 0.1
 
 
-def test_dist_out_of_range_exits_2(tmp_path, capsys):
+def test_dist_out_of_range_exits_2(tmp_path, capsys, monkeypatch):
+    # found before the fan is solved
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the fan was solved")
+
+    monkeypatch.setattr(cli, "solve_fan", unreachable)
     cfg = write_config(tmp_path)
     code = main(["dist", "--config", cfg, "--out", str(tmp_path / "o"), "--t", "9"])
     assert code == 2
-    assert "out of range" in capsys.readouterr().err
+    assert "t=9.0 out of range [0, 1.0]" in capsys.readouterr().err
 
 
 def test_oracle_passes_and_writes_reports(tmp_path):
@@ -470,6 +476,27 @@ def test_oracle_misaligned_segments_name_their_line(tmp_path, capsys, monkeypatc
     assert solves == []
 
 
+@pytest.mark.parametrize(
+    "f, alphas, message",
+    [
+        ("0-x0", "[0.8, 0.02]", "need alpha - delta > 0"),
+        ("x0", "[0.8, 0.98]", "need alpha + delta < 1"),
+    ],
+    ids=["refused-first-alpha", "passing-first-alpha"],
+)
+def test_oracle_checks_every_alpha_before_any_solve(
+    tmp_path, capsys, monkeypatch, f, alphas, message
+):
+    # a bad alpha later in the list is a usage error (exit 2), found before
+    # the first alpha is solved and gated, whether or not the gate would pass
+    solves = _count_alpha_path_solves(monkeypatch)
+    text = BASE_CONFIG.replace('f       = "x0"', f'f       = "{f}"')
+    cfg = write_config(tmp_path, text + f"oracle.alphas = {alphas}\n")
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert solves == []
+
+
 @pytest.mark.parametrize("alphas", ["[abc]", "[0.2, true]"])
 def test_oracle_alphas_must_be_numbers(tmp_path, capsys, alphas):
     cfg = write_config(tmp_path, BASE_CONFIG + f"oracle.alphas = {alphas}\n")
@@ -612,8 +639,10 @@ def test_size_cap_is_far_above_the_documented_runs():
         ("step    = 0.0025", "step    = 0", "line 7: step must be positive"),
         ("step    = 0.0025", "step    = 2.0", "line 7: step 2.0 exceeds horizon"),
         ("step    = 0.0025", "step    = 0.003", "line 7: horizon/step = "),
+        ("alpha.count = 9", "alpha.count = 8", "line 8: alpha count must be an odd"),
+        ("alpha.lo    = 0.1", "alpha.lo    = 0.7", "line 9: alpha lo must lie in"),
     ],
-    ids=["horizon", "step", "step-over-horizon", "ratio"],
+    ids=["horizon", "step", "step-over-horizon", "ratio", "alpha-count", "alpha-lo"],
 )
 def test_grid_problems_name_their_line(tmp_path, capsys, old, new, message):
     cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from alphapath import (
     SamplePath,
     UdeSpec,
     dominance_check,
+    dominance_checks,
     phi_inv,
     sample_lipschitz_path,
     solve_alpha_path,
@@ -294,17 +296,21 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
 def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
     # x' = x^2 + k on path k blows up within the horizon for k >= 3: the
     # block fails, the rows are rerun one by one, and the error is path 3's,
-    # as when every path is solved alone
+    # as when every path is solved alone. df/dx0 = 2 x0 < 0 below the origin,
+    # so the gate would refuse this spec; it is passed by hand
     def slope_k_path(bound, side, horizon, segments, seed):
         return SamplePath(breakpoints=(0.0, horizon), slopes=(float(seed),))
 
+    def passing_gate(*args, **kwargs):
+        return SimpleNamespace(passed=True)
+
     monkeypatch.setattr(oracle_module, "sample_lipschitz_path", slope_k_path)
+    monkeypatch.setattr(oracle_module, "check_hypotheses", passing_gate)
     spec = type(polynomial_spec(1)).from_strings(1, "x0^2", "1", [0.0], 1.0, 1 / 64)
-    target = solve_alpha_path(polynomial_spec(1, step=1 / 64), 0.8)
     with pytest.raises(BlowUpError) as excinfo:
         dominance_check(
             spec, alpha=0.8, delta=0.05, n_paths=solver.BLOCK_MIN_ROWS,
-            segments=1, side="below", seed=0, target=target,
+            segments=1, side="below", seed=0,
         )
     for k in range(3):
         solve_sample_path(spec, slope_k_path(0, "", 1.0, 1, k))
@@ -312,6 +318,29 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
         solve_sample_path(spec, slope_k_path(0, "", 1.0, 1, 3))
     assert str(excinfo.value) == str(alone.value)
     assert excinfo.value.last_good_time > 0.5
+
+
+def test_dominance_checks_equal_one_check_per_alpha_and_side():
+    spec = tanh_spec(2, step=1.0 / 64)
+    kwargs = dict(delta=0.05, n_paths=5, segments=4, seed=3)
+    reports = dominance_checks(spec, [0.3, 0.8], **kwargs)
+    assert reports == [
+        dominance_check(spec, alpha=alpha, side=side, **kwargs)
+        for alpha in (0.3, 0.8)
+        for side in ("below", "above")
+    ]
+
+
+def test_dominance_checks_reject_a_later_alpha_before_any_solve(monkeypatch):
+    # 0.02 - 0.05 <= 0 is found before 0.8 is solved, gated or sampled
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work was done for a run that cannot start")
+
+    monkeypatch.setattr(oracle_module, "solve_alpha_path", unreachable)
+    monkeypatch.setattr(oracle_module, "sample_lipschitz_path", unreachable)
+    spec = tanh_spec(2, step=1.0 / 64)
+    with pytest.raises(DomainError, match="alpha - delta > 0"):
+        dominance_checks(spec, [0.8, 0.02], 0.05, 5, 4, 0)
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])

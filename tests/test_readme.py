@@ -21,6 +21,10 @@ def test_readme_library_example_runs():
     namespace: dict = {}
     exec(compile(source, str(README), "exec"), namespace)
     assert namespace["report"].passed
+    assert [(r.alpha, r.side) for r in namespace["reports"]] == [
+        (0.2, "below"), (0.2, "above"), (0.8, "below"), (0.8, "above")
+    ]
+    assert all(r.passed for r in namespace["reports"])
 
 
 def test_readme_config_segments_divide_its_step_count():

@@ -4,14 +4,16 @@ Two hypotheses make the alpha-path family a valid inverse uncertainty
 distribution: the diffusion must stay strictly positive along trajectories
 (regularity), and both drift and diffusion must be non-decreasing in the
 position argument x0 (the monotonicity condition used by the comparison
-argument). The checkers here evaluate both constructively on a computed
-fan and report every violation found rather than stopping at the first.
+argument); and the fan must be strictly ordered in alpha. The checkers
+here evaluate each constructively on a computed fan and report every
+violation found rather than stopping at the first. ``check_hypotheses`` runs
+all three: its report is the one verdict, and its ``to_dict`` is checks.json.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,13 +30,30 @@ TOL_CONDITION_H = 1e-8
 # balancing truncation against roundoff in doubles
 FD_STEP_CONDITION_H = 1e-6
 
-# JSON exports keep at most this many violation entries (full lists stay
-# on the report objects); the total count is always exported
+# violation entries a JSON export keeps; the report keeps them all
 MAX_EXPORTED_VIOLATIONS = 1000
 
 
+class Report:
+    """Base of the check reports, for their one JSON export."""
+
+    def to_dict(self) -> dict:
+        """Every dataclass field, a nested report as its own dict, and
+        ``passed``; ``violations`` is capped at MAX_EXPORTED_VIOLATIONS, with
+        the full count in ``violations_total``."""
+        out = {
+            f.name: v.to_dict() if isinstance(v := getattr(self, f.name), Report) else v
+            for f in fields(self)
+        }
+        out["passed"] = self.passed
+        if "violations" in out:
+            out["violations_total"] = len(self.violations)
+            out["violations"] = self.violations[:MAX_EXPORTED_VIOLATIONS]
+        return out
+
+
 @dataclass
-class RegularityCheck:
+class RegularityCheck(Report):
     """Sign audit of the diffusion along every stored path at every node."""
 
     passed: bool
@@ -43,21 +62,9 @@ class RegularityCheck:
     min_time: float
     violations: list[tuple[float, float, float]]  # (alpha, t, g value)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "min_value": self.min_value,
-            "min_alpha": self.min_alpha,
-            "min_time": self.min_time,
-            "violations_total": len(self.violations),
-            "violations": [
-                list(v) for v in self.violations[:MAX_EXPORTED_VIOLATIONS]
-            ],
-        }
-
 
 @dataclass
-class ConditionHCheck:
+class ConditionHCheck(Report):
     """Finite-difference audit of df/dx0 and dg/dx0 over path nodes and
     sampled points near the fan."""
 
@@ -68,44 +75,9 @@ class ConditionHCheck:
     min_env: dict[str, float]
     violations: list[dict]  # {"function", "env", "value"}
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "sampled_points": self.sampled_points,
-            "min_partial": self.min_partial,
-            "min_function": self.min_function,
-            "min_env": self.min_env,
-            "violations_total": len(self.violations),
-            "violations": self.violations[:MAX_EXPORTED_VIOLATIONS],
-        }
-
 
 @dataclass
-class HypothesisReport:
-    """Combined regularity plus position-monotonicity verdict for one fan."""
-
-    regularity: RegularityCheck
-    condition_h: ConditionHCheck
-
-    @property
-    def passed(self) -> bool:
-        return self.regularity.passed and self.condition_h.passed
-
-    @property
-    def sampled_points(self) -> int:
-        return self.condition_h.sampled_points
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "regularity": self.regularity.to_dict(),
-            "condition_h": self.condition_h.to_dict(),
-            "sampled_points": self.sampled_points,
-        }
-
-
-@dataclass
-class MonotoneCheck:
+class MonotoneCheck(Report):
     """Strict ordering audit of adjacent alpha-paths at every node t >= h."""
 
     passed: bool
@@ -116,18 +88,23 @@ class MonotoneCheck:
     min_gap_pair: tuple[float, float] | None
     first_crossing: tuple[float, float, float, float] | None  # (t, a_lo, a_hi, gap)
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "vacuous": self.vacuous,
-            "note": self.note,
-            "min_gap": self.min_gap,
-            "min_gap_time": self.min_gap_time,
-            "min_gap_pair": list(self.min_gap_pair) if self.min_gap_pair else None,
-            "first_crossing": list(self.first_crossing)
-            if self.first_crossing
-            else None,
-        }
+
+@dataclass
+class HypothesisReport(Report):
+    """The verdict on one fan: every check, in the order it is reported."""
+
+    regularity: RegularityCheck
+    condition_h: ConditionHCheck
+    monotone: MonotoneCheck
+
+    @property
+    def failed(self) -> list[str]:
+        """Names of the failing checks, in field order."""
+        return [f.name for f in fields(self) if not getattr(self, f.name).passed]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failed
 
 
 def check_regularity(fan: AlphaFan) -> RegularityCheck:
@@ -302,10 +279,12 @@ def check_hypotheses(
     samples: int = 256,
     seed: int = 0,
 ) -> HypothesisReport:
-    """Run both hypothesis checks and bundle the fragments."""
+    """Run every check on the fan: regularity, condition H (``samples`` and
+    ``seed`` are its sampled points) and fan order."""
     return HypothesisReport(
         regularity=check_regularity(fan),
         condition_h=check_condition_h(spec, fan, samples=samples, seed=seed),
+        monotone=check_monotone(fan),
     )
 
 

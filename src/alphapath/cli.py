@@ -192,31 +192,11 @@ def cmd_solve(config: RunConfig, outdir: Path) -> int:
 
 def cmd_check(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
-    hypotheses = analysis.check_hypotheses(
-        config.spec, fan, seed=config.oracle.seed
-    )
-    monotone = analysis.check_monotone(fan)
-    payload = {
-        "regularity": hypotheses.regularity.to_dict(),
-        "condition_h": hypotheses.condition_h.to_dict(),
-        "monotone": monotone.to_dict(),
-        "passed": hypotheses.passed and monotone.passed,
-    }
-    _write_json(outdir / "checks.json", payload)
+    report = analysis.check_hypotheses(config.spec, fan, seed=config.oracle.seed)
+    _write_json(outdir / "checks.json", report.to_dict())
     _update_run_json(outdir, config, {})
-    if not payload["passed"]:
-        _fail(
-            "checks failed: "
-            + ", ".join(
-                name
-                for name, ok in (
-                    ("regularity", hypotheses.regularity.passed),
-                    ("condition_h", hypotheses.condition_h.passed),
-                    ("monotone", monotone.passed),
-                )
-                if not ok
-            )
-        )
+    if report.failed:
+        _fail("checks failed: " + ", ".join(report.failed))
         return EXIT_CHECK
     return EXIT_OK
 

@@ -13,11 +13,13 @@ section prefixes, chosen so runs are archivable and diffable:
     alpha.lo    = 0.01
 
 Values are numbers, booleans (true/false), quoted or bare strings, or
-``[..]`` lists of those. Unknown keys are rejected so typos fail loudly.
+``[..]`` lists of those; a number that is not finite is rejected, and so
+are unknown keys, so typos fail loudly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -211,6 +213,10 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
             f"{_context(lines, 'order')}`order` = {order} disagrees with the "
             f"{len(initial)} values of `initial`"
         )
+    if order < 1:
+        raise ConfigError(
+            f"{_context(lines, 'order')}`order` must be >= 1, got {order}"
+        )
     trees = {}
     for key in ("f", "g"):
         source = _as_string(values, lines, key)
@@ -298,6 +304,13 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
                     f"{fmt!r}; choose from {list(FORMATS)}"
                 )
         formats = tuple(dict.fromkeys(v))  # dedupe, keep order
+    # last, so a key whose own rule covers nan and inf keeps its message
+    for key, v in values.items():
+        items = v if isinstance(v, list) else [v]
+        if any(isinstance(x, float) and not math.isfinite(x) for x in items):
+            raise ConfigError(
+                f"{_context(lines, key)}`{key}` must be finite, got {v!r}"
+            )
 
     return RunConfig(
         spec=spec,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MAX_EXPORTED_VIOLATIONS, check_hypotheses
+from .analysis import Report, check_hypotheses
 from .core import UdeSpec, phi_inv
 from .errors import AlignmentError, ConfigError, DomainError, HypothesisError
 from .solver import AlphaFan, _require_valid, sample_positions, solve_alpha_path
@@ -82,7 +82,7 @@ class SamplePath:
 
 
 @dataclass
-class DominanceReport:
+class DominanceReport(Report):
     """Outcome of one dominance run: all sampled trajectories vs one alpha-path.
 
     ``min_margin`` is the closest approach over every path and node t >= h:
@@ -104,20 +104,6 @@ class DominanceReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "side": self.side,
-            "paths_tested": self.paths_tested,
-            "passed": self.passed,
-            "min_margin": self.min_margin,
-            "min_margin_path": self.min_margin_path,
-            "min_margin_time": self.min_margin_time,
-            "violations_total": len(self.violations),
-            "violations": list(map(list, self.violations[:MAX_EXPORTED_VIOLATIONS])),
-        }
 
 
 def _path_seed(seed: int, k: int) -> int:
@@ -201,9 +187,9 @@ def dominance_checks(
 
     The arguments of every (alpha, side) are checked before any solve;
     ``segments`` must divide the spec's step count (AlignmentError). Each
-    alpha-path is then solved once, and the run refuses (HypothesisError)
-    when the regularity or position-monotonicity checks fail on it, since
-    dominance is only guaranteed under them.
+    alpha-path is then solved once, and the run refuses (HypothesisError,
+    naming the failing checks) when ``check_hypotheses`` fails on it, since
+    dominance is only guaranteed under its hypotheses.
 
     Each surrogate's slopes lie below phi_inv(alpha - delta) (or above
     phi_inv(alpha + delta)), and its trajectory must stay strictly on that
@@ -223,9 +209,7 @@ def dominance_checks(
         if not hypotheses.passed:
             raise HypothesisError(
                 "dominance is only guaranteed under regularity and the position-"
-                "monotonicity condition (regularity pass="
-                f"{hypotheses.regularity.passed}, condition_h pass="
-                f"{hypotheses.condition_h.passed})"
+                f"monotonicity condition (failed: {', '.join(hypotheses.failed)})"
             )
         reference, times = target.position[1:], target.times[1:]
         for side in sides:

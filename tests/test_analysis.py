@@ -292,7 +292,8 @@ def test_hypothesis_report_combines(tanh_fan_small):
     spec, fan = tanh_fan_small
     report = check_hypotheses(spec, fan, samples=32, seed=1)
     assert report.passed
-    assert report.sampled_points == report.condition_h.sampled_points
+    assert report.monotone == check_monotone(fan)
+    assert report.failed == []
 
 
 def test_monotone_parabola_gap_formula(poly_fan_small):
@@ -465,3 +466,88 @@ def test_reports_serialize(tanh_fan_small):
     mono = check_monotone(fan)
     text = json.dumps({"h": hyp.to_dict(), "m": mono.to_dict()})
     assert "condition_h" in text
+
+
+def test_regularity_export_caps_violations_beside_their_total():
+    violations = [(0.5, k / 1024, -1.0) for k in range(1001)]
+    report = analysis.RegularityCheck(
+        passed=False, min_value=-1.0, min_alpha=0.5, min_time=0.0,
+        violations=violations,
+    )
+    assert report.to_dict() == {
+        "passed": False,
+        "min_value": -1.0,
+        "min_alpha": 0.5,
+        "min_time": 0.0,
+        "violations_total": 1001,
+        "violations": violations[:1000],
+    }
+
+
+def test_condition_h_export():
+    env = {"t": 0.25, "x0": 0.1, "x1": 0.0}
+    report = analysis.ConditionHCheck(
+        passed=False, sampled_points=7, min_partial=-1.0, min_function="f",
+        min_env=env, violations=[{"function": "f", "env": env, "value": -1.0}],
+    )
+    assert report.to_dict() == {
+        "passed": False,
+        "sampled_points": 7,
+        "min_partial": -1.0,
+        "min_function": "f",
+        "min_env": env,
+        "violations_total": 1,
+        "violations": [{"function": "f", "env": env, "value": -1.0}],
+    }
+
+
+def test_monotone_exports():
+    vacuous = check_monotone(solve_fan(polynomial_spec(2, step=1e-2), [0.5]))
+    # the report's nan is math.nan itself, so the dicts compare equal
+    assert vacuous.to_dict() == {
+        "passed": True,
+        "vacuous": True,
+        "note": "insufficient grid",
+        "min_gap": math.nan,
+        "min_gap_time": math.nan,
+        "min_gap_pair": None,
+        "first_crossing": None,
+    }
+    lower = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    upper = np.array([0.0, 1.5, 2.5, 2.5, 3.5, 4.5])
+    fan = _synthetic_fan(np.stack([lower, upper]), [0.4, 0.6])
+    t = float(fan.paths[0].times[3])  # 0.6000000000000001
+    assert check_monotone(fan).to_dict() == {
+        "passed": False,
+        "vacuous": False,
+        "note": "",
+        "min_gap": -0.5,
+        "min_gap_time": t,
+        "min_gap_pair": (0.4, 0.6),
+        "first_crossing": (t, 0.4, 0.6, -0.5),
+    }
+
+
+def test_hypothesis_report_names_failures_in_field_order():
+    fan = _synthetic_fan(np.stack([np.zeros(3), np.zeros(3)]), [0.4, 0.6])
+    spec = UdeSpec.from_strings(1, "0-x0", "1", [0.0], 1.0, 0.5)
+    report = check_hypotheses(spec, fan, samples=4)
+    assert report.failed == ["condition_h", "monotone"]
+    assert not report.passed
+    exported = report.to_dict()
+    assert sorted(exported) == ["condition_h", "monotone", "passed", "regularity"]
+    assert exported["passed"] is False
+    assert exported["monotone"] == report.monotone.to_dict()
+
+
+def test_every_report_exports_through_one_method():
+    from alphapath.oracle import DominanceReport
+
+    for cls in (
+        analysis.RegularityCheck,
+        analysis.ConditionHCheck,
+        analysis.MonotoneCheck,
+        analysis.HypothesisReport,
+        DominanceReport,
+    ):
+        assert cls.to_dict is analysis.Report.to_dict

@@ -8,7 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from alphapath import AlphaGridSpec, alpha_grid, phi_inv, solve_fan
+from alphapath import (
+    AlphaGridSpec,
+    alpha_grid,
+    check_hypotheses,
+    phi_inv,
+    solve_fan,
+)
 from alphapath import cli
 from alphapath import config as config_module
 from alphapath import oracle
@@ -155,6 +161,28 @@ def test_check_fails_on_sign_changing_diffusion(tmp_path):
     assert times and max(times) <= 0.5 + 1e-12
 
 
+@pytest.mark.parametrize("g", ["2 + tanh(x0)", "0*x0"], ids=["passing", "failing"])
+def test_checks_json_is_the_hypothesis_report(tmp_path, g):
+    text = BASE_CONFIG.replace('g       = "2 + tanh(x0)"', f'g       = "{g}"')
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) in (0, 4)
+    config = load_config(cfg)
+    fan = solve_fan(config.spec, alpha_grid(config.alpha))
+    report = check_hypotheses(config.spec, fan, seed=config.oracle.seed)
+    expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert (out / "checks.json").read_text(encoding="utf-8") == expected
+
+
+def test_check_names_the_failing_checks_in_field_order(tmp_path, capsys):
+    # g = 0 fails regularity, and every path is the same, so the fan is not
+    # ordered; df/dx0 = 1 and dg/dx0 = 0 pass condition H
+    text = BASE_CONFIG.replace('g       = "2 + tanh(x0)"', 'g       = "0*x0"')
+    cfg = write_config(tmp_path, text)
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == "error: checks failed: regularity, monotone\n"
+
+
 def test_dist_writes_table_and_expected_value(tmp_path):
     text = BASE_CONFIG.replace('f       = "x0"', 'f       = "0"').replace(
         'g       = "2 + tanh(x0)"', 'g       = "1"'
@@ -208,7 +236,7 @@ def test_oracle_refuses_on_failed_hypotheses(tmp_path, capsys):
     text = BASE_CONFIG.replace('f       = "x0"', 'f       = "0-x0"')
     cfg = write_config(tmp_path, text)
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 5
-    assert "check" in capsys.readouterr().err
+    assert "(failed: condition_h); run `alphapath check`" in capsys.readouterr().err
 
 
 def test_oracle_solves_and_gates_once_per_alpha(tmp_path, monkeypatch):
@@ -648,6 +676,39 @@ def test_grid_problems_name_their_line(tmp_path, capsys, old, new, message):
     cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        (
+            {"[csv, json]\n": "[csv, json]\noracle.delta = nan\n"},
+            "line 14: `oracle.delta` must be finite, got nan",
+        ),
+        (
+            {"[csv, json]\n": "[csv, json]\noracle.alphas = [nan]\n"},
+            "line 14: `oracle.alphas` must be finite, got [nan]",
+        ),
+        ({"[0.1, 0]": "[nan, 0]"}, "line 5: `initial` must be finite, got [nan, 0]"),
+        ({"[0.1, 0]": "[1e400, 0]"}, "line 5: `initial` must be finite, got [inf, 0]"),
+        (
+            {"order   = 2": "order   = 0", "[0.1, 0]": "[]"},
+            "line 2: `order` must be >= 1, got 0",
+        ),
+    ],
+    ids=["delta-nan", "alphas-nan", "initial-nan", "initial-overflow", "order-0"],
+)
+def test_load_errors_name_their_line_on_every_command(tmp_path, capsys, edits, message):
+    text = BASE_CONFIG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    cfg = write_config(tmp_path, text)
+    for command in ("solve", "check", "dist", "oracle"):
+        argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
+        assert main(argv + (["--t", "1.0"] if command == "dist" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: {message}"), err
+        assert not (tmp_path / command / "run.json").exists()
 
 
 def test_run_json_drops_sections_of_another_config(tmp_path):

@@ -265,6 +265,25 @@ def test_report_serializes():
     assert payload["violations_total"] == 0
 
 
+def test_report_with_violations_serializes():
+    violations = [(1, 0.5, 1.25, 1.0), (1, 0.75, 1.5, 1.25)]
+    report = oracle_module.DominanceReport(
+        0.8, 0.05, "below", 2, violations, -0.25, 1, 0.5
+    )
+    assert report.to_dict() == {
+        "alpha": 0.8,
+        "delta": 0.05,
+        "side": "below",
+        "paths_tested": 2,
+        "passed": False,
+        "min_margin": -0.25,
+        "min_margin_path": 1,
+        "min_margin_time": 0.5,
+        "violations_total": 2,
+        "violations": violations,
+    }
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
     # one block, a block of 66 paths and 4 paths alone, and path-by-path

@@ -6,10 +6,11 @@ Examples are derandomized, so every run checks the same inputs.
 
 from __future__ import annotations
 
+import json
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphapath import AlphaFan, UdeSpec, check_condition_h, integral_residual
@@ -231,11 +232,11 @@ CLI_VALUES = {
     "alpha.count": ["3", "4", "1", "1000000001"],
     "alpha.lo": ["0.01", "0", "0.7"],
     "alpha.symmetric": ["false", "1"],
-    "oracle.delta": ["0.5", "0", "-1"],
+    "oracle.delta": ["0.5", "0", "-1", "nan", "inf"],
     "oracle.n_paths": ["1", "0"],
     "oracle.segments": ["1", "3", "0"],
     "oracle.seed": ["7", "-1"],
-    "oracle.alphas": ["[0.5]", "[]", "[1.5]", "[0.01]"],
+    "oracle.alphas": ["[0.5]", "[]", "[1.5]", "[0.01]", "[nan]"],
     "output.formats": ["[json]", "[csv, json]", "[xml]"],
 }
 overrides = st.lists(
@@ -248,6 +249,8 @@ overrides = st.lists(
 
 @settings(SETTINGS, max_examples=80)
 @given(expressions, expressions, overrides, st.sampled_from(["1.0", "0.5", "0", "2"]))
+@example('"x0"', '"1"', [("oracle.delta", "nan")], "1.0")
+@example('"x0"', '"1"', [("oracle.alphas", "[nan]")], "1.0")
 def test_every_command_maps_a_generated_config_to_an_exit_code(f, g, changes, t):
     config = {**SMALL_RUN, "f": f, "g": g, **dict(changes)}
     text = "".join(f"{key} = {value}\n" for key, value in config.items())
@@ -255,8 +258,14 @@ def test_every_command_maps_a_generated_config_to_an_exit_code(f, g, changes, t)
         path = f"{workdir}/run.conf"
         with open(path, "w", encoding="utf-8") as stream:
             stream.write(text)
+        codes = {}
         for command in ("solve", "check", "dist", "oracle"):
             argv = [command, "--config", path, "--out", f"{workdir}/out", "--force"]
             if command == "dist":
                 argv += ["--t", t]
-            assert main(argv) in (0, 2, 3, 4, 5), (command, text)
+            codes[command] = main(argv)
+            assert codes[command] in (0, 2, 3, 4, 5), (command, text)
+        # every command merges into the run.json of the same config
+        if codes["solve"] == 0 and codes["check"] in (0, 4):
+            with open(f"{workdir}/out/run.json", encoding="utf-8") as stream:
+                assert "solver" in json.load(stream), text

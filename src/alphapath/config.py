@@ -31,23 +31,25 @@ from .oracle import CHUNK_PATHS
 Scalar = bool | int | float | str
 Value = Scalar | list[Scalar]
 
+# every key and its type, in the order build_config reads them; a list of
+# floats holds numbers, the list of strings names the output formats
 KNOWN_KEYS = {
-    "order",
-    "f",
-    "g",
-    "initial",
-    "horizon",
-    "step",
-    "alpha.count",
-    "alpha.lo",
-    "alpha.symmetric",
-    "oracle.delta",
-    "oracle.n_paths",
-    "oracle.segments",
-    "oracle.seed",
-    "oracle.alphas",
-    "output.directory",
-    "output.formats",
+    "order": int,
+    "initial": list[float],
+    "f": str,
+    "g": str,
+    "horizon": float,
+    "step": float,
+    "alpha.count": int,
+    "alpha.lo": float,
+    "alpha.symmetric": bool,
+    "oracle.delta": float,
+    "oracle.n_paths": int,
+    "oracle.segments": int,
+    "oracle.seed": int,
+    "oracle.alphas": list[float],
+    "output.directory": str,
+    "output.formats": list[str],
 }
 
 REQUIRED_KEYS = ("order", "f", "g", "initial", "horizon", "step")
@@ -91,8 +93,10 @@ def _parse_scalar(text: str) -> Scalar:
     if text in ("true", "false"):
         return text == "true"
     try:
-        return int(text)
-    except ValueError:
+        number = int(text)
+        float(number)  # an integer no double can hold reads as +-inf, as 1e400 does
+        return number
+    except (ValueError, OverflowError):
         pass
     try:
         return float(text)
@@ -140,32 +144,49 @@ def parse_config_text(text: str) -> tuple[dict[str, Value], dict[str, int]]:
     return values, lines
 
 
-def _context(lines: dict[str, int], key: str) -> str:
-    return f"line {lines[key]}: " if key in lines else ""
+def _error(lines: dict[str, int], key: str, message: str) -> ConfigError:
+    """A ConfigError that names the line of ``key`` when the config has one."""
+    return ConfigError(f"line {lines[key]}: {message}" if key in lines else message)
 
 
 def _is_number(v: Value) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _as_number(values, lines, key, kind=float):
-    v = values[key]
-    if not _is_number(v):
-        raise ConfigError(f"{_context(lines, key)}`{key}` must be a number, got {v!r}")
-    if kind is int:
-        if isinstance(v, float) and not v.is_integer():
-            raise ConfigError(
-                f"{_context(lines, key)}`{key}` must be an integer, got {v!r}"
-            )
-        return int(v)
-    return float(v)
+def _read(values: dict[str, Value], lines: dict[str, int], key: str):
+    """``values[key]`` as the type KNOWN_KEYS gives the key (a list as a
+    tuple), or a ConfigError naming its line."""
+    v, kind = values[key], KNOWN_KEYS[key]
+    if kind in (int, float):
+        if not _is_number(v):
+            must = "a number"
+        elif kind is int and isinstance(v, float) and not v.is_integer():
+            must = "an integer"
+        else:
+            return kind(v)
+    elif kind == list[float]:
+        if isinstance(v, list) and all(map(_is_number, v)):
+            return tuple(map(float, v))
+        must = "a list of numbers"
+    elif kind == list[str]:
+        if isinstance(v, list) and v:  # each entry is checked against FORMATS
+            return tuple(v)
+        must = "a non-empty list"
+    elif isinstance(v, kind):
+        return v
+    else:
+        must = "true or false" if kind is bool else "a string"
+    raise _error(lines, key, f"`{key}` must be {must}, got {v!r}")
 
 
-def _as_string(values, lines, key) -> str:
-    v = values[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{_context(lines, key)}`{key}` must be a string, got {v!r}")
-    return v
+def _section(values: dict[str, Value], lines: dict[str, int], prefix: str) -> dict:
+    """The keys under ``prefix`` that the config sets, read and named by their
+    field: ``alpha.lo`` is ``lo``."""
+    return {
+        key.removeprefix(prefix): _read(values, lines, key)
+        for key in KNOWN_KEYS
+        if key.startswith(prefix) and key in values
+    }
 
 
 def _check_size(spec: UdeSpec, count: int, n_paths: int, lines) -> None:
@@ -182,142 +203,87 @@ def _check_size(spec: UdeSpec, count: int, n_paths: int, lines) -> None:
         key = "step"
     else:
         key = "alpha.count" if count >= oracle_rows else "oracle.n_paths"
-    raise ConfigError(
-        f"{_context(lines, key)}the run would store {stored} state values "
-        f"({nodes} nodes x {rows} rows x order {spec.order}), over the cap of "
-        f"{MAX_STATE_VALUES}; raise `step` or lower `alpha.count` or "
-        "`oracle.n_paths`"
+    raise _error(
+        lines,
+        key,
+        f"the run would store {stored} state values ({nodes} nodes x {rows} "
+        f"rows x order {spec.order}), over the cap of {MAX_STATE_VALUES}; "
+        "raise `step` or lower `alpha.count` or `oracle.n_paths`",
     )
 
 
 def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
     """Validate keys, build the problem objects, and keep the raw echo."""
-    unknown = sorted(set(values) - KNOWN_KEYS)
+    unknown = sorted(values.keys() - KNOWN_KEYS.keys())
     if unknown:
-        raise ConfigError(
-            f"{_context(lines, unknown[0])}unknown key `{unknown[0]}`"
-        )
+        raise _error(lines, unknown[0], f"unknown key `{unknown[0]}`")
     for key in REQUIRED_KEYS:
         if key not in values:
             raise ConfigError(f"missing key `{key}`")
 
-    order = _as_number(values, lines, "order", int)
-    initial = values["initial"]
-    if not isinstance(initial, list) or not all(map(_is_number, initial)):
-        raise ConfigError(
-            f"{_context(lines, 'initial')}`initial` must be a list of numbers"
-        )
+    order = _read(values, lines, "order")
+    initial = _read(values, lines, "initial")
     # before parsing, which builds the names of all `order` state variables
     if order != len(initial):
-        raise ConfigError(
-            f"{_context(lines, 'order')}`order` = {order} disagrees with the "
-            f"{len(initial)} values of `initial`"
+        raise _error(
+            lines,
+            "order",
+            f"`order` = {order} disagrees with the {len(initial)} values of `initial`",
         )
     if order < 1:
-        raise ConfigError(
-            f"{_context(lines, 'order')}`order` must be >= 1, got {order}"
-        )
+        raise _error(lines, "order", f"`order` must be >= 1, got {order}")
     trees = {}
     for key in ("f", "g"):
-        source = _as_string(values, lines, key)
+        source = _read(values, lines, key)  # a type error is not a parse error
         try:
             trees[key] = expr.parse_source(source, order)
         except AlphaPathError as exc:
-            raise ConfigError(
-                f"{_context(lines, key)}`{key}` does not parse: {exc}"
-            ) from exc
-    horizon = _as_number(values, lines, "horizon")
-    step = _as_number(values, lines, "step")
+            raise _error(lines, key, f"`{key}` does not parse: {exc}") from exc
+    horizon = _read(values, lines, "horizon")
+    step = _read(values, lines, "step")
     problems = grid_problems(horizon, step)
     if problems:
-        key, problem = problems[0]
-        raise ConfigError(f"{_context(lines, key)}{problem}")
-    spec = UdeSpec(
-        order=order,
-        drift=trees["f"],
-        diffusion=trees["g"],
-        initial=tuple(float(v) for v in initial),
-        horizon=horizon,
-        step=step,
-    )
+        raise _error(lines, *problems[0])
+    spec = UdeSpec(order, trees["f"], trees["g"], initial, horizon, step)
 
-    grid_kwargs: dict = {}
-    if "alpha.count" in values:
-        grid_kwargs["count"] = _as_number(values, lines, "alpha.count", int)
-    if "alpha.lo" in values:
-        grid_kwargs["lo"] = _as_number(values, lines, "alpha.lo")
-    if "alpha.symmetric" in values:
-        v = values["alpha.symmetric"]
-        if not isinstance(v, bool):
-            raise ConfigError(
-                f"{_context(lines, 'alpha.symmetric')}`alpha.symmetric` must be "
-                f"true or false, got {v!r}"
-            )
-        grid_kwargs["symmetric"] = v
-    grid = AlphaGridSpec(**grid_kwargs)
-
-    oracle_kwargs: dict = {}
-    if "oracle.delta" in values:
-        oracle_kwargs["delta"] = _as_number(values, lines, "oracle.delta")
-    if "oracle.n_paths" in values:
-        oracle_kwargs["n_paths"] = _as_number(values, lines, "oracle.n_paths", int)
-    if "oracle.segments" in values:
-        oracle_kwargs["segments"] = _as_number(values, lines, "oracle.segments", int)
-    if "oracle.seed" in values:
-        seed = _as_number(values, lines, "oracle.seed", int)
-        if seed < 0:
-            raise ConfigError(
-                f"{_context(lines, 'oracle.seed')}`oracle.seed` must be >= 0, "
-                f"got {seed}"
-            )
-        oracle_kwargs["seed"] = seed
-    if "oracle.alphas" in values:
-        v = values["oracle.alphas"]
-        if not isinstance(v, list) or not v or not all(map(_is_number, v)):
-            raise ConfigError(
-                f"{_context(lines, 'oracle.alphas')}`oracle.alphas` must be a "
-                f"non-empty list of numbers, got {v!r}"
-            )
-        oracle_kwargs["alphas"] = tuple(float(a) for a in v)
-    oracle = OracleSettings(**oracle_kwargs)
+    grid = AlphaGridSpec(**_section(values, lines, "alpha."))
+    oracle = OracleSettings(**_section(values, lines, "oracle."))
+    if oracle.seed < 0:
+        raise _error(
+            lines, "oracle.seed", f"`oracle.seed` must be >= 0, got {oracle.seed}"
+        )
+    if not oracle.alphas:
+        raise _error(
+            lines,
+            "oracle.alphas",
+            "`oracle.alphas` must be a non-empty list of numbers, got []",
+        )
     _check_size(spec, grid.count, oracle.n_paths, lines)
     problems = alpha_grid_problems(grid)  # after the cap: a huge even count is too big
     if problems:
-        key, problem = problems[0]
-        raise ConfigError(f"{_context(lines, key)}{problem}")
+        raise _error(lines, *problems[0])
 
-    directory = None
-    if "output.directory" in values:
-        directory = _as_string(values, lines, "output.directory")
-    formats: tuple[str, ...] = ("csv",)
-    if "output.formats" in values:
-        v = values["output.formats"]
-        if not isinstance(v, list) or not v:
-            raise ConfigError(
-                f"{_context(lines, 'output.formats')}`output.formats` must be a "
-                "non-empty list"
+    output = _section(values, lines, "output.")
+    formats = output.get("formats", ("csv",))
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise _error(
+                lines,
+                "output.formats",
+                f"unsupported format {fmt!r}; choose from {list(FORMATS)}",
             )
-        for fmt in v:
-            if fmt not in FORMATS:
-                raise ConfigError(
-                    f"{_context(lines, 'output.formats')}unsupported format "
-                    f"{fmt!r}; choose from {list(FORMATS)}"
-                )
-        formats = tuple(dict.fromkeys(v))  # dedupe, keep order
     # last, so a key whose own rule covers nan and inf keeps its message
     for key, v in values.items():
         items = v if isinstance(v, list) else [v]
         if any(isinstance(x, float) and not math.isfinite(x) for x in items):
-            raise ConfigError(
-                f"{_context(lines, key)}`{key}` must be finite, got {v!r}"
-            )
+            raise _error(lines, key, f"`{key}` must be finite, got {v!r}")
 
     return RunConfig(
         spec=spec,
         alpha=grid,
         oracle=oracle,
-        output_directory=directory,
-        output_formats=formats,
+        output_directory=output.get("directory"),
+        output_formats=tuple(dict.fromkeys(formats)),  # dedupe, keep order
         raw=dict(values),
         lines=dict(lines),
     )

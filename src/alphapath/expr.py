@@ -461,8 +461,9 @@ def _exec(source: str, block: bool = False) -> dict:
 
 @functools.lru_cache(maxsize=64)
 def _compile_source(source: str) -> CodeType:
-    # code objects are immutable and can be shared; the dominance oracle
-    # generates the same RK4 step again for every sample path it solves
+    # code objects are immutable and can be shared; the oracle generates its
+    # step once per chunk, and a step or partials text generated again for
+    # another alpha, side or command is compiled only once
     return compile(source, "<expr>", "exec")
 
 

@@ -19,7 +19,7 @@ from alphapath import cli
 from alphapath import config as config_module
 from alphapath import oracle
 from alphapath.cli import _write_text, main
-from alphapath.config import load_config, parse_config_text
+from alphapath.config import KNOWN_KEYS, load_config, parse_config_text
 from alphapath.errors import ConfigError
 from alphapath.expr import MAX_DEPTH
 from alphapath.solver import BLOCK_MIN_ROWS
@@ -702,13 +702,90 @@ def test_load_errors_name_their_line_on_every_command(tmp_path, capsys, edits, m
     text = BASE_CONFIG
     for old, new in edits.items():
         text = text.replace(old, new)
+    _assert_load_error_on_every_command(tmp_path, capsys, text, message)
+
+
+def _assert_load_error_on_every_command(tmp_path, capsys, text, message):
+    """Every command exits 2 with exactly ``message`` and writes no run.json."""
     cfg = write_config(tmp_path, text)
     for command in ("solve", "check", "dist", "oracle"):
         argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
         assert main(argv + (["--t", "1.0"] if command == "dist" else [])) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {cfg}: {message}"), err
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not (tmp_path / command / "run.json").exists()
+
+
+def _set_key(key, value):
+    """BASE_CONFIG with ``key = value``, on the key's line or appended, and
+    that line's number."""
+    lines = BASE_CONFIG.splitlines()
+    keys = [line.partition("=")[0].strip() for line in lines]
+    number = keys.index(key) + 1 if key in keys else len(lines) + 1
+    lines[number - 1 : number] = [f"{key} = {value}"]
+    return "\n".join(lines) + "\n", number
+
+
+HUGE = "1" + "0" * 400  # an integer literal no double can hold
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("order", HUGE, "`order` must be an integer, got inf"),
+        ("initial", f"[{HUGE}, 0]", "`initial` must be finite, got [inf, 0]"),
+        ("horizon", HUGE, "horizon must be positive and finite, got inf"),
+        ("step", HUGE, "step must be positive and finite, got inf"),
+        ("alpha.count", HUGE, "`alpha.count` must be an integer, got inf"),
+        ("alpha.lo", HUGE, "alpha lo must lie in (0, 0.5), got inf"),
+        ("oracle.delta", HUGE, "`oracle.delta` must be finite, got inf"),
+        ("oracle.n_paths", HUGE, "`oracle.n_paths` must be an integer, got inf"),
+        ("oracle.segments", HUGE, "`oracle.segments` must be an integer, got inf"),
+        ("oracle.seed", HUGE, "`oracle.seed` must be an integer, got inf"),
+        ("oracle.seed", f"-{HUGE}", "`oracle.seed` must be an integer, got -inf"),
+        ("oracle.alphas", f"[{HUGE}]", "`oracle.alphas` must be finite, got [inf]"),
+    ],
+    ids=[
+        "order", "initial", "horizon", "step", "alpha.count", "alpha.lo",
+        "oracle.delta", "oracle.n_paths", "oracle.segments", "oracle.seed",
+        "oracle.seed-negative", "oracle.alphas",
+    ],
+)
+def test_integers_beyond_a_double_exit_2_naming_their_line(
+    tmp_path, capsys, key, value, message
+):
+    text, line = _set_key(key, value)
+    message = f"line {line}: {message}"
+    _assert_load_error_on_every_command(tmp_path, capsys, text, message)
+
+
+# for every key, a value of the wrong type and the message of the key's type
+WRONG_TYPES = {
+    "order": ("2.5", "must be an integer, got 2.5"),
+    "initial": ("0.1", "must be a list of numbers, got 0.1"),
+    "f": ("1", "must be a string, got 1"),
+    "g": ("[x0]", "must be a string, got ['x0']"),
+    "horizon": ('"1.0"', "must be a number, got '1.0'"),
+    "step": ("true", "must be a number, got True"),
+    "alpha.count": ("[9]", "must be a number, got [9]"),
+    "alpha.lo": ("x", "must be a number, got 'x'"),
+    "alpha.symmetric": ("1", "must be true or false, got 1"),
+    "oracle.delta": ("false", "must be a number, got False"),
+    "oracle.n_paths": ("6.5", "must be an integer, got 6.5"),
+    "oracle.segments": ('"16"', "must be a number, got '16'"),
+    "oracle.seed": ("2718.5", "must be an integer, got 2718.5"),
+    "oracle.alphas": ("[0.2, x]", "must be a list of numbers, got [0.2, 'x']"),
+    "output.directory": ("[out]", "must be a string, got ['out']"),
+    "output.formats": ("csv", "must be a non-empty list, got 'csv'"),
+}
+
+
+@pytest.mark.parametrize("key", list(KNOWN_KEYS))
+def test_a_value_of_the_wrong_type_exits_2_with_its_type_message(tmp_path, capsys, key):
+    value, must = WRONG_TYPES[key]
+    text, line = _set_key(key, value)
+    _assert_load_error_on_every_command(
+        tmp_path, capsys, text, f"line {line}: `{key}` {must}"
+    )
 
 
 def test_run_json_drops_sections_of_another_config(tmp_path):

@@ -251,6 +251,7 @@ overrides = st.lists(
 @given(expressions, expressions, overrides, st.sampled_from(["1.0", "0.5", "0", "2"]))
 @example('"x0"', '"1"', [("oracle.delta", "nan")], "1.0")
 @example('"x0"', '"1"', [("oracle.alphas", "[nan]")], "1.0")
+@example('"x0"', '"1"', [("horizon", "1" + "0" * 400)], "1.0")
 def test_every_command_maps_a_generated_config_to_an_exit_code(f, g, changes, t):
     config = {**SMALL_RUN, "f": f, "g": g, **dict(changes)}
     text = "".join(f"{key} = {value}\n" for key, value in config.items())

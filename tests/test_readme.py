@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from alphapath.config import build_config, parse_config_text
+from alphapath.config import KNOWN_KEYS, build_config, parse_config_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,3 +32,9 @@ def test_readme_config_segments_divide_its_step_count():
     (text,) = [block for block in _fenced("") if "oracle.segments" in block]
     config = build_config(*parse_config_text(text))
     assert config.spec.step_count % config.oracle.segments == 0
+
+
+def test_readme_config_block_sets_every_known_key():
+    (text,) = [block for block in _fenced("") if "oracle.segments" in block]
+    values, _ = parse_config_text(text)
+    assert sorted(values) == sorted(KNOWN_KEYS)

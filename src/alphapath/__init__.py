@@ -26,7 +26,6 @@ from .solver import (
     integral_residual,
     solve_alpha_path,
     solve_fan,
-    solve_sample_path,
 )
 from .analysis import (
     ConditionHCheck,
@@ -45,10 +44,8 @@ from .analysis import (
 )
 from .oracle import (
     DominanceReport,
-    SamplePath,
     dominance_check,
     dominance_checks,
-    sample_lipschitz_path,
 )
 from .errors import (
     AlignmentError,
@@ -91,7 +88,6 @@ __all__ = [
     "IntegralResidual",
     "MonotoneCheck",
     "RegularityCheck",
-    "SamplePath",
     "Trajectory",
     "UdeSpec",
     "alpha_grid",
@@ -106,10 +102,8 @@ __all__ = [
     "integral_residual",
     "inverse_distribution",
     "phi_inv",
-    "sample_lipschitz_path",
     "solve_alpha_path",
     "solve_fan",
-    "solve_sample_path",
     "validate_spec",
 ]
 

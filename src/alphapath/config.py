@@ -26,7 +26,7 @@ from pathlib import Path
 from . import expr
 from .core import AlphaGridSpec, UdeSpec, alpha_grid_problems, grid_problems
 from .errors import AlphaPathError, ConfigError
-from .oracle import CHUNK_PATHS
+from .oracle import CHUNK_PATHS, setting_problems
 
 Scalar = bool | int | float | str
 Value = Scalar | list[Scalar]
@@ -277,6 +277,14 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
         items = v if isinstance(v, list) else [v]
         if any(isinstance(x, float) and not math.isfinite(x) for x in items):
             raise _error(lines, key, f"`{key}` must be finite, got {v!r}")
+    # the oracle's own rules, so a run it would refuse fails every command
+    problems = setting_problems(
+        oracle.alphas, oracle.delta, oracle.n_paths, oracle.segments
+    )
+    if problems:
+        key, message = problems[0]
+        # only the default alphas can fail unset, and then delta is at fault
+        raise _error(lines, key if key in lines else "oracle.delta", message)
 
     return RunConfig(
         spec=spec,

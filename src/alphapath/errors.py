@@ -85,7 +85,7 @@ class FanSolveError(AlphaPathError):
 
 
 class AlignmentError(AlphaPathError):
-    """Sample-path breakpoints do not fall on solver grid nodes."""
+    """Driver segments do not divide the step count."""
 
 
 class MonotonicityError(AlphaPathError):

@@ -3,10 +3,12 @@
 The mechanism under test: a driver path whose difference quotients stay
 strictly below phi_inv(alpha - delta) must produce a trajectory strictly
 below the alpha-path at every positive time (and symmetrically above, for
-quotients strictly above phi_inv(alpha + delta)). Piecewise-linear
-surrogates make the global difference-quotient envelope equal to the
-extreme segment slope, so the bound is checkable exactly rather than
-estimated.
+quotients strictly above phi_inv(alpha + delta)). Each surrogate driver is
+piecewise linear from C_0 = 0: one row of slopes over equal segments of
+[0, horizon]. For such a driver every difference quotient (C_s - C_t)/(s - t),
+s > t, is a weighted mean of segment slopes, so it lies within
+[min slope, max slope] and the slope extremes certify the global envelope:
+the bound is checkable exactly rather than estimated.
 
 Sampled frequencies carry no measure-theoretic meaning here; only the
 universally quantified dominance is being tested, path by path.
@@ -22,8 +24,14 @@ import numpy as np
 
 from .analysis import Report, check_hypotheses
 from .core import UdeSpec, phi_inv
-from .errors import AlignmentError, ConfigError, DomainError, HypothesisError
-from .solver import AlphaFan, _require_valid, sample_positions, solve_alpha_path
+from .errors import ConfigError, HypothesisError
+from .solver import (
+    AlphaFan,
+    _require_valid,
+    sample_positions,
+    segment_counts,
+    solve_alpha_path,
+)
 
 SLOPE_WINDOW = 2.0  # W: how far below/above the bound slopes are drawn
 SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
@@ -33,52 +41,6 @@ SIDES = ("below", "above")
 # surrogates integrated together in one dominance run; bounds the memory of a
 # run to CHUNK_PATHS trajectories whatever n_paths is
 CHUNK_PATHS = 1024
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """Piecewise-linear driver surrogate starting at 0.
-
-    Because the path is piecewise linear, every difference quotient
-    (C_s - C_t)/(s - t) for s > t lies within [min slope, max slope], so the
-    slope extremes certify the global envelope.
-    """
-
-    breakpoints: tuple[float, ...]
-    slopes: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.breakpoints) < 2:
-            raise ConfigError("sample path needs at least one segment")
-        if len(self.slopes) != len(self.breakpoints) - 1:
-            raise ConfigError(
-                f"expected {len(self.breakpoints) - 1} slopes, got {len(self.slopes)}"
-            )
-        if self.breakpoints[0] != 0.0:
-            raise ConfigError("sample path must start at t=0 (origin C_0 = 0)")
-        if any(b <= a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
-            raise ConfigError("breakpoints must be strictly increasing")
-
-    @property
-    def max_slope(self) -> float:
-        return max(self.slopes)
-
-    @property
-    def min_slope(self) -> float:
-        return min(self.slopes)
-
-    def value(self, t: float) -> float:
-        """C(t) by integrating the segment slopes from the origin."""
-        if t < self.breakpoints[0] or t > self.breakpoints[-1]:
-            raise DomainError(f"t={t} outside the sample path's span")
-        acc = 0.0
-        for left, right, slope in zip(
-            self.breakpoints, self.breakpoints[1:], self.slopes
-        ):
-            if t <= right:
-                return acc + slope * (t - left)
-            acc += slope * (right - left)
-        return acc
 
 
 @dataclass
@@ -110,66 +72,42 @@ def _path_seed(seed: int, k: int) -> int:
     return (seed * 1_000_003 + k) % (2**63)
 
 
-def sample_lipschitz_path(
-    bound: float, side: str, horizon: float, segments: int, seed: int
-) -> SamplePath:
-    """Draw a surrogate whose slopes sit strictly on one side of ``bound``.
+def _draw_slopes(bound: float, side: str, segments: int, seed: int) -> np.ndarray:
+    """One surrogate's slopes, strictly on one side of ``bound``.
 
-    below: slopes uniform in [bound - W, bound - eps]; above: mirrored to
-    [bound + eps, bound + W]. Equal-length segments; deterministic given the
-    seed.
+    below: uniform in [bound - W, bound - eps]; above: mirrored to
+    [bound + eps, bound + W]. Deterministic given the seed.
     """
-    if side not in SIDES:
-        raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
-    if segments < 1:
-        raise ConfigError(f"segments must be >= 1, got {segments}")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ConfigError(f"horizon must be positive, got {horizon!r}")
     rng = np.random.default_rng(seed)
     if side == "below":
-        draws = rng.uniform(bound - SLOPE_WINDOW, bound - SLOPE_MARGIN, segments)
-    else:
-        draws = rng.uniform(bound + SLOPE_MARGIN, bound + SLOPE_WINDOW, segments)
-    breakpoints = tuple(horizon * k / segments for k in range(segments + 1))
-    return SamplePath(breakpoints=breakpoints, slopes=tuple(map(float, draws)))
+        return rng.uniform(bound - SLOPE_WINDOW, bound - SLOPE_MARGIN, segments)
+    return rng.uniform(bound + SLOPE_MARGIN, bound + SLOPE_WINDOW, segments)
 
 
-def _nearest_divisors(n: int, k: int) -> list[int]:
-    """The largest divisor of n below k and the smallest above it, if any."""
-    divisors = [
-        d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)
-    ]
-    below = [d for d in divisors if d < k]
-    above = [d for d in divisors if d > k]
-    return ([max(below)] if below else []) + ([min(above)] if above else [])
-
-
-def _check_arguments(
-    spec: UdeSpec, alpha: float, delta: float, n_paths: int, segments: int, side: str
-) -> None:
-    """Every precondition of a dominance run that needs no solve: the
-    arguments, a valid spec, and surrogate breakpoints on solver nodes."""
-    if side not in SIDES:
-        raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
+def setting_problems(
+    alphas: Sequence[float], delta: float, n_paths: int, segments: int
+) -> list[tuple[str, str]]:
+    """Problems of the oracle's settings, each with the config key whose
+    value is at fault; empty when a dominance run can take them. Every alpha
+    is checked on both sides: alpha - delta and alpha + delta must lie in
+    (0, 1)."""
+    problems: list[tuple[str, str]] = []
     if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    if side == "below" and not alpha - delta > 0:
-        raise DomainError(f"need alpha - delta > 0, got alpha={alpha}, delta={delta}")
-    if side == "above" and not alpha + delta < 1:
-        raise DomainError(f"need alpha + delta < 1, got alpha={alpha}, delta={delta}")
-    if n_paths < 1:
-        raise ConfigError(f"n_paths must be >= 1, got {n_paths}")
-    if segments < 1:
-        raise ConfigError(f"segments must be >= 1, got {segments}")
-    _require_valid(spec)
-    steps = spec.step_count
-    if steps % segments:
-        divisors = ", ".join(map(str, _nearest_divisors(steps, segments)))
-        raise AlignmentError(
-            f"{segments} segments do not divide the {steps} solver steps, so "
-            f"the breakpoint t={spec.horizon / segments!r} does not fall on a "
-            f"solver node; nearest divisors of {steps}: {divisors}"
-        )
+        problems.append(("oracle.delta", f"delta must be positive, got {delta}"))
+    if not n_paths >= 1:
+        problems.append(("oracle.n_paths", f"n_paths must be >= 1, got {n_paths}"))
+    if not segments >= 1:
+        problems.append(("oracle.segments", f"segments must be >= 1, got {segments}"))
+    for alpha in alphas:
+        for holds, need in (
+            (alpha - delta > 0, "alpha - delta > 0"),
+            (alpha + delta < 1, "alpha + delta < 1"),
+        ):
+            if not holds:
+                problems.append(
+                    ("oracle.alphas", f"need {need}, got alpha={alpha}, delta={delta}")
+                )
+    return problems
 
 
 def dominance_checks(
@@ -185,22 +123,28 @@ def dominance_checks(
     """Verify dominance for sampled drivers: one report per (alpha, side),
     alpha by alpha and the sides in the given order.
 
-    The arguments of every (alpha, side) are checked before any solve;
-    ``segments`` must divide the spec's step count (AlignmentError). Each
-    alpha-path is then solved once, and the run refuses (HypothesisError,
-    naming the failing checks) when ``check_hypotheses`` fails on it, since
-    dominance is only guaranteed under its hypotheses.
+    Before any solve, the settings are checked (ConfigError, the first of
+    ``setting_problems``), then the sides and the spec, and ``segments``
+    must divide the spec's step count (AlignmentError). Each alpha-path is
+    then solved once, and the run refuses (HypothesisError, naming the
+    failing checks) when ``check_hypotheses`` fails on it, since dominance
+    is only guaranteed under its hypotheses.
 
-    Each surrogate's slopes lie below phi_inv(alpha - delta) (or above
-    phi_inv(alpha + delta)), and its trajectory must stay strictly on that
-    side of the alpha-path at every node t >= h; at t = 0 both share the
-    initial state exactly. The surrogates share their breakpoints, so they
-    are integrated together (see ``sample_positions``), in chunks of at most
-    CHUNK_PATHS.
+    Each surrogate is one row of ``segments`` slopes, all below
+    phi_inv(alpha - delta) (or above phi_inv(alpha + delta)), and its
+    trajectory must stay strictly on that side of the alpha-path at every
+    node t >= h; at t = 0 both share the initial state exactly. The rows
+    are integrated together (see ``sample_positions``), in chunks of at
+    most CHUNK_PATHS.
     """
-    for alpha in alphas:
-        for side in sides:
-            _check_arguments(spec, alpha, delta, n_paths, segments, side)
+    problems = setting_problems(alphas, delta, n_paths, segments)
+    if problems:
+        raise ConfigError(problems[0][1])
+    for side in sides:
+        if side not in SIDES:
+            raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
+    _require_valid(spec)
+    segment_counts(spec, segments)
     reports = []
     for alpha in alphas:
         target = solve_alpha_path(spec, alpha)
@@ -219,13 +163,13 @@ def dominance_checks(
             )
             for first in range(0, n_paths, CHUNK_PATHS):
                 chunk = range(first, min(first + CHUNK_PATHS, n_paths))
-                slopes = np.empty((len(chunk), segments))
-                for row, k in enumerate(chunk):
-                    surrogate = sample_lipschitz_path(
-                        bound, side, spec.horizon, segments, _path_seed(seed, k)
-                    )
-                    slopes[row] = surrogate.slopes
-                sampled = sample_positions(spec, surrogate.breakpoints, slopes)[:, 1:]
+                slopes = np.array(
+                    [
+                        _draw_slopes(bound, side, segments, _path_seed(seed, k))
+                        for k in chunk
+                    ]
+                )
+                sampled = sample_positions(spec, slopes)[:, 1:]
                 for k, path in enumerate(sampled, start=first):
                     margin = reference - path if side == "below" else path - reference
                     j = int(np.argmin(margin))

@@ -19,16 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import expr
 from .core import UdeSpec, phi_inv, validate_spec
 from .errors import AlignmentError, BlowUpError, ConfigError, FanSolveError
-
-if TYPE_CHECKING:
-    from .oracle import SamplePath
 
 # any |state| beyond this aborts a solve: distinguishes hypothesis failure
 # from numeric overflow noise
@@ -396,60 +393,44 @@ def integral_residual(
     return IntegralResidual(float(max_residual), at_time, used_trapezoid)
 
 
-def _segment_steps(spec: UdeSpec, breakpoints: Sequence[float]) -> list[int]:
-    """Solver steps per surrogate segment; every breakpoint must land on a
-    solver grid node, so that each RK4 step lies inside a single segment and
-    every stage sees that segment's slope."""
-    tlist = time_grid(spec).tolist()
-    n_steps = spec.step_count
-    h = spec.horizon / n_steps
-    tolerance = 1e-9 * max(spec.horizon, 1.0)
+def _nearest_divisors(n: int, k: int) -> list[int]:
+    """The largest divisor of n below k and the smallest above it, if any."""
+    divisors = [
+        d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)
+    ]
+    below = [d for d in divisors if d < k]
+    above = [d for d in divisors if d > k]
+    return ([max(below)] if below else []) + ([min(above)] if above else [])
 
-    node_index: list[int] = []
-    for s in breakpoints:
-        k = int(round(s / h))
-        if k < 0 or k > n_steps or abs(s - tlist[k]) > tolerance:
-            raise AlignmentError(
-                f"breakpoint t={s} does not fall on a solver node (step {h})"
-            )
-        node_index.append(k)
-    if node_index[0] != 0 or node_index[-1] != n_steps:
+
+def segment_counts(spec: UdeSpec, segments: int) -> list[int]:
+    """Solver steps per driver segment when ``segments`` equal segments span
+    [0, horizon]. The segments must divide the step count (AlignmentError
+    otherwise), so that each RK4 step lies inside a single segment and every
+    stage sees that segment's slope."""
+    steps = spec.step_count
+    if steps % segments:
+        divisors = ", ".join(map(str, _nearest_divisors(steps, segments)))
         raise AlignmentError(
-            "sample path must span [0, horizon] on the solver grid"
+            f"{segments} segments do not divide the {steps} solver steps, so "
+            f"the breakpoint t={spec.horizon / segments!r} does not fall on a "
+            f"solver node; nearest divisors of {steps}: {divisors}"
         )
-    if any(b <= a for a, b in zip(node_index, node_index[1:])):
-        raise AlignmentError("breakpoints collapse onto the same solver node")
-    return [b - a for a, b in zip(node_index, node_index[1:])]
+    return [steps // segments] * segments
 
 
-def solve_sample_path(spec: UdeSpec, c: "SamplePath") -> Trajectory:
-    """Integrate the pathwise ODE driven by a piecewise-linear surrogate.
+def sample_positions(spec: UdeSpec, slopes: np.ndarray) -> np.ndarray:
+    """Positions of the pathwise ODE, one row per driver.
 
-    The top row becomes f + g * slope, with the slope constant per surrogate
-    segment. Breakpoints must land on solver grid nodes.
+    Row k of ``slopes`` (paths, segments) holds driver k's slope on each of
+    ``segments`` equal segments of [0, horizon], which must divide the step
+    count (see ``segment_counts``); the top row of the companion system is
+    f + g * slope. Row k of the result (paths, N+1) is driver k's position
+    at every node, the same bits however many rows are passed. Raises the
+    first failing row's BlowUpError.
     """
     _require_valid(spec)
-    counts = _segment_steps(spec, c.breakpoints)
-    slopes = np.array([c.slopes], dtype=float)
-    states, diffusion, failures = _solve_rows(
-        spec, True, counts, slopes, spec.order, None
-    )
-    if failures:
-        raise failures[0][1]
-    return Trajectory(time_grid(spec), states[0], diffusion[0])
-
-
-def sample_positions(
-    spec: UdeSpec, breakpoints: Sequence[float], slopes: np.ndarray
-) -> np.ndarray:
-    """Positions of the pathwise ODE for surrogates that share breakpoints.
-
-    Row k of ``slopes`` (paths, segments) holds surrogate k's segment slopes;
-    row k of the result (paths, N+1) is its position at every node, the bits
-    solve_sample_path gives it. Raises the first failing row's BlowUpError.
-    """
-    _require_valid(spec)
-    counts = _segment_steps(spec, breakpoints)
+    counts = segment_counts(spec, slopes.shape[1])
     states, _, failures = _solve_rows(spec, True, counts, slopes, 1, None)
     if failures:
         raise failures[0][1]

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from alphapath import AlphaGridSpec, RegularityCheck, UdeSpec, alpha_grid, solve_fan
+from alphapath import solver
 from alphapath.analysis import TOL_CONDITION_H
 from alphapath.expr import _emit, _exec, evaluate, state_variables
 
@@ -35,6 +36,18 @@ def tanh_spec(order: int, initial=None, horizon=1.0, step=1e-3) -> UdeSpec:
 def one_step_spec(order: int, f: str, g: str, initial, h: float) -> UdeSpec:
     """Spec whose grid is a single step of size h: solving it takes one RK4 step."""
     return UdeSpec.from_strings(order, f, g, initial, h, h)
+
+
+def driven(spec: UdeSpec, slopes):
+    """Full states (rows, N+1, order) and g (rows, N+1) of the pathwise ODE,
+    one row per row of driver slopes over equal segments of [0, horizon]."""
+    slopes = np.array(slopes, dtype=float)
+    counts = solver.segment_counts(spec, slopes.shape[1])
+    states, diffusion, failures = solver._solve_rows(
+        spec, True, counts, slopes, spec.order, None
+    )
+    assert not failures
+    return states, diffusion
 
 
 def companion_rhs(spec: UdeSpec, c: float, weight=abs):

@@ -725,6 +725,42 @@ def _set_key(key, value):
     return "\n".join(lines) + "\n", number
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("oracle.n_paths", "0", "n_paths must be >= 1, got 0"),
+        ("oracle.segments", "0", "segments must be >= 1, got 0"),
+        ("oracle.delta", "0", "delta must be positive, got 0.0"),
+        ("oracle.delta", "0.5", "need alpha - delta > 0, got alpha=0.2, delta=0.5"),
+        ("oracle.alphas", "[1.5]", "need alpha + delta < 1, got alpha=1.5, delta=0.05"),
+        (
+            "oracle.alphas",
+            "[0.02]",
+            "need alpha - delta > 0, got alpha=0.02, delta=0.05",
+        ),
+    ],
+    ids=["n_paths", "segments", "delta", "delta-wide", "alpha-above", "alpha-below"],
+)
+def test_oracle_settings_the_oracle_refuses_fail_every_command_at_load(
+    tmp_path, capsys, key, value, message
+):
+    text, line = _set_key(key, value)
+    message = f"line {line}: {message}"
+    _assert_load_error_on_every_command(tmp_path, capsys, text, message)
+
+
+def test_segments_that_do_not_divide_the_steps_refuse_only_the_oracle(tmp_path):
+    # divisibility needs the step count, so it is the oracle's own rule: the
+    # default 32 segments and 1000 steps solve, check and tabulate
+    text = BASE_CONFIG.replace("step    = 0.0025", "step    = 0.001").replace(
+        "oracle.segments = 16\n", ""
+    )
+    cfg = write_config(tmp_path, text)
+    for command in ("solve", "check", "dist"):
+        argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
+        assert main(argv + (["--t", "1.0"] if command == "dist" else [])) == 0
+
+
 HUGE = "1" + "0" * 400  # an integer literal no double can hold
 
 

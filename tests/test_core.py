@@ -10,18 +10,22 @@ import pytest
 
 from alphapath import (
     AlphaGridSpec,
-    SamplePath,
     UdeSpec,
     alpha_grid,
     phi_inv,
     solve_alpha_path,
-    solve_sample_path,
     validate_spec,
 )
 from alphapath.errors import ConfigError, DomainError
 from alphapath.expr import evaluate, parse_source
 
-from conftest import companion_rhs, one_step_spec, reference_rk4_step, tanh_spec
+from conftest import (
+    companion_rhs,
+    driven,
+    one_step_spec,
+    reference_rk4_step,
+    tanh_spec,
+)
 
 
 def test_phi_inv_center_is_exactly_zero():
@@ -161,8 +165,8 @@ def test_pathwise_system_keeps_diffusion_sign():
     h = 0.2
     spec = one_step_spec(2, "0", "0-1", [0.0, 0.0], h)
     mirrored = one_step_spec(2, "0", "1", [0.0, 0.0], h)
-    out = solve_sample_path(spec, SamplePath((0.0, h), (2.0,))).states[-1]
-    reference = solve_sample_path(mirrored, SamplePath((0.0, h), (-2.0,))).states[-1]
+    out = driven(spec, [[2.0]])[0][0, -1]
+    reference = driven(mirrored, [[-2.0]])[0][0, -1]
     assert tuple(out) == tuple(reference)
     assert out[1] == pytest.approx(-2.0 * h, rel=1e-14)
 

@@ -2,21 +2,17 @@
 
 from __future__ import annotations
 
-import random
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from alphapath import (
-    SamplePath,
     UdeSpec,
     dominance_check,
     dominance_checks,
     phi_inv,
-    sample_lipschitz_path,
     solve_alpha_path,
-    solve_sample_path,
 )
 from alphapath import oracle as oracle_module
 from alphapath import solver
@@ -24,78 +20,77 @@ from alphapath.errors import (
     AlignmentError,
     BlowUpError,
     ConfigError,
-    DomainError,
     HypothesisError,
 )
-from alphapath.oracle import SLOPE_MARGIN, SLOPE_WINDOW
+from alphapath.oracle import SLOPE_MARGIN, SLOPE_WINDOW, _draw_slopes, setting_problems
 
-from conftest import polynomial_spec, tanh_spec
-
-
-def test_sample_path_validation():
-    with pytest.raises(ConfigError):
-        SamplePath(breakpoints=(0.0,), slopes=())
-    with pytest.raises(ConfigError):
-        SamplePath(breakpoints=(0.1, 1.0), slopes=(1.0,))
-    with pytest.raises(ConfigError):
-        SamplePath(breakpoints=(0.0, 0.5, 0.5), slopes=(1.0, 1.0))
-    with pytest.raises(ConfigError):
-        SamplePath(breakpoints=(0.0, 1.0), slopes=(1.0, 2.0))
+from conftest import driven, polynomial_spec, tanh_spec
 
 
-def test_sample_path_value_piecewise_linear():
-    c = SamplePath(breakpoints=(0.0, 0.5, 1.0), slopes=(2.0, -1.0))
-    assert c.value(0.0) == 0.0
-    assert c.value(0.25) == 0.5
-    assert c.value(0.5) == 1.0
-    assert c.value(1.0) == 0.5
-    with pytest.raises(DomainError):
-        c.value(1.5)
+def _quotients(slopes, horizon):
+    """Every difference quotient of the piecewise-linear driver C with C_0 = 0
+    and these slopes on equal segments of [0, horizon], taken between two of
+    its breakpoints."""
+    times = np.linspace(0.0, horizon, len(slopes) + 1)
+    values = np.concatenate([[0.0], np.cumsum(slopes * (horizon / len(slopes)))])
+    later, earlier = np.triu_indices(len(times), 1)[::-1]
+    return (values[later] - values[earlier]) / (times[later] - times[earlier])
 
 
 def test_sampler_single_segment_range():
-    path = sample_lipschitz_path(1.0, "below", 1.0, segments=1, seed=3)
-    assert len(path.slopes) == 1
-    assert 1.0 - SLOPE_WINDOW <= path.slopes[0] <= 1.0 - SLOPE_MARGIN
+    slopes = _draw_slopes(1.0, "below", 1, 3)
+    assert slopes.shape == (1,)
+    assert 1.0 - SLOPE_WINDOW <= slopes[0] <= 1.0 - SLOPE_MARGIN
 
 
 def test_sampler_below_certifies_difference_quotients():
     bound = 0.75
-    path = sample_lipschitz_path(bound, "below", 2.0, segments=16, seed=11)
-    assert path.max_slope <= bound - SLOPE_MARGIN
+    slopes = _draw_slopes(bound, "below", 16, 11)
+    assert slopes.max() <= bound - SLOPE_MARGIN
+    assert slopes.min() >= bound - SLOPE_WINDOW
     # piecewise linearity: every difference quotient is within the slope hull
-    rng = random.Random(5)
-    for _ in range(200):
-        t = rng.uniform(0.0, 2.0)
-        s = rng.uniform(t + 1e-9, 2.0)
-        quotient = (path.value(s) - path.value(t)) / (s - t)
-        assert quotient <= bound - SLOPE_MARGIN + 1e-12
-        assert quotient >= path.min_slope - 1e-12
+    quotients = _quotients(slopes, 2.0)
+    assert (quotients <= bound - SLOPE_MARGIN + 1e-12).all()
+    assert (quotients >= slopes.min() - 1e-12).all()
 
 
 def test_sampler_above_mirrors():
     bound = -0.4
-    path = sample_lipschitz_path(bound, "above", 1.0, segments=8, seed=21)
-    assert path.min_slope >= bound + SLOPE_MARGIN
-    rng = random.Random(6)
-    for _ in range(100):
-        t = rng.uniform(0.0, 1.0)
-        s = rng.uniform(t + 1e-9, 1.0)
-        quotient = (path.value(s) - path.value(t)) / (s - t)
-        assert quotient >= bound + SLOPE_MARGIN - 1e-12
+    slopes = _draw_slopes(bound, "above", 8, 21)
+    assert slopes.min() >= bound + SLOPE_MARGIN
+    assert slopes.max() <= bound + SLOPE_WINDOW
+    assert (_quotients(slopes, 1.0) >= bound + SLOPE_MARGIN - 1e-12).all()
 
 
 def test_sampler_deterministic():
-    a = sample_lipschitz_path(0.3, "below", 1.0, segments=4, seed=123)
-    b = sample_lipschitz_path(0.3, "below", 1.0, segments=4, seed=123)
-    assert a == b
+    a = _draw_slopes(0.3, "below", 4, 123)
+    b = _draw_slopes(0.3, "below", 4, 123)
+    assert a.tobytes() == b.tobytes()
+    assert a.tobytes() != _draw_slopes(0.3, "below", 4, 124).tobytes()
 
 
 def test_sampler_rejects_bad_arguments():
-    with pytest.raises(ConfigError):
-        sample_lipschitz_path(0.0, "sideways", 1.0, 4, 0)
-    with pytest.raises(ConfigError):
-        sample_lipschitz_path(0.0, "below", 1.0, 0, 0)
+    # the sampler's side and segment count are refused before any draw
+    spec = tanh_spec(2, step=1.0 / 64)
+    with pytest.raises(ConfigError, match="side must be one of"):
+        dominance_check(spec, 0.8, 0.05, 4, 4, "sideways", 0)
+    with pytest.raises(ConfigError, match="segments must be >= 1, got 0"):
+        dominance_check(spec, 0.8, 0.05, 4, 0, "below", 0)
+
+
+def test_setting_problems_name_every_fault_with_its_key():
+    assert setting_problems([0.2, 0.8], 0.05, 200, 32) == []
+    assert setting_problems([1.5, 0.02], 0.0, 0, 0) == [
+        ("oracle.delta", "delta must be positive, got 0.0"),
+        ("oracle.n_paths", "n_paths must be >= 1, got 0"),
+        ("oracle.segments", "segments must be >= 1, got 0"),
+        ("oracle.alphas", "need alpha + delta < 1, got alpha=1.5, delta=0.0"),
+    ]
+    # both sides of every alpha are checked, whatever side a run takes
+    assert [m for _, m in setting_problems([0.02, 0.98], 0.05, 1, 1)] == [
+        "need alpha - delta > 0, got alpha=0.02, delta=0.05",
+        "need alpha + delta < 1, got alpha=0.98, delta=0.05",
+    ]
 
 
 def test_dominance_below_polynomial_closed_form():
@@ -127,15 +122,14 @@ def test_dominance_nonlinear_both_sides():
 
 
 def test_boundary_driver_reproduces_alpha_path_exactly():
-    # the alpha-path recast as a constant-slope sample path: equality at
-    # every node, so strict dominance must NOT hold
+    # the alpha-path recast as a constant-slope driver: equality at every
+    # node, so strict dominance must NOT hold
     spec = polynomial_spec(2, step=1.0 / 256)
     alpha = 0.8
-    c = SamplePath(breakpoints=(0.0, 1.0), slopes=(phi_inv(alpha),))
-    trajectory = solve_sample_path(spec, c)
+    states = driven(spec, [[phi_inv(alpha)]])[0][0]
     target = solve_alpha_path(spec, alpha)
-    assert np.array_equal(trajectory.states, target.states)
-    margin = target.position[1:] - trajectory.position[1:]
+    assert np.array_equal(states, target.states)
+    margin = target.position[1:] - states[1:, 0]
     assert (margin <= 0.0).all()  # equality: no strictly positive margin
 
 
@@ -145,10 +139,10 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
     spec = polynomial_spec(2, step=1.0 / 64)
     alpha = 0.8
 
-    def constant_bound_path(bound, side, horizon, segments, seed):
-        return SamplePath(breakpoints=(0.0, horizon), slopes=(phi_inv(alpha),))
+    def constant_bound_slopes(bound, side, segments, seed):
+        return np.full(segments, phi_inv(alpha))
 
-    monkeypatch.setattr(oracle_module, "sample_lipschitz_path", constant_bound_path)
+    monkeypatch.setattr(oracle_module, "_draw_slopes", constant_bound_slopes)
     # enough paths that the drivers are integrated as one block
     n_paths = solver.BLOCK_MIN_ROWS
     report = dominance_check(
@@ -168,15 +162,10 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
 def test_dominance_monotone_coupling():
     # pointwise-ordered slopes produce ordered trajectories at every node
     spec = tanh_spec(2, step=1.0 / 128)
-    base = sample_lipschitz_path(phi_inv(0.4), "below", 1.0, segments=8, seed=33)
-    shifted = SamplePath(
-        breakpoints=base.breakpoints,
-        slopes=tuple(m + 0.25 for m in base.slopes),
-    )
-    low = solve_sample_path(spec, base)
-    high = solve_sample_path(spec, shifted)
-    assert (high.position[1:] > low.position[1:]).all()
-    assert high.position[0] == low.position[0]
+    base = _draw_slopes(phi_inv(0.4), "below", 8, 33)
+    low, high = driven(spec, [base, base + 0.25])[0][:, :, 0]
+    assert (high[1:] > low[1:]).all()
+    assert high[0] == low[0]
 
 
 def test_dominance_reproducible():
@@ -186,12 +175,13 @@ def test_dominance_reproducible():
 
 
 def test_dominance_requires_valid_delta():
+    # a setting fault, so a ConfigError like every other setting's
     spec = polynomial_spec(2, step=1.0 / 64)
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="need alpha - delta > 0"):
         dominance_check(
             spec, alpha=0.04, delta=0.05, n_paths=1, segments=1, side="below", seed=0
         )
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="need alpha \\+ delta < 1"):
         dominance_check(
             spec, alpha=0.98, delta=0.05, n_paths=1, segments=1, side="above", seed=0
         )
@@ -228,12 +218,12 @@ def test_dominance_rejects_misaligned_segments_before_any_work(
     monkeypatch, segments, message
 ):
     # neither the alpha-path nor a surrogate is computed for a run whose
-    # breakpoints cannot fall on solver nodes
+    # segments do not divide the step count
     def unreachable(*args, **kwargs):
         raise AssertionError("work was done for a run that cannot start")
 
     monkeypatch.setattr(oracle_module, "solve_alpha_path", unreachable)
-    monkeypatch.setattr(oracle_module, "sample_lipschitz_path", unreachable)
+    monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     with pytest.raises(AlignmentError, match=message):
         dominance_check(spec, 0.8, 0.05, 50, segments, "below", 0)
@@ -297,16 +287,11 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
     scalar = dominance_check(spec, **kwargs)
     assert block == chunked == scalar
     target = solve_alpha_path(spec, 0.7).position[1:]
+    bound = phi_inv(0.65 if side == "below" else 0.75)
     margins = []
     for k in range(70):
-        surrogate = sample_lipschitz_path(
-            phi_inv(0.65 if side == "below" else 0.75),
-            side,
-            1.0,
-            8,
-            oracle_module._path_seed(5, k),
-        )
-        sampled = solve_sample_path(spec, surrogate).position[1:]
+        slopes = _draw_slopes(bound, side, 8, oracle_module._path_seed(5, k))
+        sampled = solver.sample_positions(spec, slopes[None])[0, 1:]
         margin = target - sampled if side == "below" else sampled - target
         margins.append(margin.min())
     assert block.min_margin == min(margins) > 0.0
@@ -317,13 +302,13 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
     # block fails, the rows are rerun one by one, and the error is path 3's,
     # as when every path is solved alone. df/dx0 = 2 x0 < 0 below the origin,
     # so the gate would refuse this spec; it is passed by hand
-    def slope_k_path(bound, side, horizon, segments, seed):
-        return SamplePath(breakpoints=(0.0, horizon), slopes=(float(seed),))
+    def slope_k(bound, side, segments, seed):
+        return np.full(segments, float(seed))
 
     def passing_gate(*args, **kwargs):
         return SimpleNamespace(passed=True)
 
-    monkeypatch.setattr(oracle_module, "sample_lipschitz_path", slope_k_path)
+    monkeypatch.setattr(oracle_module, "_draw_slopes", slope_k)
     monkeypatch.setattr(oracle_module, "check_hypotheses", passing_gate)
     spec = type(polynomial_spec(1)).from_strings(1, "x0^2", "1", [0.0], 1.0, 1 / 64)
     with pytest.raises(BlowUpError) as excinfo:
@@ -332,9 +317,9 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
             segments=1, side="below", seed=0,
         )
     for k in range(3):
-        solve_sample_path(spec, slope_k_path(0, "", 1.0, 1, k))
+        solver.sample_positions(spec, np.array([[float(k)]]))
     with pytest.raises(BlowUpError) as alone:
-        solve_sample_path(spec, slope_k_path(0, "", 1.0, 1, 3))
+        solver.sample_positions(spec, np.array([[3.0]]))
     assert str(excinfo.value) == str(alone.value)
     assert excinfo.value.last_good_time > 0.5
 
@@ -356,9 +341,9 @@ def test_dominance_checks_reject_a_later_alpha_before_any_solve(monkeypatch):
         raise AssertionError("work was done for a run that cannot start")
 
     monkeypatch.setattr(oracle_module, "solve_alpha_path", unreachable)
-    monkeypatch.setattr(oracle_module, "sample_lipschitz_path", unreachable)
+    monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
-    with pytest.raises(DomainError, match="alpha - delta > 0"):
+    with pytest.raises(ConfigError, match="alpha - delta > 0"):
         dominance_checks(spec, [0.8, 0.02], 0.05, 5, 4, 0)
 
 
@@ -368,12 +353,11 @@ def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, tied)
     # tied: every path draws the same surrogate, so each margin is tied across
     # paths and the first path holds the minimum
     if tied:
-        draw = sample_lipschitz_path
 
-        def same_surrogate(bound, side, horizon, segments, seed):
-            return draw(bound, side, horizon, segments, 0)
+        def same_surrogate(bound, side, segments, seed):
+            return _draw_slopes(bound, side, segments, 0)
 
-        monkeypatch.setattr(oracle_module, "sample_lipschitz_path", same_surrogate)
+        monkeypatch.setattr(oracle_module, "_draw_slopes", same_surrogate)
     spec = tanh_spec(2, step=1.0 / 64)
     report = dominance_check(
         spec, alpha=0.6, delta=0.05, n_paths=5, segments=4, side=side, seed=1
@@ -382,10 +366,10 @@ def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, tied)
     bound = phi_inv(0.55 if side == "below" else 0.65)
     best = (np.inf, -1, np.nan)
     for k in range(5):
-        surrogate = oracle_module.sample_lipschitz_path(
-            bound, side, 1.0, 4, oracle_module._path_seed(1, k)
+        slopes = oracle_module._draw_slopes(
+            bound, side, 4, oracle_module._path_seed(1, k)
         )
-        sampled = solve_sample_path(spec, surrogate).position
+        sampled = solver.sample_positions(spec, slopes[None])[0]
         for j in range(1, len(target.times)):
             gap = target.position[j] - sampled[j]
             margin = gap if side == "below" else -gap

@@ -11,14 +11,12 @@ import pytest
 from alphapath import (
     AlphaGridSpec,
     AlphaPath,
-    SamplePath,
     UdeSpec,
     alpha_grid,
     integral_residual,
     phi_inv,
     solve_alpha_path,
     solve_fan,
-    solve_sample_path,
 )
 from alphapath import solver
 from alphapath.errors import (
@@ -30,6 +28,7 @@ from alphapath.errors import (
 
 from conftest import (
     companion_rhs,
+    driven,
     one_step_spec,
     polynomial_spec,
     reference_rk4_step,
@@ -108,10 +107,9 @@ def test_solves_match_reference_rk4_bitwise(order, f, g, initial):
         assert np.array_equal(solve_alpha_path(spec, alpha).states, expected)
 
     slopes = (0.7, -1.3)
-    surrogate = SamplePath(breakpoints=(0.0, 0.25, 0.5), slopes=slopes)
     signed = [companion_rhs(spec, m, weight=lambda g: g) for m in slopes]
     expected = reference(lambda i: signed[i // 5])
-    assert np.array_equal(solve_sample_path(spec, surrogate).states, expected)
+    assert np.array_equal(driven(spec, [slopes])[0][0], expected)
 
 
 def _poly_reference(spec, alpha, times):
@@ -298,15 +296,11 @@ def test_block_rows_equal_scalar_rows_bitwise(order, f, g, initial, rows):
     block = solver._integrate_block(spec, True, [16] * 4, slopes, order)
     assert block is not None
     states, diffusion = block
-    assert _same_bits(
-        solver.sample_positions(spec, (0.0, 0.25, 0.5, 0.75, 1.0), slopes),
-        states[:, :, 0],
-    )
+    assert _same_bits(solver.sample_positions(spec, slopes), states[:, :, 0])
     for r in range(rows):
-        surrogate = SamplePath((0.0, 0.25, 0.5, 0.75, 1.0), tuple(slopes[r]))
-        alone = solve_sample_path(spec, surrogate)
-        assert _same_bits(states[r], alone.states)
-        assert _same_bits(diffusion[r], alone.diffusion)
+        alone_states, alone_diffusion = driven(spec, slopes[r : r + 1])
+        assert _same_bits(states[r], alone_states[0])
+        assert _same_bits(diffusion[r], alone_diffusion[0])
 
 
 def test_wide_fan_blowup_failures_match_scalar():
@@ -388,28 +382,25 @@ def test_residual_nonlinear_decays_with_step():
 
 def test_sample_path_zero_slopes_is_drift_only():
     spec = tanh_spec(2, step=1e-2)
-    c = SamplePath(breakpoints=(0.0, 0.5, 1.0), slopes=(0.0, 0.0))
-    trajectory = solve_sample_path(spec, c)
+    states = driven(spec, [[0.0, 0.0]])[0][0]
     reference = solve_alpha_path(spec, 0.5)
-    assert np.array_equal(trajectory.states, reference.states)
+    assert np.array_equal(states, reference.states)
 
 
 def test_sample_path_single_slope_closed_form():
     spec = polynomial_spec(2, step=1e-2)
     m = -1.3
-    c = SamplePath(breakpoints=(0.0, 1.0), slopes=(m,))
-    trajectory = solve_sample_path(spec, c)
-    exact = m * trajectory.times**2 / 2.0
-    assert np.max(np.abs(trajectory.position - exact)) <= 1e-13
+    position = solver.sample_positions(spec, np.array([[m]]))[0]
+    exact = m * solver.time_grid(spec) ** 2 / 2.0
+    assert np.max(np.abs(position - exact)) <= 1e-13
 
 
 def test_sample_path_two_segments_piecewise_quadratic():
     spec = polynomial_spec(2, step=1e-2)
     m1, m2 = 0.8, -0.4
-    split = 0.5
-    c = SamplePath(breakpoints=(0.0, split, 1.0), slopes=(m1, m2))
-    trajectory = solve_sample_path(spec, c)
-    times = trajectory.times
+    split = 0.5  # two equal segments of [0, 1]
+    states = driven(spec, [[m1, m2]])[0][0]
+    times = solver.time_grid(spec)
     x_split = m1 * split**2 / 2.0
     v_split = m1 * split
     exact = np.where(
@@ -417,20 +408,24 @@ def test_sample_path_two_segments_piecewise_quadratic():
         m1 * times**2 / 2.0,
         x_split + v_split * (times - split) + m2 * (times - split) ** 2 / 2.0,
     )
-    assert np.max(np.abs(trajectory.position - exact)) <= 1e-12
+    assert np.max(np.abs(states[:, 0] - exact)) <= 1e-12
     # velocity is continuous across the breakpoint as well
     j = int(round(split / spec.step))
-    assert trajectory.states[j, 1] == pytest.approx(v_split, abs=1e-12)
+    assert states[j, 1] == pytest.approx(v_split, abs=1e-12)
 
 
 def test_sample_path_alignment_required():
+    # the column count is the segment count: one that does not divide the 100
+    # steps is refused, not integrated on a driver that runs out
     spec = polynomial_spec(2, step=1e-2)
-    off_grid = SamplePath(breakpoints=(0.0, 0.505, 1.0), slopes=(1.0, 1.0))
-    with pytest.raises(AlignmentError):
-        solve_sample_path(spec, off_grid)
-    partial_span = SamplePath(breakpoints=(0.0, 0.5), slopes=(1.0,))
-    with pytest.raises(AlignmentError):
-        solve_sample_path(spec, partial_span)
+    message = (
+        "3 segments do not divide the 100 solver steps, so the breakpoint "
+        "t=0.3333333333333333 does not fall on a solver node; nearest divisors "
+        "of 100: 2, 4"
+    )
+    with pytest.raises(AlignmentError, match=message):
+        solver.sample_positions(spec, np.ones((2, 3)))
+    assert solver.segment_counts(spec, 4) == [25] * 4
 
 
 def test_shift_structure_by_finite_differences():

@@ -20,11 +20,8 @@ from .core import (
 )
 from .solver import (
     AlphaFan,
-    AlphaPath,
     IntegralResidual,
-    Trajectory,
     integral_residual,
-    solve_alpha_path,
     solve_fan,
 )
 from .analysis import (
@@ -67,7 +64,6 @@ __all__ = [
     "AlignmentError",
     "AlphaFan",
     "AlphaGridSpec",
-    "AlphaPath",
     "AlphaPathError",
     "BlowUpError",
     "ConditionHCheck",
@@ -88,7 +84,6 @@ __all__ = [
     "IntegralResidual",
     "MonotoneCheck",
     "RegularityCheck",
-    "Trajectory",
     "UdeSpec",
     "alpha_grid",
     "check_condition_h",
@@ -102,7 +97,6 @@ __all__ = [
     "integral_residual",
     "inverse_distribution",
     "phi_inv",
-    "solve_alpha_path",
     "solve_fan",
     "validate_spec",
 ]

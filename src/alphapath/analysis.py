@@ -8,6 +8,7 @@ argument); and the fan must be strictly ordered in alpha. The checkers
 here evaluate each constructively on a computed fan and report every
 violation found rather than stopping at the first. ``check_hypotheses`` runs
 all three: its report is the one verdict, and its ``to_dict`` is checks.json.
+Each reads the fan's arrays (``diffusion``, ``states``, ``positions``) whole.
 """
 
 from __future__ import annotations
@@ -112,17 +113,17 @@ def check_regularity(fan: AlphaFan) -> RegularityCheck:
     iff every value is strictly positive. The minimum is the first smallest
     value in path order, then node order; nan is a violation, never the
     minimum."""
+    g = fan.diffusion
+    first = np.argmin(np.where(np.isnan(g), math.inf, g))  # row-major
+    r, j = np.unravel_index(first, g.shape)
     min_value, min_alpha, min_time = math.inf, math.nan, math.nan
-    for path in fan.paths:
-        g = path.diffusion
-        j = int(np.argmin(np.where(np.isnan(g), math.inf, g)))
-        if g[j] < min_value:
-            min_value = float(g[j])
-            min_alpha = path.alpha
-            min_time = float(path.times[j])
-    violations = [
-        (path.alpha, t, gv) for path in fan.paths for t, gv in path.diffusion_warnings
-    ]
+    if g[r, j] < min_value:
+        min_value, min_alpha = float(g[r, j]), fan.grid[r]
+        min_time = float(fan.times[j])
+    low = ~(g > 0.0)
+    rows, nodes = np.nonzero(low)  # row-major: path order, then node order
+    alphas = [fan.grid[i] for i in rows.tolist()]
+    violations = list(zip(alphas, fan.times[nodes].tolist(), g[low].tolist()))
     return RegularityCheck(
         passed=not violations,
         min_value=min_value,
@@ -230,14 +231,14 @@ def check_condition_h(
     block = expr._exec(source, block=True)["partials"]
     scalar = expr._exec(source)["partials"]
 
-    all_states = np.concatenate([p.states for p in fan.paths], axis=0)
+    all_states = fan.states.reshape(-1, spec.order)
     lo = all_states.min(axis=0)
     hi = all_states.max(axis=0)
     pad = 0.05 * (hi - lo)  # 10% total inflation, centered
     rng = np.random.default_rng(seed)
     t_draw = rng.uniform(0.0, spec.horizon, samples)
     state_draw = rng.uniform(lo - pad, hi + pad, size=(samples, spec.order))
-    groups = [(path.times, path.states) for path in fan.paths]
+    groups = [(fan.times, states) for states in fan.states]
     groups.append((t_draw, state_draw))
 
     min_partial = math.inf
@@ -265,7 +266,7 @@ def check_condition_h(
             violations.append({"function": label, "env": env(i), "value": value})
     return ConditionHCheck(
         passed=not violations,
-        sampled_points=samples + sum(len(path.times) for path in fan.paths),
+        sampled_points=samples + fan.diffusion.size,
         min_partial=min_partial,
         min_function=min_function,
         min_env=min_env,
@@ -295,7 +296,7 @@ def check_monotone(fan: AlphaFan) -> MonotoneCheck:
     there instead. Strictness means a positive gap in double precision; no
     fixed margin is imposed. A single-alpha fan passes vacuously, flagged.
     """
-    if len(fan.paths) < 2:
+    if len(fan.grid) < 2:
         return MonotoneCheck(
             passed=True,
             vacuous=True,
@@ -305,9 +306,8 @@ def check_monotone(fan: AlphaFan) -> MonotoneCheck:
             min_gap_pair=None,
             first_crossing=None,
         )
-    positions = np.stack([p.position for p in fan.paths])  # (m, N+1)
-    gaps = np.diff(positions, axis=0)  # (m-1, N+1)
-    times = fan.paths[0].times
+    gaps = np.diff(fan.positions, axis=0)  # (m-1, N+1)
+    times = fan.times
     start_equal = bool((gaps[:, 0] == 0.0).all())
     interior = gaps[:, 1:]
     strictly_ordered = bool((interior > 0.0).all())
@@ -389,14 +389,14 @@ def inverse_distribution(fan: AlphaFan, t: float) -> DistributionTable:
     Requires strict monotonicity across alphas at that node; at t = 0 the
     table is the common initial value, returned flagged degenerate instead.
     """
-    j = snap_to_node(fan.paths[0].times, t)
-    column = np.array([p.position[j] for p in fan.paths])
-    if j > 0 and len(fan.paths) > 1 and not (np.diff(column) > 0.0).all():
+    j = snap_to_node(fan.times, t)
+    column = fan.positions[:, j].copy()  # the table does not alias the fan
+    if j > 0 and len(column) > 1 and not (np.diff(column) > 0.0).all():
         raise MonotonicityError(
-            f"fan is not strictly increasing in alpha at t={float(fan.paths[0].times[j])}"
+            f"fan is not strictly increasing in alpha at t={float(fan.times[j])}"
         )
     return DistributionTable(
-        t=float(fan.paths[0].times[j]),
+        t=float(fan.times[j]),
         alphas=np.array(fan.grid, dtype=float),
         values=column,
         degenerate=(j == 0),

@@ -88,7 +88,7 @@ def _float_texts(values: list[float]) -> list[str]:
 
 def _fan_texts(fan: AlphaFan) -> Iterator[tuple[str, str]]:
     """(repr(alpha), row texts) per path in grid order, where the row texts
-    are ``repr(path.states.tolist())`` without its outer brackets: rows
+    are ``repr(states.tolist())`` of the path without its outer brackets: rows
     separated by "], [" and values by ", ".
 
     This is the one place the fan's states become text. CPython's list repr
@@ -96,8 +96,8 @@ def _fan_texts(fan: AlphaFan) -> Iterator[tuple[str, str]]:
     on each element. A finite float's repr holds only digits, ".", "-", "e"
     and "+", so splitting on ", " and "], [" is exact; the solver bounds
     every state by BLOWUP_LIMIT."""
-    for path in fan.paths:
-        yield repr(path.alpha), repr(path.states.tolist())[2:-2]
+    for alpha, states in zip(fan.grid, fan.states):
+        yield repr(alpha), repr(states.tolist())[2:-2]
 
 
 def _fan_csv_chunks(
@@ -139,6 +139,11 @@ def _fan_json_chunks(
 
 
 def _run_json_payload(fan: AlphaFan) -> dict:
+    """run.json's solver section: the fan's regularity violations, (t, g) at
+    each node where g is not strictly positive, grouped and capped by alpha."""
+    warnings: dict[str, list[list[float]]] = {}
+    for alpha, t, g in analysis.check_regularity(fan).violations:
+        warnings.setdefault(repr(alpha), []).append([t, g])
     cap = analysis.MAX_EXPORTED_VIOLATIONS
     return {
         "solver": {
@@ -146,12 +151,8 @@ def _run_json_payload(fan: AlphaFan) -> dict:
             "nodes": fan.spec.step_count + 1,
             "alpha_count": len(fan.grid),
             "diffusion_warnings": {
-                repr(p.alpha): {
-                    "warnings_total": len(found),
-                    "warnings": [list(w) for w in found[:cap]],
-                }
-                for p in fan.paths
-                if (found := p.diffusion_warnings)
+                alpha: {"warnings_total": len(found), "warnings": found[:cap]}
+                for alpha, found in warnings.items()
             },
         },
     }
@@ -178,7 +179,7 @@ def _solve_configured_fan(config: RunConfig) -> AlphaFan:
 def cmd_solve(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
     formats = config.output_formats
-    times = _float_texts(fan.paths[0].times.tolist())  # one grid for every path
+    times = _float_texts(fan.times.tolist())
     texts: Iterable[tuple[str, str]] = _fan_texts(fan)
     if len(formats) > 1:
         texts = list(texts)  # both files are rendered from this one repr pass

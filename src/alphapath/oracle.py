@@ -25,13 +25,7 @@ import numpy as np
 from .analysis import Report, check_hypotheses
 from .core import UdeSpec, phi_inv
 from .errors import ConfigError, HypothesisError
-from .solver import (
-    AlphaFan,
-    _require_valid,
-    sample_positions,
-    segment_counts,
-    solve_alpha_path,
-)
+from .solver import _require_valid, sample_positions, segment_counts, solve_fan
 
 SLOPE_WINDOW = 2.0  # W: how far below/above the bound slopes are drawn
 SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
@@ -147,15 +141,14 @@ def dominance_checks(
     segment_counts(spec, segments)
     reports = []
     for alpha in alphas:
-        target = solve_alpha_path(spec, alpha)
-        gate_fan = AlphaFan(spec=spec, grid=[alpha], paths=[target])
-        hypotheses = check_hypotheses(spec, gate_fan, samples=128, seed=seed)
+        target = solve_fan(spec, [alpha])
+        hypotheses = check_hypotheses(spec, target, samples=128, seed=seed)
         if not hypotheses.passed:
             raise HypothesisError(
                 "dominance is only guaranteed under regularity and the position-"
                 f"monotonicity condition (failed: {', '.join(hypotheses.failed)})"
             )
-        reference, times = target.position[1:], target.times[1:]
+        reference, times = target.positions[0, 1:], target.times[1:]
         for side in sides:
             bound = phi_inv(alpha - delta if side == "below" else alpha + delta)
             report = DominanceReport(  # no violation and no margin yet

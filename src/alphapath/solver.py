@@ -10,8 +10,9 @@ per segment; an alpha-path is one segment with slope phi_inv(alpha). Rows are
 integrated by one RK4 step generated per problem with f and g inlined
 (``_compile_step``), one row at a time (``_integrate``) or, for
 BLOCK_MIN_ROWS rows or more, over numpy columns (``_integrate_block``) with
-the same bits. The step also returns g at its starting node, so every
-trajectory carries g at every node for the regularity check to read.
+the same bits. The step also returns g at its starting node, so the solve
+carries g at every node for the regularity check to read. ``solve_fan``
+returns these arrays as an ``AlphaFan``; an alpha-path is a fan of one.
 """
 
 from __future__ import annotations
@@ -43,47 +44,27 @@ BLOCK_MIN_ROWS = 64
 
 
 @dataclass
-class Trajectory:
-    """Uniform-grid trajectory of the full state vector (x, x', ..., x^(n-1)).
-
-    ``diffusion`` holds g at every node as the solver's step computed it, nan
-    at the last node if g fails there. A node where g is not strictly
-    positive voids the regularity hypothesis but does not stop the solve.
-    """
-
-    times: np.ndarray  # (N+1,)
-    states: np.ndarray  # (N+1, n)
-    diffusion: np.ndarray  # (N+1,)
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.states[:, 0]
-
-    @property
-    def diffusion_warnings(self) -> list[tuple[float, float]]:
-        """(t, g) at every node where g is not strictly positive."""
-        low = ~(self.diffusion > 0.0)
-        return list(zip(self.times[low].tolist(), self.diffusion[low].tolist()))
-
-
-@dataclass
-class AlphaPath(Trajectory):
-    """Trajectory of the ODE obtained by freezing the driver at phi_inv(alpha)."""
-
-    alpha: float = 0.5
-
-
-@dataclass
 class AlphaFan:
-    """One AlphaPath per grid alpha; all paths share an identical time grid.
+    """The alpha-path surface as the solver computed it: row k holds the
+    alpha-path of grid[k], every row on the one uniform time grid.
 
-    The fan is the discrete inverse-uncertainty-distribution surface: column
-    t of the positions, read across alphas, tabulates alpha -> x_t^alpha.
+    Column j of ``positions``, read across alphas, tabulates the inverse
+    uncertainty distribution alpha -> x_t^alpha at t = times[j]. Component 0
+    of the states is the path itself, component k its k-th derivative.
+    ``diffusion`` holds g at every node as the solver's step computed it, nan
+    at the last node if g fails there; a node where g is not strictly
+    positive voids the regularity hypothesis but does not stop the solve.
     """
 
     spec: UdeSpec
     grid: list[float]
-    paths: list[AlphaPath]
+    times: np.ndarray  # (N+1,)
+    states: np.ndarray  # (alphas, N+1, n)
+    diffusion: np.ndarray  # (alphas, N+1)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.states[:, :, 0]
 
 
 def time_grid(spec: UdeSpec) -> np.ndarray:
@@ -264,29 +245,15 @@ def _require_valid(spec: UdeSpec) -> None:
         raise ConfigError("invalid spec: " + "; ".join(problems))
 
 
-def solve_alpha_path(spec: UdeSpec, alpha: float) -> AlphaPath:
-    """Integrate the alpha-path ODE over [0, horizon] with the spec's step.
-
-    The top row is f + |g| * phi_inv(alpha). Component 0 of the states is
-    the path itself, component k its k-th derivative. Raises BlowUpError
-    (naming the last good time) when a state leaves the finite range;
-    non-positive diffusion along the path is recorded, not an error.
-    """
-    _require_valid(spec)
-    slopes = np.array([[phi_inv(alpha)]])
-    states, diffusion, failures = _solve_rows(
-        spec, False, [spec.step_count], slopes, spec.order, [alpha]
-    )
-    if failures:
-        raise failures[0][1]
-    return AlphaPath(time_grid(spec), states[0], diffusion[0], alpha)
-
-
 def solve_fan(spec: UdeSpec, grid: Sequence[float]) -> AlphaFan:
-    """Solve one alpha-path per grid value.
+    """Integrate one alpha-path per grid value over [0, horizon] with the
+    spec's step; a single alpha-path is the fan of a one-value grid.
 
-    Solves are independent; the fan is assembled in grid order and fails
-    only if a path fails, aggregating every failure with its alpha.
+    The top row of alpha's path is f + |g| * phi_inv(alpha). Solves are
+    independent, and a path's bits do not depend on the grid it is solved
+    in. The fan fails only if a path leaves the finite range, with a
+    FanSolveError that names every failing alpha and its BlowUpError (the
+    last good time); non-positive diffusion is recorded, not an error.
     """
     _require_valid(spec)
     grid = [float(a) for a in grid]
@@ -300,9 +267,7 @@ def solve_fan(spec: UdeSpec, grid: Sequence[float]) -> AlphaFan:
     )
     if failures:
         raise FanSolveError([(grid[r], exc) for r, exc in failures])
-    times = time_grid(spec)
-    paths = [AlphaPath(times, s, g, a) for s, g, a in zip(states, diffusion, grid)]
-    return AlphaFan(spec=spec, grid=grid, paths=paths)
+    return AlphaFan(spec, grid, time_grid(spec), states, diffusion)
 
 
 @dataclass(frozen=True)
@@ -348,13 +313,11 @@ def _composite_simpson(values: np.ndarray, h: float) -> tuple[float, bool]:
     return h / 3.0 * float(s) + float(tail), False
 
 
-def integral_residual(
-    path: AlphaPath, spec: UdeSpec, alpha: float
-) -> IntegralResidual:
-    """Check the path against its equivalent integral equation.
+def integral_residual(fan: AlphaFan, k: int) -> IntegralResidual:
+    """Check the fan's k-th path against its equivalent integral equation.
 
     An order-n path satisfies
-        x(t) = sum_k t^k/k! * x_k(0)
+        x(t) = sum_i t^i/i! * x_i(0)
                + 1/(n-1)! * integral_0^t (t-s)^(n-1) * F(s) ds
     where F is the top row of the companion system, f + |g| * phi_inv(alpha),
     evaluated along the stored states. The integral is approximated node-wise
@@ -362,15 +325,15 @@ def integral_residual(
     prefixes with fewer than 3 nodes fall back to the trapezoid, flagged.
     Returns the maximum absolute deviation over all grid nodes.
     """
+    spec, times, states = fan.spec, fan.times, fan.states[k]
     n = spec.order
-    c = phi_inv(alpha)
-    top = _forcing(spec, False, "t", [f"y[{k}]" for k in range(n)])
+    c = phi_inv(fan.grid[k])
+    top = _forcing(spec, False, "t", [f"y[{i}]" for i in range(n)])
     forcing_fn = expr._exec(f"def forcing(t, y, c):\n    return {top}\n")["forcing"]
-    times = path.times
     # Python floats, so the forcing fails as the solver's step does
-    tlist, rows = times.tolist(), path.states.tolist()
+    tlist, rows = times.tolist(), states.tolist()
     forcing = np.array([forcing_fn(t, row, c) for t, row in zip(tlist, rows)])
-    positions = path.states[:, 0]
+    positions = states[:, 0]
     factor = 1.0 / math.factorial(n - 1)
     h = spec.horizon / spec.step_count
 
@@ -379,7 +342,7 @@ def integral_residual(
     used_trapezoid = False
     for j in range(len(times)):
         tj = tlist[j]
-        poly = sum(tj**k / math.factorial(k) * spec.initial[k] for k in range(n))
+        poly = sum(tj**i / math.factorial(i) * spec.initial[i] for i in range(n))
         if j == 0:
             integral = 0.0
         else:
@@ -405,9 +368,12 @@ def _nearest_divisors(n: int, k: int) -> list[int]:
 
 def segment_counts(spec: UdeSpec, segments: int) -> list[int]:
     """Solver steps per driver segment when ``segments`` equal segments span
-    [0, horizon]. The segments must divide the step count (AlignmentError
-    otherwise), so that each RK4 step lies inside a single segment and every
-    stage sees that segment's slope."""
+    [0, horizon]. There must be at least one (ConfigError otherwise), and
+    they must divide the step count (AlignmentError otherwise), so that each
+    RK4 step lies inside a single segment and every stage sees that
+    segment's slope."""
+    if segments < 1:
+        raise ConfigError(f"segments must be >= 1, got {segments}")
     steps = spec.step_count
     if steps % segments:
         divisors = ", ".join(map(str, _nearest_divisors(steps, segments)))

@@ -107,13 +107,13 @@ def reference_condition_h(spec, fan, samples, seed):
     g. Returns the first smallest (function, env, partial) and the
     violations."""
     names = state_variables(spec.order)
-    states = np.concatenate([p.states for p in fan.paths], axis=0)
+    states = fan.states.reshape(-1, spec.order)
     lo, hi = states.min(axis=0), states.max(axis=0)
     pad = 0.05 * (hi - lo)
     rng = np.random.default_rng(seed)
     t_draw = rng.uniform(0.0, spec.horizon, samples)
     state_draw = rng.uniform(lo - pad, hi + pad, size=(samples, spec.order))
-    points = [(t, row) for p in fan.paths for t, row in zip(p.times, p.states)]
+    points = [(t, row) for rows in fan.states for t, row in zip(fan.times, rows)]
     points += list(zip(t_draw, state_draw))
     partials = []
     for t, row in points:
@@ -139,18 +139,18 @@ def reference_regularity(fan) -> RegularityCheck:
     min_alpha = math.nan
     min_time = math.nan
     violations = []
-    for path in fan.paths:
-        for t, row in zip(path.times.tolist(), path.states.tolist()):
+    for alpha, rows in zip(fan.grid, fan.states):
+        for t, row in zip(fan.times.tolist(), rows.tolist()):
             try:
                 gv = g_fn(t, row)
             except (ValueError, OverflowError, ZeroDivisionError):
                 gv = math.nan
             if not math.isnan(gv) and gv < min_value:
                 min_value = gv
-                min_alpha = path.alpha
+                min_alpha = alpha
                 min_time = t
             if not gv > 0.0:
-                violations.append((path.alpha, t, gv))
+                violations.append((alpha, t, gv))
     return RegularityCheck(
         passed=not violations,
         min_value=min_value,
@@ -166,10 +166,10 @@ def reference_fan_csv(fan) -> str:
     n = fan.spec.order
     header = "alpha,t," + ",".join(f"x{k}" for k in range(n))
     lines = [header]
-    for path in fan.paths:
-        alpha_text = repr(path.alpha)
-        tlist = path.times.tolist()
-        for t, row in zip(tlist, path.states.tolist()):
+    tlist = fan.times.tolist()
+    for alpha, rows in zip(fan.grid, fan.states):
+        alpha_text = repr(alpha)
+        for t, row in zip(tlist, rows.tolist()):
             lines.append(
                 alpha_text + "," + repr(t) + "," + ",".join(repr(v) for v in row)
             )
@@ -182,8 +182,8 @@ def reference_fan_json(fan) -> str:
     payload = {
         "order": fan.spec.order,
         "alphas": fan.grid,
-        "times": fan.paths[0].times.tolist(),
-        "states": {repr(p.alpha): p.states.tolist() for p in fan.paths},
+        "times": fan.times.tolist(),
+        "states": {repr(a): rows.tolist() for a, rows in zip(fan.grid, fan.states)},
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

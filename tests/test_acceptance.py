@@ -27,7 +27,6 @@ from alphapath import (
     integral_residual,
     inverse_distribution,
     phi_inv,
-    solve_alpha_path,
     solve_fan,
 )
 from alphapath.cli import main
@@ -80,14 +79,14 @@ def test_criterion_2_closed_form_paths():
             fan = solve_fan(spec, grid)
             fan_seconds = time.perf_counter() - start
             assert fan_seconds < 1.0, f"order {order} fan took {fan_seconds:.2f}s"
-            times = fan.paths[0].times
+            times = fan.times
             poly = sum(
                 times**k / math.factorial(k) * initial[k] for k in range(order)
             )
             tail = times**order / math.factorial(order)
-            for path in fan.paths:
-                exact = poly + phi_inv(path.alpha) * tail
-                assert np.max(np.abs(path.position - exact)) <= 1e-10
+            for alpha, position in zip(fan.grid, fan.positions):
+                exact = poly + phi_inv(alpha) * tail
+                assert np.max(np.abs(position - exact)) <= 1e-10
 
 
 def test_criterion_3_rk4_convergence_order():
@@ -96,7 +95,7 @@ def test_criterion_3_rk4_convergence_order():
 
         def endpoint(step: float) -> float:
             spec = tanh_spec(2, initial=[0.1, 0.0], horizon=1.0, step=step)
-            return float(solve_alpha_path(spec, alpha).position[-1])
+            return float(solve_fan(spec, [alpha]).positions[0, -1])
 
         errors = []
         for h in (1e-2, 5e-3, 2.5e-3):
@@ -108,15 +107,15 @@ def test_criterion_3_rk4_convergence_order():
 def test_criterion_4_integral_residual():
     with criterion(4, "integral-form residual", 5.0):
         poly = polynomial_spec(2, horizon=1.0, step=1e-3)
-        r_poly = integral_residual(solve_alpha_path(poly, 0.9), poly, 0.9)
+        r_poly = integral_residual(solve_fan(poly, [0.9]), 0)
         assert r_poly.max_residual <= 1e-10
 
         tanh_h = tanh_spec(2, step=1e-3)
-        r_tanh = integral_residual(solve_alpha_path(tanh_h, 0.9), tanh_h, 0.9)
+        r_tanh = integral_residual(solve_fan(tanh_h, [0.9]), 0)
         assert r_tanh.max_residual <= 1e-6
 
         tanh_h2 = tanh_spec(2, step=5e-4)
-        r_half = integral_residual(solve_alpha_path(tanh_h2, 0.9), tanh_h2, 0.9)
+        r_half = integral_residual(solve_fan(tanh_h2, [0.9]), 0)
         assert r_tanh.max_residual / r_half.max_residual >= 8.0
 
 

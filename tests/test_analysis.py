@@ -10,7 +10,6 @@ import pytest
 from alphapath import (
     AlphaFan,
     AlphaGridSpec,
-    AlphaPath,
     UdeSpec,
     alpha_grid,
     check_condition_h,
@@ -42,19 +41,15 @@ from conftest import (
 
 def _synthetic_fan(columns: np.ndarray, grid: list[float], initial=0.0) -> AlphaFan:
     """Build a fan directly from position columns (one row per alpha)."""
-    m, nodes = columns.shape
-    times = np.linspace(0.0, 1.0, nodes)
-    spec = polynomial_spec(1, initial=[initial], step=1.0 / (nodes - 1))
-    paths = [
-        AlphaPath(
-            times=times,
-            states=columns[i].reshape(-1, 1).copy(),
-            diffusion=np.ones(nodes),  # g = 1
-            alpha=grid[i],
-        )
-        for i in range(m)
-    ]
-    return AlphaFan(spec=spec, grid=grid, paths=paths)
+    times = np.linspace(0.0, 1.0, columns.shape[1])
+    spec = polynomial_spec(1, initial=[initial], step=1.0 / (len(times) - 1))
+    return AlphaFan(
+        spec=spec,
+        grid=grid,
+        times=times,
+        states=columns[:, :, None].copy(),
+        diffusion=np.ones(columns.shape),  # g = 1
+    )
 
 
 def test_regularity_constant_diffusion(poly_fan_small):
@@ -242,7 +237,9 @@ def test_condition_h_matches_reference_bitwise(
     scalar_groups = []
 
     def spy(spec, partials, times, states, h):
-        paths = [k for k, p in enumerate(fan.paths) if p.states is states]
+        paths = [
+            k for k, row in enumerate(fan.states) if np.shares_memory(row, states)
+        ]
         scalar_groups.extend(paths or ["samples"])
         return scalar_partials(spec, partials, times, states, h)
 
@@ -309,8 +306,7 @@ def test_monotone_parabola_gap_formula(poly_fan_small):
 
 def test_monotone_requires_equality_at_start(poly_fan_small):
     _, fan = poly_fan_small
-    positions = np.stack([p.position for p in fan.paths])
-    assert (np.diff(positions[:, 0], axis=0) == 0.0).all()
+    assert (np.diff(fan.positions[:, 0], axis=0) == 0.0).all()
 
 
 def test_monotone_single_alpha_vacuous():
@@ -516,7 +512,7 @@ def test_monotone_exports():
     lower = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     upper = np.array([0.0, 1.5, 2.5, 2.5, 3.5, 4.5])
     fan = _synthetic_fan(np.stack([lower, upper]), [0.4, 0.6])
-    t = float(fan.paths[0].times[3])  # 0.6000000000000001
+    t = float(fan.times[3])  # 0.6000000000000001
     assert check_monotone(fan).to_dict() == {
         "passed": False,
         "vacuous": False,

@@ -101,13 +101,13 @@ def test_fan_csv_round_trips_bit_exactly(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     nodes = spec.step_count + 1
     assert len(rows) == 9 * nodes
-    for i, path in enumerate(fan.paths):
+    for i, alpha in enumerate(fan.grid):
         block = rows[i * nodes : (i + 1) * nodes]
-        assert all(float(r[0]) == path.alpha for r in block)
+        assert all(float(r[0]) == alpha for r in block)
         times = np.array([float(r[1]) for r in block])
         states = np.array([[float(r[2]), float(r[3])] for r in block])
-        assert np.array_equal(times, path.times)
-        assert np.array_equal(states, path.states)
+        assert np.array_equal(times, fan.times)
+        assert np.array_equal(states, fan.states[i])
 
 
 def test_missing_key_exits_2(tmp_path, capsys):
@@ -127,6 +127,12 @@ def test_blowup_exits_3_naming_alpha(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "alpha" in err and "t=" in err
+    # the oracle's alpha-path is a fan of one, so its blow-up reads as a fan's
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: fan solve failed for alpha in [0.2]: trajectory blew up" in err
+    assert not (out / "oracle.json").exists()
 
 
 def test_check_passes_on_blessed_spec(tmp_path):
@@ -240,7 +246,7 @@ def test_oracle_refuses_on_failed_hypotheses(tmp_path, capsys):
 
 
 def test_oracle_solves_and_gates_once_per_alpha(tmp_path, monkeypatch):
-    calls = {"solve_alpha_path": 0, "check_hypotheses": 0}
+    calls = {"solve_fan": 0, "check_hypotheses": 0}
     for name in calls:
         original = getattr(oracle, name)
 
@@ -251,7 +257,7 @@ def test_oracle_solves_and_gates_once_per_alpha(tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, name, counted)
     cfg = write_config(tmp_path)
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"solve_alpha_path": 2, "check_hypotheses": 2}
+    assert calls == {"solve_fan": 2, "check_hypotheses": 2}
 
 
 def test_oracle_argument_errors_precede_the_gate(tmp_path, capsys):
@@ -466,13 +472,13 @@ def test_no_output_directory_exits_2(tmp_path, capsys):
 
 def _count_alpha_path_solves(monkeypatch) -> list:
     solves = []
-    original = oracle.solve_alpha_path
+    original = oracle.solve_fan
 
     def counted(*args, **kwargs):
         solves.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "solve_alpha_path", counted)
+    monkeypatch.setattr(oracle, "solve_fan", counted)
     return solves
 
 
@@ -549,19 +555,33 @@ def test_check_nonfinite_audit_point_exits_3(tmp_path, capsys):
 
 
 def test_run_json_caps_diffusion_warnings(tmp_path):
-    # g = t - 0.5 is non-positive on the first half of 2500 steps
-    text = BASE_CONFIG.replace('g       = "2 + tanh(x0)"', 'g       = "t-0.5"').replace(
-        "step    = 0.0025", "step    = 0.0004"
-    )
-    cfg = write_config(tmp_path, text)
-    out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    warnings = json.loads((out / "run.json").read_text())["solver"]["diffusion_warnings"]
-    assert len(warnings) == 9
-    for entry in warnings.values():
-        assert entry["warnings_total"] == 1251
-        assert len(entry["warnings"]) == 1000
-        assert entry["warnings"][0] == [0.0, -0.5]
+    # g = t - 0.5 is non-positive on the first half of the steps: 1251 nodes
+    # per alpha at step 0.0004, over both caps, and 51 at step 0.01, under both
+    for step, per_alpha in (("0.0004", 1251), ("0.01", 51)):
+        text = BASE_CONFIG.replace(
+            'g       = "2 + tanh(x0)"', 'g       = "t-0.5"'
+        ).replace("step    = 0.0025", f"step    = {step}")
+        cfg = write_config(tmp_path, text, name=f"run-{step}.conf")
+        solved, checked = tmp_path / f"solve-{step}", tmp_path / f"check-{step}"
+        assert main(["solve", "--config", cfg, "--out", str(solved)]) == 0
+        assert main(["check", "--config", cfg, "--out", str(checked)]) == 4
+        run = json.loads((solved / "run.json").read_text())
+        warnings = run["solver"]["diffusion_warnings"]
+        assert len(warnings) == 9
+        for entry in warnings.values():
+            assert entry["warnings_total"] == per_alpha
+            assert len(entry["warnings"]) == min(per_alpha, 1000)
+            assert entry["warnings"][0] == [0.0, -0.5]
+        # run.json is checks.json's regularity violations grouped by alpha,
+        # capped at 1000 per alpha where checks.json caps at 1000 in all
+        regularity = json.loads((checked / "checks.json").read_text())["regularity"]
+        grouped = [
+            [float(alpha), t, g]
+            for alpha, entry in sorted(warnings.items(), key=lambda e: float(e[0]))
+            for t, g in entry["warnings"]
+        ]
+        assert regularity["violations_total"] == 9 * per_alpha
+        assert grouped[:1000] == regularity["violations"]
 
 
 def test_check_decides_on_the_values_the_solver_integrates(tmp_path):

@@ -13,7 +13,7 @@ from alphapath import (
     UdeSpec,
     alpha_grid,
     phi_inv,
-    solve_alpha_path,
+    solve_fan,
     validate_spec,
 )
 from alphapath.errors import ConfigError, DomainError
@@ -94,7 +94,7 @@ def test_alpha_grid_asymmetric_variant():
 
 
 def _one_step(spec, alpha):
-    return tuple(solve_alpha_path(spec, alpha).states[-1])
+    return tuple(solve_fan(spec, [alpha]).states[0, -1])
 
 
 def test_companion_constant_driver():

@@ -12,7 +12,7 @@ from alphapath import (
     dominance_check,
     dominance_checks,
     phi_inv,
-    solve_alpha_path,
+    solve_fan,
 )
 from alphapath import oracle as oracle_module
 from alphapath import solver
@@ -127,9 +127,9 @@ def test_boundary_driver_reproduces_alpha_path_exactly():
     spec = polynomial_spec(2, step=1.0 / 256)
     alpha = 0.8
     states = driven(spec, [[phi_inv(alpha)]])[0][0]
-    target = solve_alpha_path(spec, alpha)
-    assert np.array_equal(states, target.states)
-    margin = target.position[1:] - states[1:, 0]
+    target = solve_fan(spec, [alpha])
+    assert np.array_equal(states, target.states[0])
+    margin = target.positions[0, 1:] - states[1:, 0]
     assert (margin <= 0.0).all()  # equality: no strictly positive margin
 
 
@@ -194,7 +194,7 @@ def test_dominance_rejects_segments_before_the_gate(monkeypatch, segments):
     def unreachable(*args, **kwargs):
         raise AssertionError("the alpha-path was solved")
 
-    monkeypatch.setattr(oracle_module, "solve_alpha_path", unreachable)
+    monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
     bad = UdeSpec.from_strings(2, "0-x0", "1", [0.1, 0.0], 1.0, 1.0 / 64)
     with pytest.raises(ConfigError, match=f"segments must be >= 1, got {segments}"):
         dominance_check(
@@ -222,7 +222,7 @@ def test_dominance_rejects_misaligned_segments_before_any_work(
     def unreachable(*args, **kwargs):
         raise AssertionError("work was done for a run that cannot start")
 
-    monkeypatch.setattr(oracle_module, "solve_alpha_path", unreachable)
+    monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
     monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     with pytest.raises(AlignmentError, match=message):
@@ -286,7 +286,7 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
     monkeypatch.setattr(solver, "BLOCK_MIN_ROWS", 10**9)
     scalar = dominance_check(spec, **kwargs)
     assert block == chunked == scalar
-    target = solve_alpha_path(spec, 0.7).position[1:]
+    target = solve_fan(spec, [0.7]).positions[0, 1:]
     bound = phi_inv(0.65 if side == "below" else 0.75)
     margins = []
     for k in range(70):
@@ -340,7 +340,7 @@ def test_dominance_checks_reject_a_later_alpha_before_any_solve(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("work was done for a run that cannot start")
 
-    monkeypatch.setattr(oracle_module, "solve_alpha_path", unreachable)
+    monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
     monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     with pytest.raises(ConfigError, match="alpha - delta > 0"):
@@ -362,7 +362,7 @@ def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, tied)
     report = dominance_check(
         spec, alpha=0.6, delta=0.05, n_paths=5, segments=4, side=side, seed=1
     )
-    target = solve_alpha_path(spec, 0.6)
+    target = solve_fan(spec, [0.6])
     bound = phi_inv(0.55 if side == "below" else 0.65)
     best = (np.inf, -1, np.nan)
     for k in range(5):
@@ -371,7 +371,7 @@ def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, tied)
         )
         sampled = solver.sample_positions(spec, slopes[None])[0]
         for j in range(1, len(target.times)):
-            gap = target.position[j] - sampled[j]
+            gap = target.positions[0, j] - sampled[j]
             margin = gap if side == "below" else -gap
             if margin < best[0]:
                 best = (float(margin), k, float(target.times[j]))

@@ -34,7 +34,7 @@ from alphapath.expr import (
     state_variables,
     variables_of,
 )
-from alphapath.solver import AlphaPath, _compile_step
+from alphapath.solver import _compile_step
 
 from conftest import compile_evaluator, reference_condition_h
 
@@ -128,12 +128,9 @@ def test_condition_h_equals_the_reference_bitwise(f, g, seed):
     # tree-walking reference is defined, every field has its bits
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, 1.0, 4)
-    paths = [
-        AlphaPath(times, rng.uniform(-3.0, 3.0, (4, ORDER)), np.ones(4), alpha=a)
-        for a in (0.25, 0.75)
-    ]
-    spec = UdeSpec(ORDER, f, g, tuple(paths[0].states[0]), 1.0, 1.0 / 3.0)
-    fan = AlphaFan(spec, [0.25, 0.75], paths)
+    states = np.stack([rng.uniform(-3.0, 3.0, (4, ORDER)) for _ in range(2)])
+    spec = UdeSpec(ORDER, f, g, tuple(states[0, 0]), 1.0, 1.0 / 3.0)
+    fan = AlphaFan(spec, [0.25, 0.75], times, states, np.ones((2, 4)))
     try:
         (label, env, value), violations = reference_condition_h(spec, fan, 8, seed)
     except NonFiniteError:
@@ -160,11 +157,11 @@ def test_every_accepted_tree_compiles(tree):
     compile_evaluator(parsed, ORDER)
     _compile_step(spec, signed=False)
     _compile_step(spec, signed=True)
-    path = AlphaPath(
-        np.array([0.0, 1.0]), np.full((2, ORDER), 0.5), np.ones(2), alpha=0.5
+    fan = AlphaFan(
+        spec, [0.5], np.array([0.0, 1.0]), np.full((1, 2, ORDER), 0.5), np.ones((1, 2))
     )
     try:
-        integral_residual(path, spec, 0.5)
+        integral_residual(fan, 0)
     except (ValueError, OverflowError, ZeroDivisionError):
         pass  # the forcing compiled; it fails at these states
 

@@ -9,19 +9,18 @@ import numpy as np
 import pytest
 
 from alphapath import (
+    AlphaFan,
     AlphaGridSpec,
-    AlphaPath,
     UdeSpec,
     alpha_grid,
+    check_regularity,
     integral_residual,
     phi_inv,
-    solve_alpha_path,
     solve_fan,
 )
 from alphapath import solver
 from alphapath.errors import (
     AlignmentError,
-    BlowUpError,
     ConfigError,
     FanSolveError,
 )
@@ -42,7 +41,7 @@ from conftest import (
 
 def test_rk4_constant_solution():
     spec = one_step_spec(1, "0", "1", [1.0], 0.37)
-    assert tuple(solve_alpha_path(spec, 0.5).states[-1]) == (1.0,)
+    assert tuple(solve_fan(spec, [0.5]).states[0, -1]) == (1.0,)
 
 
 def test_rk4_exact_for_constant_forcing_chain():
@@ -50,7 +49,7 @@ def test_rk4_exact_for_constant_forcing_chain():
     c = 1.75
     h = 0.2
     spec = one_step_spec(2, "1.75", "1", [0.0, 0.0], h)
-    out = solve_alpha_path(spec, 0.5).states[-1]
+    out = solve_fan(spec, [0.5]).states[0, -1]
     assert out[0] == pytest.approx(c * h * h / 2.0, rel=1e-14)
     assert out[1] == pytest.approx(c * h, rel=1e-14)
 
@@ -58,7 +57,7 @@ def test_rk4_exact_for_constant_forcing_chain():
 def test_rk4_exponential_one_step():
     h = 0.1
     spec = one_step_spec(1, "x0", "1", [1.0], h)
-    (out,) = solve_alpha_path(spec, 0.5).states[-1]
+    (out,) = solve_fan(spec, [0.5]).states[0, -1]
     # one RK4 step on y' = y is the degree-4 Taylor sum of e^h
     taylor = 1.0 + h + h**2 / 2.0 + h**3 / 6.0 + h**4 / 24.0
     assert out == pytest.approx(taylor, abs=1e-15)
@@ -68,16 +67,16 @@ def test_rk4_exponential_one_step():
 
 def test_rk4_detects_nonfinite_stage():
     spec = one_step_spec(1, "1/t", "1", [1.0], 0.1)
-    with pytest.raises(BlowUpError) as excinfo:
-        solve_alpha_path(spec, 0.5)
-    assert excinfo.value.last_good_time == 0.0
+    with pytest.raises(FanSolveError) as excinfo:
+        solve_fan(spec, [0.5])
+    assert excinfo.value.failures[0][1].last_good_time == 0.0
 
 
 def test_rk4_detects_overflowing_state():
     spec = one_step_spec(1, "x0*x0", "1", [1e200], 1.0)
-    with pytest.raises(BlowUpError) as excinfo:
-        solve_alpha_path(spec, 0.5)
-    assert excinfo.value.last_good_time == 0.0
+    with pytest.raises(FanSolveError) as excinfo:
+        solve_fan(spec, [0.5])
+    assert excinfo.value.failures[0][1].last_good_time == 0.0
 
 
 REFERENCE_CASES = [
@@ -104,7 +103,7 @@ def test_solves_match_reference_rk4_bitwise(order, f, g, initial):
     for alpha in (0.1, 0.5, 0.8):
         rhs = companion_rhs(spec, phi_inv(alpha))
         expected = reference(lambda i: rhs)
-        assert np.array_equal(solve_alpha_path(spec, alpha).states, expected)
+        assert np.array_equal(solve_fan(spec, [alpha]).states[0], expected)
 
     slopes = (0.7, -1.3)
     signed = [companion_rhs(spec, m, weight=lambda g: g) for m in slopes]
@@ -125,20 +124,20 @@ def _poly_reference(spec, alpha, times):
 def test_alpha_path_polynomial_closed_form(order):
     spec = polynomial_spec(order)
     for alpha in (0.1, 0.5, 0.9):
-        path = solve_alpha_path(spec, alpha)
+        path = solve_fan(spec, [alpha])
         exact = _poly_reference(spec, alpha, path.times)
-        assert np.max(np.abs(path.position - exact)) <= 1e-12
+        assert np.max(np.abs(path.positions[0] - exact)) <= 1e-12
 
 
 def test_alpha_path_initial_state_exact():
     spec = polynomial_spec(2, initial=[0.3, -0.7])
-    path = solve_alpha_path(spec, 0.8)
-    assert tuple(path.states[0]) == spec.initial
+    path = solve_fan(spec, [0.8])
+    assert tuple(path.states[0, 0]) == spec.initial
 
 
 def test_alpha_path_grid_uniform():
     spec = tanh_spec(2, step=1e-2)
-    path = solve_alpha_path(spec, 0.7)
+    path = solve_fan(spec, [0.7])
     diffs = np.diff(path.times)
     assert np.max(np.abs(diffs - spec.step)) <= 1e-12 * spec.horizon
     assert path.times[0] == 0.0
@@ -148,63 +147,65 @@ def test_alpha_path_grid_uniform():
 def test_alpha_path_median_matches_drift_only():
     spec = tanh_spec(2, step=1e-2)
     driftless = UdeSpec.from_strings(2, "x0", "0", [0.1, 0.0], 1.0, 1e-2)
-    a = solve_alpha_path(spec, 0.5)
-    b = solve_alpha_path(driftless, 0.8)  # |0| * anything contributes nothing
+    a = solve_fan(spec, [0.5])
+    b = solve_fan(driftless, [0.8])  # |0| * anything contributes nothing
     assert np.array_equal(a.states, b.states)
 
 
 def test_alpha_path_records_diffusion_warnings():
     spec = UdeSpec.from_strings(2, "0", "t-0.5", [0.0, 0.0], 1.0, 1e-2)
-    path = solve_alpha_path(spec, 0.7)
-    assert path.diffusion_warnings
-    assert all(t <= 0.5 + 1e-12 for t, _ in path.diffusion_warnings)
-    assert all(g <= 0.0 for _, g in path.diffusion_warnings)
-    clean = solve_alpha_path(tanh_spec(2, step=1e-2), 0.7)
-    assert clean.diffusion_warnings == []
+    warnings = check_regularity(solve_fan(spec, [0.7])).violations
+    assert warnings
+    assert all(t <= 0.5 + 1e-12 for _, t, _ in warnings)
+    assert all(g <= 0.0 for _, _, g in warnings)
+    clean = solve_fan(tanh_spec(2, step=1e-2), [0.7])
+    assert check_regularity(clean).violations == []
 
 
 def test_alpha_path_blowup_reports_last_good_time():
     spec = UdeSpec.from_strings(2, "exp(x0)", "1", [2.0, 2.0], 4.0, 1e-3)
-    with pytest.raises(BlowUpError) as excinfo:
-        solve_alpha_path(spec, 0.9)
-    assert 0.0 < excinfo.value.last_good_time < 4.0
-    assert excinfo.value.alpha == 0.9
+    with pytest.raises(FanSolveError) as excinfo:
+        solve_fan(spec, [0.9])
+    blowup = excinfo.value.failures[0][1]
+    assert 0.0 < blowup.last_good_time < 4.0
+    assert blowup.alpha == 0.9
 
 
 def test_alpha_path_rejects_invalid_spec():
     spec = UdeSpec.from_strings(2, "0", "1", [0.0], 1.0, 1e-3)
     with pytest.raises(ConfigError):
-        solve_alpha_path(spec, 0.5)
+        solve_fan(spec, [0.5])
 
 
 def test_solve_deterministic_bit_identical():
     spec = tanh_spec(2, step=1e-2)
-    a = solve_alpha_path(spec, 0.77)
-    b = solve_alpha_path(spec, 0.77)
+    a = solve_fan(spec, [0.77])
+    b = solve_fan(spec, [0.77])
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.times, b.times)
 
 
 def test_fan_orders_parabolas(poly_fan_small):
     spec, fan = poly_fan_small
-    end = [p.position[-1] for p in fan.paths]
+    end = fan.positions[:, -1]
     assert all(b > a for a, b in zip(end, end[1:]))
-    assert len(fan.paths) == len(fan.grid)
-    for path, alpha in zip(fan.paths, fan.grid):
-        assert path.alpha == alpha
+    assert len(fan.states) == len(fan.grid)
 
 
 def test_fan_shares_time_grid(poly_fan_small):
-    _, fan = poly_fan_small
-    for path in fan.paths[1:]:
-        assert np.array_equal(path.times, fan.paths[0].times)
+    spec, fan = poly_fan_small
+    nodes = spec.step_count + 1
+    assert fan.times.shape == (nodes,)
+    assert fan.states.shape == (len(fan.grid), nodes, spec.order)
+    assert fan.diffusion.shape == (len(fan.grid), nodes)
 
 
 def test_fan_single_alpha():
     spec = tanh_spec(2, step=1e-2)
     fan = solve_fan(spec, [0.5])
-    drift_only = solve_alpha_path(spec, 0.5)
-    assert np.array_equal(fan.paths[0].states, drift_only.states)
+    assert fan.states.shape == (1, spec.step_count + 1, spec.order)
+    wider = solve_fan(spec, [0.3, 0.5, 0.7])
+    assert np.array_equal(fan.states[0], wider.states[1])
 
 
 def test_fan_blowup_names_offending_alpha():
@@ -231,10 +232,11 @@ def test_blowup_in_stage_hidden_by_result():
     # exp(710) overflows inside the first stage; tanh would map the infinity
     # back to 1.0, and the solve must fail all the same
     spec = UdeSpec.from_strings(2, "tanh(exp(x0))", "1", [710.0, 0.0], 1.0, 1e-2)
-    with pytest.raises(BlowUpError) as excinfo:
-        solve_alpha_path(spec, 0.7)
-    assert excinfo.value.last_good_time == 0.0
-    assert excinfo.value.alpha == 0.7
+    with pytest.raises(FanSolveError) as excinfo:
+        solve_fan(spec, [0.7])
+    blowup = excinfo.value.failures[0][1]
+    assert blowup.last_good_time == 0.0
+    assert blowup.alpha == 0.7
 
 
 def test_single_alpha_equals_its_fan_row():
@@ -243,9 +245,10 @@ def test_single_alpha_equals_its_fan_row():
     grid = alpha_grid(AlphaGridSpec())
     fan = solve_fan(spec, grid)
     alpha = grid[17]
-    alone = solve_alpha_path(spec, alpha)
-    assert np.array_equal(alone.states, fan.paths[17].states)
-    assert alone.diffusion_warnings == fan.paths[17].diffusion_warnings == []
+    alone = solve_fan(spec, [alpha])
+    assert np.array_equal(alone.states[0], fan.states[17])
+    assert np.array_equal(alone.diffusion[0], fan.diffusion[17])
+    assert (alone.diffusion > 0.0).all()
 
 
 # the block engine: specs that use every DSL function and ^; the last one's
@@ -281,15 +284,14 @@ def test_block_rows_equal_scalar_rows_bitwise(order, f, g, initial, rows):
     assert block is not None  # no fallback: the block itself is compared
     states, diffusion = block
     fan = solve_fan(spec, grid)  # the same block, through the entry point
-    for r, (alpha, path) in enumerate(zip(grid, fan.paths)):
-        alone = solve_alpha_path(spec, alpha)
-        assert _same_bits(states[r], alone.states)
-        assert _same_bits(diffusion[r], alone.diffusion)
-        assert _same_bits(path.states, alone.states)
-        assert _same_bits(path.diffusion, alone.diffusion)
-        assert path.diffusion_warnings == alone.diffusion_warnings
+    for r, alpha in enumerate(grid):
+        alone = solve_fan(spec, [alpha])
+        assert _same_bits(states[r], alone.states[0])
+        assert _same_bits(diffusion[r], alone.diffusion[0])
+        assert _same_bits(fan.states[r], alone.states[0])
+        assert _same_bits(fan.diffusion[r], alone.diffusion[0])
     if order == 3:
-        assert fan.paths[0].diffusion_warnings  # the comparison covered warnings
+        assert not (fan.diffusion[0] > 0.0).all()  # the comparison covered warnings
 
     # surrogate rows: signed g, slopes that change per segment and per row
     slopes = np.random.default_rng(order).uniform(-3.0, 3.0, (rows, 4))
@@ -313,9 +315,10 @@ def test_wide_fan_blowup_failures_match_scalar():
     expected = []
     for alpha in grid:
         try:
-            solve_alpha_path(spec, alpha)
-        except BlowUpError as exc:
-            expected.append((alpha, exc.last_good_time, str(exc)))
+            solve_fan(spec, [alpha])
+        except FanSolveError as exc:
+            blowup = exc.failures[0][1]
+            expected.append((alpha, blowup.last_good_time, str(blowup)))
     failures = [(a, e.last_good_time, str(e)) for a, e in excinfo.value.failures]
     assert failures == expected
     assert 0 < len(expected) < len(grid)
@@ -346,8 +349,7 @@ def test_fan_rejects_unsorted_grid():
 
 def test_residual_polynomial_case():
     spec = polynomial_spec(2)
-    path = solve_alpha_path(spec, 0.9)
-    result = integral_residual(path, spec, 0.9)
+    result = integral_residual(solve_fan(spec, [0.9]), 0)
     assert result.max_residual <= 1e-10
 
 
@@ -355,8 +357,7 @@ def test_residual_single_step_path():
     # two-node path: the t=0 term is exactly zero and the only prefix is a
     # single interval, handled by the flagged trapezoid fallback
     spec = polynomial_spec(2, horizon=0.5, step=0.5)
-    path = solve_alpha_path(spec, 0.8)
-    result = integral_residual(path, spec, 0.8)
+    result = integral_residual(solve_fan(spec, [0.8]), 0)
     assert result.used_trapezoid
     assert result.max_residual <= 1e-14
 
@@ -365,26 +366,26 @@ def test_residual_division_by_zero_raises_like_the_solver():
     # the forcing sees Python floats, so x0/t at t = 0 raises as in a step
     spec = UdeSpec.from_strings(1, "x0/t", "1", [1.0], 1.0, 0.5)
     times = np.array([0.0, 0.5, 1.0])
-    path = AlphaPath(times, np.ones((3, 1)), np.ones(3), alpha=0.5)
+    fan = AlphaFan(spec, [0.5], times, np.ones((1, 3, 1)), np.ones((1, 3)))
     with pytest.raises(ZeroDivisionError):
-        integral_residual(path, spec, 0.5)
-    with pytest.raises(BlowUpError):
-        solve_alpha_path(spec, 0.5)
+        integral_residual(fan, 0)
+    with pytest.raises(FanSolveError):
+        solve_fan(spec, [0.5])
 
 
 def test_residual_nonlinear_decays_with_step():
     coarse_spec = tanh_spec(2, step=2e-2)
     fine_spec = tanh_spec(2, step=1e-2)
-    coarse = integral_residual(solve_alpha_path(coarse_spec, 0.9), coarse_spec, 0.9)
-    fine = integral_residual(solve_alpha_path(fine_spec, 0.9), fine_spec, 0.9)
+    coarse = integral_residual(solve_fan(coarse_spec, [0.9]), 0)
+    fine = integral_residual(solve_fan(fine_spec, [0.9]), 0)
     assert coarse.max_residual / fine.max_residual >= 8.0
 
 
 def test_sample_path_zero_slopes_is_drift_only():
     spec = tanh_spec(2, step=1e-2)
     states = driven(spec, [[0.0, 0.0]])[0][0]
-    reference = solve_alpha_path(spec, 0.5)
-    assert np.array_equal(states, reference.states)
+    reference = solve_fan(spec, [0.5])
+    assert np.array_equal(states, reference.states[0])
 
 
 def test_sample_path_single_slope_closed_form():
@@ -425,6 +426,9 @@ def test_sample_path_alignment_required():
     )
     with pytest.raises(AlignmentError, match=message):
         solver.sample_positions(spec, np.ones((2, 3)))
+    # no column is no segment: refused before the step count is divided by it
+    with pytest.raises(ConfigError, match="segments must be >= 1, got 0"):
+        solver.sample_positions(spec, np.empty((2, 0)))
     assert solver.segment_counts(spec, 4) == [25] * 4
 
 
@@ -432,17 +436,17 @@ def test_shift_structure_by_finite_differences():
     # stored component k+1 is the derivative of component k, so interior
     # central differences agree to O(h^2)
     spec = tanh_spec(2)
-    path = solve_alpha_path(spec, 0.8)
+    states = solve_fan(spec, [0.8]).states[0]
     h = spec.step
     for k in range(spec.order - 1):
-        fd = (path.states[2:, k] - path.states[:-2, k]) / (2.0 * h)
-        assert np.max(np.abs(fd - path.states[1:-1, k + 1])) <= 1e-4
+        fd = (states[2:, k] - states[:-2, k]) / (2.0 * h)
+        assert np.max(np.abs(fd - states[1:-1, k + 1])) <= 1e-4
 
 
 def test_convergence_order_across_three_halvings():
     def endpoint(step):
         spec = tanh_spec(2, step=step)
-        return solve_alpha_path(spec, 0.8).position[-1]
+        return solve_fan(spec, [0.8]).positions[0, -1]
 
     reference = endpoint(1.25e-3 / 16.0)
     errors = [abs(endpoint(h) - reference) for h in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]

@@ -41,7 +41,6 @@ from .analysis import (
 )
 from .oracle import (
     DominanceReport,
-    dominance_check,
     dominance_checks,
 )
 from .errors import (
@@ -91,7 +90,6 @@ __all__ = [
     "check_monotone",
     "check_regularity",
     "distribution_at",
-    "dominance_check",
     "dominance_checks",
     "expected_value",
     "integral_residual",

@@ -197,12 +197,10 @@ def _scalar_partials(
 
 
 def check_condition_h(
-    spec: UdeSpec,
-    fan: AlphaFan,
-    samples: int = 256,
-    seed: int = 0,
+    fan: AlphaFan, samples: int = 256, seed: int = 0
 ) -> ConditionHCheck:
-    """Finite-difference check that df/dx0 >= 0 and dg/dx0 >= 0.
+    """Finite-difference check that df/dx0 >= 0 and dg/dx0 >= 0 for the f and
+    g of ``fan.spec``.
 
     Partials are taken (a) at every node of every path and (b) at
     ``samples`` pseudo-random points drawn from the bounding box of the
@@ -226,6 +224,7 @@ def check_condition_h(
         raise ConfigError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    spec = fan.spec
     names = expr.state_variables(spec.order)
     source = _partials_source(spec)
     block = expr._exec(source, block=True)["partials"]
@@ -275,16 +274,13 @@ def check_condition_h(
 
 
 def check_hypotheses(
-    spec: UdeSpec,
-    fan: AlphaFan,
-    samples: int = 256,
-    seed: int = 0,
+    fan: AlphaFan, samples: int = 256, seed: int = 0
 ) -> HypothesisReport:
     """Run every check on the fan: regularity, condition H (``samples`` and
     ``seed`` are its sampled points) and fan order."""
     return HypothesisReport(
         regularity=check_regularity(fan),
-        condition_h=check_condition_h(spec, fan, samples=samples, seed=seed),
+        condition_h=check_condition_h(fan, samples=samples, seed=seed),
         monotone=check_monotone(fan),
     )
 
@@ -418,22 +414,23 @@ def distribution_at(table: DistributionTable, x: float) -> DistributionPoint:
     return DistributionPoint(float(np.interp(x, xs, table.alphas)), False)
 
 
-def expected_value(fan: AlphaFan, t: float) -> float:
-    """Mean of the tabulated distribution at t by trapezoid quadrature.
+def expected_value(table: DistributionTable) -> float:
+    """Mean of the tabulated distribution by trapezoid quadrature.
 
     The quadrature runs over the covered alpha range [lo, 1-lo] and is
     normalized by its width; the uncovered tails are not extrapolated. On a
     symmetric grid the odd part of the fan cancels pairwise, so the result
-    reproduces the drift-only trajectory for driver-independent means.
+    reproduces the drift-only trajectory for driver-independent means. A
+    degenerate table (t = 0) gives the common initial value exactly.
     """
-    grid = fan.grid
-    if len(grid) < 2:
+    alphas, column = table.alphas, table.values
+    if len(alphas) < 2:
         raise ConfigError("insufficient grid: expected value needs >= 2 alphas")
-    for a, b in zip(grid, reversed(grid)):
+    for a, b in zip(alphas, reversed(alphas)):
         if abs((a + b) - 1.0) > 1e-12:
             raise ConfigError("alpha grid is not symmetric about 0.5")
-    table = inverse_distribution(fan, t)
-    alphas, column = table.alphas, table.values
+    if table.degenerate:
+        return float(column[0])
     widths = np.diff(alphas)
     integral = float(np.sum(0.5 * widths * (column[:-1] + column[1:])))
     return integral / float(alphas[-1] - alphas[0])

@@ -193,7 +193,7 @@ def cmd_solve(config: RunConfig, outdir: Path) -> int:
 
 def cmd_check(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
-    report = analysis.check_hypotheses(config.spec, fan, seed=config.oracle.seed)
+    report = analysis.check_hypotheses(fan, seed=config.oracle.seed)
     _write_json(outdir / "checks.json", report.to_dict())
     _update_run_json(outdir, config, {})
     if report.failed:
@@ -220,15 +220,12 @@ def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
                 "entries": [list(e) for e in table.entries],
             },
         )
-    extra: dict = {"distribution": {"t": table.t, "degenerate": table.degenerate}}
+    extra: dict = {
+        "distribution": {"t": table.t, "degenerate": table.degenerate},
+        "expected_value": {"t": table.t, "value": analysis.expected_value(table)},
+    }
     if table.degenerate:
         extra["distribution"]["note"] = "all entries equal the initial value"
-        extra["expected_value"] = {"t": table.t, "value": float(table.values[0])}
-    else:
-        extra["expected_value"] = {
-            "t": table.t,
-            "value": analysis.expected_value(fan, t),
-        }
     _update_run_json(outdir, config, extra)
     return EXIT_OK
 

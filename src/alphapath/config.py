@@ -12,9 +12,9 @@ section prefixes, chosen so runs are archivable and diffable:
     alpha.count = 99
     alpha.lo    = 0.01
 
-Values are numbers, booleans (true/false), quoted or bare strings, or
-``[..]`` lists of those; a number that is not finite is rejected, and so
-are unknown keys, so typos fail loudly.
+Values are numbers, quoted or bare strings, or ``[..]`` lists of those; a
+number that is not finite is rejected, and so are unknown keys, so typos
+fail loudly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .core import AlphaGridSpec, UdeSpec, alpha_grid_problems, grid_problems
 from .errors import AlphaPathError, ConfigError
 from .oracle import CHUNK_PATHS, setting_problems
 
-Scalar = bool | int | float | str
+Scalar = int | float | str
 Value = Scalar | list[Scalar]
 
 # every key and its type, in the order build_config reads them; a list of
@@ -42,7 +42,6 @@ KNOWN_KEYS = {
     "step": float,
     "alpha.count": int,
     "alpha.lo": float,
-    "alpha.symmetric": bool,
     "oracle.delta": float,
     "oracle.n_paths": int,
     "oracle.segments": int,
@@ -90,8 +89,6 @@ def _parse_scalar(text: str) -> Scalar:
     text = text.strip()
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
         return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
     try:
         number = int(text)
         float(number)  # an integer no double can hold reads as +-inf, as 1e400 does
@@ -149,23 +146,19 @@ def _error(lines: dict[str, int], key: str, message: str) -> ConfigError:
     return ConfigError(f"line {lines[key]}: {message}" if key in lines else message)
 
 
-def _is_number(v: Value) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _read(values: dict[str, Value], lines: dict[str, int], key: str):
     """``values[key]`` as the type KNOWN_KEYS gives the key (a list as a
     tuple), or a ConfigError naming its line."""
     v, kind = values[key], KNOWN_KEYS[key]
     if kind in (int, float):
-        if not _is_number(v):
+        if not isinstance(v, (int, float)):
             must = "a number"
         elif kind is int and isinstance(v, float) and not v.is_integer():
             must = "an integer"
         else:
             return kind(v)
     elif kind == list[float]:
-        if isinstance(v, list) and all(map(_is_number, v)):
+        if isinstance(v, list) and all(isinstance(x, (int, float)) for x in v):
             return tuple(map(float, v))
         must = "a list of numbers"
     elif kind == list[str]:
@@ -175,7 +168,7 @@ def _read(values: dict[str, Value], lines: dict[str, int], key: str):
     elif isinstance(v, kind):
         return v
     else:
-        must = "true or false" if kind is bool else "a string"
+        must = "a string"
     raise _error(lines, key, f"`{key}` must be {must}, got {v!r}")
 
 

@@ -133,7 +133,6 @@ class AlphaGridSpec:
 
     count: int = 99
     lo: float = 0.01
-    symmetric: bool = True
 
 
 def alpha_grid_problems(gspec: AlphaGridSpec) -> list[tuple[str, str]]:
@@ -153,17 +152,14 @@ def alpha_grid_problems(gspec: AlphaGridSpec) -> list[tuple[str, str]]:
 def alpha_grid(gspec: AlphaGridSpec) -> list[float]:
     """Strictly increasing alpha values from lo to 1 - lo.
 
-    With the symmetric flag the grid is built by mirroring the lower half
-    about 0.5, so paired values satisfy a_i + a_{count-1-i} = 1 up to one
-    rounding, and 0.5 is a grid point exactly.
+    The grid is built by mirroring the lower half about 0.5, so paired
+    values satisfy a_i + a_{count-1-i} = 1 up to one rounding, and 0.5 is a
+    grid point exactly.
     """
     problems = alpha_grid_problems(gspec)
     if problems:
         raise ConfigError(problems[0][1])
     count, lo = gspec.count, gspec.lo
     step = (1.0 - 2.0 * lo) / (count - 1)
-    if gspec.symmetric:
-        half = count // 2
-        lower = [lo + i * step for i in range(half)]
-        return lower + [0.5] + [1.0 - v for v in reversed(lower)]
-    return [lo + i * step for i in range(count)]
+    lower = [lo + i * step for i in range(count // 2)]
+    return lower + [0.5] + [1.0 - v for v in reversed(lower)]

@@ -10,8 +10,10 @@ s > t, is a weighted mean of segment slopes, so it lies within
 [min slope, max slope] and the slope extremes certify the global envelope:
 the bound is checkable exactly rather than estimated.
 
-Sampled frequencies carry no measure-theoretic meaning here; only the
-universally quantified dominance is being tested, path by path.
+``dominance_checks`` is the one entry point: it runs every alpha on both
+sides, below then above. Sampled frequencies carry no measure-theoretic
+meaning here; only the universally quantified dominance is being tested,
+path by path.
 """
 
 from __future__ import annotations
@@ -111,45 +113,40 @@ def dominance_checks(
     n_paths: int,
     segments: int,
     seed: int,
-    *,
-    sides: Sequence[str] = SIDES,
 ) -> list[DominanceReport]:
     """Verify dominance for sampled drivers: one report per (alpha, side),
-    alpha by alpha and the sides in the given order.
+    alpha by alpha and each alpha's sides in the order of SIDES.
 
     Before any solve, the settings are checked (ConfigError, the first of
-    ``setting_problems``), then the sides and the spec, and ``segments``
-    must divide the spec's step count (AlignmentError). Each alpha-path is
-    then solved once, and the run refuses (HypothesisError, naming the
-    failing checks) when ``check_hypotheses`` fails on it, since dominance
-    is only guaranteed under its hypotheses.
+    ``setting_problems``), then the spec, and ``segments`` must divide the
+    spec's step count (AlignmentError). Each alpha-path is then solved once,
+    and the run refuses (HypothesisError, naming the failing checks) when
+    ``check_hypotheses`` fails on it, since dominance is only guaranteed
+    under its hypotheses.
 
     Each surrogate is one row of ``segments`` slopes, all below
     phi_inv(alpha - delta) (or above phi_inv(alpha + delta)), and its
     trajectory must stay strictly on that side of the alpha-path at every
     node t >= h; at t = 0 both share the initial state exactly. The rows
     are integrated together (see ``sample_positions``), in chunks of at
-    most CHUNK_PATHS.
+    most CHUNK_PATHS, and each chunk's margins are scanned as one matrix.
     """
     problems = setting_problems(alphas, delta, n_paths, segments)
     if problems:
         raise ConfigError(problems[0][1])
-    for side in sides:
-        if side not in SIDES:
-            raise ConfigError(f"side must be one of {SIDES}, got {side!r}")
     _require_valid(spec)
     segment_counts(spec, segments)
     reports = []
     for alpha in alphas:
         target = solve_fan(spec, [alpha])
-        hypotheses = check_hypotheses(spec, target, samples=128, seed=seed)
+        hypotheses = check_hypotheses(target, samples=128, seed=seed)
         if not hypotheses.passed:
             raise HypothesisError(
                 "dominance is only guaranteed under regularity and the position-"
                 f"monotonicity condition (failed: {', '.join(hypotheses.failed)})"
             )
         reference, times = target.positions[0, 1:], target.times[1:]
-        for side in sides:
+        for side in SIDES:
             bound = phi_inv(alpha - delta if side == "below" else alpha + delta)
             report = DominanceReport(  # no violation and no margin yet
                 alpha, delta, side, n_paths, [], math.inf, -1, math.nan
@@ -163,36 +160,22 @@ def dominance_checks(
                     ]
                 )
                 sampled = sample_positions(spec, slopes)[:, 1:]
-                for k, path in enumerate(sampled, start=first):
-                    margin = reference - path if side == "below" else path - reference
-                    j = int(np.argmin(margin))
-                    if margin[j] < report.min_margin:
-                        report.min_margin = float(margin[j])
-                        report.min_margin_path = k
-                        report.min_margin_time = float(times[j])
-                    bad = np.nonzero(margin <= 0.0)[0]
-                    report.violations += zip(
-                        [k] * len(bad),
-                        times[bad].tolist(),
-                        path[bad].tolist(),
-                        reference[bad].tolist(),
-                    )
-                del sampled, path  # one chunk's trajectories in memory at a time
+                # (chunk, N): row-major order is path order, then node order
+                margins = (
+                    reference - sampled if side == "below" else sampled - reference
+                )
+                i, j = np.unravel_index(np.argmin(margins), margins.shape)
+                if margins[i, j] < report.min_margin:
+                    report.min_margin = float(margins[i, j])
+                    report.min_margin_path = first + int(i)
+                    report.min_margin_time = float(times[j])
+                paths, nodes = np.nonzero(margins <= 0.0)
+                report.violations += zip(
+                    (paths + first).tolist(),
+                    times[nodes].tolist(),
+                    sampled[paths, nodes].tolist(),
+                    reference[nodes].tolist(),
+                )
+                del sampled, margins  # one chunk's trajectories in memory at a time
             reports.append(report)
     return reports
-
-
-def dominance_check(
-    spec: UdeSpec,
-    alpha: float,
-    delta: float,
-    n_paths: int,
-    segments: int,
-    side: str,
-    seed: int,
-) -> DominanceReport:
-    """The report of ``dominance_checks`` for one alpha and one side."""
-    (report,) = dominance_checks(
-        spec, [alpha], delta, n_paths, segments, seed, sides=(side,)
-    )
-    return report

@@ -22,7 +22,7 @@ from alphapath import (
     check_monotone,
     check_regularity,
     distribution_at,
-    dominance_check,
+    dominance_checks,
     expected_value,
     integral_residual,
     inverse_distribution,
@@ -145,19 +145,21 @@ def test_criterion_6_dominance_oracle():
             tanh_spec(3, step=step),
         ]
         for spec in cases:
-            for alpha in (0.2, 0.8):
-                for side in ("below", "above"):
-                    report = dominance_check(
-                        spec,
-                        alpha=alpha,
-                        delta=0.05,
-                        n_paths=200,
-                        segments=32,
-                        side=side,
-                        seed=20240811,
-                    )
-                    assert report.passed, (spec.order, alpha, side, report.violations[:3])
-                    assert report.paths_tested == 200
+            reports = dominance_checks(
+                spec,
+                alphas=[0.2, 0.8],
+                delta=0.05,
+                n_paths=200,
+                segments=32,
+                seed=20240811,
+            )
+            assert [(r.alpha, r.side) for r in reports] == [
+                (0.2, "below"), (0.2, "above"), (0.8, "below"), (0.8, "above")
+            ]
+            for report in reports:
+                key = (spec.order, report.alpha, report.side)
+                assert report.passed, (*key, report.violations[:3])
+                assert report.paths_tested == 200
 
 
 def test_criterion_7_hypothesis_checkers():
@@ -166,7 +168,7 @@ def test_criterion_7_hypothesis_checkers():
     with criterion(7, "hypothesis checkers localize failures", 5.0):
         bad_drift = UdeSpec.from_strings(2, "0-x0", "1", [0.1, 0.0], 1.0, 1e-2)
         fan = solve_fan(bad_drift, small)
-        report = check_condition_h(bad_drift, fan, samples=64, seed=3)
+        report = check_condition_h(fan, samples=64, seed=3)
         assert not report.passed
         assert abs(report.min_partial - (-1.0)) <= 1e-6
 
@@ -179,7 +181,7 @@ def test_criterion_7_hypothesis_checkers():
         for spec in (polynomial_spec(2, step=1e-3), tanh_spec(2, step=1e-3)):
             fan = solve_fan(spec, grid)
             assert check_regularity(fan).passed
-            assert check_condition_h(spec, fan, samples=256, seed=3).passed
+            assert check_condition_h(fan, samples=256, seed=3).passed
 
 
 def test_criterion_8_distribution_round_trip():
@@ -193,7 +195,8 @@ def test_criterion_8_distribution_round_trip():
             assert abs(result.alpha - alpha) <= 1e-12
             assert not result.saturated
         for t in (0.5, 1.0):
-            assert abs(expected_value(fan, t) - (1.0 + 2.0 * t)) <= 1e-12
+            mean = expected_value(inverse_distribution(fan, t))
+            assert abs(mean - (1.0 + 2.0 * t)) <= 1e-12
 
 
 def test_criterion_9_reproducibility(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -137,25 +138,25 @@ def test_regularity_reads_the_recorded_diffusion(tanh_fan_small, monkeypatch):
 
 
 def test_condition_h_positive_drift_passes(tanh_fan_small):
-    spec, fan = tanh_fan_small
-    report = check_condition_h(spec, fan, samples=64, seed=5)
+    _, fan = tanh_fan_small
+    report = check_condition_h(fan, samples=64, seed=5)
     assert report.passed
     assert report.min_partial > 0.0
     assert report.sampled_points > 64
 
 
 def test_condition_h_rejects_a_negative_seed(tanh_fan_small):
-    spec, fan = tanh_fan_small
+    _, fan = tanh_fan_small
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
-        check_condition_h(spec, fan, seed=-1)
+        check_condition_h(fan, seed=-1)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
-        check_hypotheses(spec, fan, seed=-1)
+        check_hypotheses(fan, seed=-1)
 
 
 def test_condition_h_negative_drift_fails():
     spec = UdeSpec.from_strings(2, "0-x0", "1", [0.1, 0.0], 1.0, 1e-2)
     fan = solve_fan(spec, alpha_grid(SMALL_GRID))
-    report = check_condition_h(spec, fan, samples=32, seed=5)
+    report = check_condition_h(fan, samples=32, seed=5)
     assert not report.passed
     assert report.min_partial == pytest.approx(-1.0, abs=1e-6)
     assert report.min_function == "f"
@@ -166,7 +167,7 @@ def test_condition_h_negative_drift_fails():
 def test_condition_h_zero_partials_pass_boundary():
     spec = UdeSpec.from_strings(2, "t", "1", [0.0, 0.0], 1.0, 1e-2)
     fan = solve_fan(spec, alpha_grid(SMALL_GRID))
-    report = check_condition_h(spec, fan, samples=32, seed=5)
+    report = check_condition_h(fan, samples=32, seed=5)
     assert report.passed
     assert report.min_partial == 0.0
 
@@ -174,8 +175,8 @@ def test_condition_h_zero_partials_pass_boundary():
 def test_condition_h_deterministic():
     spec = tanh_spec(2, step=5e-2)
     fan = solve_fan(spec, alpha_grid(AlphaGridSpec(count=3, lo=0.2)))
-    a = check_condition_h(spec, fan, samples=32, seed=9)
-    b = check_condition_h(spec, fan, samples=32, seed=9)
+    a = check_condition_h(fan, samples=32, seed=9)
+    b = check_condition_h(fan, samples=32, seed=9)
     assert a == b
 
 
@@ -234,6 +235,7 @@ def test_condition_h_matches_reference_bitwise(
     else:
         fan = _synthetic_fan(columns, [0.25, 0.5, 0.75][: len(columns)])
     spec = UdeSpec.from_strings(order, f, g, fan.spec.initial, 1.0, fan.spec.step)
+    fan = dataclasses.replace(fan, spec=spec)  # audit this f and g over the states
     scalar_groups = []
 
     def spy(spec, partials, times, states, h):
@@ -245,7 +247,7 @@ def test_condition_h_matches_reference_bitwise(
 
     scalar_partials = analysis._scalar_partials
     monkeypatch.setattr(analysis, "_scalar_partials", spy)
-    report = check_condition_h(spec, fan, samples=64, seed=11)
+    report = check_condition_h(fan, samples=64, seed=11)
     assert scalar_groups == rerun
     (label, env, value), violations = reference_condition_h(spec, fan, 64, 11)
     assert report.min_partial.hex() == value.hex()
@@ -269,7 +271,7 @@ def test_condition_h_keeps_an_overflow_that_a_later_operation_absorbs(
     # does, and every partial of f reads 0.0; evaluate would refuse the point
     _, fan = tanh_fan_small
     spec = UdeSpec.from_strings(2, "tanh(1e308*(x0 + 10))", "1", [0.1, 0.0], 1.0, 1e-2)
-    report = check_condition_h(spec, fan, samples=16, seed=3)
+    report = check_condition_h(dataclasses.replace(fan, spec=spec), samples=16, seed=3)
     assert report.passed
     assert report.min_partial.hex() == (0.0).hex()
     with pytest.raises(NonFiniteError):
@@ -282,12 +284,12 @@ def test_condition_h_rejects_nonfinite_values_that_do_not_raise():
     fan = _synthetic_fan(np.full((1, 3), 0.1), [0.5], initial=0.1)
     spec = UdeSpec.from_strings(1, "(x0 - 0.1)*1e308*1e308", "1", [0.1], 1.0, 0.5)
     with pytest.raises(NonFiniteError, match=r"\(x0 - 0.1\) \* 1e\+308 \* 1e\+308"):
-        check_condition_h(spec, fan, samples=4)
+        check_condition_h(dataclasses.replace(fan, spec=spec), samples=4)
 
 
 def test_hypothesis_report_combines(tanh_fan_small):
-    spec, fan = tanh_fan_small
-    report = check_hypotheses(spec, fan, samples=32, seed=1)
+    _, fan = tanh_fan_small
+    report = check_hypotheses(fan, samples=32, seed=1)
     assert report.passed
     assert report.monotone == check_monotone(fan)
     assert report.failed == []
@@ -421,28 +423,29 @@ def test_expected_value_odd_driver_cancels():
     spec = polynomial_spec(2)
     fan = solve_fan(spec, alpha_grid(AlphaGridSpec()))
     for t in (0.25, 1.0):
-        assert abs(expected_value(fan, t)) <= 1e-12
+        assert abs(expected_value(inverse_distribution(fan, t))) <= 1e-12
 
 
 def test_expected_value_reproduces_drift_line():
     spec = polynomial_spec(2, initial=[1.0, 2.0])
     fan = solve_fan(spec, alpha_grid(AlphaGridSpec()))
     for t in (0.5, 1.0):
-        assert expected_value(fan, t) == pytest.approx(1.0 + 2.0 * t, abs=1e-12)
+        table = inverse_distribution(fan, t)
+        assert expected_value(table) == pytest.approx(1.0 + 2.0 * t, abs=1e-12)
 
 
 def test_expected_value_requires_grid():
     spec = polynomial_spec(2, step=1e-2)
     fan = solve_fan(spec, [0.5])
     with pytest.raises(ConfigError, match="insufficient grid"):
-        expected_value(fan, 1.0)
+        expected_value(inverse_distribution(fan, 1.0))
 
 
 def test_expected_value_requires_symmetric_grid():
     spec = polynomial_spec(2, step=1e-2)
     fan = solve_fan(spec, [0.2, 0.5, 0.6])
     with pytest.raises(ConfigError, match="symmetric"):
-        expected_value(fan, 1.0)
+        expected_value(inverse_distribution(fan, 1.0))
 
 
 def test_expected_value_monotonicity_gate():
@@ -450,15 +453,16 @@ def test_expected_value_monotonicity_gate():
     upper = np.array([0.0, 0.5, 1.0])  # out of order everywhere after t=0
     fan = _synthetic_fan(np.stack([lower, upper]), [0.4, 0.6])
     with pytest.raises(MonotonicityError):
-        expected_value(fan, 1.0)
-    assert expected_value(fan, 0.0) == 0.0  # the shared start carries no order
+        expected_value(inverse_distribution(fan, 1.0))
+    # the shared start carries no order
+    assert expected_value(inverse_distribution(fan, 0.0)) == 0.0
 
 
 def test_reports_serialize(tanh_fan_small):
-    spec, fan = tanh_fan_small
+    _, fan = tanh_fan_small
     import json
 
-    hyp = check_hypotheses(spec, fan, samples=16, seed=2)
+    hyp = check_hypotheses(fan, samples=16, seed=2)
     mono = check_monotone(fan)
     text = json.dumps({"h": hyp.to_dict(), "m": mono.to_dict()})
     assert "condition_h" in text
@@ -527,7 +531,7 @@ def test_monotone_exports():
 def test_hypothesis_report_names_failures_in_field_order():
     fan = _synthetic_fan(np.stack([np.zeros(3), np.zeros(3)]), [0.4, 0.6])
     spec = UdeSpec.from_strings(1, "0-x0", "1", [0.0], 1.0, 0.5)
-    report = check_hypotheses(spec, fan, samples=4)
+    report = check_hypotheses(dataclasses.replace(fan, spec=spec), samples=4)
     assert report.failed == ["condition_h", "monotone"]
     assert not report.passed
     exported = report.to_dict()

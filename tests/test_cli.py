@@ -12,6 +12,8 @@ from alphapath import (
     AlphaGridSpec,
     alpha_grid,
     check_hypotheses,
+    expected_value,
+    inverse_distribution,
     phi_inv,
     solve_fan,
 )
@@ -175,7 +177,7 @@ def test_checks_json_is_the_hypothesis_report(tmp_path, g):
     assert main(["check", "--config", cfg, "--out", str(out)]) in (0, 4)
     config = load_config(cfg)
     fan = solve_fan(config.spec, alpha_grid(config.alpha))
-    report = check_hypotheses(config.spec, fan, seed=config.oracle.seed)
+    report = check_hypotheses(fan, seed=config.oracle.seed)
     expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
     assert (out / "checks.json").read_text(encoding="utf-8") == expected
 
@@ -213,6 +215,22 @@ def test_dist_at_zero_flags_degenerate(tmp_path):
     run = json.loads((out / "run.json").read_text())
     assert run["distribution"]["degenerate"] is True
     assert run["expected_value"]["value"] == 0.1
+
+
+def test_dist_at_zero_agrees_with_the_library(tmp_path):
+    # a trapezoid over 99 copies of 2.7 reads 2.7000000000000006; the
+    # degenerate table's value is the initial value itself
+    text = BASE_CONFIG.replace("initial = [0.1, 0]", "initial = [2.7, 0]")
+    text = text.replace("alpha.count = 9\nalpha.lo    = 0.1\n", "")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["dist", "--config", cfg, "--out", str(out), "--t", "0"]) == 0
+    run = json.loads((out / "run.json").read_text())
+    config = load_config(cfg)
+    assert config.alpha == AlphaGridSpec()
+    fan = solve_fan(config.spec, alpha_grid(config.alpha))
+    library = expected_value(inverse_distribution(fan, 0.0))
+    assert library == run["expected_value"]["value"] == 2.7
 
 
 def test_dist_out_of_range_exits_2(tmp_path, capsys, monkeypatch):
@@ -715,8 +733,15 @@ def test_grid_problems_name_their_line(tmp_path, capsys, old, new, message):
             {"order   = 2": "order   = 0", "[0.1, 0]": "[]"},
             "line 2: `order` must be >= 1, got 0",
         ),
+        (
+            {"[csv, json]\n": "[csv, json]\nalpha.symmetric = true\n"},
+            "line 14: unknown key `alpha.symmetric`",
+        ),
     ],
-    ids=["delta-nan", "alphas-nan", "initial-nan", "initial-overflow", "order-0"],
+    ids=[
+        "delta-nan", "alphas-nan", "initial-nan", "initial-overflow", "order-0",
+        "alpha-symmetric",
+    ],
 )
 def test_load_errors_name_their_line_on_every_command(tmp_path, capsys, edits, message):
     text = BASE_CONFIG
@@ -821,11 +846,10 @@ WRONG_TYPES = {
     "f": ("1", "must be a string, got 1"),
     "g": ("[x0]", "must be a string, got ['x0']"),
     "horizon": ('"1.0"', "must be a number, got '1.0'"),
-    "step": ("true", "must be a number, got True"),
+    "step": ("true", "must be a number, got 'true'"),
     "alpha.count": ("[9]", "must be a number, got [9]"),
     "alpha.lo": ("x", "must be a number, got 'x'"),
-    "alpha.symmetric": ("1", "must be true or false, got 1"),
-    "oracle.delta": ("false", "must be a number, got False"),
+    "oracle.delta": ("false", "must be a number, got 'false'"),
     "oracle.n_paths": ("6.5", "must be an integer, got 6.5"),
     "oracle.segments": ('"16"', "must be a number, got '16'"),
     "oracle.seed": ("2718.5", "must be an integer, got 2718.5"),

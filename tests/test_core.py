@@ -86,13 +86,6 @@ def test_alpha_grid_rejects_bad_parameters(count, lo):
         alpha_grid(AlphaGridSpec(count=count, lo=lo))
 
 
-def test_alpha_grid_asymmetric_variant():
-    grid = alpha_grid(AlphaGridSpec(count=5, lo=0.1, symmetric=False))
-    assert grid[0] == 0.1
-    assert grid[-1] == pytest.approx(0.9, abs=1e-15)
-    assert all(b > a for a, b in zip(grid, grid[1:]))
-
-
 def _one_step(spec, alpha):
     return tuple(solve_fan(spec, [alpha]).states[0, -1])
 

@@ -9,7 +9,6 @@ import pytest
 
 from alphapath import (
     UdeSpec,
-    dominance_check,
     dominance_checks,
     phi_inv,
     solve_fan,
@@ -70,12 +69,10 @@ def test_sampler_deterministic():
 
 
 def test_sampler_rejects_bad_arguments():
-    # the sampler's side and segment count are refused before any draw
+    # the sampler's segment count is refused before any draw
     spec = tanh_spec(2, step=1.0 / 64)
-    with pytest.raises(ConfigError, match="side must be one of"):
-        dominance_check(spec, 0.8, 0.05, 4, 4, "sideways", 0)
     with pytest.raises(ConfigError, match="segments must be >= 1, got 0"):
-        dominance_check(spec, 0.8, 0.05, 4, 0, "below", 0)
+        dominance_checks(spec, [0.8], 0.05, 4, 0, 0)
 
 
 def test_setting_problems_name_every_fault_with_its_key():
@@ -96,9 +93,10 @@ def test_setting_problems_name_every_fault_with_its_key():
 def test_dominance_below_polynomial_closed_form():
     # any slope m < phi_inv(alpha) gives m t^2/2 < phi_inv(alpha) t^2/2
     spec = polynomial_spec(2, step=1.0 / 256)
-    report = dominance_check(
-        spec, alpha=0.7, delta=0.05, n_paths=25, segments=16, side="below", seed=17
+    report, _ = dominance_checks(
+        spec, [0.7], delta=0.05, n_paths=25, segments=16, seed=17
     )
+    assert report.side == "below"
     assert report.passed
     assert report.min_margin > 0.0
     assert report.paths_tested == 25
@@ -106,19 +104,21 @@ def test_dominance_below_polynomial_closed_form():
 
 def test_dominance_above_polynomial():
     spec = polynomial_spec(2, step=1.0 / 256)
-    report = dominance_check(
-        spec, alpha=0.3, delta=0.05, n_paths=25, segments=16, side="above", seed=17
+    _, report = dominance_checks(
+        spec, [0.3], delta=0.05, n_paths=25, segments=16, seed=17
     )
+    assert report.side == "above"
     assert report.passed
 
 
 def test_dominance_nonlinear_both_sides():
     spec = tanh_spec(2, step=1.0 / 256)
-    for side in ("below", "above"):
-        report = dominance_check(
-            spec, alpha=0.8, delta=0.05, n_paths=20, segments=16, side=side, seed=4
-        )
-        assert report.passed, side
+    reports = dominance_checks(
+        spec, [0.8], delta=0.05, n_paths=20, segments=16, seed=4
+    )
+    assert [r.side for r in reports] == ["below", "above"]
+    for report in reports:
+        assert report.passed, report.side
 
 
 def test_boundary_driver_reproduces_alpha_path_exactly():
@@ -145,9 +145,8 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
     monkeypatch.setattr(oracle_module, "_draw_slopes", constant_bound_slopes)
     # enough paths that the drivers are integrated as one block
     n_paths = solver.BLOCK_MIN_ROWS
-    report = dominance_check(
-        spec, alpha=alpha, delta=0.05, n_paths=n_paths, segments=1, side="below", seed=0
-    )
+    kwargs = dict(delta=0.05, n_paths=n_paths, segments=1, seed=0)
+    report, _ = dominance_checks(spec, [alpha], **kwargs)
     assert not report.passed
     assert report.min_margin == 0.0
     assert len(report.violations) == n_paths * 64  # every node t >= h, every path
@@ -155,8 +154,7 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
     assert {v[0] for v in report.violations} == set(range(n_paths))
     # chunks of 10 paths, integrated row by row, give the same report
     monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 10)
-    kwargs = dict(alpha=alpha, delta=0.05, n_paths=n_paths, segments=1, seed=0)
-    assert dominance_check(spec, side="below", **kwargs) == report
+    assert dominance_checks(spec, [alpha], **kwargs)[0] == report
 
 
 def test_dominance_monotone_coupling():
@@ -170,21 +168,17 @@ def test_dominance_monotone_coupling():
 
 def test_dominance_reproducible():
     spec = tanh_spec(2, step=1.0 / 128)
-    kwargs = dict(alpha=0.8, delta=0.05, n_paths=8, segments=8, side="below", seed=99)
-    assert dominance_check(spec, **kwargs) == dominance_check(spec, **kwargs)
+    kwargs = dict(alphas=[0.8], delta=0.05, n_paths=8, segments=8, seed=99)
+    assert dominance_checks(spec, **kwargs) == dominance_checks(spec, **kwargs)
 
 
 def test_dominance_requires_valid_delta():
     # a setting fault, so a ConfigError like every other setting's
     spec = polynomial_spec(2, step=1.0 / 64)
     with pytest.raises(ConfigError, match="need alpha - delta > 0"):
-        dominance_check(
-            spec, alpha=0.04, delta=0.05, n_paths=1, segments=1, side="below", seed=0
-        )
+        dominance_checks(spec, [0.04], delta=0.05, n_paths=1, segments=1, seed=0)
     with pytest.raises(ConfigError, match="need alpha \\+ delta < 1"):
-        dominance_check(
-            spec, alpha=0.98, delta=0.05, n_paths=1, segments=1, side="above", seed=0
-        )
+        dominance_checks(spec, [0.98], delta=0.05, n_paths=1, segments=1, seed=0)
 
 
 @pytest.mark.parametrize("segments", [0, -1])
@@ -197,9 +191,8 @@ def test_dominance_rejects_segments_before_the_gate(monkeypatch, segments):
     monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
     bad = UdeSpec.from_strings(2, "0-x0", "1", [0.1, 0.0], 1.0, 1.0 / 64)
     with pytest.raises(ConfigError, match=f"segments must be >= 1, got {segments}"):
-        dominance_check(
-            bad, alpha=0.8, delta=0.05, n_paths=1, segments=segments,
-            side="below", seed=0,
+        dominance_checks(
+            bad, [0.8], delta=0.05, n_paths=1, segments=segments, seed=0
         )
 
 
@@ -226,28 +219,26 @@ def test_dominance_rejects_misaligned_segments_before_any_work(
     monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     with pytest.raises(AlignmentError, match=message):
-        dominance_check(spec, 0.8, 0.05, 50, segments, "below", 0)
+        dominance_checks(spec, [0.8], 0.05, 50, segments, 0)
 
 
 def test_dominance_rejects_an_invalid_spec_before_the_alignment_check():
     spec = UdeSpec.from_strings(2, "x0", "1", [0.1, 0.0], 1.0, 0.0)
     with pytest.raises(ConfigError, match="step must be positive"):
-        dominance_check(spec, 0.8, 0.05, 1, 4, "below", 0)
+        dominance_checks(spec, [0.8], 0.05, 1, 4, 0)
 
 
 def test_dominance_refuses_without_hypotheses():
     spec = polynomial_spec(2, step=1.0 / 64)
     bad = type(spec).from_strings(2, "0-x0", "1", [0.1, 0.0], 1.0, 1.0 / 64)
     with pytest.raises(HypothesisError):
-        dominance_check(
-            bad, alpha=0.8, delta=0.05, n_paths=1, segments=1, side="below", seed=0
-        )
+        dominance_checks(bad, [0.8], delta=0.05, n_paths=1, segments=1, seed=0)
 
 
 def test_report_serializes():
     spec = polynomial_spec(2, step=1.0 / 64)
-    report = dominance_check(
-        spec, alpha=0.7, delta=0.05, n_paths=3, segments=4, side="below", seed=8
+    report, _ = dominance_checks(
+        spec, [0.7], delta=0.05, n_paths=3, segments=4, seed=8
     )
     payload = report.to_dict()
     assert payload["passed"] is True
@@ -279,13 +270,14 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
     # one block, a block of 66 paths and 4 paths alone, and path-by-path
     # scalar solves give the same report, bit for bit
     spec = tanh_spec(3, step=1.0 / 128)
-    kwargs = dict(alpha=0.7, delta=0.05, n_paths=70, segments=8, side=side, seed=5)
-    block = dominance_check(spec, **kwargs)
+    kwargs = dict(alphas=[0.7], delta=0.05, n_paths=70, segments=8, seed=5)
+    block = dominance_checks(spec, **kwargs)
     monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 66)
-    chunked = dominance_check(spec, **kwargs)
+    chunked = dominance_checks(spec, **kwargs)
     monkeypatch.setattr(solver, "BLOCK_MIN_ROWS", 10**9)
-    scalar = dominance_check(spec, **kwargs)
+    scalar = dominance_checks(spec, **kwargs)
     assert block == chunked == scalar
+    (report,) = [r for r in block if r.side == side]
     target = solve_fan(spec, [0.7]).positions[0, 1:]
     bound = phi_inv(0.65 if side == "below" else 0.75)
     margins = []
@@ -294,7 +286,7 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
         sampled = solver.sample_positions(spec, slopes[None])[0, 1:]
         margin = target - sampled if side == "below" else sampled - target
         margins.append(margin.min())
-    assert block.min_margin == min(margins) > 0.0
+    assert report.min_margin == min(margins) > 0.0
 
 
 def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
@@ -312,9 +304,8 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
     monkeypatch.setattr(oracle_module, "check_hypotheses", passing_gate)
     spec = type(polynomial_spec(1)).from_strings(1, "x0^2", "1", [0.0], 1.0, 1 / 64)
     with pytest.raises(BlowUpError) as excinfo:
-        dominance_check(
-            spec, alpha=0.8, delta=0.05, n_paths=solver.BLOCK_MIN_ROWS,
-            segments=1, side="below", seed=0,
+        dominance_checks(
+            spec, [0.8], delta=0.05, n_paths=solver.BLOCK_MIN_ROWS, segments=1, seed=0
         )
     for k in range(3):
         solver.sample_positions(spec, np.array([[float(k)]]))
@@ -325,13 +316,18 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
 
 
 def test_dominance_checks_equal_one_check_per_alpha_and_side():
+    # one report per (alpha, side), alpha by alpha, each one's sides in the
+    # order of SIDES, as a run of each alpha alone gives them
     spec = tanh_spec(2, step=1.0 / 64)
     kwargs = dict(delta=0.05, n_paths=5, segments=4, seed=3)
     reports = dominance_checks(spec, [0.3, 0.8], **kwargs)
+    assert [(r.alpha, r.side) for r in reports] == [
+        (alpha, side) for alpha in (0.3, 0.8) for side in oracle_module.SIDES
+    ]
     assert reports == [
-        dominance_check(spec, alpha=alpha, side=side, **kwargs)
+        report
         for alpha in (0.3, 0.8)
-        for side in ("below", "above")
+        for report in dominance_checks(spec, [alpha], **kwargs)
     ]
 
 
@@ -347,27 +343,34 @@ def test_dominance_checks_reject_a_later_alpha_before_any_solve(monkeypatch):
         dominance_checks(spec, [0.8, 0.02], 0.05, 5, 4, 0)
 
 
-@pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+@pytest.mark.parametrize("case", ["distinct", "tied", "chunked"])
 @pytest.mark.parametrize("side", ["below", "above"])
-def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, tied):
+def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, case):
     # tied: every path draws the same surrogate, so each margin is tied across
-    # paths and the first path holds the minimum
-    if tied:
+    # paths and the first path holds the minimum; chunked: the paths are
+    # scanned two at a time, and with seed 2 a later chunk holds the minimum
+    # on both sides
+    if case == "tied":
 
         def same_surrogate(bound, side, segments, seed):
             return _draw_slopes(bound, side, segments, 0)
 
         monkeypatch.setattr(oracle_module, "_draw_slopes", same_surrogate)
+    seed = 1
+    if case == "chunked":
+        monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 2)
+        seed = 2
     spec = tanh_spec(2, step=1.0 / 64)
-    report = dominance_check(
-        spec, alpha=0.6, delta=0.05, n_paths=5, segments=4, side=side, seed=1
+    reports = dominance_checks(
+        spec, [0.6], delta=0.05, n_paths=5, segments=4, seed=seed
     )
+    (report,) = [r for r in reports if r.side == side]
     target = solve_fan(spec, [0.6])
     bound = phi_inv(0.55 if side == "below" else 0.65)
     best = (np.inf, -1, np.nan)
     for k in range(5):
         slopes = oracle_module._draw_slopes(
-            bound, side, 4, oracle_module._path_seed(1, k)
+            bound, side, 4, oracle_module._path_seed(seed, k)
         )
         sampled = solver.sample_positions(spec, slopes[None])[0]
         for j in range(1, len(target.times)):
@@ -383,4 +386,6 @@ def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, tied)
         exported["min_margin_path"],
         exported["min_margin_time"],
     ) == best
-    assert (best[1] == 0) if tied else (best[1] > 0)
+    assert (best[1] == 0) if case == "tied" else (best[1] > 0)
+    if case == "chunked":
+        assert best[1] >= 2

@@ -135,7 +135,7 @@ def test_condition_h_equals_the_reference_bitwise(f, g, seed):
         (label, env, value), violations = reference_condition_h(spec, fan, 8, seed)
     except NonFiniteError:
         return
-    report = check_condition_h(spec, fan, samples=8, seed=seed)
+    report = check_condition_h(fan, samples=8, seed=seed)
     assert (report.min_function, report.min_env) == (label, env)
     assert report.min_partial.hex() == value.hex()
     assert report.violations == violations
@@ -228,7 +228,6 @@ CLI_VALUES = {
     "step": ["0.25", "0.125", "0.3", "0", "2"],
     "alpha.count": ["3", "4", "1", "1000000001"],
     "alpha.lo": ["0.01", "0", "0.7"],
-    "alpha.symmetric": ["false", "1"],
     "oracle.delta": ["0.5", "0", "-1", "nan", "inf"],
     "oracle.n_paths": ["1", "0"],
     "oracle.segments": ["1", "3", "0"],

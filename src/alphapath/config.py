@@ -185,22 +185,25 @@ def _section(values: dict[str, Value], lines: dict[str, int], prefix: str) -> di
 def _check_size(spec: UdeSpec, count: int, n_paths: int, lines) -> None:
     """Refuse a run that would store more than MAX_STATE_VALUES state values,
     naming `step` when one path alone is over the cap and otherwise the key
-    that sets the row count."""
+    that sets the larger store: the fan's `alpha.count` rows of `order`
+    components, or an oracle chunk's rows (both sides of one alpha, at most
+    CHUNK_PATHS) of positions only."""
     nodes = spec.step_count + 1
-    oracle_rows = min(n_paths, CHUNK_PATHS)
-    rows = max(count, oracle_rows)
-    stored = nodes * rows * spec.order
+    fan = count * spec.order
+    chunk = min(2 * n_paths, CHUNK_PATHS)
+    stored = nodes * max(fan, chunk)
     if stored <= MAX_STATE_VALUES:
         return
     if nodes * spec.order > MAX_STATE_VALUES:
         key = "step"
     else:
-        key = "alpha.count" if count >= oracle_rows else "oracle.n_paths"
+        key = "alpha.count" if fan >= chunk else "oracle.n_paths"
     raise _error(
         lines,
         key,
-        f"the run would store {stored} state values ({nodes} nodes x {rows} "
-        f"rows x order {spec.order}), over the cap of {MAX_STATE_VALUES}; "
+        f"the run would store {stored} state values ({nodes} nodes x the "
+        f"larger of {count} alphas x order {spec.order} and {chunk} oracle "
+        f"rows), over the cap of {MAX_STATE_VALUES}; "
         "raise `step` or lower `alpha.count` or `oracle.n_paths`",
     )
 

@@ -463,7 +463,7 @@ def _exec(source: str, block: bool = False) -> dict:
 def _compile_source(source: str) -> CodeType:
     # code objects are immutable and can be shared; the oracle generates its
     # step once per chunk, and a step or partials text generated again for
-    # another alpha, side or command is compiled only once
+    # another alpha or command is compiled only once
     return compile(source, "<expr>", "exec")
 
 

@@ -11,9 +11,10 @@ s > t, is a weighted mean of segment slopes, so it lies within
 the bound is checkable exactly rather than estimated.
 
 ``dominance_checks`` is the one entry point: it runs every alpha on both
-sides, below then above. Sampled frequencies carry no measure-theoretic
-meaning here; only the universally quantified dominance is being tested,
-path by path.
+sides, below then above. An alpha's surrogates of both sides are integrated
+together, as one set of rows, and only their positions are stored. Sampled
+frequencies carry no measure-theoretic meaning here; only the universally
+quantified dominance is being tested, path by path.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
 
 SIDES = ("below", "above")
 
-# surrogates integrated together in one dominance run; bounds the memory of a
-# run to CHUNK_PATHS trajectories whatever n_paths is
+# surrogate rows integrated together, drawn from one alpha's below rows and
+# then its above rows; bounds the memory of a run to CHUNK_PATHS positions-only
+# trajectories whatever n_paths is
 CHUNK_PATHS = 1024
 
 
@@ -106,6 +108,87 @@ def setting_problems(
     return problems
 
 
+def _scan(
+    report: DominanceReport,
+    reference: np.ndarray,
+    times: np.ndarray,
+    block: np.ndarray,
+    first: int,
+) -> None:
+    """Fold one side's rows of a chunk into its report. ``block`` (paths,
+    N+1) holds the positions of paths first, first + 1, ... at every node;
+    it is overwritten with their margins, so the scan copies nothing.
+
+    A margin is <= 0 exactly where the position reaches the reference (the
+    difference of two finite doubles is 0 only when they are equal and keeps
+    their order), so violations are read off the positions before the
+    margins are written over them.
+    """
+    later, ahead = block[:, 1:], reference[1:]
+    below = report.side == "below"
+    paths, nodes = np.nonzero(later >= ahead if below else later <= ahead)
+    nodes += 1
+    report.violations += zip(
+        (paths + first).tolist(),
+        times[nodes].tolist(),
+        block[paths, nodes].tolist(),
+        reference[nodes].tolist(),
+    )
+    if below:
+        np.subtract(reference, block, out=block)
+    else:
+        np.subtract(block, reference, out=block)
+    block[:, 0] = math.inf  # t = 0 is shared exactly and is not scanned
+    # row-major order is path order, then node order
+    i, j = divmod(int(np.argmin(block)), block.shape[1])
+    if block[i, j] < report.min_margin:
+        report.min_margin = float(block[i, j])
+        report.min_margin_path = first + i
+        report.min_margin_time = float(times[j])
+
+
+def _check_alpha(
+    spec: UdeSpec, alpha: float, delta: float, n_paths: int, segments: int, seed: int
+) -> list[DominanceReport]:
+    """Gate one alpha, then sample it: its reports in the order of SIDES."""
+    target = solve_fan(spec, [alpha])
+    hypotheses = check_hypotheses(target, samples=128, seed=seed)
+    if not hypotheses.passed:
+        raise HypothesisError(
+            "dominance is only guaranteed under regularity and the position-"
+            f"monotonicity condition (failed: {', '.join(hypotheses.failed)})"
+        )
+    reference, times = target.positions[0], target.times
+    bounds = (phi_inv(alpha - delta), phi_inv(alpha + delta))
+    reports = [  # no violation and no margin yet
+        DominanceReport(alpha, delta, side, n_paths, [], math.inf, -1, math.nan)
+        for side in SIDES
+    ]
+    # row r is path r % n_paths of side r // n_paths
+    rows = len(SIDES) * n_paths
+    for first in range(0, rows, CHUNK_PATHS):
+        last = min(first + CHUNK_PATHS, rows)
+        slopes = np.array(
+            [
+                _draw_slopes(
+                    bounds[r // n_paths],
+                    SIDES[r // n_paths],
+                    segments,
+                    _path_seed(seed, r % n_paths),
+                )
+                for r in range(first, last)
+            ]
+        )
+        chunk = sample_positions(spec, slopes)
+        for s, report in enumerate(reports):
+            lo, hi = max(first, s * n_paths), min(last, (s + 1) * n_paths)
+            if lo < hi:
+                block = chunk[lo - first : hi - first]
+                _scan(report, reference, times, block, lo - s * n_paths)
+        del chunk, block  # one chunk's trajectories in memory at a time
+    return reports
+
+
 def dominance_checks(
     spec: UdeSpec,
     alphas: Sequence[float],
@@ -122,60 +205,26 @@ def dominance_checks(
     spec's step count (AlignmentError). Each alpha-path is then solved once,
     and the run refuses (HypothesisError, naming the failing checks) when
     ``check_hypotheses`` fails on it, since dominance is only guaranteed
-    under its hypotheses.
+    under its hypotheses; an alpha is gated before it is sampled, and
+    before any later alpha is solved.
 
     Each surrogate is one row of ``segments`` slopes, all below
     phi_inv(alpha - delta) (or above phi_inv(alpha + delta)), and its
     trajectory must stay strictly on that side of the alpha-path at every
-    node t >= h; at t = 0 both share the initial state exactly. The rows
-    are integrated together (see ``sample_positions``), in chunks of at
-    most CHUNK_PATHS, and each chunk's margins are scanned as one matrix.
+    node t >= h; at t = 0 both share the initial state exactly. Path k of
+    either side draws its slopes from ``_path_seed(seed, k)``. An alpha's
+    below rows and then its above rows are integrated together (see
+    ``sample_positions``), in chunks of at most CHUNK_PATHS rows that may
+    span both sides, and each side's rows of a chunk are scanned in place
+    as one margin matrix.
     """
     problems = setting_problems(alphas, delta, n_paths, segments)
     if problems:
         raise ConfigError(problems[0][1])
     _require_valid(spec)
     segment_counts(spec, segments)
-    reports = []
-    for alpha in alphas:
-        target = solve_fan(spec, [alpha])
-        hypotheses = check_hypotheses(target, samples=128, seed=seed)
-        if not hypotheses.passed:
-            raise HypothesisError(
-                "dominance is only guaranteed under regularity and the position-"
-                f"monotonicity condition (failed: {', '.join(hypotheses.failed)})"
-            )
-        reference, times = target.positions[0, 1:], target.times[1:]
-        for side in SIDES:
-            bound = phi_inv(alpha - delta if side == "below" else alpha + delta)
-            report = DominanceReport(  # no violation and no margin yet
-                alpha, delta, side, n_paths, [], math.inf, -1, math.nan
-            )
-            for first in range(0, n_paths, CHUNK_PATHS):
-                chunk = range(first, min(first + CHUNK_PATHS, n_paths))
-                slopes = np.array(
-                    [
-                        _draw_slopes(bound, side, segments, _path_seed(seed, k))
-                        for k in chunk
-                    ]
-                )
-                sampled = sample_positions(spec, slopes)[:, 1:]
-                # (chunk, N): row-major order is path order, then node order
-                margins = (
-                    reference - sampled if side == "below" else sampled - reference
-                )
-                i, j = np.unravel_index(np.argmin(margins), margins.shape)
-                if margins[i, j] < report.min_margin:
-                    report.min_margin = float(margins[i, j])
-                    report.min_margin_path = first + int(i)
-                    report.min_margin_time = float(times[j])
-                paths, nodes = np.nonzero(margins <= 0.0)
-                report.violations += zip(
-                    (paths + first).tolist(),
-                    times[nodes].tolist(),
-                    sampled[paths, nodes].tolist(),
-                    reference[nodes].tolist(),
-                )
-                del sampled, margins  # one chunk's trajectories in memory at a time
-            reports.append(report)
-    return reports
+    return [
+        report
+        for alpha in alphas
+        for report in _check_alpha(spec, alpha, delta, n_paths, segments, seed)
+    ]

@@ -10,9 +10,10 @@ per segment; an alpha-path is one segment with slope phi_inv(alpha). Rows are
 integrated by one RK4 step generated per problem with f and g inlined
 (``_compile_step``), one row at a time (``_integrate``) or, for
 BLOCK_MIN_ROWS rows or more, over numpy columns (``_integrate_block``) with
-the same bits. The step also returns g at its starting node, so the solve
+the same bits. The step also returns g at its starting node, so a fan solve
 carries g at every node for the regularity check to read. ``solve_fan``
 returns these arrays as an ``AlphaFan``; an alpha-path is a fan of one.
+``sample_positions`` records positions only: no other component and no g.
 """
 
 from __future__ import annotations
@@ -176,13 +177,19 @@ def _integrate(
 
 
 def _integrate_block(
-    spec: UdeSpec, signed: bool, counts: Sequence[int], slopes: np.ndarray, kept: int
-) -> tuple[np.ndarray, np.ndarray] | None:
+    spec: UdeSpec,
+    signed: bool,
+    counts: Sequence[int],
+    slopes: np.ndarray,
+    kept: int,
+    keep_g: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None] | None:
     """The block loop: the state is one column per component, each step
     advances every row at once, and the driver column c holds the rows'
     slopes of the step's segment. Returns what ``_solve_rows`` does, or None
     when any step fails, meets a numpy floating-point error or puts a row
-    beyond BLOWUP_LIMIT."""
+    beyond BLOWUP_LIMIT. Without ``keep_g`` no g array is allocated or
+    filled, and None stands in its place."""
     step, diffusion = _compile_step(spec, signed, block=True)
     columns = np.ascontiguousarray(slopes.T)
     drivers = (c for c, count in zip(columns, counts) for _ in range(count))
@@ -190,16 +197,18 @@ def _integrate_block(
     rows = len(slopes)
     record = (None, *(np.full(rows, float(v)) for v in spec.initial))
     states = np.empty((rows, len(tlist), kept))
-    g_nodes = np.empty((rows, len(tlist)))
+    g_nodes = np.empty((rows, len(tlist))) if keep_g else None
     states[:, 0] = spec.initial[:kept]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for j, (t, c) in enumerate(zip(tlist, drivers), 1):
                 record = step(t, record, c)
-                g_nodes[:, j - 1] = record[0]
+                if keep_g:
+                    g_nodes[:, j - 1] = record[0]
                 for k in range(kept):
                     states[:, j, k] = record[k + 1]
-            g_nodes[:, -1] = diffusion(tlist[-1], record)
+            if keep_g:
+                g_nodes[:, -1] = diffusion(tlist[-1], record)
     except (*_STEP_FAILURES, FloatingPointError):
         return None
     return states, g_nodes
@@ -212,30 +221,34 @@ def _solve_rows(
     slopes: np.ndarray,
     kept: int,
     alphas: Sequence[float] | None,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, BlowUpError]]]:
+    keep_g: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, list[tuple[int, BlowUpError]]]:
     """Integrate one row per row of ``slopes`` (rows, segments); segment k
     spans counts[k] steps. Returns the first ``kept`` state components,
-    (rows, N+1, kept), and g, (rows, N+1), at every node, and each failing
-    row's index and BlowUpError, naming alphas[row] (None without
-    ``alphas``); failed rows hold nan. BLOCK_MIN_ROWS rows or more run as one
-    block; if it fails, every row is rerun alone, so the errors are those of
-    row-by-row solves.
+    (rows, N+1, kept), and g, (rows, N+1), at every node (None without
+    ``keep_g``), and each failing row's index and BlowUpError, naming
+    alphas[row] (None without ``alphas``); failed rows hold nan.
+    BLOCK_MIN_ROWS rows or more run as one block; if it fails, every row is
+    rerun alone, so the errors are those of row-by-row solves.
     """
     if len(slopes) >= BLOCK_MIN_ROWS:
-        block = _integrate_block(spec, signed, counts, slopes, kept)
+        block = _integrate_block(spec, signed, counts, slopes, kept, keep_g)
         if block is not None:
             return (*block, [])
     compiled = _compile_step(spec, signed)
     states = np.full((len(slopes), spec.step_count + 1, kept), math.nan)
-    diffusion = np.full(states.shape[:2], math.nan)
+    diffusion = np.full(states.shape[:2], math.nan) if keep_g else None
     failures: list[tuple[int, BlowUpError]] = []
     for r, row in enumerate(slopes.tolist()):
         drivers = chain.from_iterable(map(repeat, row, counts))
         alpha = None if alphas is None else alphas[r]
         try:
-            states[r], diffusion[r] = _integrate(spec, compiled, drivers, alpha, kept)
+            states[r], g = _integrate(spec, compiled, drivers, alpha, kept)
         except BlowUpError as exc:
             failures.append((r, exc))
+            continue
+        if keep_g:
+            diffusion[r] = g
     return states, diffusion, failures
 
 
@@ -391,13 +404,14 @@ def sample_positions(spec: UdeSpec, slopes: np.ndarray) -> np.ndarray:
     Row k of ``slopes`` (paths, segments) holds driver k's slope on each of
     ``segments`` equal segments of [0, horizon], which must divide the step
     count (see ``segment_counts``); the top row of the companion system is
-    f + g * slope. Row k of the result (paths, N+1) is driver k's position
-    at every node, the same bits however many rows are passed. Raises the
-    first failing row's BlowUpError.
+    f + g * slope. Row k of the result (paths, N+1), a fresh C-contiguous
+    array, is driver k's position at every node, the same bits however many
+    rows are passed. Only positions are stored: no other component and no g,
+    so a row costs N+1 values. Raises the first failing row's BlowUpError.
     """
     _require_valid(spec)
     counts = segment_counts(spec, slopes.shape[1])
-    states, _, failures = _solve_rows(spec, True, counts, slopes, 1, None)
+    states, _, failures = _solve_rows(spec, True, counts, slopes, 1, None, False)
     if failures:
         raise failures[0][1]
     return states[:, :, 0]

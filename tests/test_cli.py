@@ -672,8 +672,9 @@ def test_order_disagreeing_with_initial_exits_2_fast(tmp_path, capsys):
 def test_oversized_runs_exit_2_before_any_allocation(
     tmp_path, capsys, monkeypatch, old, new, named
 ):
-    # 1024 oracle rows (one chunk of 10,000 paths) x 401 nodes x order 2 is
-    # 821,248 values: over a cap lowered to 10**5, far under the real one
+    # one oracle chunk of 1024 rows (of 10,000 paths a side) x 401 nodes,
+    # positions only, is 410,624 values: over a cap lowered to 10**5, far
+    # under the real one
     if "n_paths" in new:
         monkeypatch.setattr(config_module, "MAX_STATE_VALUES", 10**5)
     cfg = write_config(tmp_path, BASE_CONFIG.replace(old, new))
@@ -687,8 +688,32 @@ def test_oversized_runs_exit_2_before_any_allocation(
     assert f"over the cap of {config_module.MAX_STATE_VALUES}" in err
 
 
+def test_an_oracle_chunk_of_both_sides_over_the_cap_exits_2(
+    tmp_path, capsys, monkeypatch
+):
+    # order 1 and 200 paths a side: one chunk holds both sides' 400 rows of
+    # positions, 400 x 401 = 160,400 values, over a cap lowered to 10**5,
+    # while one side's 200 rows (80,200) and the fan (9 x 401) are under it
+    monkeypatch.setattr(config_module, "MAX_STATE_VALUES", 10**5)
+    text = (
+        BASE_CONFIG.replace("order   = 2", "order   = 1")
+        .replace("initial = [0.1, 0]", "initial = [0.1]")
+        .replace("oracle.n_paths  = 6", "oracle.n_paths  = 200")
+    )
+    cfg = write_config(tmp_path, text)
+    for command in ("solve", "check", "oracle"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg, "--out", out]) == 2
+        assert not (tmp_path / command).exists()
+    err = capsys.readouterr().err
+    assert "line 10: the run would store 160400 state values" in err
+    assert "400 oracle rows" in err
+
+
 def test_size_cap_is_far_above_the_documented_runs():
-    # the README fan with the default 200 oracle paths: 200 x 1001 x 2
+    # the README fan with the default 200 oracle paths: one oracle chunk of
+    # both sides' 400 rows x 1001 nodes, positions only, which is also
+    # 200 x 1001 x order 2 (the fan's 99 x 2 per node is smaller)
     readme = BASE_CONFIG.replace("step    = 0.0025", "step    = 0.001").replace(
         "alpha.count = 9", "alpha.count = 99"
     ).replace("oracle.n_paths  = 6", "oracle.n_paths  = 200")

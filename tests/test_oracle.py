@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -152,9 +153,50 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
     assert len(report.violations) == n_paths * 64  # every node t >= h, every path
     assert report.violations == sorted(report.violations)
     assert {v[0] for v in report.violations} == set(range(n_paths))
-    # chunks of 10 paths, integrated row by row, give the same report
+    # chunks of 10 rows, integrated row by row, give the same report
     monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 10)
     assert dominance_checks(spec, [alpha], **kwargs)[0] == report
+
+
+def test_each_alpha_integrates_both_sides_as_one_block(monkeypatch):
+    # 2 alphas of 40 paths a side: one call of 80 rows per alpha, the below
+    # rows on top, rather than one call of 40 rows per (alpha, side)
+    calls = []
+
+    def spy(spec, slopes):
+        calls.append(slopes)
+        return solver.sample_positions(spec, slopes)
+
+    monkeypatch.setattr(oracle_module, "sample_positions", spy)
+    spec = tanh_spec(2, step=1.0 / 64)
+    kwargs = dict(delta=0.05, n_paths=40, segments=4, seed=6)
+    reports = dominance_checks(spec, [0.3, 0.8], **kwargs)
+    assert [len(slopes) for slopes in calls] == [80, 80]
+    for alpha, slopes in zip((0.3, 0.8), calls):
+        assert (slopes[:40] < phi_inv(alpha - 0.05)).all()
+        assert (slopes[40:] > phi_inv(alpha + 0.05)).all()
+    assert all(report.passed for report in reports)
+
+
+def test_dominance_memory_is_one_chunk_of_positions():
+    # shaped like the oracle-sweep benchmark: each alpha's 400 rows are one
+    # chunk of positions, 400 x 801 doubles. Storing g for the samples, a
+    # chunk kept alive into the next alpha, or a copy of a side's rows while
+    # scanning would each add at least half a chunk to the peak. What a row
+    # stores does not depend on f and g; the polynomial problem, with no
+    # per-element tanh, keeps the traced run short
+    spec = polynomial_spec(3, step=1.0 / 800)
+    kwargs = dict(alphas=[0.2, 0.8], delta=0.05, n_paths=200, segments=32, seed=9)
+    dominance_checks(spec, **{**kwargs, "n_paths": 32})  # generated code compiled
+    chunk_bytes = 2 * 200 * 801 * 8
+    tracemalloc.start()
+    try:
+        reports = dominance_checks(spec, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(report.passed for report in reports)
+    assert peak <= 1.25 * chunk_bytes
 
 
 def test_dominance_monotone_coupling():
@@ -267,8 +309,10 @@ def test_report_with_violations_serializes():
 
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
-    # one block, a block of 66 paths and 4 paths alone, and path-by-path
-    # scalar solves give the same report, bit for bit
+    # one block of both sides' 140 rows, chunks of 66, 66 and 8 rows (the
+    # first two edges fall inside the below and the above rows, and the last
+    # chunk runs row by row), and path-by-path scalar solves give the same
+    # report, bit for bit
     spec = tanh_spec(3, step=1.0 / 128)
     kwargs = dict(alphas=[0.7], delta=0.05, n_paths=70, segments=8, seed=5)
     block = dominance_checks(spec, **kwargs)
@@ -347,9 +391,10 @@ def test_dominance_checks_reject_a_later_alpha_before_any_solve(monkeypatch):
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, case):
     # tied: every path draws the same surrogate, so each margin is tied across
-    # paths and the first path holds the minimum; chunked: the paths are
-    # scanned two at a time, and with seed 2 a later chunk holds the minimum
-    # on both sides
+    # paths and the first path holds the minimum; chunked: the 10 rows of
+    # both sides are integrated and scanned two at a time, so the third chunk
+    # holds below path 4 and above path 0, and with seed 2 a later chunk than
+    # the first of each side holds that side's minimum
     if case == "tied":
 
         def same_surrogate(bound, side, segments, seed):

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from dataclasses import asdict
 from operator import itemgetter
 from pathlib import Path
 
@@ -72,8 +73,10 @@ def _write_text(path: Path, chunks: Iterable[str]) -> None:
         with open(partial, "w", encoding="utf-8", newline="\n") as stream:
             stream.writelines(chunks)
         os.replace(partial, path)
-    except BaseException:
+    except BaseException as exc:
         partial.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 
@@ -166,6 +169,8 @@ def _update_run_json(outdir: Path, config: RunConfig, extra: dict) -> None:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, ValueError):  # absent, not UTF-8 or not JSON
         payload = {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     if not isinstance(payload, dict) or payload.get("config") != config.raw:
         payload = {}
     payload.update(extra, config=config.raw)
@@ -233,14 +238,7 @@ def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
 def cmd_oracle(config: RunConfig, outdir: Path) -> int:
     settings = config.oracle
     try:
-        reports = oracle.dominance_checks(
-            config.spec,
-            settings.alphas,
-            settings.delta,
-            settings.n_paths,
-            settings.segments,
-            settings.seed,
-        )
+        reports = oracle.dominance_checks(config.spec, **asdict(settings))
     except AlignmentError as exc:
         origin = (
             f"line {config.lines['oracle.segments']}: `oracle.segments`"

@@ -20,13 +20,13 @@ fail loudly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import expr
 from .core import AlphaGridSpec, UdeSpec, alpha_grid_problems, grid_problems
 from .errors import AlphaPathError, ConfigError
-from .oracle import CHUNK_PATHS, setting_problems
+from .oracle import chunk_rows, setting_problems
 
 Scalar = int | float | str
 Value = Scalar | list[Scalar]
@@ -65,6 +65,8 @@ MAX_STATE_VALUES = 10**7
 
 @dataclass(frozen=True)
 class OracleSettings:
+    """The arguments of ``oracle.dominance_checks`` after the spec."""
+
     delta: float = 0.05
     n_paths: int = 200
     segments: int = 32
@@ -186,11 +188,11 @@ def _check_size(spec: UdeSpec, count: int, n_paths: int, lines) -> None:
     """Refuse a run that would store more than MAX_STATE_VALUES state values,
     naming `step` when one path alone is over the cap and otherwise the key
     that sets the larger store: the fan's `alpha.count` rows of `order`
-    components, or an oracle chunk's rows (both sides of one alpha, at most
-    CHUNK_PATHS) of positions only."""
+    components, or an oracle chunk's rows (``oracle.chunk_rows``) of
+    positions only."""
     nodes = spec.step_count + 1
     fan = count * spec.order
-    chunk = min(2 * n_paths, CHUNK_PATHS)
+    chunk = chunk_rows(n_paths)
     stored = nodes * max(fan, chunk)
     if stored <= MAX_STATE_VALUES:
         return
@@ -244,16 +246,6 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
 
     grid = AlphaGridSpec(**_section(values, lines, "alpha."))
     oracle = OracleSettings(**_section(values, lines, "oracle."))
-    if oracle.seed < 0:
-        raise _error(
-            lines, "oracle.seed", f"`oracle.seed` must be >= 0, got {oracle.seed}"
-        )
-    if not oracle.alphas:
-        raise _error(
-            lines,
-            "oracle.alphas",
-            "`oracle.alphas` must be a non-empty list of numbers, got []",
-        )
     _check_size(spec, grid.count, oracle.n_paths, lines)
     problems = alpha_grid_problems(grid)  # after the cap: a huge even count is too big
     if problems:
@@ -274,9 +266,7 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
         if any(isinstance(x, float) and not math.isfinite(x) for x in items):
             raise _error(lines, key, f"`{key}` must be finite, got {v!r}")
     # the oracle's own rules, so a run it would refuse fails every command
-    problems = setting_problems(
-        oracle.alphas, oracle.delta, oracle.n_paths, oracle.segments
-    )
+    problems = setting_problems(**asdict(oracle))
     if problems:
         key, message = problems[0]
         # only the default alphas can fail unset, and then delta is at fault
@@ -297,7 +287,7 @@ def load_config(path: str | Path) -> RunConfig:
     """Read and build a RunConfig from a file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values, lines = parse_config_text(text)
     return build_config(values, lines)

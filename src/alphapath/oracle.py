@@ -10,11 +10,13 @@ s > t, is a weighted mean of segment slopes, so it lies within
 [min slope, max slope] and the slope extremes certify the global envelope:
 the bound is checkable exactly rather than estimated.
 
-``dominance_checks`` is the one entry point: it runs every alpha on both
-sides, below then above. An alpha's surrogates of both sides are integrated
-together, as one set of rows, and only their positions are stored. Sampled
-frequencies carry no measure-theoretic meaning here; only the universally
-quantified dominance is being tested, path by path.
+``dominance_checks`` is the one entry point and owns the oracle's run: its
+setting rules (``setting_problems``) and its chunk size (``chunk_rows``). It
+runs every alpha on both sides, below then above. An alpha's surrogates are
+integrated in chunks of paths, each chunk holding both sides' rows of its
+paths, and only their positions are stored. Sampled frequencies carry no
+measure-theoretic meaning here; only the universally quantified dominance
+is being tested, path by path.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
 
 SIDES = ("below", "above")
 
-# surrogate rows integrated together, drawn from one alpha's below rows and
-# then its above rows; bounds the memory of a run to CHUNK_PATHS positions-only
+# paths of one alpha integrated together, their below rows and then their
+# above rows; bounds the memory of a run to chunk_rows(n_paths) positions-only
 # trajectories whatever n_paths is
-CHUNK_PATHS = 1024
+CHUNK_PATHS = 512
 
 
 @dataclass
@@ -82,14 +84,25 @@ def _draw_slopes(bound: float, side: str, segments: int, seed: int) -> np.ndarra
     return rng.uniform(bound + SLOPE_MARGIN, bound + SLOPE_WINDOW, segments)
 
 
+def chunk_rows(n_paths: int) -> int:
+    """Rows of the widest chunk a run of ``n_paths`` paths a side integrates:
+    both sides' rows of at most CHUNK_PATHS paths."""
+    return len(SIDES) * min(n_paths, CHUNK_PATHS)
+
+
 def setting_problems(
-    alphas: Sequence[float], delta: float, n_paths: int, segments: int
+    alphas: Sequence[float], delta: float, n_paths: int, segments: int, seed: int
 ) -> list[tuple[str, str]]:
     """Problems of the oracle's settings, each with the config key whose
     value is at fault; empty when a dominance run can take them. Every alpha
     is checked on both sides: alpha - delta and alpha + delta must lie in
     (0, 1)."""
     problems: list[tuple[str, str]] = []
+    if not seed >= 0:
+        problems.append(("oracle.seed", f"`oracle.seed` must be >= 0, got {seed}"))
+    if not alphas:
+        message = "`oracle.alphas` must be a non-empty list of numbers, got []"
+        problems.append(("oracle.alphas", message))
     if not delta > 0:
         problems.append(("oracle.delta", f"delta must be positive, got {delta}"))
     if not n_paths >= 1:
@@ -164,27 +177,18 @@ def _check_alpha(
         DominanceReport(alpha, delta, side, n_paths, [], math.inf, -1, math.nan)
         for side in SIDES
     ]
-    # row r is path r % n_paths of side r // n_paths
-    rows = len(SIDES) * n_paths
-    for first in range(0, rows, CHUNK_PATHS):
-        last = min(first + CHUNK_PATHS, rows)
+    for first in range(0, n_paths, CHUNK_PATHS):
+        last = min(first + CHUNK_PATHS, n_paths)
         slopes = np.array(
             [
-                _draw_slopes(
-                    bounds[r // n_paths],
-                    SIDES[r // n_paths],
-                    segments,
-                    _path_seed(seed, r % n_paths),
-                )
-                for r in range(first, last)
+                _draw_slopes(bound, side, segments, _path_seed(seed, k))
+                for bound, side in zip(bounds, SIDES)
+                for k in range(first, last)
             ]
         )
         chunk = sample_positions(spec, slopes)
-        for s, report in enumerate(reports):
-            lo, hi = max(first, s * n_paths), min(last, (s + 1) * n_paths)
-            if lo < hi:
-                block = chunk[lo - first : hi - first]
-                _scan(report, reference, times, block, lo - s * n_paths)
+        for report, block in zip(reports, np.split(chunk, len(SIDES))):
+            _scan(report, reference, times, block, first)
         del chunk, block  # one chunk's trajectories in memory at a time
     return reports
 
@@ -213,12 +217,12 @@ def dominance_checks(
     trajectory must stay strictly on that side of the alpha-path at every
     node t >= h; at t = 0 both share the initial state exactly. Path k of
     either side draws its slopes from ``_path_seed(seed, k)``. An alpha's
-    below rows and then its above rows are integrated together (see
-    ``sample_positions``), in chunks of at most CHUNK_PATHS rows that may
-    span both sides, and each side's rows of a chunk are scanned in place
-    as one margin matrix.
+    paths are integrated in chunks of at most CHUNK_PATHS paths (see
+    ``sample_positions``), each chunk the below rows and then the above rows
+    of its paths, and each side's rows of a chunk are scanned in place as
+    one margin matrix.
     """
-    problems = setting_problems(alphas, delta, n_paths, segments)
+    problems = setting_problems(alphas, delta, n_paths, segments, seed)
     if problems:
         raise ConfigError(problems[0][1])
     _require_valid(spec)

@@ -337,6 +337,34 @@ def test_failed_streamed_write_keeps_the_previous_artifact(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["fan.csv"]
 
 
+def test_a_config_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "bad.conf"
+    cfg.write_bytes(b'order = 2\nf = "x0\xff"\n')
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: cannot read config {cfg}: 'utf-8' codec")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, fault, left",
+    [
+        ("solve", "fan.csv", "cannot write", ["fan.csv"]),
+        ("check", "run.json", "cannot read", ["checks.json", "run.json"]),
+    ],
+)
+def test_an_output_file_that_is_a_directory_exits_2_naming_it(
+    tmp_path, capsys, command, name, fault, left
+):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main([command, "--config", cfg, "--out", str(out), "--force"]) == 2
+    assert capsys.readouterr().err == f"error: {fault} {out / name}: Is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == left  # no temporary file
+
+
 def _fan_config(
     order=2,
     f="x0",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -77,17 +78,24 @@ def test_sampler_rejects_bad_arguments():
 
 
 def test_setting_problems_name_every_fault_with_its_key():
-    assert setting_problems([0.2, 0.8], 0.05, 200, 32) == []
-    assert setting_problems([1.5, 0.02], 0.0, 0, 0) == [
+    assert setting_problems([0.2, 0.8], 0.05, 200, 32, 0) == []
+    assert setting_problems([1.5, 0.02], 0.0, 0, 0, 0) == [
         ("oracle.delta", "delta must be positive, got 0.0"),
         ("oracle.n_paths", "n_paths must be >= 1, got 0"),
         ("oracle.segments", "segments must be >= 1, got 0"),
         ("oracle.alphas", "need alpha + delta < 1, got alpha=1.5, delta=0.0"),
     ]
     # both sides of every alpha are checked, whatever side a run takes
-    assert [m for _, m in setting_problems([0.02, 0.98], 0.05, 1, 1)] == [
+    assert [m for _, m in setting_problems([0.02, 0.98], 0.05, 1, 1, 0)] == [
         "need alpha - delta > 0, got alpha=0.02, delta=0.05",
         "need alpha + delta < 1, got alpha=0.98, delta=0.05",
+    ]
+    # the seed and an empty alpha list come first, in the CLI's words
+    empty = "`oracle.alphas` must be a non-empty list of numbers, got []"
+    assert setting_problems([], 0.0, 1, 1, -1) == [
+        ("oracle.seed", "`oracle.seed` must be >= 0, got -1"),
+        ("oracle.alphas", empty),
+        ("oracle.delta", "delta must be positive, got 0.0"),
     ]
 
 
@@ -153,7 +161,7 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
     assert len(report.violations) == n_paths * 64  # every node t >= h, every path
     assert report.violations == sorted(report.violations)
     assert {v[0] for v in report.violations} == set(range(n_paths))
-    # chunks of 10 rows, integrated row by row, give the same report
+    # chunks of 10 paths (20 rows), integrated row by row, give the same report
     monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 10)
     assert dominance_checks(spec, [alpha], **kwargs)[0] == report
 
@@ -176,6 +184,34 @@ def test_each_alpha_integrates_both_sides_as_one_block(monkeypatch):
         assert (slopes[:40] < phi_inv(alpha - 0.05)).all()
         assert (slopes[40:] > phi_inv(alpha + 0.05)).all()
     assert all(report.passed for report in reports)
+
+
+def test_chunks_hold_both_sides_of_the_same_paths(monkeypatch):
+    # 600 paths a side at the production CHUNK_PATHS: paths 0..511 make one
+    # chunk of 1024 rows and paths 512..599 one of 176, each the below rows
+    # and then the above rows of its paths; one chunk of all 1200 rows gives
+    # the same reports
+    calls = []
+
+    def spy(spec, slopes):
+        calls.append(slopes)
+        return solver.sample_positions(spec, slopes)
+
+    monkeypatch.setattr(oracle_module, "sample_positions", spy)
+    spec = tanh_spec(2, step=1.0 / 64)
+    kwargs = dict(alphas=[0.7], delta=0.05, n_paths=600, segments=4, seed=3)
+    reports = dominance_checks(spec, **kwargs)
+    assert [len(slopes) for slopes in calls] == [1024, 176]
+    bounds = (phi_inv(0.7 - 0.05), phi_inv(0.7 + 0.05))
+    for slopes, paths in zip(calls, (range(512), range(512, 600))):
+        drawn = [
+            _draw_slopes(bound, side, 4, oracle_module._path_seed(3, k))
+            for bound, side in zip(bounds, oracle_module.SIDES)
+            for k in paths
+        ]
+        assert np.array_equal(slopes, drawn)
+    monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 10**6)
+    assert dominance_checks(spec, **kwargs) == reports
 
 
 def test_dominance_memory_is_one_chunk_of_positions():
@@ -309,10 +345,10 @@ def test_report_with_violations_serializes():
 
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
-    # one block of both sides' 140 rows, chunks of 66, 66 and 8 rows (the
-    # first two edges fall inside the below and the above rows, and the last
-    # chunk runs row by row), and path-by-path scalar solves give the same
-    # report, bit for bit
+    # one block of both sides' 140 rows, chunks of 66 and 4 paths (132 and
+    # 8 rows: the edge falls inside each side's paths, and the last chunk
+    # runs row by row), and path-by-path scalar solves give the same report,
+    # bit for bit
     spec = tanh_spec(3, step=1.0 / 128)
     kwargs = dict(alphas=[0.7], delta=0.05, n_paths=70, segments=8, seed=5)
     block = dominance_checks(spec, **kwargs)
@@ -323,7 +359,7 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
     assert block == chunked == scalar
     (report,) = [r for r in block if r.side == side]
     target = solve_fan(spec, [0.7]).positions[0, 1:]
-    bound = phi_inv(0.65 if side == "below" else 0.75)
+    bound = phi_inv(0.7 - 0.05 if side == "below" else 0.7 + 0.05)
     margins = []
     for k in range(70):
         slopes = _draw_slopes(bound, side, 8, oracle_module._path_seed(5, k))
@@ -387,14 +423,36 @@ def test_dominance_checks_reject_a_later_alpha_before_any_solve(monkeypatch):
         dominance_checks(spec, [0.8, 0.02], 0.05, 5, 4, 0)
 
 
+@pytest.mark.parametrize(
+    "alphas, seed, message",
+    [
+        ([0.2, 0.8], -1, "`oracle.seed` must be >= 0, got -1"),
+        ([], 0, "`oracle.alphas` must be a non-empty list of numbers, got []"),
+    ],
+    ids=["negative-seed", "no-alphas"],
+)
+def test_dominance_checks_refuse_a_bad_seed_or_no_alphas_before_any_solve(
+    monkeypatch, alphas, seed, message
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("work was done for a run that cannot start")
+
+    monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
+    monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
+    spec = tanh_spec(2, step=1.0 / 64)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        dominance_checks(spec, alphas, 0.05, 4, 4, seed)
+
+
 @pytest.mark.parametrize("case", ["distinct", "tied", "chunked"])
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, case):
     # tied: every path draws the same surrogate, so each margin is tied across
-    # paths and the first path holds the minimum; chunked: the 10 rows of
-    # both sides are integrated and scanned two at a time, so the third chunk
-    # holds below path 4 and above path 0, and with seed 2 a later chunk than
-    # the first of each side holds that side's minimum
+    # paths and the first path holds the minimum; chunked: the 5 paths are
+    # integrated and scanned two at a time, both sides' rows of them
+    # together, so the third chunk holds below path 4 and above path 4, and
+    # with seed 2 a later chunk than the first holds each side's minimum
+    # (below path 3, above path 2)
     if case == "tied":
 
         def same_surrogate(bound, side, segments, seed):
@@ -411,7 +469,7 @@ def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, case)
     )
     (report,) = [r for r in reports if r.side == side]
     target = solve_fan(spec, [0.6])
-    bound = phi_inv(0.55 if side == "below" else 0.65)
+    bound = phi_inv(0.6 - 0.05 if side == "below" else 0.6 + 0.05)
     best = (np.inf, -1, np.nan)
     for k in range(5):
         slopes = oracle_module._draw_slopes(

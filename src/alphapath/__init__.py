@@ -44,7 +44,6 @@ from .oracle import (
     dominance_checks,
 )
 from .errors import (
-    AlignmentError,
     AlphaPathError,
     BlowUpError,
     ConfigError,
@@ -60,7 +59,6 @@ from .errors import (
 )
 
 __all__ = [
-    "AlignmentError",
     "AlphaFan",
     "AlphaGridSpec",
     "AlphaPathError",

@@ -29,7 +29,6 @@ from . import analysis, oracle
 from .config import RunConfig, load_config
 from .core import alpha_grid
 from .errors import (
-    AlignmentError,
     BlowUpError,
     ConfigError,
     DomainError,
@@ -237,16 +236,7 @@ def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
 
 def cmd_oracle(config: RunConfig, outdir: Path) -> int:
     settings = config.oracle
-    try:
-        reports = oracle.dominance_checks(config.spec, **asdict(settings))
-    except AlignmentError as exc:
-        origin = (
-            f"line {config.lines['oracle.segments']}: `oracle.segments`"
-            if "oracle.segments" in config.lines
-            else f"`oracle.segments` is not set, so the default "
-            f"{settings.segments} applies"
-        )
-        raise AlignmentError(f"{origin}: {exc}") from exc
+    reports = oracle.dominance_checks(config.spec, **asdict(settings))
     passed = all(r.passed for r in reports)
     _write_json(
         outdir / "oracle.json",
@@ -334,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except HypothesisError as exc:
         _fail(f"{exc}; run `alphapath check` for the full report")
         return EXIT_REFUSED
-    except (ConfigError, DomainError, AlignmentError) as exc:
+    except (ConfigError, DomainError) as exc:
         _fail(str(exc))
         return EXIT_CONFIG
 

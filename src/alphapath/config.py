@@ -69,7 +69,7 @@ class OracleSettings:
 
     delta: float = 0.05
     n_paths: int = 200
-    segments: int = 32
+    segments: int = 32  # unset in a config, capped at its step count
     seed: int = 0
     alphas: tuple[float, ...] = (0.2, 0.8)
 
@@ -84,7 +84,6 @@ class RunConfig:
     output_directory: str | None
     output_formats: tuple[str, ...]
     raw: dict[str, Value] = field(default_factory=dict)
-    lines: dict[str, int] = field(default_factory=dict)
 
 
 def _parse_scalar(text: str) -> Scalar:
@@ -245,7 +244,9 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
     spec = UdeSpec(order, trees["f"], trees["g"], initial, horizon, step)
 
     grid = AlphaGridSpec(**_section(values, lines, "alpha."))
-    oracle = OracleSettings(**_section(values, lines, "oracle."))
+    # unset, the segments are the default count, or one a step on fewer steps
+    unset = {"segments": min(OracleSettings.segments, spec.step_count)}
+    oracle = OracleSettings(**unset | _section(values, lines, "oracle."))
     _check_size(spec, grid.count, oracle.n_paths, lines)
     problems = alpha_grid_problems(grid)  # after the cap: a huge even count is too big
     if problems:
@@ -266,7 +267,7 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
         if any(isinstance(x, float) and not math.isfinite(x) for x in items):
             raise _error(lines, key, f"`{key}` must be finite, got {v!r}")
     # the oracle's own rules, so a run it would refuse fails every command
-    problems = setting_problems(**asdict(oracle))
+    problems = setting_problems(**asdict(oracle), step_count=spec.step_count)
     if problems:
         key, message = problems[0]
         # only the default alphas can fail unset, and then delta is at fault
@@ -279,7 +280,6 @@ def build_config(values: dict[str, Value], lines: dict[str, int]) -> RunConfig:
         output_directory=output.get("directory"),
         output_formats=tuple(dict.fromkeys(formats)),  # dedupe, keep order
         raw=dict(values),
-        lines=dict(lines),
     )
 
 

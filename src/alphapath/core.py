@@ -37,7 +37,8 @@ class UdeSpec:
 
     ``initial`` holds exactly n values: position and its first n-1
     derivatives at t = 0. ``horizon`` / ``step`` must give an integer node
-    count (within 1e-9).
+    count, within 1e-9 or, beyond about 2 * 10**6 nodes, within 4 units in
+    the last place of the ratio (see ``grid_problems``).
     """
 
     order: int
@@ -75,7 +76,10 @@ class UdeSpec:
 def grid_problems(horizon: float, step: float) -> list[tuple[str, str]]:
     """Problems of the time grid, each with the key (``horizon`` or ``step``)
     whose value is at fault; empty when horizon / step is a positive integer
-    node count."""
+    node count, within the larger of 1e-9 and 4 units in the last place of
+    the ratio. The tolerance scales with the spacing of doubles there, so a
+    large node count is judged by the size cap, not refused for a rounding
+    error finer than a double can resolve."""
     problems: list[tuple[str, str]] = []
     horizon_ok = math.isfinite(horizon) and horizon > 0
     step_ok = math.isfinite(step) and step > 0
@@ -90,7 +94,8 @@ def grid_problems(horizon: float, step: float) -> list[tuple[str, str]]:
             problems.append(("step", f"step {step} exceeds horizon {horizon}"))
         else:
             ratio = horizon / step
-            if abs(ratio - round(ratio)) > 1e-9:
+            # a refused ratio is off by more than 1e-9 whatever the tolerance
+            if abs(ratio - round(ratio)) > max(1e-9, 4 * math.ulp(ratio)):
                 problems.append(
                     (
                         "step",

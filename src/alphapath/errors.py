@@ -84,10 +84,6 @@ class FanSolveError(AlphaPathError):
         super().__init__(f"fan solve failed for alpha in [{alphas}]: {failures[0][1]}")
 
 
-class AlignmentError(AlphaPathError):
-    """Driver segments do not divide the step count."""
-
-
 class MonotonicityError(AlphaPathError):
     """Fan is not strictly increasing in alpha where an operation requires it."""
 

@@ -4,11 +4,13 @@ The mechanism under test: a driver path whose difference quotients stay
 strictly below phi_inv(alpha - delta) must produce a trajectory strictly
 below the alpha-path at every positive time (and symmetrically above, for
 quotients strictly above phi_inv(alpha + delta)). Each surrogate driver is
-piecewise linear from C_0 = 0: one row of slopes over equal segments of
-[0, horizon]. For such a driver every difference quotient (C_s - C_t)/(s - t),
-s > t, is a weighted mean of segment slopes, so it lies within
-[min slope, max slope] and the slope extremes certify the global envelope:
-the bound is checkable exactly rather than estimated.
+piecewise linear from C_0 = 0: one row of slopes over segments of
+[0, horizon] whose breakpoints fall on solver nodes (``segment_counts``:
+step counts that differ by at most one). For such a driver every difference
+quotient (C_s - C_t)/(s - t), s > t, is a weighted mean of segment slopes,
+whatever the segments' lengths, so it lies within [min slope, max slope] and
+the slope extremes certify the global envelope: the bound is checkable
+exactly rather than estimated.
 
 ``dominance_checks`` is the one entry point and owns the oracle's run: its
 setting rules (``setting_problems``) and its chunk size (``chunk_rows``). It
@@ -30,7 +32,7 @@ import numpy as np
 from .analysis import Report, check_hypotheses
 from .core import UdeSpec, phi_inv
 from .errors import ConfigError, HypothesisError
-from .solver import _require_valid, sample_positions, segment_counts, solve_fan
+from .solver import _require_valid, sample_positions, segment_problem, solve_fan
 
 SLOPE_WINDOW = 2.0  # W: how far below/above the bound slopes are drawn
 SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
@@ -91,12 +93,18 @@ def chunk_rows(n_paths: int) -> int:
 
 
 def setting_problems(
-    alphas: Sequence[float], delta: float, n_paths: int, segments: int, seed: int
+    alphas: Sequence[float],
+    delta: float,
+    n_paths: int,
+    segments: int,
+    seed: int,
+    step_count: int,
 ) -> list[tuple[str, str]]:
-    """Problems of the oracle's settings, each with the config key whose
-    value is at fault; empty when a dominance run can take them. Every alpha
-    is checked on both sides: alpha - delta and alpha + delta must lie in
-    (0, 1)."""
+    """Problems of the oracle's settings on a spec of ``step_count`` steps,
+    each with the config key whose value is at fault; empty when a dominance
+    run can take them. The segments must span the steps (``segment_problem``:
+    1 <= segments <= step_count). Every alpha is checked on both sides:
+    alpha - delta and alpha + delta must lie in (0, 1)."""
     problems: list[tuple[str, str]] = []
     if not seed >= 0:
         problems.append(("oracle.seed", f"`oracle.seed` must be >= 0, got {seed}"))
@@ -107,8 +115,9 @@ def setting_problems(
         problems.append(("oracle.delta", f"delta must be positive, got {delta}"))
     if not n_paths >= 1:
         problems.append(("oracle.n_paths", f"n_paths must be >= 1, got {n_paths}"))
-    if not segments >= 1:
-        problems.append(("oracle.segments", f"segments must be >= 1, got {segments}"))
+    problem = segment_problem(step_count, segments)
+    if problem:
+        problems.append(("oracle.segments", problem))
     for alpha in alphas:
         for holds, need in (
             (alpha - delta > 0, "alpha - delta > 0"),
@@ -204,29 +213,29 @@ def dominance_checks(
     """Verify dominance for sampled drivers: one report per (alpha, side),
     alpha by alpha and each alpha's sides in the order of SIDES.
 
-    Before any solve, the settings are checked (ConfigError, the first of
-    ``setting_problems``), then the spec, and ``segments`` must divide the
-    spec's step count (AlignmentError). Each alpha-path is then solved once,
-    and the run refuses (HypothesisError, naming the failing checks) when
+    Before any solve, the spec is checked, then the settings against its step
+    count (ConfigError, the first of ``setting_problems``): any ``segments``
+    from 1 to the step count runs. Each alpha-path is then solved once, and
+    the run refuses (HypothesisError, naming the failing checks) when
     ``check_hypotheses`` fails on it, since dominance is only guaranteed
     under its hypotheses; an alpha is gated before it is sampled, and
     before any later alpha is solved.
 
-    Each surrogate is one row of ``segments`` slopes, all below
-    phi_inv(alpha - delta) (or above phi_inv(alpha + delta)), and its
-    trajectory must stay strictly on that side of the alpha-path at every
-    node t >= h; at t = 0 both share the initial state exactly. Path k of
-    either side draws its slopes from ``_path_seed(seed, k)``. An alpha's
-    paths are integrated in chunks of at most CHUNK_PATHS paths (see
-    ``sample_positions``), each chunk the below rows and then the above rows
-    of its paths, and each side's rows of a chunk are scanned in place as
-    one margin matrix.
+    Each surrogate is one row of ``segments`` slopes, one per segment of
+    ``segment_counts`` steps, all below phi_inv(alpha - delta) (or above
+    phi_inv(alpha + delta)), and its trajectory must stay strictly on that
+    side of the alpha-path at every node t >= h; at t = 0 both share the
+    initial state exactly. Path k of either side draws its slopes from
+    ``_path_seed(seed, k)``. An alpha's paths are integrated in chunks of at
+    most CHUNK_PATHS paths (see ``sample_positions``), each chunk the below
+    rows and then the above rows of its paths, and each side's rows of a
+    chunk are scanned in place as one margin matrix.
     """
-    problems = setting_problems(alphas, delta, n_paths, segments, seed)
+    _require_valid(spec)  # before the step count divides by the step
+    steps = spec.step_count
+    problems = setting_problems(alphas, delta, n_paths, segments, seed, steps)
     if problems:
         raise ConfigError(problems[0][1])
-    _require_valid(spec)
-    segment_counts(spec, segments)
     return [
         report
         for alpha in alphas

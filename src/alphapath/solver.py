@@ -27,7 +27,7 @@ import numpy as np
 
 from . import expr
 from .core import UdeSpec, phi_inv, validate_spec
-from .errors import AlignmentError, BlowUpError, ConfigError, FanSolveError
+from .errors import BlowUpError, ConfigError, FanSolveError
 
 # any |state| beyond this aborts a solve: distinguishes hypothesis failure
 # from numeric overflow noise
@@ -369,48 +369,45 @@ def integral_residual(fan: AlphaFan, k: int) -> IntegralResidual:
     return IntegralResidual(float(max_residual), at_time, used_trapezoid)
 
 
-def _nearest_divisors(n: int, k: int) -> list[int]:
-    """The largest divisor of n below k and the smallest above it, if any."""
-    divisors = [
-        d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)
-    ]
-    below = [d for d in divisors if d < k]
-    above = [d for d in divisors if d > k]
-    return ([max(below)] if below else []) + ([min(above)] if above else [])
-
-
-def segment_counts(spec: UdeSpec, segments: int) -> list[int]:
-    """Solver steps per driver segment when ``segments`` equal segments span
-    [0, horizon]. There must be at least one (ConfigError otherwise), and
-    they must divide the step count (AlignmentError otherwise), so that each
-    RK4 step lies inside a single segment and every stage sees that
-    segment's slope."""
+def segment_problem(steps: int, segments: int) -> str:
+    """Why ``segments`` driver segments cannot span ``steps`` solver steps,
+    or "" when they can: every segment needs at least one step, so that its
+    breakpoints fall on solver nodes."""
     if segments < 1:
-        raise ConfigError(f"segments must be >= 1, got {segments}")
-    steps = spec.step_count
-    if steps % segments:
-        divisors = ", ".join(map(str, _nearest_divisors(steps, segments)))
-        raise AlignmentError(
-            f"{segments} segments do not divide the {steps} solver steps, so "
-            f"the breakpoint t={spec.horizon / segments!r} does not fall on a "
-            f"solver node; nearest divisors of {steps}: {divisors}"
-        )
-    return [steps // segments] * segments
+        return f"segments must be >= 1, got {segments}"
+    if segments > steps:
+        return f"segments must be <= the {steps} solver steps, got {segments}"
+    return ""
+
+
+def segment_counts(steps: int, segments: int) -> list[int]:
+    """Solver steps per driver segment when ``segments`` segments span
+    ``steps`` steps (ConfigError when ``segment_problem`` finds they cannot).
+    The counts differ by at most one, and the first ``steps % segments``
+    segments take the extra step. Every breakpoint falls on a solver node,
+    so each RK4 step lies inside a single segment and every stage sees that
+    segment's slope."""
+    problem = segment_problem(steps, segments)
+    if problem:
+        raise ConfigError(problem)
+    base, longer = divmod(steps, segments)
+    return [base + 1] * longer + [base] * (segments - longer)
 
 
 def sample_positions(spec: UdeSpec, slopes: np.ndarray) -> np.ndarray:
     """Positions of the pathwise ODE, one row per driver.
 
     Row k of ``slopes`` (paths, segments) holds driver k's slope on each of
-    ``segments`` equal segments of [0, horizon], which must divide the step
-    count (see ``segment_counts``); the top row of the companion system is
+    ``segments`` segments of [0, horizon], of the step counts
+    ``segment_counts`` gives, so there must be between 1 and N of them
+    (ConfigError otherwise); the top row of the companion system is
     f + g * slope. Row k of the result (paths, N+1), a fresh C-contiguous
     array, is driver k's position at every node, the same bits however many
     rows are passed. Only positions are stored: no other component and no g,
     so a row costs N+1 values. Raises the first failing row's BlowUpError.
     """
     _require_valid(spec)
-    counts = segment_counts(spec, slopes.shape[1])
+    counts = segment_counts(spec.step_count, slopes.shape[1])
     states, _, failures = _solve_rows(spec, True, counts, slopes, 1, None, False)
     if failures:
         raise failures[0][1]

@@ -40,9 +40,10 @@ def one_step_spec(order: int, f: str, g: str, initial, h: float) -> UdeSpec:
 
 def driven(spec: UdeSpec, slopes):
     """Full states (rows, N+1, order) and g (rows, N+1) of the pathwise ODE,
-    one row per row of driver slopes over equal segments of [0, horizon]."""
+    one row per row of driver slopes over the segments of [0, horizon] that
+    ``solver.segment_counts`` gives."""
     slopes = np.array(slopes, dtype=float)
-    counts = solver.segment_counts(spec, slopes.shape[1])
+    counts = solver.segment_counts(spec.step_count, slopes.shape[1])
     states, diffusion, failures = solver._solve_rows(
         spec, True, counts, slopes, spec.order, None
     )

@@ -529,31 +529,28 @@ def _count_alpha_path_solves(monkeypatch) -> list:
 
 
 def test_oracle_misaligned_segments_exits_2(tmp_path, capsys, monkeypatch):
-    # 1000 steps do not split into the default 32 surrogate segments; that is
-    # found before any alpha-path is solved
+    # every segment needs a solver step, or a breakpoint falls between nodes:
+    # 401 segments over the 400 steps are refused before any alpha-path is
+    # solved
     solves = _count_alpha_path_solves(monkeypatch)
-    text = BASE_CONFIG.replace("step    = 0.0025", "step    = 0.001").replace(
-        "oracle.segments = 16\n", ""
-    )
+    text = BASE_CONFIG.replace("oracle.segments = 16", "oracle.segments = 401")
     cfg = write_config(tmp_path, text)
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "does not fall on a solver node" in err
-    assert "`oracle.segments` is not set, so the default 32 applies" in err
-    assert "nearest divisors of 1000: 25, 40" in err
+    assert "segments must be <= the 400 solver steps, got 401" in err
     assert solves == []
 
 
-def test_oracle_misaligned_segments_name_their_line(tmp_path, capsys, monkeypatch):
-    solves = _count_alpha_path_solves(monkeypatch)
-    text = BASE_CONFIG.replace("oracle.segments = 16", "oracle.segments = 30")
-    line = text.splitlines().index("oracle.segments = 30") + 1
-    cfg = write_config(tmp_path, text)
-    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert f"line {line}: `oracle.segments`: 30 segments do not divide the 400" in err
-    assert "nearest divisors of 400: 25, 40" in err
-    assert solves == []
+def test_oracle_misaligned_segments_name_their_line(tmp_path, capsys):
+    # the rule needs the step count, which the config holds: every command
+    # refuses at load and names `oracle.segments`, also when it is `step`
+    # that shrank the run to 10 steps under the 16 segments
+    text, line = _set_key("oracle.segments", "401")
+    message = f"line {line}: segments must be <= the 400 solver steps, got 401"
+    _assert_load_error_on_every_command(tmp_path, capsys, text, message)
+    text = BASE_CONFIG.replace("step    = 0.0025", "step    = 0.1")
+    message = f"line {line}: segments must be <= the 10 solver steps, got 16"
+    _assert_load_error_on_every_command(tmp_path, capsys, text, message)
 
 
 @pytest.mark.parametrize(
@@ -738,6 +735,30 @@ def test_an_oracle_chunk_of_both_sides_over_the_cap_exits_2(
     assert "400 oracle rows" in err
 
 
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ("1e-9", "line 7: the run would store 18000000018 state values"),
+        ("0.3", "line 7: horizon/step = 3.3333333333333335 is not an integer"),
+    ],
+    ids=["finer-than-doubles-resolve", "not-a-node-count"],
+)
+def test_a_step_is_judged_by_its_node_count_at_any_size(
+    tmp_path, capsys, step, message
+):
+    # 1/1e-9 is 999999999.9999999, a rounding of 10**9 finer than the 1e-9
+    # grid tolerance and within the spacing of doubles there: the run is
+    # refused by the size cap, which names its real fault, while 0.3 is
+    # still no node count
+    text = BASE_CONFIG.replace("step    = 0.0025", f"step    = {step}")
+    cfg = write_config(tmp_path, text)
+    for command in ("solve", "check", "dist", "oracle"):
+        argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
+        assert main(argv + (["--t", "1.0"] if command == "dist" else [])) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+
 def test_size_cap_is_far_above_the_documented_runs():
     # the README fan with the default 200 oracle paths: one oracle chunk of
     # both sides' 400 rows x 1001 nodes, positions only, which is also
@@ -847,16 +868,21 @@ def test_oracle_settings_the_oracle_refuses_fail_every_command_at_load(
     _assert_load_error_on_every_command(tmp_path, capsys, text, message)
 
 
-def test_segments_that_do_not_divide_the_steps_refuse_only_the_oracle(tmp_path):
-    # divisibility needs the step count, so it is the oracle's own rule: the
-    # default 32 segments and 1000 steps solve, check and tabulate
-    text = BASE_CONFIG.replace("step    = 0.0025", "step    = 0.001").replace(
-        "oracle.segments = 16\n", ""
-    )
-    cfg = write_config(tmp_path, text)
-    for command in ("solve", "check", "dist"):
-        argv = [command, "--config", cfg, "--out", str(tmp_path / command)]
-        assert main(argv + (["--t", "1.0"] if command == "dist" else [])) == 0
+def test_segments_that_do_not_divide_the_steps_run_every_command(tmp_path):
+    # unset, the segments are the default 32, which do not divide the README
+    # problem's 1000 steps, or one a step on a run of fewer than 32 steps:
+    # every command runs, and oracle.json records the count the oracle took
+    unset = BASE_CONFIG.replace("oracle.segments = 16\n", "")
+    for step, segments in (("0.001", 32), ("0.0625", 16)):
+        text = unset.replace("step    = 0.0025", f"step    = {step}")
+        cfg = write_config(tmp_path, text, f"run-{segments}.conf")
+        out = tmp_path / f"out-{segments}"
+        for command in ("solve", "check", "dist", "oracle"):
+            argv = [command, "--config", cfg, "--out", str(out), "--force"]
+            assert main(argv + (["--t", "1.0"] if command == "dist" else [])) == 0
+        payload = json.loads((out / "oracle.json").read_text())
+        assert payload["segments"] == segments
+        assert payload["passed"] is True
 
 
 HUGE = "1" + "0" * 400  # an integer literal no double can hold

@@ -18,7 +18,6 @@ from alphapath import (
 from alphapath import oracle as oracle_module
 from alphapath import solver
 from alphapath.errors import (
-    AlignmentError,
     BlowUpError,
     ConfigError,
     HypothesisError,
@@ -78,24 +77,30 @@ def test_sampler_rejects_bad_arguments():
 
 
 def test_setting_problems_name_every_fault_with_its_key():
-    assert setting_problems([0.2, 0.8], 0.05, 200, 32, 0) == []
-    assert setting_problems([1.5, 0.02], 0.0, 0, 0, 0) == [
+    assert setting_problems([0.2, 0.8], 0.05, 200, 32, 0, 64) == []
+    assert setting_problems([1.5, 0.02], 0.0, 0, 0, 0, 64) == [
         ("oracle.delta", "delta must be positive, got 0.0"),
         ("oracle.n_paths", "n_paths must be >= 1, got 0"),
         ("oracle.segments", "segments must be >= 1, got 0"),
         ("oracle.alphas", "need alpha + delta < 1, got alpha=1.5, delta=0.0"),
     ]
     # both sides of every alpha are checked, whatever side a run takes
-    assert [m for _, m in setting_problems([0.02, 0.98], 0.05, 1, 1, 0)] == [
+    assert [m for _, m in setting_problems([0.02, 0.98], 0.05, 1, 1, 0, 64)] == [
         "need alpha - delta > 0, got alpha=0.02, delta=0.05",
         "need alpha + delta < 1, got alpha=0.98, delta=0.05",
     ]
     # the seed and an empty alpha list come first, in the CLI's words
     empty = "`oracle.alphas` must be a non-empty list of numbers, got []"
-    assert setting_problems([], 0.0, 1, 1, -1) == [
+    assert setting_problems([], 0.0, 1, 1, -1, 64) == [
         ("oracle.seed", "`oracle.seed` must be >= 0, got -1"),
         ("oracle.alphas", empty),
         ("oracle.delta", "delta must be positive, got 0.0"),
+    ]
+    # every segment needs a step: up to the step count, divisor or not
+    assert setting_problems([0.2], 0.05, 1, 64, 0, 64) == []
+    assert setting_problems([0.2], 0.05, 1, 24, 0, 64) == []
+    assert setting_problems([0.2], 0.05, 1, 65, 0, 64) == [
+        ("oracle.segments", "segments must be <= the 64 solver steps, got 65")
     ]
 
 
@@ -275,29 +280,42 @@ def test_dominance_rejects_segments_before_the_gate(monkeypatch, segments):
 
 
 @pytest.mark.parametrize(
-    "segments, message",
-    [
-        (65, "65 segments do not divide the 64 solver steps, so the breakpoint "
-         "t=0.015384615384615385 does not fall on a solver node; nearest "
-         "divisors of 64: 64"),
-        (24, "24 segments do not divide the 64 solver steps, .*; nearest "
-         "divisors of 64: 16, 32"),
-    ],
-    ids=["more-segments-than-steps", "between-two-divisors"],
+    "segments", [65, 10**7], ids=["more-segments-than-steps", "ten-million-segments"]
 )
-def test_dominance_rejects_misaligned_segments_before_any_work(
-    monkeypatch, segments, message
-):
-    # neither the alpha-path nor a surrogate is computed for a run whose
-    # segments do not divide the step count
+def test_dominance_rejects_misaligned_segments_before_any_work(monkeypatch, segments):
+    # neither the alpha-path nor a surrogate is computed, and no slope drawn,
+    # for a run with more segments than its 64 steps: a segment without a
+    # step would put a breakpoint off the solver nodes
     def unreachable(*args, **kwargs):
         raise AssertionError("work was done for a run that cannot start")
 
     monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
     monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
-    with pytest.raises(AlignmentError, match=message):
+    message = f"segments must be <= the 64 solver steps, got {segments}"
+    with pytest.raises(ConfigError, match=message):
         dominance_checks(spec, [0.8], 0.05, 50, segments, 0)
+
+
+def test_dominance_runs_segments_that_do_not_divide_the_steps(monkeypatch):
+    # 24 segments over 64 steps: the first 16 span 3 steps and the last 8
+    # span 2, and each surrogate is integrated over exactly those counts
+    counts = []
+    original = solver._solve_rows
+
+    def spy(spec, signed, segment_counts, *args, **kwargs):
+        if signed:
+            counts.append(list(segment_counts))
+        return original(spec, signed, segment_counts, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_solve_rows", spy)
+    spec = tanh_spec(2, step=1.0 / 64)
+    reports = dominance_checks(spec, [0.8], 0.05, 5, 24, 0)
+    assert counts == [[3] * 16 + [2] * 8]
+    assert [(r.side, r.paths_tested, r.passed) for r in reports] == [
+        ("below", 5, True),
+        ("above", 5, True),
+    ]
 
 
 def test_dominance_rejects_an_invalid_spec_before_the_alignment_check():

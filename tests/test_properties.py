@@ -34,7 +34,7 @@ from alphapath.expr import (
     state_variables,
     variables_of,
 )
-from alphapath.solver import _compile_step
+from alphapath.solver import _compile_step, segment_counts
 
 from conftest import compile_evaluator, reference_condition_h
 
@@ -243,11 +243,35 @@ overrides = st.lists(
 )
 
 
+step_segments = st.integers(1, 2000).flatmap(
+    lambda steps: st.tuples(st.just(steps), st.integers(1, steps))
+)
+
+
+@SETTINGS
+@given(step_segments)
+@example((1000, 32))
+@example((1000, 25))
+@example((10, 3))
+@example((7, 7))
+def test_segment_counts_split_the_steps_evenly_longer_first(steps_segments):
+    steps, segments = steps_segments
+    counts = segment_counts(steps, segments)
+    assert len(counts) == segments
+    assert sum(counts) == steps
+    assert max(counts) - min(counts) <= 1
+    assert counts == sorted(counts, reverse=True)  # the longer segments first
+    if steps % segments == 0:
+        assert counts == [steps // segments] * segments
+
+
 @settings(SETTINGS, max_examples=80)
 @given(expressions, expressions, overrides, st.sampled_from(["1.0", "0.5", "0", "2"]))
 @example('"x0"', '"1"', [("oracle.delta", "nan")], "1.0")
 @example('"x0"', '"1"', [("oracle.alphas", "[nan]")], "1.0")
 @example('"x0"', '"1"', [("horizon", "1" + "0" * 400)], "1.0")
+@example('"x0"', '"2 + tanh(x0)"', [("oracle.segments", "3")], "1.0")
+@example('"x0"', '"1"', [("oracle.segments", "17")], "1.0")
 def test_every_command_maps_a_generated_config_to_an_exit_code(f, g, changes, t):
     config = {**SMALL_RUN, "f": f, "g": g, **dict(changes)}
     text = "".join(f"{key} = {value}\n" for key, value in config.items())
@@ -262,6 +286,9 @@ def test_every_command_maps_a_generated_config_to_an_exit_code(f, g, changes, t)
                 argv += ["--t", t]
             codes[command] = main(argv)
             assert codes[command] in (0, 2, 3, 4, 5), (command, text)
+        # more segments than the at most 16 steps: refused by every command
+        if config["oracle.segments"] == "17":
+            assert set(codes.values()) == {2}, text
         # every command merges into the run.json of the same config
         if codes["solve"] == 0 and codes["check"] in (0, 4):
             with open(f"{workdir}/out/run.json", encoding="utf-8") as stream:

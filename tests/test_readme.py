@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from alphapath.config import KNOWN_KEYS, build_config, parse_config_text
+from alphapath.solver import segment_counts
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,10 +28,15 @@ def test_readme_library_example_runs():
     assert all(r.passed for r in namespace["reports"])
 
 
-def test_readme_config_segments_divide_its_step_count():
+def test_readme_config_without_its_segments_line_takes_32():
+    # the README problem's 1000 steps take the default 32 segments, which do
+    # not divide them: the first 8 span 32 steps and the other 24 span 31
     (text,) = [block for block in _fenced("") if "oracle.segments" in block]
-    config = build_config(*parse_config_text(text))
-    assert config.spec.step_count % config.oracle.segments == 0
+    unset = [line for line in text.splitlines() if "oracle.segments" not in line]
+    config = build_config(*parse_config_text("\n".join(unset)))
+    assert config.oracle.segments == 32
+    counts = segment_counts(config.spec.step_count, config.oracle.segments)
+    assert counts == [32] * 8 + [31] * 24
 
 
 def test_readme_config_block_sets_every_known_key():

@@ -20,7 +20,6 @@ from alphapath import (
 )
 from alphapath import solver
 from alphapath.errors import (
-    AlignmentError,
     ConfigError,
     FanSolveError,
 )
@@ -416,20 +415,47 @@ def test_sample_path_two_segments_piecewise_quadratic():
 
 
 def test_sample_path_alignment_required():
-    # the column count is the segment count: one that does not divide the 100
-    # steps is refused, not integrated on a driver that runs out
+    # the column count is the segment count, and each segment needs a step:
+    # more columns than the 100 steps are refused, not integrated on a driver
+    # that runs out
     spec = polynomial_spec(2, step=1e-2)
-    message = (
-        "3 segments do not divide the 100 solver steps, so the breakpoint "
-        "t=0.3333333333333333 does not fall on a solver node; nearest divisors "
-        "of 100: 2, 4"
-    )
-    with pytest.raises(AlignmentError, match=message):
-        solver.sample_positions(spec, np.ones((2, 3)))
+    message = "segments must be <= the 100 solver steps, got 101"
+    with pytest.raises(ConfigError, match=message):
+        solver.sample_positions(spec, np.ones((2, 101)))
     # no column is no segment: refused before the step count is divided by it
     with pytest.raises(ConfigError, match="segments must be >= 1, got 0"):
         solver.sample_positions(spec, np.empty((2, 0)))
-    assert solver.segment_counts(spec, 4) == [25] * 4
+    assert solver.segment_counts(100, 4) == [25] * 4
+    # 3 segments do not divide 100 steps: they span 34, 33 and 33 steps, so
+    # the breakpoints t = 0.34 and 0.67 fall on nodes and the path is the
+    # piecewise quadratic with those breakpoints, exact to roundoff
+    assert solver.segment_counts(100, 3) == [34, 33, 33]
+    slopes = [0.8, -0.4, 1.5]
+    position = solver.sample_positions(spec, np.array([slopes]))[0]
+    times = solver.time_grid(spec)
+    exact = np.zeros_like(times)
+    start, x, v = 0.0, 0.0, 0.0
+    for m, end in zip(slopes, (0.34, 0.67, 1.0)):
+        inside = (times >= start) & (times <= end + 1e-12)
+        s = times[inside] - start
+        exact[inside] = x + v * s + m * s**2 / 2.0
+        span = end - start
+        start, x, v = end, x + v * span + m * span**2 / 2.0, v + m * span
+    assert np.max(np.abs(position - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows", [2, solver.BLOCK_MIN_ROWS])
+def test_unequal_segments_are_their_slopes_step_by_step(rows):
+    # 3 slopes over 10 steps span 4, 3 and 3 steps; writing each slope once
+    # per step as 10 one-step segments gives the same driver, and the same
+    # bits, in the row loop and in the block
+    spec = tanh_spec(2, step=0.1)
+    assert solver.segment_counts(spec.step_count, 3) == [4, 3, 3]
+    slopes = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 3))
+    per_step = np.repeat(slopes, [4, 3, 3], axis=1)
+    assert _same_bits(
+        solver.sample_positions(spec, slopes), solver.sample_positions(spec, per_step)
+    )
 
 
 def test_shift_structure_by_finite_differences():

@@ -6,6 +6,13 @@ consent. No environment variables are consulted. Artifacts are written
 with full round-trip precision and without timestamps, so identical
 configs produce byte-identical outputs.
 
+A solve may build the problem's generated step as C (``solver``): it runs
+/usr/bin/gcc with a fixed argument list and the fixed environment
+PATH=/usr/bin:/bin, in a private directory under /tmp that is removed once
+the library is loaded, so a build reads no environment variable and leaves
+nothing beside the artifacts. Without a working compiler the Python engines
+run instead, with the same artifacts, exit codes and messages.
+
 Exit codes partition outcomes:
     0  success
     2  configuration / usage error

@@ -8,19 +8,24 @@ both need aligned nodes, and node placement stays reproducible.
 Every solve goes through ``_solve_rows``, where a row has one driver slope
 per segment; an alpha-path is one segment with slope phi_inv(alpha). Rows are
 integrated by one RK4 step generated per problem with f and g inlined
-(``_compile_step``), one row at a time (``_integrate``) or, for
-BLOCK_MIN_ROWS rows or more, over numpy columns (``_integrate_block``) with
-the same bits. The step also returns g at its starting node, so a fan solve
-carries g at every node for the regularity check to read. ``solve_fan``
-returns these arrays as an ``AlphaFan``; an alpha-path is a fan of one.
-``sample_positions`` records positions only: no other component and no g.
+(``_step_lines``), with the same bits on every engine: rendered as C
+(``_c_source``), built once per problem and process and run over every row
+of a batch, with any row that raises a floating-point flag rerun in Python;
+or, without a built runner, rendered as Python (``_compile_step``) and run
+one row at a time (``_integrate``) or, for BLOCK_MIN_ROWS rows or more, over
+numpy columns (``_integrate_block``). The step also returns g at its
+starting node, so a fan solve carries g at every node for the regularity
+check to read. ``solve_fan`` returns these arrays as an ``AlphaFan``; an
+alpha-path is a fan of one. ``sample_positions`` records positions only: no
+other component and no g.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,6 +47,31 @@ _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 # it the per-step cost of numpy calls outweighs what they save (the crossover
 # measured at 32-48 rows)
 BLOCK_MIN_ROWS = 64
+
+# a call whose rows x steps reach this many builds its problem's step as C;
+# once a problem's library is built, calls of any size use it. One build
+# takes 0.06-0.08 s (2-core x86-64), what the row loop spends on 16,000 to
+# 27,000 row-steps at 3-4.5 us each
+COMPILE_MIN_ROW_STEPS = 20_000
+
+# the C step is built by this compiler, named by a fixed path and run in a
+# fixed environment (gcc needs PATH to find the linker), so a build consults
+# no environment variable; -fno-builtin keeps gcc from folding libm calls on
+# constants with its own arithmetic, whose bits differ from libm's, and
+# -ffp-contract=off keeps it from fusing a multiply and an add
+COMPILER = "/usr/bin/gcc"
+_BUILD_ARGS = ("-O0", "-fno-builtin", "-ffp-contract=off", "-shared", "-fPIC")
+_BUILD_ENV = {"PATH": "/usr/bin:/bin"}
+_BUILD_TIMEOUT_S = 60.0
+# each build runs in a private directory made here, not where TMPDIR points,
+# and removed as soon as the library is loaded
+_BUILD_ROOT = "/tmp"
+
+# the process's built step runners by C source text; None marks a failed build
+_LIBRARIES: dict[str, Callable | None] = {}
+# library file names are never reused: the loader hands back an already
+# loaded library for a path it has seen
+_BUILD_NUMBERS = count()
 
 
 @dataclass
@@ -89,61 +119,240 @@ def _forcing(
     return f"{expr._emit(spec.drift, names)} + {weight} * c"
 
 
-def _compile_step(
-    spec: UdeSpec, signed: bool, block: bool = False
-) -> tuple[Callable, Callable]:
-    """Generate one classical RK4 step of the companion system, f and g inlined.
-
-    ``step(t, y, c)`` takes a record (g, y0, ..., y{n-1}) whose state is the
-    state at t, and returns the record one step later: g at the given node,
-    then the next state. It raises OverflowError for a state that is not
-    finite or beyond BLOWUP_LIMIT. ``diffusion(t, y)`` is g alone at the
-    record's state. Each stage derivative is the stage state shifted up one
-    row with the forcing on top, and the arithmetic is the classical
-    tableau's, operation for operation.
-
-    With ``block`` the same text runs in the expression compiler's block
-    namespace, where y and c hold one (B,) column per component and the
-    blow-up test reduces over the rows.
-    """
+def _step_lines(spec: UdeSpec, signed: bool) -> list[tuple[str, str]]:
+    """One classical RK4 step of the companion system, f and g inlined, as
+    assignments (name, rhs) in order: g at the step's node, the four stage
+    forcings p q r s with the stage states a b e between them, then the next
+    state z0 .. z{n-1}. Each stage derivative is the stage state shifted up
+    one row with the forcing on top, and the arithmetic is the classical
+    tableau's, operation for operation. The right-hand sides read t, c and
+    the state y0 .. y{n-1}, and are valid Python and C alike."""
     n = spec.order
     h = spec.horizon / spec.step_count
     hh, w = 0.5 * h, h / 6.0
     y, a, b, e, z = ([f"{v}{k}" for k in range(n)] for v in "yabez")
     k1, k2, k3, k4 = y[1:] + ["p"], a[1:] + ["q"], b[1:] + ["r"], e[1:] + ["s"]
-    g = expr._emit(spec.diffusion, dict(zip(expr.state_variables(n), ["t", *y])))
 
-    def stage(out: list[str], coef: float, derivative: list[str]) -> list[str]:
-        return [f"{o} = {s} + {coef!r} * {d}" for o, s, d in zip(out, y, derivative)]
+    def stage(out: list[str], coef: float, derivative: list[str]):
+        return [(o, f"{s} + {coef!r} * {d}") for o, s, d in zip(out, y, derivative)]
 
+    return [
+        ("g", _diffusion_source(spec)),
+        ("p", _forcing(spec, signed, "t", y, "g")),
+        ("u", f"t + {hh!r}"),
+        *stage(a, hh, k1),
+        ("q", _forcing(spec, signed, "u", a)),
+        *stage(b, hh, k2),
+        ("r", _forcing(spec, signed, "u", b)),
+        *stage(e, h, k3),
+        ("v", f"t + {h!r}"),
+        ("s", _forcing(spec, signed, "v", e)),
+        *(
+            (o, f"{s} + {w!r} * ({p} + 2.0 * ({q} + {r}) + {d})")
+            for o, s, p, q, r, d in zip(z, y, k1, k2, k3, k4)
+        ),
+    ]
+
+
+def _diffusion_source(spec: UdeSpec) -> str:
+    """g over t and the state y0 .. y{n-1}."""
+    names = [f"y{k}" for k in range(spec.order)]
+    variables = expr.state_variables(spec.order)
+    return expr._emit(spec.diffusion, dict(zip(variables, ["t", *names])))
+
+
+def _compile_step(
+    spec: UdeSpec, signed: bool, block: bool = False
+) -> tuple[Callable, Callable]:
+    """The step of ``_step_lines`` as Python.
+
+    ``step(t, y, c)`` takes a record (g, y0, ..., y{n-1}) whose state is the
+    state at t, and returns the record one step later: g at the given node,
+    then the next state. It raises OverflowError for a state that is not
+    finite or beyond BLOWUP_LIMIT. ``diffusion(t, y)`` is g alone at the
+    record's state.
+
+    With ``block`` the same text runs in the expression compiler's block
+    namespace, where y and c hold one (B,) column per component and the
+    blow-up test reduces over the rows.
+    """
+    z = [f"z{k}" for k in range(spec.order)]
     within = [f"abs({v}) <= {BLOWUP_LIMIT!r}" for v in z]
     if block:
         within = [f"all({test})" for test in within]
-    unpack = f"_, {', '.join(y)}, = y"
+    unpack = f"_, {', '.join(f'y{k}' for k in range(spec.order))}, = y"
     body = [
         unpack,
-        f"g = {g}",
-        f"p = {_forcing(spec, signed, 't', y, 'g')}",
-        f"u = t + {hh!r}",
-        *stage(a, hh, k1),
-        f"q = {_forcing(spec, signed, 'u', a)}",
-        *stage(b, hh, k2),
-        f"r = {_forcing(spec, signed, 'u', b)}",
-        *stage(e, h, k3),
-        f"v = t + {h!r}",
-        f"s = {_forcing(spec, signed, 'v', e)}",
-        *(
-            f"{o} = {s} + {w!r} * ({p} + 2.0 * ({q} + {r}) + {d})"
-            for o, s, p, q, r, d in zip(z, y, k1, k2, k3, k4)
-        ),
+        *(f"{name} = {rhs}" for name, rhs in _step_lines(spec, signed)),
         "if " + " and ".join(within) + ":",
         f"    return g, {', '.join(z)}",
         "raise OverflowError('state left the finite range')",
     ]
     source = "def step(t, y, c):\n" + "".join(f"    {line}\n" for line in body)
+    g = _diffusion_source(spec)
     source += f"def diffusion(t, y):\n    {unpack}\n    return {g}\n"
     namespace = expr._exec(source, block)
     return namespace["step"], namespace["diffusion"]
+
+
+# the batch loop of the C translation unit: row by row, the FP flags cleared
+# at the row's start, g and the kept components stored at every node
+_C_RUNNER = """\
+static double diffusion(double t, const double *state) {{
+{load}    return {g};
+}}
+
+void run(int32_t signed_rows, int64_t rows, int64_t segments,
+         const int64_t *counts, const double *slopes, const double *times,
+         const double *initial, int64_t kept, double *states,
+         double *g_nodes, uint8_t *rerun) {{
+    int (*step)(double, double, double *, double *) =
+        signed_rows ? step_signed : step_abs;
+    int64_t steps = 0;
+    for (int64_t k = 0; k < segments; k++) steps += counts[k];
+    for (int64_t row = 0; row < rows; row++) {{
+        double state[{order}], g = 0.0;
+        double *out = states + row * (steps + 1) * kept;
+        double *gs = g_nodes ? g_nodes + row * (steps + 1) : 0;
+        int ok = 1;
+        int64_t node = 0;
+        feclearexcept(FE_ALL_EXCEPT);
+        for (int64_t k = 0; k < {order}; k++) state[k] = initial[k];
+        for (int64_t k = 0; k < kept; k++) out[k] = initial[k];
+        for (int64_t seg = 0; ok && seg < segments; seg++) {{
+            double c = slopes[row * segments + seg];
+            for (int64_t i = 0; ok && i < counts[seg]; i++, node++) {{
+                ok = step(times[node], c, state, &g);
+                if (gs) gs[node] = g;
+                for (int64_t k = 0; k < kept; k++)
+                    out[(node + 1) * kept + k] = state[k];
+            }}
+        }}
+        if (ok && gs) gs[steps] = diffusion(times[steps], state);
+        rerun[row] = !ok || fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW);
+    }}
+    feclearexcept(FE_ALL_EXCEPT);
+}}
+"""
+
+
+def _c_source(spec: UdeSpec) -> str:
+    """The steps of ``_step_lines`` as one C translation unit: ``step_abs``
+    (alpha-paths) and ``step_signed`` (surrogates), each a static function
+    that advances ``state`` in place and returns whether it stayed within
+    BLOWUP_LIMIT, and ``run``, which integrates every row of a batch into
+    the caller's arrays. A row that leaves the bound or raises an invalid,
+    division-by-zero or overflow flag is marked for a rerun in Python."""
+    n = spec.order
+    load = "".join(f"    double y{k} = state[{k}];\n" for k in range(n))
+    store = "".join(f"    state[{k}] = z{k};\n" for k in range(n))
+    within = " && ".join(f"abs(z{k}) <= {BLOWUP_LIMIT!r}" for k in range(n))
+    parts = [
+        "#include <fenv.h>\n#include <math.h>\n#include <stdint.h>\n",
+        "#define ln log\n#define abs fabs\n",
+    ]
+    for name, signed in (("step_abs", False), ("step_signed", True)):
+        lines = _step_lines(spec, signed)
+        body = "".join(f"    double {v} = {rhs};\n" for v, rhs in lines)
+        signature = f"int {name}(double t, double c, double *state, double *g_out)"
+        parts.append(
+            f"\nstatic {signature} {{\n"
+            f"{load}{body}    *g_out = g;\n{store}    return {within};\n}}\n"
+        )
+    parts.append("\n" + _C_RUNNER.format(load=load, g=_diffusion_source(spec), order=n))
+    return "".join(parts)
+
+
+def _build(source: str) -> Callable | None:
+    """Compile C ``source`` into a shared library in a private directory,
+    load it, remove the directory and return the library's ``run``; None
+    when the compiler is missing, fails or runs out of time, or the library
+    does not load. Nothing reaches stderr."""
+    # a run that builds nothing never imports subprocess
+    import ctypes
+    import shutil
+    import subprocess
+    import tempfile
+
+    try:
+        folder = tempfile.mkdtemp(prefix="alphapath-", dir=_BUILD_ROOT)
+    except OSError:
+        return None
+    try:
+        c_file = os.path.join(folder, "step.c")
+        library = os.path.join(folder, f"step{next(_BUILD_NUMBERS)}.so")
+        with open(c_file, "w") as out:
+            out.write(source)
+        subprocess.run(
+            [COMPILER, *_BUILD_ARGS, "-o", library, c_file, "-lm"],
+            env=_BUILD_ENV,
+            timeout=_BUILD_TIMEOUT_S,
+            check=True,
+            stdin=subprocess.DEVNULL,
+            # pipes, not DEVNULL: with pipes the wait ends when gcc exits,
+            # without them a timed wait polls with sleeps of up to 50 ms
+            capture_output=True,
+        )
+        run = ctypes.CDLL(library).run
+    except (OSError, subprocess.SubprocessError):
+        return None
+    finally:
+        shutil.rmtree(folder, ignore_errors=True)
+    pointer, int64 = ctypes.c_void_p, ctypes.c_int64
+    run.argtypes = [ctypes.c_int32, int64, int64, *[pointer] * 4, int64, *[pointer] * 3]
+    run.restype = None
+    return run
+
+
+def _compiled_runner(spec: UdeSpec, row_steps: int) -> Callable | None:
+    """The problem's C runner, built first if ``row_steps`` reaches
+    COMPILE_MIN_ROW_STEPS; None without one (a smaller call before any
+    build, no compiler or a failed build)."""
+    source = _c_source(spec)
+    if source not in _LIBRARIES:
+        if row_steps < COMPILE_MIN_ROW_STEPS:
+            return None
+        _LIBRARIES[source] = _build(source)
+    return _LIBRARIES[source]
+
+
+def _run_compiled(
+    run: Callable,
+    spec: UdeSpec,
+    signed: bool,
+    counts: Sequence[int],
+    slopes: np.ndarray,
+    kept: int,
+    keep_g: bool,
+) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
+    """Every row through the C runner: what ``_integrate_block`` returns, and
+    the indices of the rows to rerun in Python, whose values are not final."""
+    rows, nodes = len(slopes), spec.step_count + 1
+    # the runner reads and writes these shapes through raw pointers
+    spans = slopes.shape[1:] == (len(counts),) and sum(counts) == spec.step_count
+    if not spans or not 1 <= kept <= spec.order:
+        raise ValueError("slopes, segment counts and kept do not fit the problem")
+    inputs = (
+        np.array(counts, dtype=np.int64),
+        np.ascontiguousarray(slopes, dtype=float),
+        time_grid(spec),
+        np.array(spec.initial, dtype=float),
+    )
+    states = np.empty((rows, nodes, kept))
+    diffusion = np.empty((rows, nodes)) if keep_g else None
+    rerun = np.zeros(rows, dtype=np.uint8)
+    g_nodes = None if diffusion is None else diffusion.ctypes.data
+    run(
+        signed,
+        rows,
+        len(counts),
+        *(a.ctypes.data for a in inputs),
+        kept,
+        states.ctypes.data,
+        g_nodes,
+        rerun.ctypes.data,
+    )
+    return states, diffusion, np.flatnonzero(rerun).tolist()
 
 
 def _integrate(
@@ -228,25 +437,36 @@ def _solve_rows(
     (rows, N+1, kept), and g, (rows, N+1), at every node (None without
     ``keep_g``), and each failing row's index and BlowUpError, naming
     alphas[row] (None without ``alphas``); failed rows hold nan.
-    BLOCK_MIN_ROWS rows or more run as one block; if it fails, every row is
-    rerun alone, so the errors are those of row-by-row solves.
+
+    The problem's C runner, when there is one (``_compiled_runner``), runs
+    every row, and the rows it marks are rerun alone in Python. Without it,
+    BLOCK_MIN_ROWS rows or more run as one block, and if that fails every
+    row is rerun alone; smaller batches run row by row. The errors are
+    always those of row-by-row solves.
     """
-    if len(slopes) >= BLOCK_MIN_ROWS:
-        block = _integrate_block(spec, signed, counts, slopes, kept, keep_g)
-        if block is not None:
-            return (*block, [])
-    compiled = _compile_step(spec, signed)
-    states = np.full((len(slopes), spec.step_count + 1, kept), math.nan)
-    diffusion = np.full(states.shape[:2], math.nan) if keep_g else None
+    run = _compiled_runner(spec, len(slopes) * spec.step_count)
+    if run is not None:
+        states, diffusion, rows = _run_compiled(
+            run, spec, signed, counts, slopes, kept, keep_g
+        )
+    else:
+        if len(slopes) >= BLOCK_MIN_ROWS:
+            block = _integrate_block(spec, signed, counts, slopes, kept, keep_g)
+            if block is not None:
+                return (*block, [])
+        states = np.empty((len(slopes), spec.step_count + 1, kept))
+        diffusion = np.empty(states.shape[:2]) if keep_g else None
+        rows = range(len(slopes))
     failures: list[tuple[int, BlowUpError]] = []
-    for r, row in enumerate(slopes.tolist()):
-        drivers = chain.from_iterable(map(repeat, row, counts))
+    compiled = _compile_step(spec, signed) if len(rows) else None
+    for r in rows:
+        drivers = chain.from_iterable(map(repeat, slopes[r].tolist(), counts))
         alpha = None if alphas is None else alphas[r]
         try:
             states[r], g = _integrate(spec, compiled, drivers, alpha, kept)
         except BlowUpError as exc:
             failures.append((r, exc))
-            continue
+            states[r], g = math.nan, math.nan
         if keep_g:
             diffusion[r] = g
     return states, diffusion, failures

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -49,6 +50,35 @@ def driven(spec: UdeSpec, slopes):
     )
     assert not failures
     return states, diffusion
+
+
+# the tests that build C steps need the compiler the solver names
+HAVE_COMPILER = os.access(solver.COMPILER, os.X_OK)
+needs_compiler = pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """``for _ in engines():`` runs a body once per engine: first with the
+    compiled step forced off (the Python block and row loops), then forced
+    on (every call builds or reuses its problem's C library and runs every
+    row in C). Yields the engine's name. Without a compiler at
+    ``solver.COMPILER`` only the Python round runs."""
+
+    def rounds():
+        monkeypatch.setattr(solver, "_LIBRARIES", {})
+        monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+        yield "python"
+        assert not solver._LIBRARIES  # nothing was built
+        if not HAVE_COMPILER:
+            return
+        monkeypatch.setattr(solver, "_LIBRARIES", {})
+        monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+        yield "compiled"
+        # every problem solved had its library built and loaded
+        assert solver._LIBRARIES and all(solver._LIBRARIES.values())
+
+    return rounds
 
 
 def companion_rhs(spec: UdeSpec, c: float, weight=abs):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import os
 import time
 
 import numpy as np
@@ -19,14 +21,14 @@ from alphapath import (
 )
 from alphapath import cli
 from alphapath import config as config_module
-from alphapath import oracle
+from alphapath import oracle, solver
 from alphapath.cli import _write_text, main
 from alphapath.config import KNOWN_KEYS, load_config, parse_config_text
 from alphapath.errors import ConfigError
 from alphapath.expr import MAX_DEPTH
 from alphapath.solver import BLOCK_MIN_ROWS
 
-from conftest import reference_fan_csv, reference_fan_json, tanh_spec
+from conftest import needs_compiler, reference_fan_csv, reference_fan_json, tanh_spec
 
 BASE_CONFIG = """\
 # nonlinear second-order run
@@ -471,6 +473,58 @@ def test_runs_reproduce_byte_identical_artifacts(tmp_path):
     assert (outs[0] / "oracle.json").read_bytes() == (
         outs[1] / "oracle.json"
     ).read_bytes()
+
+
+def _run_every_command(tmp_path, capsys, name):
+    """Exit codes, stdout and stderr of solve, check, dist and oracle on the
+    base config, and the bytes of every artifact they write."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / name
+    runs = []
+    for argv in (["solve"], ["check"], ["dist", "--t", "1.0"], ["oracle"]):
+        code = main([*argv, "--config", cfg, "--out", str(out), "--force"])
+        runs.append((code, *capsys.readouterr()))
+    return runs, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "compiler", [pytest.param("gcc", marks=needs_compiler), "missing", "exits-1"]
+)
+def test_every_engine_writes_the_same_artifacts(
+    tmp_path, capsys, monkeypatch, compiler
+):
+    # the Python engines, then every call compiled: with gcc the C runner
+    # writes the same bytes; with no compiler, or one that fails, every call
+    # falls back to the Python engines silently. No build directory is left
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+    runs, artifacts = _run_every_command(tmp_path, capsys, "python")
+    assert [code for code, _, _ in runs] == [0, 0, 0, 0]
+    assert [err for _, _, err in runs] == [""] * 4
+    assert sorted(artifacts) == [
+        "checks.json",
+        "dist_t1.csv",
+        "dist_t1.json",
+        "fan.csv",
+        "fan.json",
+        "oracle.json",
+        "run.json",
+    ]
+
+    builds = tmp_path / "builds"
+    builds.mkdir()
+    if compiler != "gcc":
+        stub = tmp_path / "cc"
+        if compiler == "exits-1":
+            stub.write_text("#!/bin/sh\nexit 1\n")
+            stub.chmod(0o755)
+        monkeypatch.setattr(solver, "COMPILER", str(stub))
+    monkeypatch.setattr(solver, "_BUILD_ROOT", str(builds))
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    assert _run_every_command(tmp_path, capsys, compiler) == (runs, artifacts)
+    built = list(solver._LIBRARIES.values())
+    assert len(built) == 1 and (built[0] is not None) == (compiler == "gcc")
+    assert os.listdir(builds) == []
 
 
 def _render_scalar(value) -> str:

@@ -1,5 +1,5 @@
-"""Property tests of the expression DSL, the condition-H audit, the config
-loader and the CLI.
+"""Property tests of the expression DSL, the solver's engines, the
+condition-H audit, the config loader and the CLI.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -10,10 +10,11 @@ import json
 import tempfile
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from alphapath import AlphaFan, UdeSpec, check_condition_h, integral_residual
+from alphapath import AlphaFan, UdeSpec, check_condition_h, integral_residual, phi_inv
+from alphapath import solver
 from alphapath.cli import main
 from alphapath.config import KNOWN_KEYS, RunConfig, build_config, parse_config_text
 from alphapath.errors import ConfigError, NonFiniteError, ParseError
@@ -142,6 +143,46 @@ def test_condition_h_equals_the_reference_bitwise(f, g, seed):
     assert [v["value"].hex() for v in report.violations] == [
         v["value"].hex() for v in violations
     ]
+
+
+def _tree(text):
+    return parse_source(text, ORDER)
+
+
+@settings(
+    SETTINGS,
+    max_examples=20,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(state_trees, trees, st.integers(0, 2**32 - 1))
+@example(_tree("x0 + tanh(0.478)"), _tree("1 + 0.1*exp(2.467)"), 0)
+@example(_tree("tanh(x0*1e200*1e200)"), _tree("1"), 0)
+@example(_tree("x1/(x0 - x0)"), _tree("2 + tanh(x0)"), 0)
+@example(_tree("ln(x0) + sqrt(x2)"), _tree("t - 0.5"), 1)
+@example(_tree("x0^x1 - x2"), _tree("cos(x1) + 2"), 2)
+@example(_tree("exp(x0*800)"), _tree("sin(t)"), 3)
+@example(_tree("tanh(" * (MAX_DEPTH - 1) + "x0" + ")" * (MAX_DEPTH - 1)), _tree("1"), 4)
+def test_compiled_rows_equal_python_rows_bitwise(engines, f, g, seed):
+    # alpha rows and two-segment surrogate rows through the Python engines
+    # and through the C runner: the same states, g and failures, bit for bit
+    spec = UdeSpec(ORDER, f, g, (0.5, -0.25, 0.125), 1.0, 1.0 / 8)
+    alphas = [0.1, 0.5, 0.9]
+    alpha_slopes = np.array([[phi_inv(a)] for a in alphas])
+    surrogate_slopes = np.random.default_rng(seed).uniform(-3.0, 3.0, (3, 2))
+    results = []
+    for _ in engines():
+        solves = [
+            solver._solve_rows(spec, False, [8], alpha_slopes, ORDER, alphas),
+            solver._solve_rows(spec, True, [4, 4], surrogate_slopes, ORDER, None),
+        ]
+        results.append(
+            [
+                (states.tobytes(), diffusion.tobytes())
+                + tuple((r, e.last_good_time, str(e)) for r, e in failures)
+                for states, diffusion, failures in solves
+            ]
+        )
+    assert all(result == results[0] for result in results)
 
 
 @settings(SETTINGS, max_examples=20)

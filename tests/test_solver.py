@@ -4,6 +4,7 @@ integral-form residual, sample-path solves, and convergence properties."""
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from alphapath.errors import (
 from conftest import (
     companion_rhs,
     driven,
+    needs_compiler,
     one_step_spec,
     polynomial_spec,
     reference_rk4_step,
@@ -87,7 +89,7 @@ REFERENCE_CASES = [
 
 
 @pytest.mark.parametrize("order,f,g,initial", REFERENCE_CASES)
-def test_solves_match_reference_rk4_bitwise(order, f, g, initial):
+def test_solves_match_reference_rk4_bitwise(engines, order, f, g, initial):
     spec = UdeSpec.from_strings(order, f, g, initial, 0.5, 0.05)
     times = np.linspace(0.0, 0.5, 11).tolist()
 
@@ -99,15 +101,16 @@ def test_solves_match_reference_rk4_bitwise(order, f, g, initial):
             states.append(y)
         return np.array(states)
 
-    for alpha in (0.1, 0.5, 0.8):
-        rhs = companion_rhs(spec, phi_inv(alpha))
-        expected = reference(lambda i: rhs)
-        assert np.array_equal(solve_fan(spec, [alpha]).states[0], expected)
-
     slopes = (0.7, -1.3)
     signed = [companion_rhs(spec, m, weight=lambda g: g) for m in slopes]
-    expected = reference(lambda i: signed[i // 5])
-    assert np.array_equal(driven(spec, [slopes])[0][0], expected)
+    for _ in engines():
+        for alpha in (0.1, 0.5, 0.8):
+            rhs = companion_rhs(spec, phi_inv(alpha))
+            expected = reference(lambda i: rhs)
+            assert np.array_equal(solve_fan(spec, [alpha]).states[0], expected)
+
+        expected = reference(lambda i: signed[i // 5])
+        assert np.array_equal(driven(spec, [slopes])[0][0], expected)
 
 
 def _poly_reference(spec, alpha, times):
@@ -275,52 +278,58 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @pytest.mark.parametrize("rows", [solver.BLOCK_MIN_ROWS, 200])
 @pytest.mark.parametrize("order,f,g,initial", BLOCK_CASES)
-def test_block_rows_equal_scalar_rows_bitwise(order, f, g, initial, rows):
+def test_block_rows_equal_scalar_rows_bitwise(engines, order, f, g, initial, rows):
+    # the Python block against the entry point and single rows, which run
+    # the same block and the row loop, or the C runner
     spec = UdeSpec.from_strings(order, f, g, initial, 1.0, 1.0 / 64)
     grid = np.linspace(0.01, 0.99, rows).tolist()
     slopes = np.array([[phi_inv(a)] for a in grid])
     block = solver._integrate_block(spec, False, [64], slopes, order)
     assert block is not None  # no fallback: the block itself is compared
     states, diffusion = block
-    fan = solve_fan(spec, grid)  # the same block, through the entry point
-    for r, alpha in enumerate(grid):
-        alone = solve_fan(spec, [alpha])
-        assert _same_bits(states[r], alone.states[0])
-        assert _same_bits(diffusion[r], alone.diffusion[0])
-        assert _same_bits(fan.states[r], alone.states[0])
-        assert _same_bits(fan.diffusion[r], alone.diffusion[0])
-    if order == 3:
-        assert not (fan.diffusion[0] > 0.0).all()  # the comparison covered warnings
-
     # surrogate rows: signed g, slopes that change per segment and per row
-    slopes = np.random.default_rng(order).uniform(-3.0, 3.0, (rows, 4))
-    block = solver._integrate_block(spec, True, [16] * 4, slopes, order)
-    assert block is not None
-    states, diffusion = block
-    assert _same_bits(solver.sample_positions(spec, slopes), states[:, :, 0])
-    for r in range(rows):
-        alone_states, alone_diffusion = driven(spec, slopes[r : r + 1])
-        assert _same_bits(states[r], alone_states[0])
-        assert _same_bits(diffusion[r], alone_diffusion[0])
+    signed_slopes = np.random.default_rng(order).uniform(-3.0, 3.0, (rows, 4))
+    signed_block = solver._integrate_block(spec, True, [16] * 4, signed_slopes, order)
+    assert signed_block is not None
+    signed_states, signed_diffusion = signed_block
+    for _ in engines():
+        fan = solve_fan(spec, grid)
+        for r, alpha in enumerate(grid):
+            alone = solve_fan(spec, [alpha])
+            assert _same_bits(states[r], alone.states[0])
+            assert _same_bits(diffusion[r], alone.diffusion[0])
+            assert _same_bits(fan.states[r], alone.states[0])
+            assert _same_bits(fan.diffusion[r], alone.diffusion[0])
+        if order == 3:
+            assert not (fan.diffusion[0] > 0.0).all()  # warnings were compared
+
+        positions = solver.sample_positions(spec, signed_slopes)
+        assert _same_bits(positions, signed_states[:, :, 0])
+        for r in range(rows):
+            alone_states, alone_diffusion = driven(spec, signed_slopes[r : r + 1])
+            assert _same_bits(signed_states[r], alone_states[0])
+            assert _same_bits(signed_diffusion[r], alone_diffusion[0])
 
 
-def test_wide_fan_blowup_failures_match_scalar():
-    # the block fails, every row is rerun alone, and the failures name the
-    # same alphas and last good times as row-by-row solves
+def test_wide_fan_blowup_failures_match_scalar(engines):
+    # the block fails (or the C runner marks rows), the rows are rerun alone,
+    # and the failures name the same alphas and last good times as
+    # row-by-row solves
     spec = UdeSpec.from_strings(2, "x0^2", "1", [1.0, 0.0], 3.0, 1e-2)
     grid = np.linspace(0.02, 0.98, solver.BLOCK_MIN_ROWS + 1).tolist()
-    with pytest.raises(FanSolveError) as excinfo:
-        solve_fan(spec, grid)
-    expected = []
-    for alpha in grid:
-        try:
-            solve_fan(spec, [alpha])
-        except FanSolveError as exc:
-            blowup = exc.failures[0][1]
-            expected.append((alpha, blowup.last_good_time, str(blowup)))
-    failures = [(a, e.last_good_time, str(e)) for a, e in excinfo.value.failures]
-    assert failures == expected
-    assert 0 < len(expected) < len(grid)
+    for _ in engines():
+        with pytest.raises(FanSolveError) as excinfo:
+            solve_fan(spec, grid)
+        expected = []
+        for alpha in grid:
+            try:
+                solve_fan(spec, [alpha])
+            except FanSolveError as exc:
+                blowup = exc.failures[0][1]
+                expected.append((alpha, blowup.last_good_time, str(blowup)))
+        failures = [(a, e.last_good_time, str(e)) for a, e in excinfo.value.failures]
+        assert failures == expected
+        assert 0 < len(expected) < len(grid)
 
 
 def test_block_falls_back_when_a_step_raises():
@@ -334,6 +343,87 @@ def test_block_falls_back_when_a_step_raises():
         solve_fan(spec, grid)
     failed = [a for a, _ in excinfo.value.failures]
     assert failed and failed == sorted(failed) and failed[-1] < 0.5
+
+
+def _solved_bits(spec, grid, slopes):
+    """Fan rows and surrogate rows of a problem, as comparable bytes."""
+    fan = solve_fan(spec, grid)
+    states, diffusion = driven(spec, slopes)
+    return [a.tobytes() for a in (fan.states, fan.diffusion, states, diffusion)]
+
+
+def test_compiled_steps_keep_libm_bits_of_calls_on_constants(engines):
+    # gcc folds tanh and exp of a constant at compile time with its own
+    # arithmetic unless -fno-builtin forbids it, and those bits differ from
+    # the libm calls the Python step makes
+    spec = UdeSpec.from_strings(
+        1, "x0 + tanh(0.478)", "1 + 0.1*exp(2.467)", [0.1], 1.0, 1.0 / 16
+    )
+    slopes = np.random.default_rng(3).uniform(-3.0, 3.0, (3, 4))
+    results = [_solved_bits(spec, [0.1, 0.5, 0.9], slopes) for _ in engines()]
+    assert all(bits == results[0] for bits in results)
+
+
+def test_rows_that_raise_a_flag_are_rerun_in_python(engines, monkeypatch):
+    # x0*1e200*1e200 overflows to inf, silently in Python, where tanh(inf)
+    # is 1, and with FE_OVERFLOW raised in C: every compiled row is rerun in
+    # Python, with the same bits and no error
+    spec = UdeSpec.from_strings(2, "tanh(x0*1e200*1e200)", "1", [0.1, 0.0], 1.0, 0.1)
+    slopes = np.random.default_rng(4).uniform(-3.0, 3.0, (2, 5))
+    reruns = []
+    original = solver._integrate
+
+    def spy(*args):
+        reruns.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_integrate", spy)
+    results = []
+    for _ in engines():
+        reruns.clear()
+        results.append(_solved_bits(spec, [0.2, 0.7], slopes))
+        assert reruns == [0.2, 0.7, None, None]  # every row ran in Python
+    assert all(bits == results[0] for bits in results)
+
+
+@needs_compiler
+def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
+    monkeypatch, tmp_path
+):
+    # the compiler by its absolute path, the fixed flags, PATH alone as its
+    # environment, a timeout, and a private directory that is gone once the
+    # library is loaded; the build works with the process's environment
+    # emptied, so it reads none of it
+    import subprocess
+
+    calls = []
+    original = subprocess.run
+
+    def spy(argv, **kwargs):
+        calls.append((argv, kwargs))
+        return original(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    monkeypatch.setattr(solver, "_BUILD_ROOT", str(tmp_path))
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    for key in list(os.environ):
+        monkeypatch.delenv(key)
+    spec = tanh_spec(1, step=0.1)
+    solve_fan(spec, [0.5])
+    solver.sample_positions(spec, np.ones((2, 3)))  # the same library
+    assert solver.COMPILER == "/usr/bin/gcc"
+    ((argv, kwargs),) = calls
+    flags = ["-O0", "-fno-builtin", "-ffp-contract=off", "-shared", "-fPIC"]
+    assert argv[:6] == ["/usr/bin/gcc", *flags]
+    assert argv[6] == "-o" and argv[-1] == "-lm"
+    folder = os.path.dirname(argv[7])
+    assert os.path.dirname(folder) == str(tmp_path)
+    assert argv[8] == os.path.join(folder, "step.c")
+    assert kwargs["env"] == {"PATH": "/usr/bin:/bin"}
+    assert 0 < kwargs["timeout"] <= 60
+    assert all(solver._LIBRARIES.values())
+    assert os.listdir(tmp_path) == []
 
 
 def test_fan_rejects_an_empty_grid():
@@ -445,17 +535,20 @@ def test_sample_path_alignment_required():
 
 
 @pytest.mark.parametrize("rows", [2, solver.BLOCK_MIN_ROWS])
-def test_unequal_segments_are_their_slopes_step_by_step(rows):
+def test_unequal_segments_are_their_slopes_step_by_step(engines, rows):
     # 3 slopes over 10 steps span 4, 3 and 3 steps; writing each slope once
     # per step as 10 one-step segments gives the same driver, and the same
-    # bits, in the row loop and in the block
+    # bits, in the row loop, in the block and in the C runner
     spec = tanh_spec(2, step=0.1)
     assert solver.segment_counts(spec.step_count, 3) == [4, 3, 3]
     slopes = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 3))
     per_step = np.repeat(slopes, [4, 3, 3], axis=1)
-    assert _same_bits(
-        solver.sample_positions(spec, slopes), solver.sample_positions(spec, per_step)
-    )
+    results = []
+    for _ in engines():
+        positions = solver.sample_positions(spec, slopes)
+        assert _same_bits(positions, solver.sample_positions(spec, per_step))
+        results.append(positions)
+    assert all(_same_bits(results[0], other) for other in results)
 
 
 def test_shift_structure_by_finite_differences():

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import expr
+from . import expr, solver
 from .core import UdeSpec
 from .errors import ConfigError, DomainError, MonotonicityError
 from .solver import AlphaFan, _STEP_FAILURES
@@ -133,48 +133,13 @@ def check_regularity(fan: AlphaFan) -> RegularityCheck:
     )
 
 
-def _partials_source(spec: UdeSpec) -> str:
-    """The one text of the condition-h audit, f and g inlined:
-    ``partials(t, y0, ..., y{n-1}, h)`` returns the central differences
-    (f(x0 + h) - f(x0 - h)) / (2h) and the same of g. Run over numpy columns
-    in the block namespace or over floats in the scalar one."""
-    y = [f"y{k}" for k in range(spec.order)]
-    names = expr.state_variables(spec.order)
-    hi, lo = (dict(zip(names, ["t", x, *y[1:]])) for x in ("hi", "lo"))
-    differences = ", ".join(
-        f"({expr._emit(tree, hi)} - {expr._emit(tree, lo)}) / w"
-        for tree in (spec.drift, spec.diffusion)
-    )
-    return (
-        f"def partials(t, {', '.join(y)}, h):\n"
-        "    hi = y0 + h\n"
-        "    lo = y0 - h\n"
-        "    w = 2.0 * h\n"
-        f"    return {differences}\n"
-    )
-
-
-def _block_partials(
-    partials, times: np.ndarray, states: np.ndarray, h: np.ndarray
-) -> np.ndarray | None:
-    """(points, 2) partials of f and g over a group of points in one call of
-    the block text, or None when it fails, meets a numpy floating-point error
-    or gives a partial that is not finite."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            df, dg = partials(times, *states.T, h)
-    except (*_STEP_FAILURES, FloatingPointError):
-        return None
-    values = np.column_stack((df, dg))  # each is a column: divided by the column w
-    return values if np.isfinite(values).all() else None
-
-
 def _scalar_partials(
     spec: UdeSpec, partials, times: np.ndarray, states: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
-    """The same partials point by point through the scalar text. A point
-    where it fails or is not finite is evaluated again by ``expr.evaluate``,
-    whose NonFiniteError names the failing subexpression."""
+    """(points, 2) partials of f and g point by point through the Python
+    text (``solver._compile_partials``). A point where it fails or is not
+    finite is evaluated again by ``expr.evaluate``, whose NonFiniteError
+    names the failing subexpression."""
     names = expr.state_variables(spec.order)
     values = np.empty((len(times), 2))
     points = zip(times.tolist(), states.tolist(), h.tolist())
@@ -206,19 +171,21 @@ def check_condition_h(
     ``samples`` pseudo-random points drawn from the bounding box of the
     fan's states inflated by 10 percent, with t uniform over the horizon.
     Each is a central difference with step FD_STEP_CONDITION_H * max(1, |x0|)
-    on the f and g the solver integrates, inlined into one generated text. A
-    value is a violation when it falls below -TOL_CONDITION_H.
+    on the f and g the solver integrates, inlined into one generated text
+    (``solver._partials_lines``). A value is a violation when it falls below
+    -TOL_CONDITION_H.
 
-    The text runs once per path over the path's columns, then once over the
-    sampled points, in the expression compiler's block namespace: + - * /,
-    abs and sqrt are IEEE-exact numpy operations and the transcendental
-    functions are the scalar libm calls, so every partial has the bits of a
-    point-by-point evaluation. A group whose call fails, meets a numpy
-    floating-point error or gives a partial that is not finite is rerun point
-    by point through the same text in the scalar namespace, where a point
-    that still fails or is not finite is evaluated again by ``expr.evaluate``
-    (see ``_scalar_partials``). The minimum is the first smallest partial in
-    point order, f before g at each point.
+    Where the problem's C library is already built (the fan's solve builds
+    it; the audit builds none), the text runs in C once per path over the
+    path's nodes, then once over the sampled points, calling the libm that
+    Python's ``math`` calls, so every partial has the bits of the Python
+    text. The floating-point flags are cleared once before a group and
+    tested once after it. A group that raised an invalid, division-by-zero
+    or overflow flag or gave a partial that is not finite, and every group
+    without a library, runs point by point through the same text on Python
+    floats, where a point that fails or is not finite is evaluated again by
+    ``expr.evaluate`` (see ``_scalar_partials``). The minimum is the first
+    smallest partial in point order, f before g at each point.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
@@ -226,9 +193,8 @@ def check_condition_h(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     spec = fan.spec
     names = expr.state_variables(spec.order)
-    source = _partials_source(spec)
-    block = expr._exec(source, block=True)["partials"]
-    scalar = expr._exec(source)["partials"]
+    library = solver._LIBRARIES.get(solver._c_source(spec))  # never builds
+    scalar = solver._compile_partials(spec)
 
     all_states = fan.states.reshape(-1, spec.order)
     lo = all_states.min(axis=0)
@@ -246,7 +212,7 @@ def check_condition_h(
     violations: list[dict] = []
     for times, states in groups:
         h = FD_STEP_CONDITION_H * np.maximum(1.0, np.abs(states[:, 0]))
-        values = _block_partials(block, times, states, h)
+        values = solver._run_partials(spec, library, times, states, h)
         if values is None:
             values = _scalar_partials(spec, scalar, times, states, h)
         flat = values.ravel()  # point by point, f then g

@@ -2,16 +2,20 @@
 
 All numeric inputs come from the config file; flags select the subcommand,
 config path, output directory, the table time for `dist`, and overwrite
-consent. No environment variables are consulted. Artifacts are written
-with full round-trip precision and without timestamps, so identical
-configs produce byte-identical outputs.
+consent. The package itself, builds included, reads no environment
+variable; argparse, which parses the command line, reads LANGUAGE, LC_ALL,
+LC_MESSAGES and LANG for the language of its messages and COLUMNS and
+LINES for the width of its help. Artifacts are written with full
+round-trip precision and without timestamps, so identical configs produce
+byte-identical outputs.
 
-A solve may build the problem's generated step as C (``solver``): it runs
-/usr/bin/gcc with a fixed argument list and the fixed environment
-PATH=/usr/bin:/bin, in a private directory under /tmp that is removed once
-the library is loaded, so a build reads no environment variable and leaves
-nothing beside the artifacts. Without a working compiler the Python engines
-run instead, with the same artifacts, exit codes and messages.
+A solve may build the problem's generated step and condition-H text as C
+(``solver``): it runs /usr/bin/gcc with a fixed argument list and the fixed
+environment PATH=/usr/bin:/bin, in a private directory under /tmp that is
+removed once the library is loaded, so a build reads no environment
+variable and leaves nothing beside the artifacts. Without a working
+compiler the same texts run on Python floats instead, with the same
+artifacts, exit codes and messages.
 
 Exit codes partition outcomes:
     0  success

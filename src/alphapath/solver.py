@@ -8,16 +8,17 @@ both need aligned nodes, and node placement stays reproducible.
 Every solve goes through ``_solve_rows``, where a row has one driver slope
 per segment; an alpha-path is one segment with slope phi_inv(alpha). Rows are
 integrated by one RK4 step generated per problem with f and g inlined
-(``_step_lines``), with the same bits on every engine: rendered as C
-(``_c_source``), built once per problem and process and run over every row
-of a batch, with any row that raises a floating-point flag rerun in Python;
-or, without a built runner, rendered as Python (``_compile_step``) and run
-one row at a time (``_integrate``) or, for BLOCK_MIN_ROWS rows or more, over
-numpy columns (``_integrate_block``). The step also returns g at its
-starting node, so a fan solve carries g at every node for the regularity
-check to read. ``solve_fan`` returns these arrays as an ``AlphaFan``; an
-alpha-path is a fan of one. ``sample_positions`` records positions only: no
-other component and no g.
+(``_step_lines``), and the condition-H audit takes its differences by one
+generated text beside it (``_partials_lines``). Each text has two runners
+with the same bits: C (``_c_source``), one library built per problem and
+process that runs every row of a batch, or every point of an audit group;
+and Python floats (``_compile_step``, ``_compile_partials``), the reference
+and the fallback, which runs one row at a time (``_integrate``) where there
+is no library and reruns every row or group that raised a floating-point
+flag in C. The step also returns g at its starting node, so a fan solve
+carries g at every node for the regularity check to read. ``solve_fan``
+returns these arrays as an ``AlphaFan``; an alpha-path is a fan of one.
+``sample_positions`` records positions only: no other component and no g.
 """
 
 from __future__ import annotations
@@ -26,13 +27,16 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import chain, count, repeat
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import expr
 from .core import UdeSpec, phi_inv, validate_spec
 from .errors import BlowUpError, ConfigError, FanSolveError
+
+if TYPE_CHECKING:
+    import ctypes
 
 # any |state| beyond this aborts a solve: distinguishes hypothesis failure
 # from numeric overflow noise
@@ -43,15 +47,11 @@ BLOWUP_LIMIT = 1e12
 # or beyond BLOWUP_LIMIT
 _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 
-# batches of at least this many rows are integrated as one numpy block; below
-# it the per-step cost of numpy calls outweighs what they save (the crossover
-# measured at 32-48 rows)
-BLOCK_MIN_ROWS = 64
-
-# a call whose rows x steps reach this many builds its problem's step as C;
-# once a problem's library is built, calls of any size use it. One build
-# takes 0.06-0.08 s (2-core x86-64), what the row loop spends on 16,000 to
-# 27,000 row-steps at 3-4.5 us each
+# a call whose rows x steps reach this many builds its problem's library;
+# once it is built, calls of any size use it. Below it the row loop, the only
+# runner besides C, integrates the batch: one build takes 0.06-0.08 s
+# (2-core x86-64), what the row loop spends on 16,000 to 27,000 row-steps at
+# 3-4.5 us each
 COMPILE_MIN_ROW_STEPS = 20_000
 
 # the C step is built by this compiler, named by a fixed path and run in a
@@ -67,8 +67,8 @@ _BUILD_TIMEOUT_S = 60.0
 # and removed as soon as the library is loaded
 _BUILD_ROOT = "/tmp"
 
-# the process's built step runners by C source text; None marks a failed build
-_LIBRARIES: dict[str, Callable | None] = {}
+# the process's loaded libraries by C source text; None marks a failed build
+_LIBRARIES: dict[str, ctypes.CDLL | None] = {}
 # library file names are never reused: the loader hands back an already
 # loaded library for a path it has seen
 _BUILD_NUMBERS = count()
@@ -161,9 +161,38 @@ def _diffusion_source(spec: UdeSpec) -> str:
     return expr._emit(spec.diffusion, dict(zip(variables, ["t", *names])))
 
 
-def _compile_step(
-    spec: UdeSpec, signed: bool, block: bool = False
-) -> tuple[Callable, Callable]:
+def _partials_lines(spec: UdeSpec) -> list[tuple[str, str]]:
+    """The condition-H audit's central differences in x0, f and g inlined,
+    as assignments (name, rhs) in order: hi = y0 + h, lo = y0 - h,
+    w = 2.0 * h, then df = (f(hi) - f(lo)) / w and dg, the same of g. The
+    right-hand sides read t, h and the state y0 .. y{n-1}, and are valid
+    Python and C alike."""
+    y = [f"y{k}" for k in range(spec.order)]
+    names = expr.state_variables(spec.order)
+    hi, lo = (dict(zip(names, ["t", x, *y[1:]])) for x in ("hi", "lo"))
+    return [
+        ("hi", "y0 + h"),
+        ("lo", "y0 - h"),
+        ("w", "2.0 * h"),
+        *(
+            (name, f"({expr._emit(tree, hi)} - {expr._emit(tree, lo)}) / w")
+            for name, tree in (("df", spec.drift), ("dg", spec.diffusion))
+        ),
+    ]
+
+
+def _compile_partials(spec: UdeSpec) -> Callable:
+    """The text of ``_partials_lines`` as Python:
+    ``partials(t, y0, ..., y{n-1}, h)`` returns (df, dg) on floats."""
+    state = ", ".join(f"y{k}" for k in range(spec.order))
+    body = [f"{name} = {rhs}" for name, rhs in _partials_lines(spec)]
+    source = f"def partials(t, {state}, h):\n" + "".join(
+        f"    {line}\n" for line in [*body, "return df, dg"]
+    )
+    return expr._exec(source)["partials"]
+
+
+def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
     """The step of ``_step_lines`` as Python.
 
     ``step(t, y, c)`` takes a record (g, y0, ..., y{n-1}) whose state is the
@@ -171,15 +200,9 @@ def _compile_step(
     then the next state. It raises OverflowError for a state that is not
     finite or beyond BLOWUP_LIMIT. ``diffusion(t, y)`` is g alone at the
     record's state.
-
-    With ``block`` the same text runs in the expression compiler's block
-    namespace, where y and c hold one (B,) column per component and the
-    blow-up test reduces over the rows.
     """
     z = [f"z{k}" for k in range(spec.order)]
     within = [f"abs({v}) <= {BLOWUP_LIMIT!r}" for v in z]
-    if block:
-        within = [f"all({test})" for test in within]
     unpack = f"_, {', '.join(f'y{k}' for k in range(spec.order))}, = y"
     body = [
         unpack,
@@ -191,12 +214,14 @@ def _compile_step(
     source = "def step(t, y, c):\n" + "".join(f"    {line}\n" for line in body)
     g = _diffusion_source(spec)
     source += f"def diffusion(t, y):\n    {unpack}\n    return {g}\n"
-    namespace = expr._exec(source, block)
+    namespace = expr._exec(source)
     return namespace["step"], namespace["diffusion"]
 
 
-# the batch loop of the C translation unit: row by row, the FP flags cleared
-# at the row's start, g and the kept components stored at every node
+# the loops of the C translation unit. The batch loop goes row by row, the
+# FP flags cleared at the row's start, g and the kept components stored at
+# every node; the audit loop clears the flags once before its first point
+# and tests them once after its last
 _C_RUNNER = """\
 static double diffusion(double t, const double *state) {{
 {load}    return {g};
@@ -233,16 +258,29 @@ void run(int32_t signed_rows, int64_t rows, int64_t segments,
     }}
     feclearexcept(FE_ALL_EXCEPT);
 }}
+
+int partials(int64_t points, const double *times, const double *states,
+             const double *steps, double *out) {{
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t i = 0; i < points; i++)
+        partial(times[i], states + i * {order}, steps[i], out + 2 * i);
+    int flagged = fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW) != 0;
+    feclearexcept(FE_ALL_EXCEPT);
+    return flagged;
+}}
 """
 
 
 def _c_source(spec: UdeSpec) -> str:
-    """The steps of ``_step_lines`` as one C translation unit: ``step_abs``
-    (alpha-paths) and ``step_signed`` (surrogates), each a static function
-    that advances ``state`` in place and returns whether it stayed within
-    BLOWUP_LIMIT, and ``run``, which integrates every row of a batch into
-    the caller's arrays. A row that leaves the bound or raises an invalid,
-    division-by-zero or overflow flag is marked for a rerun in Python."""
+    """The texts of ``_step_lines`` and ``_partials_lines`` as one C
+    translation unit: ``step_abs`` (alpha-paths) and ``step_signed``
+    (surrogates), each a static function that advances ``state`` in place
+    and returns whether it stayed within BLOWUP_LIMIT; ``run``, which
+    integrates every row of a batch into the caller's arrays and marks for a
+    rerun in Python a row that leaves the bound or raises an invalid,
+    division-by-zero or overflow flag; and ``partials``, which writes (df,
+    dg) at every point of an audit group and returns whether the group
+    raised one of those flags."""
     n = spec.order
     load = "".join(f"    double y{k} = state[{k}];\n" for k in range(n))
     store = "".join(f"    state[{k}] = z{k};\n" for k in range(n))
@@ -259,15 +297,21 @@ def _c_source(spec: UdeSpec) -> str:
             f"\nstatic {signature} {{\n"
             f"{load}{body}    *g_out = g;\n{store}    return {within};\n}}\n"
         )
+    body = "".join(f"    double {v} = {rhs};\n" for v, rhs in _partials_lines(spec))
+    signature = "void partial(double t, const double *state, double h, double *out)"
+    parts.append(
+        f"\nstatic {signature} {{\n{load}{body}"
+        "    out[0] = df;\n    out[1] = dg;\n}\n"
+    )
     parts.append("\n" + _C_RUNNER.format(load=load, g=_diffusion_source(spec), order=n))
     return "".join(parts)
 
 
-def _build(source: str) -> Callable | None:
+def _build(source: str) -> ctypes.CDLL | None:
     """Compile C ``source`` into a shared library in a private directory,
-    load it, remove the directory and return the library's ``run``; None
-    when the compiler is missing, fails or runs out of time, or the library
-    does not load. Nothing reaches stderr."""
+    load it, remove the directory and return the library, its ``run`` and
+    ``partials`` typed; None when the compiler is missing, fails or runs out
+    of time, or the library does not load. Nothing reaches stderr."""
     # a run that builds nothing never imports subprocess
     import ctypes
     import shutil
@@ -293,19 +337,22 @@ def _build(source: str) -> Callable | None:
             # without them a timed wait polls with sleeps of up to 50 ms
             capture_output=True,
         )
-        run = ctypes.CDLL(library).run
+        loaded = ctypes.CDLL(library)
     except (OSError, subprocess.SubprocessError):
         return None
     finally:
         shutil.rmtree(folder, ignore_errors=True)
     pointer, int64 = ctypes.c_void_p, ctypes.c_int64
+    run, partials = loaded.run, loaded.partials
     run.argtypes = [ctypes.c_int32, int64, int64, *[pointer] * 4, int64, *[pointer] * 3]
     run.restype = None
-    return run
+    partials.argtypes = [int64, *[pointer] * 4]
+    partials.restype = ctypes.c_int
+    return loaded
 
 
-def _compiled_runner(spec: UdeSpec, row_steps: int) -> Callable | None:
-    """The problem's C runner, built first if ``row_steps`` reaches
+def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
+    """The problem's C library, built first if ``row_steps`` reaches
     COMPILE_MIN_ROW_STEPS; None without one (a smaller call before any
     build, no compiler or a failed build)."""
     source = _c_source(spec)
@@ -317,7 +364,7 @@ def _compiled_runner(spec: UdeSpec, row_steps: int) -> Callable | None:
 
 
 def _run_compiled(
-    run: Callable,
+    library: ctypes.CDLL,
     spec: UdeSpec,
     signed: bool,
     counts: Sequence[int],
@@ -325,8 +372,10 @@ def _run_compiled(
     kept: int,
     keep_g: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-    """Every row through the C runner: what ``_integrate_block`` returns, and
-    the indices of the rows to rerun in Python, whose values are not final."""
+    """Every row through the library's ``run``: the first ``kept`` state
+    components and g (None without ``keep_g``) as ``_solve_rows`` returns
+    them, and the indices of the rows to rerun in Python, whose values are
+    not final."""
     rows, nodes = len(slopes), spec.step_count + 1
     # the runner reads and writes these shapes through raw pointers
     spans = slopes.shape[1:] == (len(counts),) and sum(counts) == spec.step_count
@@ -342,7 +391,7 @@ def _run_compiled(
     diffusion = np.empty((rows, nodes)) if keep_g else None
     rerun = np.zeros(rows, dtype=np.uint8)
     g_nodes = None if diffusion is None else diffusion.ctypes.data
-    run(
+    library.run(
         signed,
         rows,
         len(counts),
@@ -353,6 +402,31 @@ def _run_compiled(
         rerun.ctypes.data,
     )
     return states, diffusion, np.flatnonzero(rerun).tolist()
+
+
+def _run_partials(
+    spec: UdeSpec,
+    library: ctypes.CDLL | None,
+    times: np.ndarray,
+    states: np.ndarray,
+    h: np.ndarray,
+) -> np.ndarray | None:
+    """(points, 2) partials of f and g, the text of ``_partials_lines`` at
+    each (times[i], states[i], h[i]) through the library's ``partials``; None
+    without a library, or when the group raised an invalid, division-by-zero
+    or overflow flag or gave a partial that is not finite."""
+    if library is None:
+        return None
+    times, states, h = (np.ascontiguousarray(a, float) for a in (times, states, h))
+    points = len(states)
+    # the library reads these shapes through raw pointers
+    if states.shape != (points, spec.order) or not times.shape == h.shape == (points,):
+        raise ValueError("times, states and steps do not fit the problem")
+    values = np.empty((points, 2))
+    arrays = (times, states, h, values)
+    if library.partials(points, *(a.ctypes.data for a in arrays)):
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _integrate(
@@ -385,44 +459,6 @@ def _integrate(
     return table[:, 1 : kept + 1], np.append(table[1:, 0], g)
 
 
-def _integrate_block(
-    spec: UdeSpec,
-    signed: bool,
-    counts: Sequence[int],
-    slopes: np.ndarray,
-    kept: int,
-    keep_g: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """The block loop: the state is one column per component, each step
-    advances every row at once, and the driver column c holds the rows'
-    slopes of the step's segment. Returns what ``_solve_rows`` does, or None
-    when any step fails, meets a numpy floating-point error or puts a row
-    beyond BLOWUP_LIMIT. Without ``keep_g`` no g array is allocated or
-    filled, and None stands in its place."""
-    step, diffusion = _compile_step(spec, signed, block=True)
-    columns = np.ascontiguousarray(slopes.T)
-    drivers = (c for c, count in zip(columns, counts) for _ in range(count))
-    tlist = time_grid(spec).tolist()
-    rows = len(slopes)
-    record = (None, *(np.full(rows, float(v)) for v in spec.initial))
-    states = np.empty((rows, len(tlist), kept))
-    g_nodes = np.empty((rows, len(tlist))) if keep_g else None
-    states[:, 0] = spec.initial[:kept]
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            for j, (t, c) in enumerate(zip(tlist, drivers), 1):
-                record = step(t, record, c)
-                if keep_g:
-                    g_nodes[:, j - 1] = record[0]
-                for k in range(kept):
-                    states[:, j, k] = record[k + 1]
-            if keep_g:
-                g_nodes[:, -1] = diffusion(tlist[-1], record)
-    except (*_STEP_FAILURES, FloatingPointError):
-        return None
-    return states, g_nodes
-
-
 def _solve_rows(
     spec: UdeSpec,
     signed: bool,
@@ -438,22 +474,17 @@ def _solve_rows(
     ``keep_g``), and each failing row's index and BlowUpError, naming
     alphas[row] (None without ``alphas``); failed rows hold nan.
 
-    The problem's C runner, when there is one (``_compiled_runner``), runs
-    every row, and the rows it marks are rerun alone in Python. Without it,
-    BLOCK_MIN_ROWS rows or more run as one block, and if that fails every
-    row is rerun alone; smaller batches run row by row. The errors are
-    always those of row-by-row solves.
+    The problem's C library, when there is one (``_library``), runs every
+    row, and the rows it marks are rerun alone in Python. Without it, every
+    row runs alone in Python. The errors are always those of row-by-row
+    solves.
     """
-    run = _compiled_runner(spec, len(slopes) * spec.step_count)
-    if run is not None:
+    library = _library(spec, len(slopes) * spec.step_count)
+    if library is not None:
         states, diffusion, rows = _run_compiled(
-            run, spec, signed, counts, slopes, kept, keep_g
+            library, spec, signed, counts, slopes, kept, keep_g
         )
     else:
-        if len(slopes) >= BLOCK_MIN_ROWS:
-            block = _integrate_block(spec, signed, counts, slopes, kept, keep_g)
-            if block is not None:
-                return (*block, [])
         states = np.empty((len(slopes), spec.step_count + 1, kept))
         diffusion = np.empty(states.shape[:2]) if keep_g else None
         rows = range(len(slopes))

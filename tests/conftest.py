@@ -60,10 +60,11 @@ needs_compiler = pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
 @pytest.fixture
 def engines(monkeypatch):
     """``for _ in engines():`` runs a body once per engine: first with the
-    compiled step forced off (the Python block and row loops), then forced
-    on (every call builds or reuses its problem's C library and runs every
-    row in C). Yields the engine's name. Without a compiler at
-    ``solver.COMPILER`` only the Python round runs."""
+    C library forced off (the Python row loop, and the condition-H audit on
+    the Python text), then forced on (every solve builds or reuses its
+    problem's C library and runs every row in C, and an audit runs in the
+    library that is built for its problem). Yields the engine's name.
+    Without a compiler at ``solver.COMPILER`` only the Python round runs."""
 
     def rounds():
         monkeypatch.setattr(solver, "_LIBRARIES", {})
@@ -79,6 +80,13 @@ def engines(monkeypatch):
         assert solver._LIBRARIES and all(solver._LIBRARIES.values())
 
     return rounds
+
+
+def build_in_compiled_round(spec: UdeSpec) -> None:
+    """Build the problem's C library in the compiled round of ``engines``
+    (nothing in the Python round): the condition-H audit builds none of its
+    own, so an audit of an f and g that no solve has run needs this."""
+    solver._library(spec, 0)
 
 
 def companion_rhs(spec: UdeSpec, c: float, weight=abs):
@@ -122,7 +130,7 @@ def reference_partial_fd(ast, var, env, eps=1e-6):
 
 def compile_evaluator(ast, order: int):
     """The tree compiled to a Python function of (t, y), y[k] binding xk, in
-    the scalar namespace of the generated code: the same operations in the
+    the namespace of the generated Python code: the same operations in the
     same order as evaluate(), so results are bit-identical where evaluate
     succeeds; domain failures surface as ValueError / OverflowError /
     ZeroDivisionError."""

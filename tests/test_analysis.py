@@ -23,7 +23,7 @@ from alphapath import (
     phi_inv,
     solve_fan,
 )
-from alphapath import analysis, expr
+from alphapath import analysis, expr, solver
 from alphapath.errors import (
     ConfigError,
     DomainError,
@@ -33,6 +33,7 @@ from alphapath.errors import (
 
 from conftest import (
     SMALL_GRID,
+    build_in_compiled_round,
     polynomial_spec,
     reference_condition_h,
     reference_regularity,
@@ -92,8 +93,8 @@ def _regularity_bits(report):
     )
 
 
-NARROW_GRID = alpha_grid(SMALL_GRID)  # 9 alphas: the fan is solved row by row
-WIDE_GRID = alpha_grid(AlphaGridSpec())  # 99 alphas: the fan is one block
+NARROW_GRID = alpha_grid(SMALL_GRID)  # 9 alphas
+WIDE_GRID = alpha_grid(AlphaGridSpec())  # 99 alphas: 99 x 100 steps or more
 
 # (order, f, g, initial, step, grid); "0*(t-0.5)" is -0.0 before t = 0.5 and
 # 0.0 after, so every node ties for the minimum; ln(x0) fails at the last
@@ -196,7 +197,8 @@ SAMPLES_FALL_BACK = np.array(
 )
 
 # (order, f, g, position columns or None for the solved 9-alpha tanh fan,
-# the groups rerun through the scalar text: path indices, "samples")
+# the groups whose C call is flagged or not finite and that are rerun through
+# the Python text: path indices, "samples")
 CONDITION_H_CASES = [
     (2, "x0", "2 + tanh(x0)", None, []),
     (2, "0-x0", "1", None, []),
@@ -228,7 +230,7 @@ CONDITION_H_CASES = [
     ids=[f"{order}-{f}-{g}" for order, f, g, _, _ in CONDITION_H_CASES],
 )
 def test_condition_h_matches_reference_bitwise(
-    order, f, g, columns, rerun, monkeypatch
+    engines, order, f, g, columns, rerun, monkeypatch
 ):
     if columns is None:
         fan = solve_fan(tanh_spec(order, step=1e-2), alpha_grid(SMALL_GRID))
@@ -236,6 +238,7 @@ def test_condition_h_matches_reference_bitwise(
         fan = _synthetic_fan(columns, [0.25, 0.5, 0.75][: len(columns)])
     spec = UdeSpec.from_strings(order, f, g, fan.spec.initial, 1.0, fan.spec.step)
     fan = dataclasses.replace(fan, spec=spec)  # audit this f and g over the states
+    every_group = [*range(len(fan.states)), "samples"]
     scalar_groups = []
 
     def spy(spec, partials, times, states, h):
@@ -247,16 +250,20 @@ def test_condition_h_matches_reference_bitwise(
 
     scalar_partials = analysis._scalar_partials
     monkeypatch.setattr(analysis, "_scalar_partials", spy)
-    report = check_condition_h(fan, samples=64, seed=11)
-    assert scalar_groups == rerun
     (label, env, value), violations = reference_condition_h(spec, fan, 64, 11)
-    assert report.min_partial.hex() == value.hex()
-    assert (report.min_function, report.min_env) == (label, env)
-    assert report.violations == violations
-    assert [v["value"].hex() for v in report.violations] == [
-        v["value"].hex() for v in violations
-    ]
-    assert report.passed == (not violations)
+    for engine in engines():
+        build_in_compiled_round(spec)
+        scalar_groups.clear()
+        report = check_condition_h(fan, samples=64, seed=11)
+        # without a library every group runs on the Python text
+        assert scalar_groups == (rerun if engine == "compiled" else every_group)
+        assert report.min_partial.hex() == value.hex()
+        assert (report.min_function, report.min_env) == (label, env)
+        assert report.violations == violations
+        assert [v["value"].hex() for v in report.violations] == [
+            v["value"].hex() for v in violations
+        ]
+        assert report.passed == (not violations)
     if rerun == [1]:
         assert (label, value, env["x0"]) == ("g", -math.inf, 0.5)
     if rerun == ["samples"]:  # no path node has |x0| < 1
@@ -264,27 +271,56 @@ def test_condition_h_matches_reference_bitwise(
 
 
 def test_condition_h_keeps_an_overflow_that_a_later_operation_absorbs(
-    tanh_fan_small,
+    engines, tanh_fan_small, monkeypatch
 ):
-    # 1e308*(x0 + 10) overflows to inf and tanh takes it to 1.0: the block
-    # meets the overflow, the scalar text absorbs it as the solver's step
-    # does, and every partial of f reads 0.0; evaluate would refuse the point
+    # 1e308*(x0 + 10) overflows to inf and tanh takes it to 1.0: the C call
+    # raises the overflow flag over finite partials, its group is rerun on
+    # the Python text, which absorbs the overflow as the solver's step does,
+    # and every partial of f reads 0.0; evaluate would refuse the point
     _, fan = tanh_fan_small
     spec = UdeSpec.from_strings(2, "tanh(1e308*(x0 + 10))", "1", [0.1, 0.0], 1.0, 1e-2)
-    report = check_condition_h(dataclasses.replace(fan, spec=spec), samples=16, seed=3)
-    assert report.passed
-    assert report.min_partial.hex() == (0.0).hex()
+    fan = dataclasses.replace(fan, spec=spec)
+    flagged, reruns = [], []
+    run_partials, scalar_partials = solver._run_partials, analysis._scalar_partials
+
+    def c_spy(spec, library, times, states, h):
+        if library is not None:
+            values = np.empty((len(times), 2))
+            arrays = (times, np.ascontiguousarray(states), h, values)
+            raised = library.partials(len(times), *(a.ctypes.data for a in arrays))
+            flagged.append(bool(raised) and np.isfinite(values).all())
+        return run_partials(spec, library, times, states, h)
+
+    def scalar_spy(*args):
+        reruns.append(len(args[2]))
+        return scalar_partials(*args)
+
+    monkeypatch.setattr(solver, "_run_partials", c_spy)
+    monkeypatch.setattr(analysis, "_scalar_partials", scalar_spy)
+    for engine in engines():
+        build_in_compiled_round(spec)
+        flagged.clear()
+        reruns.clear()
+        report = check_condition_h(fan, samples=16, seed=3)
+        assert report.passed
+        assert report.min_partial.hex() == (0.0).hex()
+        # every group runs on the Python text: after a flagged C call, or
+        # without a library
+        assert reruns == [len(fan.times)] * len(fan.states) + [16]
+        assert flagged == ([True] * len(reruns) if engine == "compiled" else [])
     with pytest.raises(NonFiniteError):
         expr.evaluate(spec.drift, {"t": 0.0, "x0": 0.1, "x1": 0.0})
 
 
-def test_condition_h_rejects_nonfinite_values_that_do_not_raise():
+def test_condition_h_rejects_nonfinite_values_that_do_not_raise(engines):
     # every point sits at x0 = 0.1, where f overflows to +inf above and to
     # -inf below without a Python exception; the partial would read +inf
     fan = _synthetic_fan(np.full((1, 3), 0.1), [0.5], initial=0.1)
     spec = UdeSpec.from_strings(1, "(x0 - 0.1)*1e308*1e308", "1", [0.1], 1.0, 0.5)
-    with pytest.raises(NonFiniteError, match=r"\(x0 - 0.1\) \* 1e\+308 \* 1e\+308"):
-        check_condition_h(dataclasses.replace(fan, spec=spec), samples=4)
+    for _ in engines():
+        build_in_compiled_round(spec)
+        with pytest.raises(NonFiniteError, match=r"\(x0 - 0.1\) \* 1e\+308 \* 1e\+308"):
+            check_condition_h(dataclasses.replace(fan, spec=spec), samples=4)
 
 
 def test_hypothesis_report_combines(tanh_fan_small):

@@ -26,7 +26,6 @@ from alphapath.cli import _write_text, main
 from alphapath.config import KNOWN_KEYS, load_config, parse_config_text
 from alphapath.errors import ConfigError
 from alphapath.expr import MAX_DEPTH
-from alphapath.solver import BLOCK_MIN_ROWS
 
 from conftest import needs_compiler, reference_fan_csv, reference_fan_json, tanh_spec
 
@@ -416,15 +415,15 @@ FAN_RENDER_CASES = [
         ['"0.99999": [', '"1e-05": ['],
         id="json-only",
     ),
+    # wide fans, 65 alphas of order 3 and 63 written as csv alone: many more
+    # paths than the other cases, an odd count each so that 0.5 is a path
     pytest.param(
-        _fan_config(
-            order=3, initial="[0.1, 0, 0]", count=BLOCK_MIN_ROWS + 1, lo="0.01"
-        ),
+        _fan_config(order=3, initial="[0.1, 0, 0]", count=65, lo="0.01"),
         ["alpha,t,x0,x1,x2\n"],
         id="block-rows",
     ),
     pytest.param(
-        _fan_config(count=BLOCK_MIN_ROWS - 1, lo="0.01", formats="[csv]"),
+        _fan_config(count=63, lo="0.01", formats="[csv]"),
         ["alpha,t,x0,x1\n"],
         id="scalar-rows-csv-only",
     ),
@@ -493,9 +492,9 @@ def _run_every_command(tmp_path, capsys, name):
 def test_every_engine_writes_the_same_artifacts(
     tmp_path, capsys, monkeypatch, compiler
 ):
-    # the Python engines, then every call compiled: with gcc the C runner
+    # the Python runner, then every call compiled: with gcc the C library
     # writes the same bytes; with no compiler, or one that fails, every call
-    # falls back to the Python engines silently. No build directory is left
+    # falls back to the Python runner silently. No build directory is left
     monkeypatch.setattr(solver, "_LIBRARIES", {})
     monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
     runs, artifacts = _run_every_command(tmp_path, capsys, "python")
@@ -525,6 +524,35 @@ def test_every_engine_writes_the_same_artifacts(
     built = list(solver._LIBRARIES.values())
     assert len(built) == 1 and (built[0] is not None) == (compiler == "gcc")
     assert os.listdir(builds) == []
+
+
+def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):
+    # a fresh interpreter solves a fan below COMPILE_MIN_ROW_STEPS: no build,
+    # so the import of subprocess, which only a build needs, never happens
+    import subprocess
+    import sys
+
+    cfg = write_config(tmp_path)
+    config = load_config(cfg)
+    row_steps = len(alpha_grid(config.alpha)) * config.spec.step_count
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path / "out")]
+    code = (
+        "import sys\n"
+        "from alphapath import solver\n"
+        "from alphapath.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"below = {row_steps} < solver.COMPILE_MIN_ROW_STEPS\n"
+        "print(code, below, 'subprocess' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.stdout, result.stderr) == ("0 True False\n", "")
 
 
 def _render_scalar(value) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -157,8 +158,9 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
         return np.full(segments, phi_inv(alpha))
 
     monkeypatch.setattr(oracle_module, "_draw_slopes", constant_bound_slopes)
-    # enough paths that the drivers are integrated as one block
-    n_paths = solver.BLOCK_MIN_ROWS
+    # 64 paths a side: one batch of 128 rows, compared below with chunks of
+    # 10 paths (20 rows) each
+    n_paths = 64
     kwargs = dict(delta=0.05, n_paths=n_paths, segments=1, seed=0)
     report, _ = dominance_checks(spec, [alpha], **kwargs)
     assert not report.passed
@@ -166,7 +168,7 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
     assert len(report.violations) == n_paths * 64  # every node t >= h, every path
     assert report.violations == sorted(report.violations)
     assert {v[0] for v in report.violations} == set(range(n_paths))
-    # chunks of 10 paths (20 rows), integrated row by row, give the same report
+    # chunks of 10 paths (20 rows) give the same report
     monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 10)
     assert dominance_checks(spec, [alpha], **kwargs)[0] == report
 
@@ -363,16 +365,19 @@ def test_report_with_violations_serializes():
 
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
-    # one block of both sides' 140 rows, chunks of 66 and 4 paths (132 and
-    # 8 rows: the edge falls inside each side's paths, and the last chunk
-    # runs row by row), and path-by-path scalar solves give the same report,
+    # one batch of both sides' 140 rows and chunks of 66 and 4 paths (132 and
+    # 8 rows: the edge falls inside each side's paths), each in C where there
+    # is a compiler, and path-by-path Python solves give the same report,
     # bit for bit
     spec = tanh_spec(3, step=1.0 / 128)
     kwargs = dict(alphas=[0.7], delta=0.05, n_paths=70, segments=8, seed=5)
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
     block = dominance_checks(spec, **kwargs)
     monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 66)
     chunked = dominance_checks(spec, **kwargs)
-    monkeypatch.setattr(solver, "BLOCK_MIN_ROWS", 10**9)
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
     scalar = dominance_checks(spec, **kwargs)
     assert block == chunked == scalar
     (report,) = [r for r in block if r.side == side]
@@ -388,10 +393,10 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
 
 
 def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
-    # x' = x^2 + k on path k blows up within the horizon for k >= 3: the
-    # block fails, the rows are rerun one by one, and the error is path 3's,
-    # as when every path is solved alone. df/dx0 = 2 x0 < 0 below the origin,
-    # so the gate would refuse this spec; it is passed by hand
+    # x' = x^2 + k on path k blows up within the horizon for k >= 3: with 64
+    # paths a side, most rows of the one batch of 128 fail, and the error is
+    # path 3's, as when every path is solved alone. df/dx0 = 2 x0 < 0 below
+    # the origin, so the gate would refuse this spec; it is passed by hand
     def slope_k(bound, side, segments, seed):
         return np.full(segments, float(seed))
 
@@ -402,9 +407,7 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
     monkeypatch.setattr(oracle_module, "check_hypotheses", passing_gate)
     spec = type(polynomial_spec(1)).from_strings(1, "x0^2", "1", [0.0], 1.0, 1 / 64)
     with pytest.raises(BlowUpError) as excinfo:
-        dominance_checks(
-            spec, [0.8], delta=0.05, n_paths=solver.BLOCK_MIN_ROWS, segments=1, seed=0
-        )
+        dominance_checks(spec, [0.8], delta=0.05, n_paths=64, segments=1, seed=0)
     for k in range(3):
         solver.sample_positions(spec, np.array([[float(k)]]))
     with pytest.raises(BlowUpError) as alone:

@@ -26,18 +26,20 @@ from alphapath.expr import (
     Const,
     Neg,
     Var,
-    _emit,
-    _exec,
     depth,
     evaluate,
     parse_source,
     pretty,
-    state_variables,
     variables_of,
 )
 from alphapath.solver import _compile_step, segment_counts
 
-from conftest import compile_evaluator, reference_condition_h
+from conftest import (
+    build_in_compiled_round,
+    compile_evaluator,
+    needs_compiler,
+    reference_condition_h,
+)
 
 ORDER = 3
 SETTINGS = settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -101,32 +103,39 @@ def test_compiled_equals_evaluate_bitwise(tree, point):
 state_trees = trees.filter(lambda tree: variables_of(tree) - {"t"})
 
 
+@needs_compiler
 @settings(SETTINGS, max_examples=100)
 @given(state_trees, st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
 def test_block_equals_compiled_bitwise(tree, t, seed):
-    # the block namespace over a column of 64 states, as the solver runs it:
-    # every element has the scalar result's bits, and a point where the
-    # scalar code fails makes the block fail (the solver then reruns the rows)
-    columns = np.random.default_rng(seed).uniform(-3.0, 3.0, (ORDER, 64))
-    names = dict(zip(state_variables(ORDER), ["t", "y[0]", "y[1]", "y[2]"]))
-    source = f"def _block(t, y):\n    return {_emit(tree, names)}\n"
-    block = _exec(source, block=True)["_block"]
-    scalar = compile_evaluator(tree, ORDER)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            values = np.broadcast_to(block(t, columns), (64,))
-    except (ValueError, OverflowError, ZeroDivisionError, FloatingPointError):
+    # the condition-H text in C over a block of 64 states, as the audit runs
+    # it, against the Python text point by point: every partial has the
+    # Python result's bits, and a point where the Python text fails or is not
+    # finite makes the C call return None (the audit then reruns the group)
+    states = np.random.default_rng(seed).uniform(-3.0, 3.0, (64, ORDER))
+    times = np.full(64, t)
+    h = 1e-6 * np.maximum(1.0, np.abs(states[:, 0]))
+    spec = UdeSpec(ORDER, tree, tree, (0.5,) * ORDER, 1.0, 1.0)
+    library = solver._build(solver._c_source(spec))
+    assert library is not None
+    values = solver._run_partials(spec, library, times, states, h)
+    if values is None:
         return
-    for value, row in zip(values.tolist(), columns.T.tolist()):
-        assert value.hex() == scalar(t, row).hex()
+    python = solver._compile_partials(spec)
+    for value, row, step in zip(values.tolist(), states.tolist(), h.tolist()):
+        assert [v.hex() for v in value] == [v.hex() for v in python(t, *row, step)]
 
 
-@settings(SETTINGS, max_examples=100)
+@settings(
+    SETTINGS,
+    max_examples=100,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(state_trees, trees, st.integers(0, 2**32 - 1))
-def test_condition_h_equals_the_reference_bitwise(f, g, seed):
+def test_condition_h_equals_the_reference_bitwise(engines, f, g, seed):
     # two paths of four nodes at random states, 8 sampled points: each group
-    # runs as a block or, where the block fails, point by point; wherever the
-    # tree-walking reference is defined, every field has its bits
+    # runs in C or, where the C call is flagged or there is no library, point
+    # by point on the Python text; wherever the tree-walking reference is
+    # defined, every field has its bits on both engines
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, 1.0, 4)
     states = np.stack([rng.uniform(-3.0, 3.0, (4, ORDER)) for _ in range(2)])
@@ -136,13 +145,15 @@ def test_condition_h_equals_the_reference_bitwise(f, g, seed):
         (label, env, value), violations = reference_condition_h(spec, fan, 8, seed)
     except NonFiniteError:
         return
-    report = check_condition_h(fan, samples=8, seed=seed)
-    assert (report.min_function, report.min_env) == (label, env)
-    assert report.min_partial.hex() == value.hex()
-    assert report.violations == violations
-    assert [v["value"].hex() for v in report.violations] == [
-        v["value"].hex() for v in violations
-    ]
+    for _ in engines():
+        build_in_compiled_round(spec)
+        report = check_condition_h(fan, samples=8, seed=seed)
+        assert (report.min_function, report.min_env) == (label, env)
+        assert report.min_partial.hex() == value.hex()
+        assert report.violations == violations
+        assert [v["value"].hex() for v in report.violations] == [
+            v["value"].hex() for v in violations
+        ]
 
 
 def _tree(text):
@@ -163,7 +174,7 @@ def _tree(text):
 @example(_tree("exp(x0*800)"), _tree("sin(t)"), 3)
 @example(_tree("tanh(" * (MAX_DEPTH - 1) + "x0" + ")" * (MAX_DEPTH - 1)), _tree("1"), 4)
 def test_compiled_rows_equal_python_rows_bitwise(engines, f, g, seed):
-    # alpha rows and two-segment surrogate rows through the Python engines
+    # alpha rows and two-segment surrogate rows through the Python row loop
     # and through the C runner: the same states, g and failures, bit for bit
     spec = UdeSpec(ORDER, f, g, (0.5, -0.25, 0.125), 1.0, 1.0 / 8)
     alphas = [0.1, 0.5, 0.9]

@@ -14,12 +14,13 @@ from alphapath import (
     AlphaGridSpec,
     UdeSpec,
     alpha_grid,
+    check_hypotheses,
     check_regularity,
     integral_residual,
     phi_inv,
     solve_fan,
 )
-from alphapath import solver
+from alphapath import analysis, solver
 from alphapath.errors import (
     ConfigError,
     FanSolveError,
@@ -253,7 +254,7 @@ def test_single_alpha_equals_its_fan_row():
     assert (alone.diffusion > 0.0).all()
 
 
-# the block engine: specs that use every DSL function and ^; the last one's
+# wide batches: specs that use every DSL function and ^; the last one's
 # diffusion changes sign, so rows record diffusion warnings
 BLOCK_CASES = [
     (1, "cos(x0) + sqrt(1 + t) - ln(2 + x0^2)", "2 + tanh(x0) + 0.5*sin(t)", [0.3]),
@@ -276,47 +277,42 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("rows", [solver.BLOCK_MIN_ROWS, 200])
+# 64 and 200 rows: two widths of a wide batch, at which a wrong row offset in
+# the C runner's strided reads and writes would show
+@pytest.mark.parametrize("rows", [64, 200])
 @pytest.mark.parametrize("order,f,g,initial", BLOCK_CASES)
 def test_block_rows_equal_scalar_rows_bitwise(engines, order, f, g, initial, rows):
-    # the Python block against the entry point and single rows, which run
-    # the same block and the row loop, or the C runner
+    # a block of rows through the batch entry point, in the row loop and in
+    # the C runner, against each row solved alone in Python
     spec = UdeSpec.from_strings(order, f, g, initial, 1.0, 1.0 / 64)
     grid = np.linspace(0.01, 0.99, rows).tolist()
-    slopes = np.array([[phi_inv(a)] for a in grid])
-    block = solver._integrate_block(spec, False, [64], slopes, order)
-    assert block is not None  # no fallback: the block itself is compared
-    states, diffusion = block
     # surrogate rows: signed g, slopes that change per segment and per row
     signed_slopes = np.random.default_rng(order).uniform(-3.0, 3.0, (rows, 4))
-    signed_block = solver._integrate_block(spec, True, [16] * 4, signed_slopes, order)
-    assert signed_block is not None
-    signed_states, signed_diffusion = signed_block
-    for _ in engines():
+    for engine in engines():
+        if engine == "python":
+            alone = [solve_fan(spec, [alpha]) for alpha in grid]
+            driven_alone = [driven(spec, signed_slopes[r : r + 1]) for r in range(rows)]
         fan = solve_fan(spec, grid)
-        for r, alpha in enumerate(grid):
-            alone = solve_fan(spec, [alpha])
-            assert _same_bits(states[r], alone.states[0])
-            assert _same_bits(diffusion[r], alone.diffusion[0])
-            assert _same_bits(fan.states[r], alone.states[0])
-            assert _same_bits(fan.diffusion[r], alone.diffusion[0])
+        for r in range(rows):
+            assert _same_bits(fan.states[r], alone[r].states[0])
+            assert _same_bits(fan.diffusion[r], alone[r].diffusion[0])
         if order == 3:
             assert not (fan.diffusion[0] > 0.0).all()  # warnings were compared
 
+        states, diffusion = driven(spec, signed_slopes)
         positions = solver.sample_positions(spec, signed_slopes)
-        assert _same_bits(positions, signed_states[:, :, 0])
-        for r in range(rows):
-            alone_states, alone_diffusion = driven(spec, signed_slopes[r : r + 1])
-            assert _same_bits(signed_states[r], alone_states[0])
-            assert _same_bits(signed_diffusion[r], alone_diffusion[0])
+        assert _same_bits(positions, states[:, :, 0])
+        for r, (alone_states, alone_diffusion) in enumerate(driven_alone):
+            assert _same_bits(states[r], alone_states[0])
+            assert _same_bits(diffusion[r], alone_diffusion[0])
 
 
 def test_wide_fan_blowup_failures_match_scalar(engines):
-    # the block fails (or the C runner marks rows), the rows are rerun alone,
-    # and the failures name the same alphas and last good times as
-    # row-by-row solves
+    # the C runner marks rows, the rows are rerun alone, and the failures
+    # name the same alphas and last good times as row-by-row solves; 65 rows
+    # x 300 steps reach COMPILE_MIN_ROW_STEPS, so the fan builds by default
     spec = UdeSpec.from_strings(2, "x0^2", "1", [1.0, 0.0], 3.0, 1e-2)
-    grid = np.linspace(0.02, 0.98, solver.BLOCK_MIN_ROWS + 1).tolist()
+    grid = np.linspace(0.02, 0.98, 65).tolist()
     for _ in engines():
         with pytest.raises(FanSolveError) as excinfo:
             solve_fan(spec, grid)
@@ -332,17 +328,32 @@ def test_wide_fan_blowup_failures_match_scalar(engines):
         assert 0 < len(expected) < len(grid)
 
 
-def test_block_falls_back_when_a_step_raises():
-    # a domain error in one row of a wide fan: the fallback reruns the
-    # rows alone and only the failing ones are reported
+def test_block_falls_back_when_a_step_raises(engines, monkeypatch):
+    # a domain error in some rows of a 64-row fan: the C runner marks the
+    # rows whose ln(x0) raises a flag, they are rerun alone in Python, and
+    # only the failing alphas are reported, on both engines alike
     spec = UdeSpec.from_strings(1, "ln(x0)", "1", [1.0], 1.0, 1e-2)
-    grid = np.linspace(0.01, 0.99, solver.BLOCK_MIN_ROWS).tolist()
-    slopes = np.array([[phi_inv(a)] for a in grid])
-    assert solver._integrate_block(spec, False, [100], slopes, 1) is None
-    with pytest.raises(FanSolveError) as excinfo:
-        solve_fan(spec, grid)
-    failed = [a for a, _ in excinfo.value.failures]
-    assert failed and failed == sorted(failed) and failed[-1] < 0.5
+    grid = np.linspace(0.01, 0.99, 64).tolist()
+    reruns = []
+    original = solver._integrate
+
+    def spy(*args):
+        reruns.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(solver, "_integrate", spy)
+    reports = []
+    for engine in engines():
+        reruns.clear()
+        with pytest.raises(FanSolveError) as excinfo:
+            solve_fan(spec, grid)
+        failed = [a for a, _ in excinfo.value.failures]
+        assert failed and failed == sorted(failed) and failed[-1] < 0.5
+        if engine == "compiled":  # the marked rows, the failing ones among them
+            assert set(failed) <= set(reruns) and len(reruns) < len(grid)
+        failures = excinfo.value.failures
+        reports.append([(a, e.last_good_time, str(e)) for a, e in failures])
+    assert all(report == reports[0] for report in reports)
 
 
 def _solved_bits(spec, grid, slopes):
@@ -393,7 +404,8 @@ def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
     # the compiler by its absolute path, the fixed flags, PATH alone as its
     # environment, a timeout, and a private directory that is gone once the
     # library is loaded; the build works with the process's environment
-    # emptied, so it reads none of it
+    # emptied, so it reads none of it. The fan's one build also serves the
+    # surrogates and the condition-H audit of the same problem
     import subprocess
 
     calls = []
@@ -403,15 +415,21 @@ def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
         calls.append((argv, kwargs))
         return original(argv, **kwargs)
 
+    def no_rerun(*args):
+        raise AssertionError("the audit ran in Python")
+
     monkeypatch.setattr(subprocess, "run", spy)
+    monkeypatch.setattr(analysis, "_scalar_partials", no_rerun)
     monkeypatch.setattr(solver, "_BUILD_ROOT", str(tmp_path))
     monkeypatch.setattr(solver, "_LIBRARIES", {})
     monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
     for key in list(os.environ):
         monkeypatch.delenv(key)
     spec = tanh_spec(1, step=0.1)
-    solve_fan(spec, [0.5])
+    fan = solve_fan(spec, [0.5])
     solver.sample_positions(spec, np.ones((2, 3)))  # the same library
+    assert check_hypotheses(fan).passed  # and again
+    assert len(solver._LIBRARIES) == 1
     assert solver.COMPILER == "/usr/bin/gcc"
     ((argv, kwargs),) = calls
     flags = ["-O0", "-fno-builtin", "-ffp-contract=off", "-shared", "-fPIC"]
@@ -534,11 +552,12 @@ def test_sample_path_alignment_required():
     assert np.max(np.abs(position - exact)) <= 1e-12
 
 
-@pytest.mark.parametrize("rows", [2, solver.BLOCK_MIN_ROWS])
+@pytest.mark.parametrize("rows", [2, 64])
 def test_unequal_segments_are_their_slopes_step_by_step(engines, rows):
     # 3 slopes over 10 steps span 4, 3 and 3 steps; writing each slope once
     # per step as 10 one-step segments gives the same driver, and the same
-    # bits, in the row loop, in the block and in the C runner
+    # bits, in the row loop and in the C runner, for a narrow batch and a
+    # wide one
     spec = tanh_spec(2, step=0.1)
     assert solver.segment_counts(spec.step_count, 3) == [4, 3, 3]
     slopes = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 3))

@@ -9,12 +9,13 @@ LINES for the width of its help. Artifacts are written with full
 round-trip precision and without timestamps, so identical configs produce
 byte-identical outputs.
 
-A solve may build the problem's generated step and condition-H text as C
-(``solver``): it runs /usr/bin/gcc with a fixed argument list and the fixed
-environment PATH=/usr/bin:/bin, in a private directory under /tmp that is
-removed once the library is loaded, so a build reads no environment
-variable and leaves nothing beside the artifacts. Without a working
-compiler the same texts run on Python floats instead, with the same
+A solve may build the problem's generated step and condition-H text as C,
+beside the renderer that writes the fan's floats (``solver``): it runs
+/usr/bin/gcc with a fixed argument list and the fixed environment
+PATH=/usr/bin:/bin, in a private directory under /tmp that is removed once
+the library is loaded, so a build reads no environment variable and leaves
+nothing beside the artifacts. Without a working compiler the same texts run
+on Python floats instead, and repr renders the fan, with the same
 artifacts, exit codes and messages.
 
 Exit codes partition outcomes:
@@ -36,7 +37,9 @@ from dataclasses import asdict
 from operator import itemgetter
 from pathlib import Path
 
-from . import analysis, oracle
+import numpy as np
+
+from . import analysis, oracle, solver
 from .config import RunConfig, load_config
 from .core import alpha_grid
 from .errors import (
@@ -104,13 +107,37 @@ def _fan_texts(fan: AlphaFan) -> Iterator[tuple[str, str]]:
     are ``repr(states.tolist())`` of the path without its outer brackets: rows
     separated by "], [" and values by ", ".
 
-    This is the one place the fan's states become text. CPython's list repr
-    calls float.__repr__, the shortest round-trip form json.dumps also uses,
-    on each element. A finite float's repr holds only digits, ".", "-", "e"
-    and "+", so splitting on ", " and "], [" is exact; the solver bounds
-    every state by BLOWUP_LIMIT."""
-    for alpha, states in zip(fan.grid, fan.states):
-        yield repr(alpha), repr(states.tolist())[2:-2]
+    This is the one place the fan's states become text, with two renderers
+    of the same bytes. Where the fan's problem has a C library (the solve
+    builds it; rendering builds none), the library writes each path's text
+    (``solver._render_paths``): Grisu3 finds the shortest digits that read
+    back to each float and are closest to it, the digits float.__repr__
+    gives, laid out as repr lays them out, and each value Grisu3 cannot
+    certify (about 1 in 200) is left out and spliced in here as its repr.
+    Without a library, CPython's list repr calls float.__repr__, the
+    shortest round-trip form json.dumps also uses, on each element. A finite
+    float's repr holds only digits, ".", "-", "e" and "+", so splitting on
+    ", " and "], [" is exact; the solver bounds every state by
+    BLOWUP_LIMIT."""
+    library = solver._LIBRARIES.get(solver._c_source(fan.spec))  # never builds
+    if library is None:
+        rows = (repr(states.tolist())[2:-2] for states in fan.states)
+    else:
+        rows = map(_splice, fan.states, solver._render_paths(library, fan.states))
+    return zip(map(repr, fan.grid), rows)
+
+
+def _splice(states: np.ndarray, rendered: tuple[str, list[int], list[int]]) -> str:
+    """A path's text from ``solver._render_paths``, each value it left out
+    put back as its repr."""
+    text, offsets, indices = rendered
+    values = states.ravel()
+    parts, start = [], 0
+    for at, index in zip(offsets, indices):
+        parts += text[start:at], repr(float(values[index]))
+        start = at
+    parts.append(text[start:])
+    return "".join(parts)
 
 
 def _fan_csv_chunks(

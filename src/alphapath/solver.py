@@ -19,6 +19,11 @@ flag in C. The step also returns g at its starting node, so a fan solve
 carries g at every node for the regularity check to read. ``solve_fan``
 returns these arrays as an ``AlphaFan``; an alpha-path is a fan of one.
 ``sample_positions`` records positions only: no other component and no g.
+
+The same library also renders the fan's states as text (``_render_paths``):
+a fixed C text finds each float's shortest round-trip digits by Grisu3 and
+lays them out as float.__repr__ does, and leaves out the few values whose
+digits it cannot certify, whose repr the caller splices in.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, count, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,8 +55,9 @@ _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 
 # a call whose rows x steps reach this many builds its problem's library;
 # once it is built, calls of any size use it. Below it the row loop, the only
-# runner besides C, integrates the batch: one build takes 0.06-0.08 s
-# (2-core x86-64), what the row loop spends on 16,000 to 27,000 row-steps at
+# runner besides C, integrates the batch: one build, the fan renderer's text
+# included, takes 0.06-0.07 s (2-core x86-64; the renderer adds about
+# 0.015 s), what the row loop spends on 13,000 to 23,000 row-steps at
 # 3-4.5 us each
 COMPILE_MIN_ROW_STEPS = 20_000
 
@@ -271,6 +278,201 @@ int partials(int64_t points, const double *times, const double *states,
 """
 
 
+# the fan renderer of the C translation unit: Grisu3 (Loitsch, "Printing
+# Floating-Point Numbers Quickly and Accurately with Integers", PLDI 2010)
+# in its shortest mode, which finds the shortest digits that read back to
+# the double and are closest to it, or gives up on a value it cannot
+# certify, then CPython's repr layout of those digits. It reads the table
+# of ``_cached_powers`` that ``_renderer_source`` writes above it
+_C_RENDERER = """\
+typedef struct { uint64_t f; int e; } diy_fp;
+
+static diy_fp diy_normalize(diy_fp x) {
+    while (!(x.f >> 63)) { x.f <<= 1; x.e--; }
+    return x;
+}
+
+/* the upper 64 bits of the 128-bit product, rounded */
+static diy_fp diy_times(diy_fp x, diy_fp y) {
+    uint64_t m = ((uint64_t)1 << 32) - 1;
+    uint64_t a = x.f >> 32, b = x.f & m, c = y.f >> 32, d = y.f & m;
+    uint64_t ac = a * c, bc = b * c, ad = a * d, bd = b * d;
+    uint64_t mid = (bd >> 32) + (ad & m) + (bc & m) + ((uint64_t)1 << 31);
+    diy_fp r = {ac + (ad >> 32) + (bc >> 32) + (mid >> 32), x.e + y.e + 64};
+    return r;
+}
+
+/* moves the last digit towards w while that is certainly closer; whether
+   the digits are certainly the closest shortest ones inside the interval */
+static int round_weed(char *digits, int length, uint64_t too_high_w,
+                      uint64_t unsafe, uint64_t rest, uint64_t ten_kappa,
+                      uint64_t unit) {
+    uint64_t small = too_high_w - unit, big = too_high_w + unit;
+    while (rest < small && unsafe - rest >= ten_kappa &&
+           (rest + ten_kappa < small ||
+            small - rest >= rest + ten_kappa - small)) {
+        digits[length - 1]--;
+        rest += ten_kappa;
+    }
+    if (rest < big && unsafe - rest >= ten_kappa &&
+        (rest + ten_kappa < big || big - rest > rest + ten_kappa - big))
+        return 0;
+    return 2 * unit <= rest && rest <= unsafe - 4 * unit;
+}
+
+/* the digits of w between the scaled boundaries low and high, and kappa;
+   their count, or 0 when they cannot be certified */
+static int digit_gen(diy_fp low, diy_fp w, diy_fp high, char *digits,
+                     int *kappa) {
+    uint64_t unit = 1, too_high = high.f + unit;
+    uint64_t unsafe = too_high - (low.f - unit);
+    int shift = -w.e, length = 0;
+    uint64_t one = (uint64_t)1 << shift;
+    uint32_t integrals = (uint32_t)(too_high >> shift), divisor = 1;
+    uint64_t fractionals = too_high & (one - 1);
+    for (*kappa = 1; divisor <= integrals / 10; ++*kappa) divisor *= 10;
+    while (*kappa > 0) {
+        digits[length++] = (char)('0' + integrals / divisor);
+        integrals %= divisor;
+        --*kappa;
+        uint64_t rest = ((uint64_t)integrals << shift) + fractionals;
+        if (rest < unsafe)
+            return round_weed(digits, length, too_high - w.f, unsafe, rest,
+                              (uint64_t)divisor << shift, unit) ? length : 0;
+        divisor /= 10;
+    }
+    for (;;) {
+        fractionals *= 10;
+        unit *= 10;
+        unsafe *= 10;
+        digits[length++] = (char)('0' + (fractionals >> shift));
+        fractionals &= one - 1;
+        --*kappa;
+        if (fractionals < unsafe)
+            return round_weed(digits, length, (too_high - w.f) * unit, unsafe,
+                              fractionals, one, unit) ? length : 0;
+    }
+}
+
+/* the shortest digits of the finite nonzero double of these bits, sign
+   bit clear, and the exponent k with value = digits * 10^k; their count,
+   or 0 when Grisu3 cannot certify them */
+static int grisu3(uint64_t bits, char *digits, int *k) {
+    uint64_t fraction = bits & (((uint64_t)1 << 52) - 1);
+    int biased = (int)(bits >> 52), kappa;
+    diy_fp v = {fraction, -1074};
+    if (biased) { v.f |= (uint64_t)1 << 52; v.e = biased - 1075; }
+    diy_fp w = diy_normalize(v);
+    diy_fp plus = {(v.f << 1) + 1, v.e - 1}, minus = {(v.f << 1) - 1, v.e - 1};
+    plus = diy_normalize(plus);
+    if (fraction == 0 && biased > 1) { minus.f = (v.f << 2) - 1; minus.e = v.e - 2; }
+    minus.f <<= minus.e - plus.e;
+    minus.e = plus.e;
+    /* the cached power 10^mk that brings w's exponent into [-60, -32] */
+    double estimate = ceil((-60 - (w.e + 64) + 63) * 0.30102999566398114);
+    int index = (348 + (int)estimate - 1) / 8 + 1, mk = -348 + 8 * index;
+    diy_fp ten_mk = {power_significands[index], power_exponents[index]};
+    int length = digit_gen(diy_times(minus, ten_mk), diy_times(w, ten_mk),
+                           diy_times(plus, ten_mk), digits, &kappa);
+    *k = kappa - mk;
+    return length;
+}
+
+/* repr of the double at out; its length, or 0 when the double is not
+   finite or Grisu3 cannot certify its digits */
+static int64_t format_double(double value, char *out) {
+    union { double d; uint64_t u; } cast = {value};
+    uint64_t bits = cast.u & ~((uint64_t)1 << 63);
+    char *p = out, digits[32];
+    int k, i;
+    if (bits >> 52 == 2047) return 0;
+    if (cast.u >> 63) *p++ = '-';
+    if (!bits) { *p++ = '0'; *p++ = '.'; *p++ = '0'; return p - out; }
+    int length = grisu3(bits, digits, &k);
+    if (!length) return 0;
+    int point = length + k; /* value = 0.digits * 10^point */
+    if (point <= -4 || point > 16) {
+        int e = point - 1;
+        *p++ = digits[0];
+        if (length > 1) *p++ = '.';
+        for (i = 1; i < length; i++) *p++ = digits[i];
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        if (e < 0) e = -e;
+        if (e >= 100) *p++ = (char)('0' + e / 100);
+        *p++ = (char)('0' + e / 10 % 10);
+        *p++ = (char)('0' + e % 10);
+    } else if (point <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (i = point; i < 0; i++) *p++ = '0';
+        for (i = 0; i < length; i++) *p++ = digits[i];
+    } else {
+        for (i = 0; i < length || i < point; i++) {
+            if (i == point) *p++ = '.';
+            *p++ = i < length ? digits[i] : '0';
+        }
+        if (point >= length) { *p++ = '.'; *p++ = '0'; }
+    }
+    return p - out;
+}
+
+void render(int64_t rows, int64_t cols, const double *values, char *text,
+            int64_t *skipped, int64_t *sizes) {
+    char *p = text;
+    int64_t count = 0;
+    for (int64_t i = 0; i < rows * cols; i++) {
+        if (i % cols) { *p++ = ','; *p++ = ' '; }
+        else if (i) { *p++ = ']'; *p++ = ','; *p++ = ' '; *p++ = '['; }
+        int64_t length = format_double(values[i], p);
+        if (!length) {
+            skipped[2 * count] = p - text;
+            skipped[2 * count + 1] = i;
+            count++;
+        }
+        p += length;
+    }
+    sizes[0] = p - text;
+    sizes[1] = count;
+}
+"""
+
+# bytes of ``render``'s text per value: the longest repr of a double,
+# "-2.2250738585072014e-308", and the row separator "], ["
+_RENDER_BYTES = 24 + 4
+
+
+@cache
+def _cached_powers() -> tuple[tuple[int, int], ...]:
+    """The renderer's cached powers 10^(-348 + 8i), i = 0 .. 86, each as
+    (f, e) with 10^k ~ f * 2^e: f of 64 bits, rounded to nearest, in exact
+    integer arithmetic."""
+    powers = []
+    for k in range(-348, 341, 8):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        top = num.bit_length() - den.bit_length()  # floor(log2 10^k) or one above
+        if (num << max(-top, 0)) < (den << max(top, 0)):
+            top -= 1
+        e = top - 63
+        num, den = num << max(-e, 0), den << max(e, 0)
+        f = (2 * num + den) // (2 * den)
+        if f == 1 << 64:
+            f, e = 1 << 63, e + 1
+        powers.append((f, e))
+    return tuple(powers)
+
+
+@cache
+def _renderer_source() -> str:
+    """The table of ``_cached_powers`` as C arrays, then ``_C_RENDERER``."""
+    significands = ", ".join(f"{f:#x}u" for f, _ in _cached_powers())
+    exponents = ", ".join(str(e) for _, e in _cached_powers())
+    return (
+        f"\nstatic const uint64_t power_significands[] = {{{significands}}};\n"
+        f"static const int16_t power_exponents[] = {{{exponents}}};\n\n{_C_RENDERER}"
+    )
+
+
 def _c_source(spec: UdeSpec) -> str:
     """The texts of ``_step_lines`` and ``_partials_lines`` as one C
     translation unit: ``step_abs`` (alpha-paths) and ``step_signed``
@@ -278,9 +480,11 @@ def _c_source(spec: UdeSpec) -> str:
     and returns whether it stayed within BLOWUP_LIMIT; ``run``, which
     integrates every row of a batch into the caller's arrays and marks for a
     rerun in Python a row that leaves the bound or raises an invalid,
-    division-by-zero or overflow flag; and ``partials``, which writes (df,
-    dg) at every point of an audit group and returns whether the group
-    raised one of those flags."""
+    division-by-zero or overflow flag; ``partials``, which writes (df, dg)
+    at every point of an audit group and returns whether the group raised
+    one of those flags; and ``render``, the fixed text ``_C_RENDERER`` after
+    the table of ``_cached_powers``, which writes a path's states as
+    ``_render_paths`` describes."""
     n = spec.order
     load = "".join(f"    double y{k} = state[{k}];\n" for k in range(n))
     store = "".join(f"    state[{k}] = z{k};\n" for k in range(n))
@@ -304,13 +508,14 @@ def _c_source(spec: UdeSpec) -> str:
         "    out[0] = df;\n    out[1] = dg;\n}\n"
     )
     parts.append("\n" + _C_RUNNER.format(load=load, g=_diffusion_source(spec), order=n))
+    parts.append(_renderer_source())
     return "".join(parts)
 
 
 def _build(source: str) -> ctypes.CDLL | None:
     """Compile C ``source`` into a shared library in a private directory,
-    load it, remove the directory and return the library, its ``run`` and
-    ``partials`` typed; None when the compiler is missing, fails or runs out
+    load it, remove the directory and return the library, its ``run``,
+    ``partials`` and ``render`` typed; None when the compiler is missing, fails or runs out
     of time, or the library does not load. Nothing reaches stderr."""
     # a run that builds nothing never imports subprocess
     import ctypes
@@ -343,11 +548,13 @@ def _build(source: str) -> ctypes.CDLL | None:
     finally:
         shutil.rmtree(folder, ignore_errors=True)
     pointer, int64 = ctypes.c_void_p, ctypes.c_int64
-    run, partials = loaded.run, loaded.partials
+    run, partials, render = loaded.run, loaded.partials, loaded.render
     run.argtypes = [ctypes.c_int32, int64, int64, *[pointer] * 4, int64, *[pointer] * 3]
     run.restype = None
     partials.argtypes = [int64, *[pointer] * 4]
     partials.restype = ctypes.c_int
+    render.argtypes = [int64, int64, *[pointer] * 4]
+    render.restype = None
     return loaded
 
 
@@ -427,6 +634,31 @@ def _run_partials(
     if library.partials(points, *(a.ctypes.data for a in arrays)):
         return None
     return values if np.isfinite(values).all() else None
+
+
+def _render_paths(
+    library: ctypes.CDLL, states: np.ndarray
+) -> Iterator[tuple[str, list[int], list[int]]]:
+    """Each path of ``states`` (paths, nodes, n) as the text
+    ``repr(path.tolist())[2:-2]``, values joined by ", " and rows by
+    "], [", written by the library's ``render`` into one buffer that every
+    path reuses. Yields (text, offsets, indices) per path: the text leaves
+    out each value that is not finite or whose digits Grisu3 cannot
+    certify, and the repr of value indices[j] of the flattened path belongs
+    at offsets[j] of the text."""
+    paths = np.ascontiguousarray(states, dtype=float)
+    if paths.ndim != 3:  # the library reads this shape through raw pointers
+        raise ValueError("states must be (paths, nodes, n)")
+    nodes, n = paths.shape[1:]
+    text = np.empty(nodes * n * _RENDER_BYTES, dtype=np.uint8)
+    skipped = np.empty((nodes * n, 2), dtype=np.int64)
+    sizes = np.empty(2, dtype=np.int64)
+    out = (text.ctypes.data, skipped.ctypes.data, sizes.ctypes.data)
+    for path in paths:
+        library.render(nodes, n, path.ctypes.data, *out)
+        length, count = sizes.tolist()
+        offsets, indices = skipped[:count].T.tolist()
+        yield text[:length].tobytes().decode("ascii"), offsets, indices
 
 
 def _integrate(

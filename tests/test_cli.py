@@ -526,6 +526,48 @@ def test_every_engine_writes_the_same_artifacts(
     assert os.listdir(builds) == []
 
 
+@pytest.mark.parametrize(
+    "compiler", [pytest.param("gcc", marks=needs_compiler), "missing", "exits-1"]
+)
+def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
+    # a 99-alpha fan in both formats, rendered by repr where no library is
+    # built, then with every call compiled: with gcc the library's renderer
+    # writes every path and the values it leaves out are spliced in as their
+    # repr; with no compiler, or one that fails, repr renders it all. The
+    # files are the same bytes every time
+    text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
+    cfg = write_config(tmp_path, text)
+    rendered = []  # values left out by each path rendered in C
+    render_paths = solver._render_paths
+
+    def spy(library, states):
+        for text, offsets, indices in render_paths(library, states):
+            rendered.append(len(offsets))
+            yield text, offsets, indices
+
+    monkeypatch.setattr(solver, "_render_paths", spy)
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "repr")]) == 0
+    assert rendered == []
+
+    if compiler != "gcc":
+        stub = tmp_path / "cc"
+        if compiler == "exits-1":
+            stub.write_text("#!/bin/sh\nexit 1\n")
+            stub.chmod(0o755)
+        monkeypatch.setattr(solver, "COMPILER", str(stub))
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / compiler)]) == 0
+    for name in ("fan.csv", "fan.json"):
+        want = (tmp_path / "repr" / name).read_bytes()
+        assert (tmp_path / compiler / name).read_bytes() == want
+    if compiler == "gcc":
+        assert len(rendered) == 99 and sum(rendered) > 0
+    else:
+        assert rendered == []
+
+
 def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):
     # a fresh interpreter solves a fan below COMPILE_MIN_ROW_STEPS: no build,
     # so the import of subprocess, which only a build needs, never happens

@@ -7,14 +7,16 @@ Examples are derandomized, so every run checks the same inputs.
 from __future__ import annotations
 
 import json
+import math
 import tempfile
+from functools import cache
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from alphapath import AlphaFan, UdeSpec, check_condition_h, integral_residual, phi_inv
-from alphapath import solver
+from alphapath import cli, solver
 from alphapath.cli import main
 from alphapath.config import KNOWN_KEYS, RunConfig, build_config, parse_config_text
 from alphapath.errors import ConfigError, NonFiniteError, ParseError
@@ -123,6 +125,63 @@ def test_block_equals_compiled_bitwise(tree, t, seed):
     python = solver._compile_partials(spec)
     for value, row, step in zip(values.tolist(), states.tolist(), h.tolist()):
         assert [v.hex() for v in value] == [v.hex() for v in python(t, *row, step)]
+
+
+@cache
+def _render_library():
+    """One library for every example of the renderer test: ``render`` is
+    the same text in every problem's library."""
+    spec = UdeSpec(1, Const(0.0), Const(1.0), (0.0,), 1.0, 1.0)
+    library = solver._build(solver._c_source(spec))
+    assert library is not None
+    return library
+
+
+def _double(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# a double whose shortest digits Grisu3 cannot certify, found by the
+# renderer on the README fan: the C text leaves it out and repr fills in
+GRISU3_REJECTS = float.fromhex("-0x1.3064d1b15df6fp-2")
+
+finite_doubles = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@needs_compiler
+@settings(SETTINGS, max_examples=500)
+@given(finite_doubles)
+@example(5e-324)
+@example(2.225073858507201e-308)
+@example(2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(2.0**-1022)
+@example(1e16)
+@example(1e15)
+@example(1e-05)
+@example(0.0001)
+@example(1e22)
+@example(1e23)
+@example(1e100)
+@example(1e-100)
+@example(-0.0)
+@example(GRISU3_REJECTS)
+def test_c_renderer_writes_repr(value):
+    # a path of two rows holding the value and its negation: the C text is
+    # repr's text wherever Grisu3 certifies the digits; what it leaves out
+    # is the value at its place, and the spliced text is repr's
+    states = np.array([[[value, -value], [1.0, value]]])
+    want = repr(states[0].tolist())[2:-2]
+    text, offsets, indices = next(solver._render_paths(_render_library(), states))
+    assert indices in ([], [0, 1, 3])
+    if not indices:
+        assert text == want
+    assert cli._splice(states[0], (text, offsets, indices)) == want
+    if value in (1e23, GRISU3_REJECTS):
+        assert indices  # the splice path is exercised
 
 
 @settings(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -442,6 +443,19 @@ def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
     assert 0 < kwargs["timeout"] <= 60
     assert all(solver._LIBRARIES.values())
     assert os.listdir(tmp_path) == []
+
+
+def test_cached_powers_are_the_powers_of_ten_rounded_to_64_bits():
+    # the fan renderer's table: 10^(-348 + 8i) as (f, e), f a 64-bit
+    # significand within half a unit of 10^k / 2^e, the value Grisu3's error
+    # bounds assume; its ends are those of the published table
+    powers = solver._cached_powers()
+    assert len(powers) == 87
+    assert powers[0] == (0xFA8FD5A0081C0288, -1220)
+    assert powers[-1] == (0xAF87023B9BF0EE6B, 1066)
+    for i, (f, e) in enumerate(powers):
+        exact = Fraction(10) ** (-348 + 8 * i) / Fraction(2) ** e
+        assert 2**63 <= f < 2**64 and abs(exact - f) < Fraction(1, 2)
 
 
 def test_fan_rejects_an_empty_grid():

@@ -193,7 +193,7 @@ def check_condition_h(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     spec = fan.spec
     names = expr.state_variables(spec.order)
-    library = solver._LIBRARIES.get(solver._c_source(spec))  # never builds
+    library = solver._built_library(spec)
     scalar = solver._compile_partials(spec)
 
     # column by column: a reduction along axis 0 of the (points, n) states

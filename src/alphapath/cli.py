@@ -37,8 +37,6 @@ from dataclasses import asdict
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, oracle, solver
 from .config import RunConfig, load_config
 from .core import alpha_grid
@@ -110,34 +108,19 @@ def _fan_texts(fan: AlphaFan) -> Iterator[tuple[str, str]]:
     This is the one place the fan's states become text, with two renderers
     of the same bytes. Where the fan's problem has a C library (the solve
     builds it; rendering builds none), the library writes each path's text
-    (``solver._render_paths``): Grisu3 finds the shortest digits that read
-    back to each float and are closest to it, the digits float.__repr__
-    gives, laid out as repr lays them out, and each value Grisu3 cannot
-    certify (about 1 in 200) is left out and spliced in here as its repr.
-    Without a library, CPython's list repr calls float.__repr__, the
-    shortest round-trip form json.dumps also uses, on each element. A finite
-    float's repr holds only digits, ".", "-", "e" and "+", so splitting on
-    ", " and "], [" is exact; the solver bounds every state by
-    BLOWUP_LIMIT."""
-    library = solver._LIBRARIES.get(solver._c_source(fan.spec))  # never builds
+    (``solver._render_paths``): Schubfach finds the shortest digits that
+    read back to each float and are closest to it, the digits
+    float.__repr__ gives, laid out as repr lays them out. Without a library,
+    CPython's list repr calls float.__repr__, the shortest round-trip form
+    json.dumps also uses, on each element. A finite float's repr holds only
+    digits, ".", "-", "e" and "+", so splitting on ", " and "], [" is exact;
+    the solver bounds every state by BLOWUP_LIMIT."""
+    library = solver._built_library(fan.spec)
     if library is None:
         rows = (repr(states.tolist())[2:-2] for states in fan.states)
     else:
-        rows = map(_splice, fan.states, solver._render_paths(library, fan.states))
+        rows = solver._render_paths(library, fan.states)
     return zip(map(repr, fan.grid), rows)
-
-
-def _splice(states: np.ndarray, rendered: tuple[str, list[int], list[int]]) -> str:
-    """A path's text from ``solver._render_paths``, each value it left out
-    put back as its repr."""
-    text, offsets, indices = rendered
-    values = states.ravel()
-    parts, start = [], 0
-    for at, index in zip(offsets, indices):
-        parts += text[start:at], repr(float(values[index]))
-        start = at
-    parts.append(text[start:])
-    return "".join(parts)
 
 
 def _fan_csv_chunks(

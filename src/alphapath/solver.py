@@ -21,9 +21,8 @@ returns these arrays as an ``AlphaFan``; an alpha-path is a fan of one.
 ``sample_positions`` records positions only: no other component and no g.
 
 The same library also renders the fan's states as text (``_render_paths``):
-a fixed C text finds each float's shortest round-trip digits by Grisu3 and
-lays them out as float.__repr__ does, and leaves out the few values whose
-digits it cannot certify, whose repr the caller splices in.
+a fixed C text finds each float's shortest round-trip digits by Schubfach
+and lays them out as float.__repr__ does, every value included.
 """
 
 from __future__ import annotations
@@ -278,118 +277,67 @@ int partials(int64_t points, const double *times, const double *states,
 """
 
 
-# the fan renderer of the C translation unit: Grisu3 (Loitsch, "Printing
-# Floating-Point Numbers Quickly and Accurately with Integers", PLDI 2010)
-# in its shortest mode, which finds the shortest digits that read back to
-# the double and are closest to it, or gives up on a value it cannot
-# certify, then CPython's repr layout of those digits. It reads the table
-# of ``_cached_powers`` that ``_renderer_source`` writes above it
+# the fan renderer of the C translation unit: Schubfach (Giulietti, "The
+# Schubfach way to render doubles", 2020), which finds the shortest digits
+# that read back to the double and are closest to it from three products
+# rounded to odd, then CPython's repr layout of those digits. It reads the
+# table of ``_powers`` that ``_renderer_source`` writes above it
 _C_RENDERER = """\
-typedef struct { uint64_t f; int e; } diy_fp;
-
-static diy_fp diy_normalize(diy_fp x) {
-    while (!(x.f >> 63)) { x.f <<= 1; x.e--; }
-    return x;
+/* g * cp / 2^127 rounded to odd, with g = g1 2^63 + g0 */
+static uint64_t rop(uint64_t g1, uint64_t g0, uint64_t cp) {
+    uint64_t low = ((uint64_t)1 << 63) - 1;
+    unsigned __int128 x = (unsigned __int128)g0 * cp, y = (unsigned __int128)g1 * cp;
+    uint64_t z = ((uint64_t)y >> 1) + (uint64_t)(x >> 64);
+    return ((uint64_t)(y >> 64) + (z >> 63)) | (((z & low) + low) >> 63);
 }
 
-/* the upper 64 bits of the 128-bit product, rounded */
-static diy_fp diy_times(diy_fp x, diy_fp y) {
-    uint64_t m = ((uint64_t)1 << 32) - 1;
-    uint64_t a = x.f >> 32, b = x.f & m, c = y.f >> 32, d = y.f & m;
-    uint64_t ac = a * c, bc = b * c, ad = a * d, bd = b * d;
-    uint64_t mid = (bd >> 32) + (ad & m) + (bc & m) + ((uint64_t)1 << 31);
-    diy_fp r = {ac + (ad >> 32) + (bc >> 32) + (mid >> 32), x.e + y.e + 64};
-    return r;
-}
-
-/* moves the last digit towards w while that is certainly closer; whether
-   the digits are certainly the closest shortest ones inside the interval */
-static int round_weed(char *digits, int length, uint64_t too_high_w,
-                      uint64_t unsafe, uint64_t rest, uint64_t ten_kappa,
-                      uint64_t unit) {
-    uint64_t small = too_high_w - unit, big = too_high_w + unit;
-    while (rest < small && unsafe - rest >= ten_kappa &&
-           (rest + ten_kappa < small ||
-            small - rest >= rest + ten_kappa - small)) {
-        digits[length - 1]--;
-        rest += ten_kappa;
+/* the shortest digits s of the finite positive double of these bits that
+   read back to it and, among those, are closest to it (ties to even), and
+   the exponent k with value = s * 10^k */
+static uint64_t shortest(uint64_t bits, int *k) {
+    uint64_t c = bits & (((uint64_t)1 << 52) - 1);
+    int biased = (int)(bits >> 52), q = biased ? biased - 1075 : -1074;
+    if (biased) c |= (uint64_t)1 << 52;
+    /* the rounding interval [cbl, cbr] * 2^(q-2), closed when c is even;
+       it is narrower below a power of two, and 10^k is at most its width */
+    uint64_t out = c & 1, cb = c << 2, cbr = cb + 2, cbl = cb - 2;
+    if (c == (uint64_t)1 << 52 && biased > 1) {
+        cbl = cb - 1;
+        *k = (int)((q * 661971961083LL - 274743187321LL) >> 41);
+    } else {
+        *k = (int)((q * 661971961083LL) >> 41);
     }
-    if (rest < big && unsafe - rest >= ten_kappa &&
-        (rest + ten_kappa < big || big - rest > rest + ten_kappa - big))
-        return 0;
-    return 2 * unit <= rest && rest <= unsafe - 4 * unit;
+    int h = q + (int)(-*k * 913124641741LL >> 38) + 2;
+    const uint64_t *g = powers[*k + 324];
+    uint64_t vb = rop(g[0], g[1], cb << h), vbl = rop(g[0], g[1], cbl << h);
+    uint64_t vbr = rop(g[0], g[1], cbr << h), s = vb >> 2, t = s + 1;
+    /* the interval is narrower than 10^(k+1), so it holds at most one of the
+       multiples of 10^(k+1) around the double, the only shorter candidates;
+       unlike Java's Double.toString, which wants two digits, this test runs
+       for every s, so that tiny subnormals get repr's one digit (5e-324) */
+    uint64_t down = s / 10 * 10, up = down + 10;
+    int upin = vbl + out <= down << 2, wpin = (up << 2) + out <= vbr;
+    if (upin != wpin) return upin ? down : up;
+    int uin = vbl + out <= s << 2, win = (t << 2) + out <= vbr;
+    if (uin != win) return uin ? s : t;
+    int64_t cmp = (int64_t)(vb - ((s + t) << 1));
+    return cmp < 0 || (cmp == 0 && !(s & 1)) ? s : t;
 }
 
-/* the digits of w between the scaled boundaries low and high, and kappa;
-   their count, or 0 when they cannot be certified */
-static int digit_gen(diy_fp low, diy_fp w, diy_fp high, char *digits,
-                     int *kappa) {
-    uint64_t unit = 1, too_high = high.f + unit;
-    uint64_t unsafe = too_high - (low.f - unit);
-    int shift = -w.e, length = 0;
-    uint64_t one = (uint64_t)1 << shift;
-    uint32_t integrals = (uint32_t)(too_high >> shift), divisor = 1;
-    uint64_t fractionals = too_high & (one - 1);
-    for (*kappa = 1; divisor <= integrals / 10; ++*kappa) divisor *= 10;
-    while (*kappa > 0) {
-        digits[length++] = (char)('0' + integrals / divisor);
-        integrals %= divisor;
-        --*kappa;
-        uint64_t rest = ((uint64_t)integrals << shift) + fractionals;
-        if (rest < unsafe)
-            return round_weed(digits, length, too_high - w.f, unsafe, rest,
-                              (uint64_t)divisor << shift, unit) ? length : 0;
-        divisor /= 10;
-    }
-    for (;;) {
-        fractionals *= 10;
-        unit *= 10;
-        unsafe *= 10;
-        digits[length++] = (char)('0' + (fractionals >> shift));
-        fractionals &= one - 1;
-        --*kappa;
-        if (fractionals < unsafe)
-            return round_weed(digits, length, (too_high - w.f) * unit, unsafe,
-                              fractionals, one, unit) ? length : 0;
-    }
-}
-
-/* the shortest digits of the finite nonzero double of these bits, sign
-   bit clear, and the exponent k with value = digits * 10^k; their count,
-   or 0 when Grisu3 cannot certify them */
-static int grisu3(uint64_t bits, char *digits, int *k) {
-    uint64_t fraction = bits & (((uint64_t)1 << 52) - 1);
-    int biased = (int)(bits >> 52), kappa;
-    diy_fp v = {fraction, -1074};
-    if (biased) { v.f |= (uint64_t)1 << 52; v.e = biased - 1075; }
-    diy_fp w = diy_normalize(v);
-    diy_fp plus = {(v.f << 1) + 1, v.e - 1}, minus = {(v.f << 1) - 1, v.e - 1};
-    plus = diy_normalize(plus);
-    if (fraction == 0 && biased > 1) { minus.f = (v.f << 2) - 1; minus.e = v.e - 2; }
-    minus.f <<= minus.e - plus.e;
-    minus.e = plus.e;
-    /* the cached power 10^mk that brings w's exponent into [-60, -32] */
-    double estimate = ceil((-60 - (w.e + 64) + 63) * 0.30102999566398114);
-    int index = (348 + (int)estimate - 1) / 8 + 1, mk = -348 + 8 * index;
-    diy_fp ten_mk = {power_significands[index], power_exponents[index]};
-    int length = digit_gen(diy_times(minus, ten_mk), diy_times(w, ten_mk),
-                           diy_times(plus, ten_mk), digits, &kappa);
-    *k = kappa - mk;
-    return length;
-}
-
-/* repr of the double at out; its length, or 0 when the double is not
-   finite or Grisu3 cannot certify its digits */
+/* repr of the double at out; its length */
 static int64_t format_double(double value, char *out) {
     union { double d; uint64_t u; } cast = {value};
-    uint64_t bits = cast.u & ~((uint64_t)1 << 63);
-    char *p = out, digits[32];
-    int k, i;
-    if (bits >> 52 == 2047) return 0;
+    uint64_t bits = cast.u & ~((uint64_t)1 << 63), inf = (uint64_t)2047 << 52;
+    char *p = out, buffer[20], *digits = buffer + 20;
+    int k, length, i;
+    if (bits > inf) { *p++ = 'n'; *p++ = 'a'; *p++ = 'n'; return p - out; }
     if (cast.u >> 63) *p++ = '-';
+    if (bits == inf) { *p++ = 'i'; *p++ = 'n'; *p++ = 'f'; return p - out; }
     if (!bits) { *p++ = '0'; *p++ = '.'; *p++ = '0'; return p - out; }
-    int length = grisu3(bits, digits, &k);
-    if (!length) return 0;
+    uint64_t s = shortest(bits, &k);
+    for (; s % 10 == 0; s /= 10) k++;
+    for (; s; s /= 10) *--digits = (char)('0' + s % 10);
+    length = (int)(buffer + 20 - digits);
     int point = length + k; /* value = 0.digits * 10^point */
     if (point <= -4 || point > 16) {
         int e = point - 1;
@@ -417,23 +365,14 @@ static int64_t format_double(double value, char *out) {
     return p - out;
 }
 
-void render(int64_t rows, int64_t cols, const double *values, char *text,
-            int64_t *skipped, int64_t *sizes) {
+int64_t render(int64_t rows, int64_t cols, const double *values, char *text) {
     char *p = text;
-    int64_t count = 0;
     for (int64_t i = 0; i < rows * cols; i++) {
         if (i % cols) { *p++ = ','; *p++ = ' '; }
         else if (i) { *p++ = ']'; *p++ = ','; *p++ = ' '; *p++ = '['; }
-        int64_t length = format_double(values[i], p);
-        if (!length) {
-            skipped[2 * count] = p - text;
-            skipped[2 * count + 1] = i;
-            count++;
-        }
-        p += length;
+        p += format_double(values[i], p);
     }
-    sizes[0] = p - text;
-    sizes[1] = count;
+    return p - text;
 }
 """
 
@@ -443,34 +382,28 @@ _RENDER_BYTES = 24 + 4
 
 
 @cache
-def _cached_powers() -> tuple[tuple[int, int], ...]:
-    """The renderer's cached powers 10^(-348 + 8i), i = 0 .. 86, each as
-    (f, e) with 10^k ~ f * 2^e: f of 64 bits, rounded to nearest, in exact
-    integer arithmetic."""
-    powers = []
-    for k in range(-348, 341, 8):
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        top = num.bit_length() - den.bit_length()  # floor(log2 10^k) or one above
+def _powers() -> tuple[int, ...]:
+    """The renderer's table: g = floor(10^-k * 2^-r) + 1 for k = -324 .. 292,
+    r the integer that puts g in [2^125, 2^126), in exact integer
+    arithmetic."""
+    table = []
+    for k in range(-324, 293):
+        num, den = (10**-k, 1) if k <= 0 else (1, 10**k)
+        top = num.bit_length() - den.bit_length()  # floor(log2 10^-k) or one above
         if (num << max(-top, 0)) < (den << max(top, 0)):
             top -= 1
-        e = top - 63
-        num, den = num << max(-e, 0), den << max(e, 0)
-        f = (2 * num + den) // (2 * den)
-        if f == 1 << 64:
-            f, e = 1 << 63, e + 1
-        powers.append((f, e))
-    return tuple(powers)
+        r = top - 125
+        table.append((num << max(-r, 0)) // (den << max(r, 0)) + 1)
+    return tuple(table)
 
 
 @cache
 def _renderer_source() -> str:
-    """The table of ``_cached_powers`` as C arrays, then ``_C_RENDERER``."""
-    significands = ", ".join(f"{f:#x}u" for f, _ in _cached_powers())
-    exponents = ", ".join(str(e) for _, e in _cached_powers())
-    return (
-        f"\nstatic const uint64_t power_significands[] = {{{significands}}};\n"
-        f"static const int16_t power_exponents[] = {{{exponents}}};\n\n{_C_RENDERER}"
-    )
+    """The table of ``_powers`` as a C array of 63-bit halves, then
+    ``_C_RENDERER``."""
+    low = (1 << 63) - 1
+    rows = ",\n".join(f"    {{{g >> 63:#x}u, {g & low:#x}u}}" for g in _powers())
+    return f"\nstatic const uint64_t powers[][2] = {{\n{rows}\n}};\n\n{_C_RENDERER}"
 
 
 def _c_source(spec: UdeSpec) -> str:
@@ -483,7 +416,7 @@ def _c_source(spec: UdeSpec) -> str:
     division-by-zero or overflow flag; ``partials``, which writes (df, dg)
     at every point of an audit group and returns whether the group raised
     one of those flags; and ``render``, the fixed text ``_C_RENDERER`` after
-    the table of ``_cached_powers``, which writes a path's states as
+    the table of ``_powers``, which writes a path's states as
     ``_render_paths`` describes."""
     n = spec.order
     load = "".join(f"    double y{k} = state[{k}];\n" for k in range(n))
@@ -515,8 +448,9 @@ def _c_source(spec: UdeSpec) -> str:
 def _build(source: str) -> ctypes.CDLL | None:
     """Compile C ``source`` into a shared library in a private directory,
     load it, remove the directory and return the library, its ``run``,
-    ``partials`` and ``render`` typed; None when the compiler is missing, fails or runs out
-    of time, or the library does not load. Nothing reaches stderr."""
+    ``partials`` and ``render`` typed; None when the compiler is missing,
+    fails or runs out of time, or the library does not load or lacks one of
+    those functions. Nothing reaches stderr."""
     # a run that builds nothing never imports subprocess
     import ctypes
     import shutil
@@ -543,19 +477,27 @@ def _build(source: str) -> ctypes.CDLL | None:
             capture_output=True,
         )
         loaded = ctypes.CDLL(library)
-    except (OSError, subprocess.SubprocessError):
+        pointer, int64 = ctypes.c_void_p, ctypes.c_int64
+        run, partials, render = loaded.run, loaded.partials, loaded.render
+        run.argtypes = [
+            ctypes.c_int32, int64, int64, *[pointer] * 4, int64, *[pointer] * 3
+        ]
+        run.restype = None
+        partials.argtypes = [int64, *[pointer] * 4]
+        partials.restype = ctypes.c_int
+        render.argtypes = [int64, int64, pointer, pointer]
+        render.restype = int64
+        return loaded
+    except (OSError, subprocess.SubprocessError, AttributeError):
         return None
     finally:
         shutil.rmtree(folder, ignore_errors=True)
-    pointer, int64 = ctypes.c_void_p, ctypes.c_int64
-    run, partials, render = loaded.run, loaded.partials, loaded.render
-    run.argtypes = [ctypes.c_int32, int64, int64, *[pointer] * 4, int64, *[pointer] * 3]
-    run.restype = None
-    partials.argtypes = [int64, *[pointer] * 4]
-    partials.restype = ctypes.c_int
-    render.argtypes = [int64, int64, *[pointer] * 4]
-    render.restype = None
-    return loaded
+
+
+def _built_library(spec: UdeSpec) -> ctypes.CDLL | None:
+    """The problem's C library if a solve has built it; None otherwise (no
+    build yet, no compiler or a failed build). Never builds."""
+    return _LIBRARIES.get(_c_source(spec))
 
 
 def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
@@ -636,29 +578,19 @@ def _run_partials(
     return values if np.isfinite(values).all() else None
 
 
-def _render_paths(
-    library: ctypes.CDLL, states: np.ndarray
-) -> Iterator[tuple[str, list[int], list[int]]]:
+def _render_paths(library: ctypes.CDLL, states: np.ndarray) -> Iterator[str]:
     """Each path of ``states`` (paths, nodes, n) as the text
     ``repr(path.tolist())[2:-2]``, values joined by ", " and rows by
     "], [", written by the library's ``render`` into one buffer that every
-    path reuses. Yields (text, offsets, indices) per path: the text leaves
-    out each value that is not finite or whose digits Grisu3 cannot
-    certify, and the repr of value indices[j] of the flattened path belongs
-    at offsets[j] of the text."""
+    path reuses."""
     paths = np.ascontiguousarray(states, dtype=float)
     if paths.ndim != 3:  # the library reads this shape through raw pointers
         raise ValueError("states must be (paths, nodes, n)")
     nodes, n = paths.shape[1:]
     text = np.empty(nodes * n * _RENDER_BYTES, dtype=np.uint8)
-    skipped = np.empty((nodes * n, 2), dtype=np.int64)
-    sizes = np.empty(2, dtype=np.int64)
-    out = (text.ctypes.data, skipped.ctypes.data, sizes.ctypes.data)
     for path in paths:
-        library.render(nodes, n, path.ctypes.data, *out)
-        length, count = sizes.tolist()
-        offsets, indices = skipped[:count].T.tolist()
-        yield text[:length].tobytes().decode("ascii"), offsets, indices
+        length = library.render(nodes, n, path.ctypes.data, text.ctypes.data)
+        yield text[:length].tobytes().decode("ascii")
 
 
 def _integrate(

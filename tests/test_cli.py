@@ -532,18 +532,18 @@ def test_every_engine_writes_the_same_artifacts(
 def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
     # a 99-alpha fan in both formats, rendered by repr where no library is
     # built, then with every call compiled: with gcc the library's renderer
-    # writes every path and the values it leaves out are spliced in as their
-    # repr; with no compiler, or one that fails, repr renders it all. The
-    # files are the same bytes every time
+    # writes every value of every path, none left out; with no compiler, or
+    # one that fails, repr renders it all. The files are the same bytes
+    # every time
     text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
     cfg = write_config(tmp_path, text)
-    rendered = []  # values left out by each path rendered in C
+    rendered = []  # per path rendered in C, whether its text is repr's
     render_paths = solver._render_paths
 
     def spy(library, states):
-        for text, offsets, indices in render_paths(library, states):
-            rendered.append(len(offsets))
-            yield text, offsets, indices
+        for path, text in zip(states, render_paths(library, states)):
+            rendered.append(text == repr(path.tolist())[2:-2])
+            yield text
 
     monkeypatch.setattr(solver, "_render_paths", spy)
     monkeypatch.setattr(solver, "_LIBRARIES", {})
@@ -563,9 +563,32 @@ def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
         want = (tmp_path / "repr" / name).read_bytes()
         assert (tmp_path / compiler / name).read_bytes() == want
     if compiler == "gcc":
-        assert len(rendered) == 99 and sum(rendered) > 0
+        assert rendered == [True] * 99
     else:
         assert rendered == []
+
+
+@needs_compiler
+def test_a_library_without_a_function_is_a_failed_build(tmp_path, monkeypatch):
+    # the README problem's C text cut before the renderer compiles and
+    # loads but has no ``render``: the build counts as failed, and solve
+    # writes the bytes it writes with no compiler
+    text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
+    cfg = write_config(tmp_path, text.replace("0.0025", "0.001"))
+    source = solver._c_source(load_config(cfg).spec)
+    cut = source[: source.index(solver._renderer_source())]
+    assert solver._build(cut) is None
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "COMPILER", str(tmp_path / "missing"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "none")]) == 0
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "_c_source", lambda spec: cut)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "cut")]) == 0
+    assert solver._LIBRARIES == {cut: None}
+    for name in ("fan.csv", "fan.json", "run.json"):
+        want = (tmp_path / "none" / name).read_bytes()
+        assert (tmp_path / "cut" / name).read_bytes() == want
 
 
 def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from alphapath import AlphaFan, UdeSpec, check_condition_h, integral_residual, phi_inv
-from alphapath import cli, solver
+from alphapath import solver
 from alphapath.cli import main
 from alphapath.config import KNOWN_KEYS, RunConfig, build_config, parse_config_text
 from alphapath.errors import ConfigError, NonFiniteError, ParseError
@@ -141,8 +141,8 @@ def _double(bits: int) -> float:
     return float(np.array(bits, dtype=np.uint64).view(np.float64))
 
 
-# a double whose shortest digits Grisu3 cannot certify, found by the
-# renderer on the README fan: the C text leaves it out and repr fills in
+# a double whose shortest digits Grisu3 could not certify, found on the
+# README fan, where an earlier renderer left it out for repr to fill in
 GRISU3_REJECTS = float.fromhex("-0x1.3064d1b15df6fp-2")
 
 finite_doubles = st.one_of(
@@ -171,17 +171,46 @@ finite_doubles = st.one_of(
 @example(GRISU3_REJECTS)
 def test_c_renderer_writes_repr(value):
     # a path of two rows holding the value and its negation: the C text is
-    # repr's text wherever Grisu3 certifies the digits; what it leaves out
-    # is the value at its place, and the spliced text is repr's
+    # repr's text, every value written, none left for repr to splice in
     states = np.array([[[value, -value], [1.0, value]]])
-    want = repr(states[0].tolist())[2:-2]
-    text, offsets, indices = next(solver._render_paths(_render_library(), states))
-    assert indices in ([], [0, 1, 3])
-    if not indices:
-        assert text == want
-    assert cli._splice(states[0], (text, offsets, indices)) == want
-    if value in (1e23, GRISU3_REJECTS):
-        assert indices  # the splice path is exercised
+    (text,) = solver._render_paths(_render_library(), states)
+    assert text == repr(states[0].tolist())[2:-2]
+
+
+@needs_compiler
+def test_c_renderer_sweep_writes_repr():
+    # one path, one value per row, through every power of two and its
+    # neighbours one ulp away, every subnormal significand below 2^16, every
+    # 10^k, the zeros, the values that are not finite and 200,000 seeded
+    # random bit patterns, each value also negated: the C text is repr's
+    powers = [2.0**e for e in range(-1074, 1024)]
+    near = [math.nextafter(p, towards) for p in powers for towards in (0.0, math.inf)]
+    tens = [float(f"1e{k}") for k in range(-323, 309)]
+    special = [0.0, math.nan, math.inf]
+    subnormals = np.arange(1, 2**16, dtype=np.uint64).view(np.float64)
+    random = np.random.default_rng(20).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = np.concatenate(
+        [powers, near, tens, special, subnormals, random.view(float)]
+    )
+    states = np.concatenate([values, -values]).reshape(1, -1, 1)
+    (text,) = solver._render_paths(_render_library(), states)
+    # compared value by value, so that a failure names the values
+    got, want = (t.split("], [") for t in (text, repr(states[0].tolist())[2:-2]))
+    assert len(got) == len(want)
+    assert [(g, w) for g, w in zip(got, want) if g != w] == []
+
+
+@needs_compiler
+def test_c_renderer_stays_within_its_buffer():
+    # values whose repr is the longest, 24 characters, one per row so that
+    # each takes the longest separator, then nan and -inf: the text is
+    # repr's and never longer than _RENDER_BYTES per value
+    longest = [-2.2250738585072014e-308, -1.7976931348623157e308]
+    assert {len(repr(v)) for v in longest} == {24}
+    states = np.array([*longest * 500, math.nan, -math.inf]).reshape(1, -1, 1)
+    (text,) = solver._render_paths(_render_library(), states)
+    assert text == repr(states[0].tolist())[2:-2]
+    assert len(text) <= states.size * solver._RENDER_BYTES
 
 
 @settings(

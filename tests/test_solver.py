@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -445,17 +446,21 @@ def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
     assert os.listdir(tmp_path) == []
 
 
-def test_cached_powers_are_the_powers_of_ten_rounded_to_64_bits():
-    # the fan renderer's table: 10^(-348 + 8i) as (f, e), f a 64-bit
-    # significand within half a unit of 10^k / 2^e, the value Grisu3's error
-    # bounds assume; its ends are those of the published table
-    powers = solver._cached_powers()
-    assert len(powers) == 87
-    assert powers[0] == (0xFA8FD5A0081C0288, -1220)
-    assert powers[-1] == (0xAF87023B9BF0EE6B, 1066)
-    for i, (f, e) in enumerate(powers):
-        exact = Fraction(10) ** (-348 + 8 * i) / Fraction(2) ** e
-        assert 2**63 <= f < 2**64 and abs(exact - f) < Fraction(1, 2)
+def test_renderer_powers_are_the_schubfach_table():
+    # the fan renderer's table: for k = -324 .. 292, g = floor(10^-k * 2^-r)
+    # + 1 with r the integer that puts g in [2^125, 2^126), exactly; the C
+    # text holds each g as its upper and lower 63-bit halves
+    powers = solver._powers()
+    assert len(powers) == 617
+    assert powers[324] == 2**125 + 1  # k = 0
+    for k, g in zip(range(-324, 293), powers):
+        r = math.floor(-k * math.log2(10)) - 125
+        assert 2**125 <= g < 2**126
+        assert (g - 1) * Fraction(2) ** r <= Fraction(10) ** -k < g * Fraction(2) ** r
+    source = solver._renderer_source()
+    halves = re.findall(r"\{(0x[0-9a-f]+)u, (0x[0-9a-f]+)u\}", source)
+    assert [(int(hi, 16) << 63) + int(lo, 16) for hi, lo in halves] == list(powers)
+    assert all(int(lo, 16) < 2**63 for _, lo in halves)
 
 
 def test_fan_rejects_an_empty_grid():

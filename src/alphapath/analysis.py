@@ -8,7 +8,9 @@ argument); and the fan must be strictly ordered in alpha. The checkers
 here evaluate each constructively on a computed fan and report every
 violation found rather than stopping at the first. ``check_hypotheses`` runs
 all three: its report is the one verdict, and its ``to_dict`` is checks.json.
-Each reads the fan's arrays (``diffusion``, ``states``, ``positions``) whole.
+Each reads the fan's arrays (``diffusion``, ``states``, ``positions``) whole;
+condition H's partials come from ``solver``, which alone decides where they
+run.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import expr, solver
-from .core import UdeSpec
 from .errors import ConfigError, DomainError, MonotonicityError
-from .solver import AlphaFan, _STEP_FAILURES
+from .solver import AlphaFan
 
 # finite-difference noise must not fail boundary cases like df/dx0 == 0,
 # so the monotonicity condition is tested against -TOL_CONDITION_H, not 0
@@ -133,34 +134,6 @@ def check_regularity(fan: AlphaFan) -> RegularityCheck:
     )
 
 
-def _scalar_partials(
-    spec: UdeSpec, partials, times: np.ndarray, states: np.ndarray, h: np.ndarray
-) -> np.ndarray:
-    """(points, 2) partials of f and g point by point through the Python
-    text (``solver._compile_partials``). A point where it fails or is not
-    finite is evaluated again by ``expr.evaluate``, whose NonFiniteError
-    names the failing subexpression."""
-    names = expr.state_variables(spec.order)
-    values = np.empty((len(times), 2))
-    points = zip(times.tolist(), states.tolist(), h.tolist())
-    for i, (t, row, step) in enumerate(points):
-        try:
-            df, dg = partials(t, *row, step)
-        except _STEP_FAILURES:
-            df = dg = math.nan
-        if not (math.isfinite(df) and math.isfinite(dg)):
-            x = row[0]
-            hi_env = dict(zip(names, [t, x + step, *row[1:]]))
-            lo_env = dict(zip(names, [t, x - step, *row[1:]]))
-            df, dg = (
-                (expr.evaluate(tree, hi_env) - expr.evaluate(tree, lo_env))
-                / (2.0 * step)
-                for tree in (spec.drift, spec.diffusion)
-            )
-        values[i] = df, dg
-    return values
-
-
 def check_condition_h(
     fan: AlphaFan, samples: int = 256, seed: int = 0
 ) -> ConditionHCheck:
@@ -171,21 +144,11 @@ def check_condition_h(
     ``samples`` pseudo-random points drawn from the bounding box of the
     fan's states inflated by 10 percent, with t uniform over the horizon.
     Each is a central difference with step FD_STEP_CONDITION_H * max(1, |x0|)
-    on the f and g the solver integrates, inlined into one generated text
-    (``solver._partials_lines``). A value is a violation when it falls below
-    -TOL_CONDITION_H.
-
-    Where the problem's C library is already built (the fan's solve builds
-    it; the audit builds none), the text runs in C once per path over the
-    path's nodes, then once over the sampled points, calling the libm that
-    Python's ``math`` calls, so every partial has the bits of the Python
-    text. The floating-point flags are cleared once before a group and
-    tested once after it. A group that raised an invalid, division-by-zero
-    or overflow flag or gave a partial that is not finite, and every group
-    without a library, runs point by point through the same text on Python
-    floats, where a point that fails or is not finite is evaluated again by
-    ``expr.evaluate`` (see ``_scalar_partials``). The minimum is the first
-    smallest partial in point order, f before g at each point.
+    on the f and g the solver integrates, taken by
+    ``solver.condition_h_partials`` once per path and once over the sampled
+    points. A value is a violation when it falls below -TOL_CONDITION_H. The
+    minimum is the first smallest partial in point order, f before g at each
+    point.
     """
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
@@ -193,8 +156,6 @@ def check_condition_h(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     spec = fan.spec
     names = expr.state_variables(spec.order)
-    library = solver._built_library(spec)
-    scalar = solver._compile_partials(spec)
 
     # column by column: a reduction along axis 0 of the (points, n) states
     # is about 15 times slower for the same values
@@ -205,18 +166,18 @@ def check_condition_h(
     rng = np.random.default_rng(seed)
     t_draw = rng.uniform(0.0, spec.horizon, samples)
     state_draw = rng.uniform(lo - pad, hi + pad, size=(samples, spec.order))
-    groups = [(fan.times, states) for states in fan.states]
-    groups.append((t_draw, state_draw))
+    points = [(fan.times, states) for states in fan.states] + [(t_draw, state_draw)]
+    groups = [
+        (times, states, FD_STEP_CONDITION_H * np.maximum(1.0, np.abs(states[:, 0])))
+        for times, states in points
+    ]
 
     min_partial = math.inf
     min_function = "f"
     min_env: dict[str, float] = {}
     violations: list[dict] = []
-    for times, states in groups:
-        h = FD_STEP_CONDITION_H * np.maximum(1.0, np.abs(states[:, 0]))
-        values = solver._run_partials(spec, library, times, states, h)
-        if values is None:
-            values = _scalar_partials(spec, scalar, times, states, h)
+    partials = solver.condition_h_partials(spec, groups)
+    for (times, states, _), values in zip(groups, partials):
         flat = values.ravel()  # point by point, f then g
 
         def env(i: int) -> dict[str, float]:

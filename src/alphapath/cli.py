@@ -9,14 +9,9 @@ LINES for the width of its help. Artifacts are written with full
 round-trip precision and without timestamps, so identical configs produce
 byte-identical outputs.
 
-A solve may build the problem's generated step and condition-H text as C,
-beside the renderer that writes the fan's floats (``solver``): it runs
-/usr/bin/gcc with a fixed argument list and the fixed environment
-PATH=/usr/bin:/bin, in a private directory under /tmp that is removed once
-the library is loaded, so a build reads no environment variable and leaves
-nothing beside the artifacts. Without a working compiler the same texts run
-on Python floats instead, and repr renders the fan, with the same
-artifacts, exit codes and messages.
+A solve may build the problem's C library (``solver``). A build leaves
+nothing beside the artifacts, and without a working compiler the artifacts,
+exit codes and messages are the same.
 
 Exit codes partition outcomes:
     0  success
@@ -101,26 +96,11 @@ def _float_texts(values: list[float]) -> list[str]:
 
 
 def _fan_texts(fan: AlphaFan) -> Iterator[tuple[str, str]]:
-    """(repr(alpha), row texts) per path in grid order, where the row texts
-    are ``repr(states.tolist())`` of the path without its outer brackets: rows
-    separated by "], [" and values by ", ".
-
-    This is the one place the fan's states become text, with two renderers
-    of the same bytes. Where the fan's problem has a C library (the solve
-    builds it; rendering builds none), the library writes each path's text
-    (``solver._render_paths``): Schubfach finds the shortest digits that
-    read back to each float and are closest to it, the digits
-    float.__repr__ gives, laid out as repr lays them out. Without a library,
-    CPython's list repr calls float.__repr__, the shortest round-trip form
-    json.dumps also uses, on each element. A finite float's repr holds only
-    digits, ".", "-", "e" and "+", so splitting on ", " and "], [" is exact;
-    the solver bounds every state by BLOWUP_LIMIT."""
-    library = solver._built_library(fan.spec)
-    if library is None:
-        rows = (repr(states.tolist())[2:-2] for states in fan.states)
-    else:
-        rows = solver._render_paths(library, fan.states)
-    return zip(map(repr, fan.grid), rows)
+    """(repr(alpha), row texts) per path in grid order, the row texts those
+    of ``solver.path_texts``: rows separated by "], [" and values by ", ".
+    A float's repr holds only digits, letters, ".", "-" and "+", so
+    splitting on ", " and "], [" is exact."""
+    return zip(map(repr, fan.grid), solver.path_texts(fan))
 
 
 def _fan_csv_chunks(

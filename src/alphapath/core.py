@@ -94,8 +94,10 @@ def grid_problems(horizon: float, step: float) -> list[tuple[str, str]]:
             problems.append(("step", f"step {step} exceeds horizon {horizon}"))
         else:
             ratio = horizon / step
+            if not math.isfinite(ratio):
+                problems.append(("step", f"horizon/step = {ratio!r} is not finite"))
             # a refused ratio is off by more than 1e-9 whatever the tolerance
-            if abs(ratio - round(ratio)) > max(1e-9, 4 * math.ulp(ratio)):
+            elif abs(ratio - round(ratio)) > max(1e-9, 4 * math.ulp(ratio)):
                 problems.append(
                     (
                         "step",

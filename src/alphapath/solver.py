@@ -13,16 +13,18 @@ generated text beside it (``_partials_lines``). Each text has two runners
 with the same bits: C (``_c_source``), one library built per problem and
 process that runs every row of a batch, or every point of an audit group;
 and Python floats (``_compile_step``, ``_compile_partials``), the reference
-and the fallback, which runs one row at a time (``_integrate``) where there
-is no library and reruns every row or group that raised a floating-point
-flag in C. The step also returns g at its starting node, so a fan solve
-carries g at every node for the regularity check to read. ``solve_fan``
-returns these arrays as an ``AlphaFan``; an alpha-path is a fan of one.
+and the fallback, which runs a row or a point at a time where there is no
+library and reruns every row or group that raised a floating-point flag in
+C. The step also returns g at its starting node, so a fan solve carries g
+at every node for the regularity check to read. ``solve_fan`` returns these
+arrays as an ``AlphaFan``; an alpha-path is a fan of one.
 ``sample_positions`` records positions only: no other component and no g.
 
 The same library also renders the fan's states as text (``_render_paths``):
 a fixed C text finds each float's shortest round-trip digits by Schubfach
-and lays them out as float.__repr__ does, every value included.
+and lays them out as float.__repr__ does, every value included. Only
+``_solve_rows``, ``condition_h_partials`` and ``path_texts`` choose between
+C and Python.
 """
 
 from __future__ import annotations
@@ -555,17 +557,15 @@ def _run_compiled(
 
 def _run_partials(
     spec: UdeSpec,
-    library: ctypes.CDLL | None,
+    library: ctypes.CDLL,
     times: np.ndarray,
     states: np.ndarray,
     h: np.ndarray,
 ) -> np.ndarray | None:
     """(points, 2) partials of f and g, the text of ``_partials_lines`` at
     each (times[i], states[i], h[i]) through the library's ``partials``; None
-    without a library, or when the group raised an invalid, division-by-zero
-    or overflow flag or gave a partial that is not finite."""
-    if library is None:
-        return None
+    when the group raised an invalid, division-by-zero or overflow flag or
+    gave a partial that is not finite."""
     times, states, h = (np.ascontiguousarray(a, float) for a in (times, states, h))
     points = len(states)
     # the library reads these shapes through raw pointers
@@ -665,6 +665,62 @@ def _solve_rows(
         if keep_g:
             diffusion[r] = g
     return states, diffusion, failures
+
+
+def _python_partials(
+    spec: UdeSpec,
+    partials: Callable,
+    times: np.ndarray,
+    states: np.ndarray,
+    h: np.ndarray,
+) -> np.ndarray:
+    """(points, 2) partials of f and g point by point through the Python
+    text ``partials`` (``_compile_partials``). A point where it fails or is
+    not finite is evaluated again by ``expr.evaluate``, whose NonFiniteError
+    names the failing subexpression."""
+    names = expr.state_variables(spec.order)
+    values = np.empty((len(times), 2))
+    points = zip(times.tolist(), states.tolist(), h.tolist())
+    for i, (t, (x, *rest), step) in enumerate(points):
+        try:
+            df, dg = partials(t, x, *rest, step)
+        except _STEP_FAILURES:
+            df = dg = math.nan
+        if not (math.isfinite(df) and math.isfinite(dg)):
+            hi, lo = (dict(zip(names, [t, x + d, *rest])) for d in (step, -step))
+            df, dg = (
+                (expr.evaluate(tree, hi) - expr.evaluate(tree, lo)) / (2.0 * step)
+                for tree in (spec.drift, spec.diffusion)
+            )
+        values[i] = df, dg
+    return values
+
+
+def condition_h_partials(
+    spec: UdeSpec, groups: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
+) -> Iterator[np.ndarray]:
+    """(points, 2) partials of f and g in x0 per group (times, states, h),
+    the text of ``_partials_lines`` at each point. A built library (this
+    builds none) runs each group; a group it flags, and every group without
+    one, runs point by point in Python (``_python_partials``)."""
+    library = _built_library(spec)
+    python = None
+    for group in groups:
+        values = None if library is None else _run_partials(spec, library, *group)
+        if values is None:
+            python = python or _compile_partials(spec)
+            values = _python_partials(spec, python, *group)
+        yield values
+
+
+def path_texts(fan: AlphaFan) -> Iterator[str]:
+    """Each path of the fan as the text ``repr(path.tolist())[2:-2]``:
+    values joined by ", " and rows by "], [". The problem's C library
+    writes it when a solve has built it (this builds none), repr when not."""
+    library = _built_library(fan.spec)
+    if library is None:
+        return (repr(states.tolist())[2:-2] for states in fan.states)
+    return _render_paths(library, fan.states)
 
 
 def _require_valid(spec: UdeSpec) -> None:

@@ -248,8 +248,8 @@ def test_condition_h_matches_reference_bitwise(
         scalar_groups.extend(paths or ["samples"])
         return scalar_partials(spec, partials, times, states, h)
 
-    scalar_partials = analysis._scalar_partials
-    monkeypatch.setattr(analysis, "_scalar_partials", spy)
+    scalar_partials = solver._python_partials
+    monkeypatch.setattr(solver, "_python_partials", spy)
     (label, env, value), violations = reference_condition_h(spec, fan, 64, 11)
     for engine in engines():
         build_in_compiled_round(spec)
@@ -281,14 +281,13 @@ def test_condition_h_keeps_an_overflow_that_a_later_operation_absorbs(
     spec = UdeSpec.from_strings(2, "tanh(1e308*(x0 + 10))", "1", [0.1, 0.0], 1.0, 1e-2)
     fan = dataclasses.replace(fan, spec=spec)
     flagged, reruns = [], []
-    run_partials, scalar_partials = solver._run_partials, analysis._scalar_partials
+    run_partials, scalar_partials = solver._run_partials, solver._python_partials
 
     def c_spy(spec, library, times, states, h):
-        if library is not None:
-            values = np.empty((len(times), 2))
-            arrays = (times, np.ascontiguousarray(states), h, values)
-            raised = library.partials(len(times), *(a.ctypes.data for a in arrays))
-            flagged.append(bool(raised) and np.isfinite(values).all())
+        values = np.empty((len(times), 2))
+        arrays = (times, np.ascontiguousarray(states), h, values)
+        raised = library.partials(len(times), *(a.ctypes.data for a in arrays))
+        flagged.append(bool(raised) and np.isfinite(values).all())
         return run_partials(spec, library, times, states, h)
 
     def scalar_spy(*args):
@@ -296,7 +295,7 @@ def test_condition_h_keeps_an_overflow_that_a_later_operation_absorbs(
         return scalar_partials(*args)
 
     monkeypatch.setattr(solver, "_run_partials", c_spy)
-    monkeypatch.setattr(analysis, "_scalar_partials", scalar_spy)
+    monkeypatch.setattr(solver, "_python_partials", scalar_spy)
     for engine in engines():
         build_in_compiled_round(spec)
         flagged.clear()

@@ -592,22 +592,25 @@ def test_a_library_without_a_function_is_a_failed_build(tmp_path, monkeypatch):
 
 
 def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):
-    # a fresh interpreter solves a fan below COMPILE_MIN_ROW_STEPS: no build,
-    # so the import of subprocess, which only a build needs, never happens
+    # a fresh interpreter runs every command on a fan below
+    # COMPILE_MIN_ROW_STEPS: no solve builds, and neither the condition-H
+    # audit nor the fan renderer does, so no library is loaded and the
+    # import of subprocess, which only a build needs, never happens
     import subprocess
     import sys
 
     cfg = write_config(tmp_path)
     config = load_config(cfg)
     row_steps = len(alpha_grid(config.alpha)) * config.spec.step_count
-    argv = ["solve", "--config", cfg, "--out", str(tmp_path / "out")]
+    tail = ["--config", cfg, "--out", str(tmp_path / "out"), "--force"]
+    commands = [["solve"], ["check"], ["dist", "--t", "1.0"], ["oracle"]]
     code = (
         "import sys\n"
         "from alphapath import solver\n"
         "from alphapath.cli import main\n"
-        f"code = main({argv!r})\n"
+        f"codes = [main(command + {tail!r}) for command in {commands!r}]\n"
         f"below = {row_steps} < solver.COMPILE_MIN_ROW_STEPS\n"
-        "print(code, below, 'subprocess' in sys.modules)\n"
+        "print(codes, below, solver._LIBRARIES, 'subprocess' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     result = subprocess.run(
@@ -617,7 +620,7 @@ def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):
         text=True,
         timeout=60,
     )
-    assert (result.stdout, result.stderr) == ("0 True False\n", "")
+    assert (result.stdout, result.stderr) == ("[0, 0, 0, 0] True {} False\n", "")
 
 
 def _render_scalar(value) -> str:
@@ -958,10 +961,14 @@ def test_grid_problems_name_their_line(tmp_path, capsys, old, new, message):
             {"[csv, json]\n": "[csv, json]\nalpha.symmetric = true\n"},
             "line 14: unknown key `alpha.symmetric`",
         ),
+        (
+            {"horizon = 1.0": "horizon = 1e308", "step    = 0.0025": "step    = 1e-10"},
+            "line 7: horizon/step = inf is not finite",
+        ),
     ],
     ids=[
         "delta-nan", "alphas-nan", "initial-nan", "initial-overflow", "order-0",
-        "alpha-symmetric",
+        "alpha-symmetric", "step-ratio-overflow",
     ],
 )
 def test_load_errors_name_their_line_on_every_command(tmp_path, capsys, edits, message):

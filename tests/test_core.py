@@ -16,6 +16,7 @@ from alphapath import (
     solve_fan,
     validate_spec,
 )
+from alphapath.core import grid_problems
 from alphapath.errors import ConfigError, DomainError
 from alphapath.expr import evaluate, parse_source
 
@@ -218,3 +219,14 @@ def test_validate_spec_nonfinite_initial():
 def test_validate_spec_step_exceeds_horizon():
     spec = UdeSpec.from_strings(2, "0", "1", [0.0, 0.0], 1.0, 2.0)
     assert any("exceeds horizon" in p for p in validate_spec(spec))
+
+
+def test_a_step_ratio_that_overflows_is_a_step_problem():
+    # 1e308 / 1e-10 is inf: refused as a problem of the step, before round()
+    # could raise OverflowError
+    message = "horizon/step = inf is not finite"
+    assert grid_problems(1e308, 1e-10) == [("step", message)]
+    spec = UdeSpec.from_strings(1, "x0", "1", [0.0], 1e308, 1e-10)
+    assert validate_spec(spec) == [message]
+    with pytest.raises(ConfigError, match=message):
+        solve_fan(spec, [0.5])

@@ -38,3 +38,23 @@ def test_every_public_name_exists():
     missing = [name for name in alphapath.__all__ if not hasattr(alphapath, name)]
     assert missing == []
     assert len(set(alphapath.__all__)) == len(alphapath.__all__)
+
+
+def test_only_the_solver_names_its_engine_internals():
+    # the solver alone chooses between its C library and Python: no other
+    # module looks up, runs or loads a library, or catches a step's failures
+    internals = [
+        "_LIBRARIES",
+        "_built_library",
+        "_run_partials",
+        "_compile_partials",
+        "_python_partials",
+        "_render_paths",
+        "_STEP_FAILURES",
+        "ctypes",
+    ]
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "solver.py":
+            source = path.read_text(encoding="utf-8")
+            named = [name for name in internals if re.search(rf"\b{name}\b", source)]
+            assert named == [], path.name

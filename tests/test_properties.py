@@ -108,7 +108,7 @@ state_trees = trees.filter(lambda tree: variables_of(tree) - {"t"})
 @needs_compiler
 @settings(SETTINGS, max_examples=100)
 @given(state_trees, st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
-def test_block_equals_compiled_bitwise(tree, t, seed):
+def test_condition_h_c_text_equals_python_text_bitwise(tree, t, seed):
     # the condition-H text in C over a block of 64 states, as the audit runs
     # it, against the Python text point by point: every partial has the
     # Python result's bits, and a point where the Python text fails or is not

@@ -22,7 +22,7 @@ from alphapath import (
     phi_inv,
     solve_fan,
 )
-from alphapath import analysis, solver
+from alphapath import solver
 from alphapath.errors import (
     ConfigError,
     FanSolveError,
@@ -283,7 +283,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 # the C runner's strided reads and writes would show
 @pytest.mark.parametrize("rows", [64, 200])
 @pytest.mark.parametrize("order,f,g,initial", BLOCK_CASES)
-def test_block_rows_equal_scalar_rows_bitwise(engines, order, f, g, initial, rows):
+def test_batched_rows_equal_single_rows_bitwise(engines, order, f, g, initial, rows):
     # a block of rows through the batch entry point, in the row loop and in
     # the C runner, against each row solved alone in Python
     spec = UdeSpec.from_strings(order, f, g, initial, 1.0, 1.0 / 64)
@@ -421,7 +421,7 @@ def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
         raise AssertionError("the audit ran in Python")
 
     monkeypatch.setattr(subprocess, "run", spy)
-    monkeypatch.setattr(analysis, "_scalar_partials", no_rerun)
+    monkeypatch.setattr(solver, "_python_partials", no_rerun)
     monkeypatch.setattr(solver, "_BUILD_ROOT", str(tmp_path))
     monkeypatch.setattr(solver, "_LIBRARIES", {})
     monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)

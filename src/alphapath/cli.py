@@ -211,7 +211,8 @@ def cmd_dist(config: RunConfig, outdir: Path, t: float) -> int:
     analysis.snap_to_node(time_grid(config.spec), t)  # a bad t fails before the solve
     fan = _solve_configured_fan(config)
     table = analysis.inverse_distribution(fan, t)
-    name = f"dist_t{t:g}"
+    short = f"{t:g}"  # repr when six significant digits lose t
+    name = f"dist_t{short if float(short) == t else repr(t)}"
     if "csv" in config.output_formats:
         lines = ["alpha,x"]
         lines += [f"{a!r},{x!r}" for a, x in table.entries]

@@ -292,7 +292,6 @@ def parse_source(source: str, order: int) -> ExprAst:
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _NEG_PRECEDENCE = 3
-_ATOM_PRECEDENCE = 9
 
 
 def pretty(node: ExprAst) -> str:

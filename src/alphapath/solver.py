@@ -10,15 +10,17 @@ per segment; an alpha-path is one segment with slope phi_inv(alpha). Rows are
 integrated by one RK4 step generated per problem with f and g inlined
 (``_step_lines``), and the condition-H audit takes its differences by one
 generated text beside it (``_partials_lines``). Each text has two runners
-with the same bits: C (``_c_source``), one library built per problem and
-process that runs every row of a batch, or every point of an audit group;
-and Python floats (``_compile_step``, ``_compile_partials``), the reference
-and the fallback, which runs a row or a point at a time where there is no
-library and reruns every row or group that raised a floating-point flag in
-C. The step also returns g at its starting node, so a fan solve carries g
-at every node for the regularity check to read. ``solve_fan`` returns these
-arrays as an ``AlphaFan``; an alpha-path is a fan of one.
-``sample_positions`` records positions only: no other component and no g.
+with the same bits: C (``_c_source``), one library per (order, f, g) and
+process, whatever the step, horizon or initial state, that runs every row
+of a batch, or every point of an audit group; and Python floats
+(``_compile_step``, ``_compile_partials``), the reference and the fallback,
+which runs a row or a point at a time where there is no library and reruns
+every row or group that raised a floating-point flag in C. The step reads
+its step size as an input and also returns g at its starting node, so a fan
+solve carries g at every node for the regularity check to read.
+``solve_fan`` returns these arrays as an ``AlphaFan``; an alpha-path is a
+fan of one. ``sample_positions`` records positions only: no other component
+and no g.
 
 The same library also renders the fan's states as text (``_render_paths``):
 a fixed C text finds each float's shortest round-trip digits by Schubfach
@@ -57,9 +59,9 @@ _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 # a call whose rows x steps reach this many builds its problem's library;
 # once it is built, calls of any size use it. Below it the row loop, the only
 # runner besides C, integrates the batch: one build, the fan renderer's text
-# included, takes 0.06-0.07 s (2-core x86-64; the renderer adds about
-# 0.015 s), what the row loop spends on 13,000 to 23,000 row-steps at
-# 3-4.5 us each
+# included, takes about 0.08 s (median of 12, 2-core Intel Xeon x86-64; the
+# renderer adds about 0.012 s), what the row loop spends on 18,000 to 27,000
+# row-steps at 3-4.5 us each
 COMPILE_MIN_ROW_STEPS = 20_000
 
 # the C step is built by this compiler, named by a fixed path and run in a
@@ -75,8 +77,8 @@ _BUILD_TIMEOUT_S = 60.0
 # and removed as soon as the library is loaded
 _BUILD_ROOT = "/tmp"
 
-# the process's loaded libraries by C source text; None marks a failed build
-_LIBRARIES: dict[str, ctypes.CDLL | None] = {}
+# the process's loaded libraries by ``_library_key``; None marks a failed build
+_LIBRARIES: dict[tuple[int, str, str], ctypes.CDLL | None] = {}
 # library file names are never reused: the loader hands back an already
 # loaded library for a path it has seen
 _BUILD_NUMBERS = count()
@@ -129,34 +131,34 @@ def _forcing(
 
 def _step_lines(spec: UdeSpec, signed: bool) -> list[tuple[str, str]]:
     """One classical RK4 step of the companion system, f and g inlined, as
-    assignments (name, rhs) in order: g at the step's node, the four stage
-    forcings p q r s with the stage states a b e between them, then the next
-    state z0 .. z{n-1}. Each stage derivative is the stage state shifted up
+    assignments (name, rhs) in order: hh = h/2 and w = h/6, g at the step's
+    node, the four stage forcings p q r s with the stage states a b e between
+    them, then the next state z0 .. z{n-1}. Each stage derivative is the stage state shifted up
     one row with the forcing on top, and the arithmetic is the classical
-    tableau's, operation for operation. The right-hand sides read t, c and
-    the state y0 .. y{n-1}, and are valid Python and C alike."""
-    n = spec.order
-    h = spec.horizon / spec.step_count
-    hh, w = 0.5 * h, h / 6.0
-    y, a, b, e, z = ([f"{v}{k}" for k in range(n)] for v in "yabez")
+    tableau's, operation for operation. The right-hand sides read t, the
+    step size h, c and the state y0 .. y{n-1}, and are valid Python and C
+    alike; the text depends on the order, f and g alone."""
+    y, a, b, e, z = ([f"{v}{k}" for k in range(spec.order)] for v in "yabez")
     k1, k2, k3, k4 = y[1:] + ["p"], a[1:] + ["q"], b[1:] + ["r"], e[1:] + ["s"]
 
-    def stage(out: list[str], coef: float, derivative: list[str]):
-        return [(o, f"{s} + {coef!r} * {d}") for o, s, d in zip(out, y, derivative)]
+    def stage(out: list[str], coef: str, derivative: list[str]):
+        return [(o, f"{s} + {coef} * {d}") for o, s, d in zip(out, y, derivative)]
 
     return [
+        ("hh", "0.5 * h"),
+        ("w", "h / 6.0"),
         ("g", _diffusion_source(spec)),
         ("p", _forcing(spec, signed, "t", y, "g")),
-        ("u", f"t + {hh!r}"),
-        *stage(a, hh, k1),
+        ("u", "t + hh"),
+        *stage(a, "hh", k1),
         ("q", _forcing(spec, signed, "u", a)),
-        *stage(b, hh, k2),
+        *stage(b, "hh", k2),
         ("r", _forcing(spec, signed, "u", b)),
-        *stage(e, h, k3),
-        ("v", f"t + {h!r}"),
+        *stage(e, "h", k3),
+        ("v", "t + h"),
         ("s", _forcing(spec, signed, "v", e)),
         *(
-            (o, f"{s} + {w!r} * ({p} + 2.0 * ({q} + {r}) + {d})")
+            (o, f"{s} + w * ({p} + 2.0 * ({q} + {r}) + {d})")
             for o, s, p, q, r, d in zip(z, y, k1, k2, k3, k4)
         ),
     ]
@@ -203,9 +205,9 @@ def _compile_partials(spec: UdeSpec) -> Callable:
 def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
     """The step of ``_step_lines`` as Python.
 
-    ``step(t, y, c)`` takes a record (g, y0, ..., y{n-1}) whose state is the
-    state at t, and returns the record one step later: g at the given node,
-    then the next state. It raises OverflowError for a state that is not
+    ``step(t, y, c, h)`` takes a record (g, y0, ..., y{n-1}) whose state is
+    the state at t, and returns the record a step h later: g at the given
+    node, then the next state. It raises OverflowError for a state that is not
     finite or beyond BLOWUP_LIMIT. ``diffusion(t, y)`` is g alone at the
     record's state.
     """
@@ -219,7 +221,7 @@ def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
         f"    return g, {', '.join(z)}",
         "raise OverflowError('state left the finite range')",
     ]
-    source = "def step(t, y, c):\n" + "".join(f"    {line}\n" for line in body)
+    source = "def step(t, y, c, h):\n" + "".join(f"    {line}\n" for line in body)
     g = _diffusion_source(spec)
     source += f"def diffusion(t, y):\n    {unpack}\n    return {g}\n"
     namespace = expr._exec(source)
@@ -235,11 +237,11 @@ static double diffusion(double t, const double *state) {{
 {load}    return {g};
 }}
 
-void run(int32_t signed_rows, int64_t rows, int64_t segments,
+void run(int32_t signed_rows, double h, int64_t rows, int64_t segments,
          const int64_t *counts, const double *slopes, const double *times,
          const double *initial, int64_t kept, double *states,
          double *g_nodes, uint8_t *rerun) {{
-    int (*step)(double, double, double *, double *) =
+    int (*step)(double, double, double, double *, double *) =
         signed_rows ? step_signed : step_abs;
     int64_t steps = 0;
     for (int64_t k = 0; k < segments; k++) steps += counts[k];
@@ -255,7 +257,7 @@ void run(int32_t signed_rows, int64_t rows, int64_t segments,
         for (int64_t seg = 0; ok && seg < segments; seg++) {{
             double c = slopes[row * segments + seg];
             for (int64_t i = 0; ok && i < counts[seg]; i++, node++) {{
-                ok = step(times[node], c, state, &g);
+                ok = step(times[node], h, c, state, &g);
                 if (gs) gs[node] = g;
                 for (int64_t k = 0; k < kept; k++)
                     out[(node + 1) * kept + k] = state[k];
@@ -412,14 +414,15 @@ def _c_source(spec: UdeSpec) -> str:
     """The texts of ``_step_lines`` and ``_partials_lines`` as one C
     translation unit: ``step_abs`` (alpha-paths) and ``step_signed``
     (surrogates), each a static function that advances ``state`` in place
-    and returns whether it stayed within BLOWUP_LIMIT; ``run``, which
-    integrates every row of a batch into the caller's arrays and marks for a
-    rerun in Python a row that leaves the bound or raises an invalid,
+    by a step h and returns whether it stayed within BLOWUP_LIMIT; ``run``,
+    which integrates every row of a batch into the caller's arrays and marks
+    for a rerun in Python a row that leaves the bound or raises an invalid,
     division-by-zero or overflow flag; ``partials``, which writes (df, dg)
     at every point of an audit group and returns whether the group raised
     one of those flags; and ``render``, the fixed text ``_C_RENDERER`` after
     the table of ``_powers``, which writes a path's states as
-    ``_render_paths`` describes."""
+    ``_render_paths`` describes. It reads the spec's order, f and g alone,
+    as ``_library_key`` does."""
     n = spec.order
     load = "".join(f"    double y{k} = state[{k}];\n" for k in range(n))
     store = "".join(f"    state[{k}] = z{k};\n" for k in range(n))
@@ -428,12 +431,12 @@ def _c_source(spec: UdeSpec) -> str:
         "#include <fenv.h>\n#include <math.h>\n#include <stdint.h>\n",
         "#define ln log\n#define abs fabs\n",
     ]
+    params = "double t, double h, double c, double *state, double *g_out"
     for name, signed in (("step_abs", False), ("step_signed", True)):
         lines = _step_lines(spec, signed)
         body = "".join(f"    double {v} = {rhs};\n" for v, rhs in lines)
-        signature = f"int {name}(double t, double c, double *state, double *g_out)"
         parts.append(
-            f"\nstatic {signature} {{\n"
+            f"\nstatic int {name}({params}) {{\n"
             f"{load}{body}    *g_out = g;\n{store}    return {within};\n}}\n"
         )
     body = "".join(f"    double {v} = {rhs};\n" for v, rhs in _partials_lines(spec))
@@ -479,10 +482,10 @@ def _build(source: str) -> ctypes.CDLL | None:
             capture_output=True,
         )
         loaded = ctypes.CDLL(library)
-        pointer, int64 = ctypes.c_void_p, ctypes.c_int64
+        pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         run, partials, render = loaded.run, loaded.partials, loaded.render
         run.argtypes = [
-            ctypes.c_int32, int64, int64, *[pointer] * 4, int64, *[pointer] * 3
+            ctypes.c_int32, double, int64, int64, *[pointer] * 4, int64, *[pointer] * 3
         ]
         run.restype = None
         partials.argtypes = [int64, *[pointer] * 4]
@@ -496,22 +499,30 @@ def _build(source: str) -> ctypes.CDLL | None:
         shutil.rmtree(folder, ignore_errors=True)
 
 
+def _library_key(spec: UdeSpec) -> tuple[int, str, str]:
+    """What ``_c_source`` reads of a spec: the order, and f and g emitted
+    over their own variable names. Not the trees themselves, which compare
+    Const(-0.0) equal to Const(0.0) though the two emit different texts."""
+    names = {v: v for v in expr.state_variables(spec.order)}
+    return spec.order, expr._emit(spec.drift, names), expr._emit(spec.diffusion, names)
+
+
 def _built_library(spec: UdeSpec) -> ctypes.CDLL | None:
     """The problem's C library if a solve has built it; None otherwise (no
     build yet, no compiler or a failed build). Never builds."""
-    return _LIBRARIES.get(_c_source(spec))
+    return _LIBRARIES.get(_library_key(spec))
 
 
 def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
     """The problem's C library, built first if ``row_steps`` reaches
     COMPILE_MIN_ROW_STEPS; None without one (a smaller call before any
     build, no compiler or a failed build)."""
-    source = _c_source(spec)
-    if source not in _LIBRARIES:
+    key = _library_key(spec)
+    if key not in _LIBRARIES:
         if row_steps < COMPILE_MIN_ROW_STEPS:
             return None
-        _LIBRARIES[source] = _build(source)
-    return _LIBRARIES[source]
+        _LIBRARIES[key] = _build(_c_source(spec))
+    return _LIBRARIES[key]
 
 
 def _run_compiled(
@@ -544,6 +555,7 @@ def _run_compiled(
     g_nodes = None if diffusion is None else diffusion.ctypes.data
     library.run(
         signed,
+        spec.horizon / spec.step_count,
         rows,
         len(counts),
         *(a.ctypes.data for a in inputs),
@@ -606,12 +618,13 @@ def _integrate(
     failure inside a step aborts with BlowUpError at the step's start, the
     last good node; g failing at the last node is nan."""
     step, diffusion = compiled
+    h = spec.horizon / spec.step_count
     tlist = time_grid(spec).tolist()
     record = (math.nan, *(float(v) for v in spec.initial))
     records = [record]
     try:
         for t, c in zip(tlist, drivers):
-            record = step(t, record, c)
+            record = step(t, record, c, h)
             records.append(record)
     except _STEP_FAILURES as exc:
         raise BlowUpError(t, alpha) from exc
@@ -760,22 +773,21 @@ class IntegralResidual:
 
     max_residual: float
     at_time: float
-    used_trapezoid: bool  # some prefix had too few nodes for Simpson
 
 
-def _composite_simpson(values: np.ndarray, h: float) -> tuple[float, bool]:
+def _composite_simpson(values: np.ndarray, h: float) -> float:
     """Integrate uniformly spaced samples at fourth order.
 
     Even interval counts use composite Simpson; odd counts close the last
     three intervals with the 3/8 rule, keeping the error O(h^4) so halving
     the step keeps shrinking the residual by ~16x. A single interval has too
-    few nodes for either rule and falls back to the trapezoid, flagged.
+    few nodes for either rule and falls back to the trapezoid.
     """
     m = len(values) - 1
     if m == 0:
-        return 0.0, False
+        return 0.0
     if m == 1:
-        return 0.5 * h * (values[0] + values[1]), True
+        return 0.5 * h * (values[0] + values[1])
     tail = 0.0
     if m % 2 == 1:
         tail = (
@@ -787,14 +799,14 @@ def _composite_simpson(values: np.ndarray, h: float) -> tuple[float, bool]:
         values = values[:-3]
         m -= 3
     if m == 0:
-        return float(tail), False
+        return float(tail)
     s = (
         values[0]
         + values[-1]
         + 4.0 * values[1:-1:2].sum()
         + 2.0 * values[2:-2:2].sum()
     )
-    return h / 3.0 * float(s) + float(tail), False
+    return h / 3.0 * float(s) + float(tail)
 
 
 def integral_residual(fan: AlphaFan, k: int) -> IntegralResidual:
@@ -806,7 +818,7 @@ def integral_residual(fan: AlphaFan, k: int) -> IntegralResidual:
     where F is the top row of the companion system, f + |g| * phi_inv(alpha),
     evaluated along the stored states. The integral is approximated node-wise
     by composite Simpson quadrature (3/8 closure for odd interval counts);
-    prefixes with fewer than 3 nodes fall back to the trapezoid, flagged.
+    the one prefix with 2 nodes falls back to the trapezoid.
     Returns the maximum absolute deviation over all grid nodes.
     """
     spec, times, states = fan.spec, fan.times, fan.states[k]
@@ -823,7 +835,6 @@ def integral_residual(fan: AlphaFan, k: int) -> IntegralResidual:
 
     max_residual = -1.0
     at_time = 0.0
-    used_trapezoid = False
     for j in range(len(times)):
         tj = tlist[j]
         poly = sum(tj**i / math.factorial(i) * spec.initial[i] for i in range(n))
@@ -831,13 +842,12 @@ def integral_residual(fan: AlphaFan, k: int) -> IntegralResidual:
             integral = 0.0
         else:
             kernel = (tj - times[: j + 1]) ** (n - 1)
-            integral, trap = _composite_simpson(kernel * forcing[: j + 1], h)
-            used_trapezoid = used_trapezoid or trap
+            integral = _composite_simpson(kernel * forcing[: j + 1], h)
         residual = abs(positions[j] - (poly + factor * integral))
         if residual > max_residual:
             max_residual = residual
             at_time = tj
-    return IntegralResidual(float(max_residual), at_time, used_trapezoid)
+    return IntegralResidual(float(max_residual), at_time)
 
 
 def segment_problem(steps: int, segments: int) -> str:

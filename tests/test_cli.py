@@ -234,6 +234,37 @@ def test_dist_at_zero_agrees_with_the_library(tmp_path):
     assert library == run["expected_value"]["value"] == 2.7
 
 
+def test_dist_names_keep_every_t_apart(tmp_path):
+    # 100000.0 and 100000.4 snap to nodes a step apart, and both print as
+    # 100000 to six significant digits: the second file is named by repr,
+    # so it does not replace the first. A t whose %g text reads back to it
+    # keeps that name, dist_t1 for --t 1.0 among them
+    text = (
+        'order = 1\nf = "0"\ng = "1"\ninitial = [0]\nhorizon = 100000.5\n'
+        "step = 0.5\nalpha.count = 3\noracle.n_paths = 1\n"
+        "output.formats = [csv, json]\n"
+    )
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    for t in ("100000.0", "100000.4", "1.0"):
+        argv = ["dist", "--config", cfg, "--out", str(out), "--t", t, "--force"]
+        assert main(argv) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "dist_t1.csv",
+        "dist_t1.json",
+        "dist_t100000.4.csv",
+        "dist_t100000.4.json",
+        "dist_t100000.csv",
+        "dist_t100000.json",
+        "run.json",
+    ]
+    names = ("dist_t100000", "dist_t100000.4")
+    tables = [json.loads((out / f"{name}.json").read_text()) for name in names]
+    assert tables[1]["t"] - tables[0]["t"] == 0.5
+    csvs = [(out / f"{name}.csv").read_text() for name in names]
+    assert csvs[0] != csvs[1]
+
+
 def test_dist_out_of_range_exits_2(tmp_path, capsys, monkeypatch):
     # found before the fan is solved
     def unreachable(*args, **kwargs):
@@ -420,12 +451,12 @@ FAN_RENDER_CASES = [
     pytest.param(
         _fan_config(order=3, initial="[0.1, 0, 0]", count=65, lo="0.01"),
         ["alpha,t,x0,x1,x2\n"],
-        id="block-rows",
+        id="wide-order-3",
     ),
     pytest.param(
         _fan_config(count=63, lo="0.01", formats="[csv]"),
         ["alpha,t,x0,x1\n"],
-        id="scalar-rows-csv-only",
+        id="wide-csv-only",
     ),
 ]
 
@@ -526,6 +557,34 @@ def test_every_engine_writes_the_same_artifacts(
     assert os.listdir(builds) == []
 
 
+def test_a_warm_command_writes_no_c_text(tmp_path, capsys, monkeypatch):
+    # the process's library is found by (order, f, g), so once every command
+    # has run, running each again renders the problem's C text not once and
+    # writes the same bytes; the one library serves all four commands
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    cold = _run_every_command(tmp_path, capsys, "cold")
+    rendered = []
+    c_source = solver._c_source
+
+    def spy(spec):
+        rendered.append(spec)
+        return c_source(spec)
+
+    monkeypatch.setattr(solver, "_c_source", spy)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "warm"
+    counts = []
+    for argv in (["solve"], ["check"], ["dist", "--t", "1.0"], ["oracle"]):
+        rendered.clear()
+        assert main([*argv, "--config", cfg, "--out", str(out), "--force"]) == 0
+        counts.append(len(rendered))
+    assert counts == [0, 0, 0, 0]
+    assert len(solver._LIBRARIES) == 1
+    warm = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert warm == cold[1]
+
+
 @pytest.mark.parametrize(
     "compiler", [pytest.param("gcc", marks=needs_compiler), "missing", "exits-1"]
 )
@@ -575,7 +634,8 @@ def test_a_library_without_a_function_is_a_failed_build(tmp_path, monkeypatch):
     # writes the bytes it writes with no compiler
     text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
     cfg = write_config(tmp_path, text.replace("0.0025", "0.001"))
-    source = solver._c_source(load_config(cfg).spec)
+    spec = load_config(cfg).spec
+    source = solver._c_source(spec)
     cut = source[: source.index(solver._renderer_source())]
     assert solver._build(cut) is None
     monkeypatch.setattr(solver, "_LIBRARIES", {})
@@ -585,7 +645,7 @@ def test_a_library_without_a_function_is_a_failed_build(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "_LIBRARIES", {})
     monkeypatch.setattr(solver, "_c_source", lambda spec: cut)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "cut")]) == 0
-    assert solver._LIBRARIES == {cut: None}
+    assert solver._LIBRARIES == {solver._library_key(spec): None}
     for name in ("fan.csv", "fan.json", "run.json"):
         want = (tmp_path / "none" / name).read_bytes()
         assert (tmp_path / "cut" / name).read_bytes() == want

@@ -45,6 +45,8 @@ def test_only_the_solver_names_its_engine_internals():
     # module looks up, runs or loads a library, or catches a step's failures
     internals = [
         "_LIBRARIES",
+        "_library_key",
+        "_c_source",
         "_built_library",
         "_run_partials",
         "_compile_partials",

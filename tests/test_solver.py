@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from alphapath.errors import (
     ConfigError,
     FanSolveError,
 )
+from alphapath.expr import BinOp, Const
 
 from conftest import (
     companion_rhs,
@@ -330,7 +332,7 @@ def test_wide_fan_blowup_failures_match_scalar(engines):
         assert 0 < len(expected) < len(grid)
 
 
-def test_block_falls_back_when_a_step_raises(engines, monkeypatch):
+def test_rows_the_c_runner_flags_are_rerun_alone_in_python(engines, monkeypatch):
     # a domain error in some rows of a 64-row fan: the C runner marks the
     # rows whose ln(x0) raises a flag, they are rerun alone in Python, and
     # only the failing alphas are reported, on both engines alike
@@ -363,6 +365,63 @@ def _solved_bits(spec, grid, slopes):
     fan = solve_fan(spec, grid)
     states, diffusion = driven(spec, slopes)
     return [a.tobytes() for a in (fan.states, fan.diffusion, states, diffusion)]
+
+
+def test_the_generated_texts_depend_on_the_order_f_and_g_alone():
+    # the step size is an input of the step, so specs that differ only in
+    # step, horizon or initial state share one C text, one library key and
+    # one compiled Python step; another order, f or g is another text. The
+    # key is not the trees: Const(-0.0) == Const(0.0), but they emit apart
+    base = tanh_spec(2)
+    same = [
+        tanh_spec(2, step=5e-4),
+        tanh_spec(2, horizon=2.0),
+        tanh_spec(2, initial=[0.3, -1.0]),
+    ]
+    other = [
+        tanh_spec(3),
+        UdeSpec.from_strings(2, "x0 + 1", "2+tanh(x0)", [0.1, 0.0], 1.0, 1e-3),
+        UdeSpec.from_strings(2, "x0", "2+tanh(x1)", [0.1, 0.0], 1.0, 1e-3),
+    ]
+    zeros = [
+        replace(base, drift=BinOp("+", base.drift, Const(zero))) for zero in (0.0, -0.0)
+    ]
+    assert zeros[0] == zeros[1]
+    source, key = solver._c_source(base), solver._library_key(base)
+    step = solver._compile_step(base, False)[0].__code__
+    for spec in same:
+        assert solver._c_source(spec) == source
+        assert solver._library_key(spec) == key
+        assert solver._compile_step(spec, False)[0].__code__ is step
+    for spec in [*other, *zeros]:
+        assert solver._c_source(spec) != source
+        assert solver._library_key(spec) != key
+    assert solver._c_source(zeros[0]) != solver._c_source(zeros[1])
+    assert solver._library_key(zeros[0]) != solver._library_key(zeros[1])
+
+
+def test_one_library_serves_every_step_size(engines, monkeypatch):
+    # one problem at two steps in one process: its fans and surrogate rows
+    # build one library between them, and every array has the bits of the
+    # same solve in a fresh cache, on both engines alike
+    specs = [tanh_spec(2, step=1e-3), tanh_spec(2, step=5e-4)]
+    grid = [0.1, 0.5, 0.9]
+    slopes = np.random.default_rng(6).uniform(-3.0, 3.0, (3, 4))
+
+    def solved(spec):
+        fan = solve_fan(spec, grid)
+        positions = solver.sample_positions(spec, slopes)
+        return [a.tobytes() for a in (fan.states, fan.diffusion, positions)]
+
+    results = []
+    for engine in engines():
+        shared = [solved(spec) for spec in specs]
+        assert len(solver._LIBRARIES) == (engine == "compiled")
+        for spec, bits in zip(specs, shared):
+            monkeypatch.setattr(solver, "_LIBRARIES", {})
+            assert solved(spec) == bits
+        results.append(shared)
+    assert all(result == results[0] for result in results)
 
 
 def test_compiled_steps_keep_libm_bits_of_calls_on_constants(engines):
@@ -481,10 +540,9 @@ def test_residual_polynomial_case():
 
 def test_residual_single_step_path():
     # two-node path: the t=0 term is exactly zero and the only prefix is a
-    # single interval, handled by the flagged trapezoid fallback
+    # single interval, handled by the trapezoid fallback
     spec = polynomial_spec(2, horizon=0.5, step=0.5)
     result = integral_residual(solve_fan(spec, [0.8]), 0)
-    assert result.used_trapezoid
     assert result.max_residual <= 1e-14
 
 

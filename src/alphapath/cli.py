@@ -9,9 +9,9 @@ LINES for the width of its help. Artifacts are written with full
 round-trip precision and without timestamps, so identical configs produce
 byte-identical outputs.
 
-A solve may build the problem's C library (``solver``). A build leaves
-nothing beside the artifacts, and without a working compiler the artifacts,
-exit codes and messages are the same.
+A solve may build the problem's C library, and writing the fan the renderer
+library (``solver``); a build leaves nothing beside the artifacts. Without a
+working compiler the artifacts, exit codes and messages are the same.
 
 Exit codes partition outcomes:
     0  success
@@ -29,7 +29,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 from . import analysis, oracle, solver
@@ -69,15 +69,16 @@ def _prepare_outdir(path: Path, force: bool) -> None:
         path.mkdir(parents=True)
 
 
-def _write_text(path: Path, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` in order through a temporary file in the same
-    directory, then rename it over ``path``: a write that fails partway, in
-    the file system or in the code producing the chunks, leaves the previous
-    artifact intact."""
+def _write_text(path: Path, chunks: Iterable[str | bytes | memoryview]) -> None:
+    """Write ``chunks`` in order, text as UTF-8 and bytes as they are,
+    through a temporary file in the same directory, then rename it over
+    ``path``: a write that fails partway, in the file system or in the code
+    producing the chunks, leaves the previous artifact intact."""
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(partial, "w", encoding="utf-8", newline="\n") as stream:
-            stream.writelines(chunks)
+        with open(partial, "wb") as stream:
+            for chunk in chunks:
+                stream.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(partial, path)
     except BaseException as exc:
         partial.unlink(missing_ok=True)
@@ -91,53 +92,27 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _float_texts(values: list[float]) -> list[str]:
-    """repr of each value, from one list repr (see ``_fan_texts``)."""
+    """repr of each value, from one list repr: a float's repr holds no ", "."""
     return repr(values)[1:-1].split(", ")
 
 
-def _fan_texts(fan: AlphaFan) -> Iterator[tuple[str, str]]:
-    """(repr(alpha), row texts) per path in grid order, the row texts those
-    of ``solver.path_texts``: rows separated by "], [" and values by ", ".
-    A float's repr holds only digits, letters, ".", "-" and "+", so
-    splitting on ", " and "], [" is exact."""
-    return zip(map(repr, fan.grid), solver.path_texts(fan))
-
-
-def _fan_csv_chunks(
-    order: int, times: list[str], texts: Iterable[tuple[str, str]]
-) -> Iterator[str]:
-    """fan.csv: the header, then one chunk of `alpha,t,x0,...` rows per path."""
-    yield "alpha,t," + ",".join(f"x{k}" for k in range(order)) + "\n"
-    middles = [f",{t}," for t in times]
-    for alpha, rows in texts:
-        parts = [alpha, "", "", "\n"] * len(middles)
-        parts[1::4] = middles
-        parts[2::4] = rows.replace(", ", ",").split("],[")
-        yield "".join(parts)
-
-
-# separators of json.dumps(indent=2) between the values and rows of a path
-_JSON_VALUE_SEP = ",\n        "
-_JSON_ROW_SEP = "\n      ],\n      [\n        "
-
-
-def _fan_json_chunks(
-    fan: AlphaFan, times: list[str], texts: Iterable[tuple[str, str]]
-) -> Iterator[str]:
+def _fan_json_chunks(fan: AlphaFan) -> Iterator[str | bytes | memoryview]:
     """fan.json in the layout of ``json.dumps(payload, indent=2,
     sort_keys=True) + "\\n"`` for the payload {order, alphas, times, states}:
-    one chunk per path, in the order of the ``states`` keys sorted as
-    strings."""
+    each path's body between its key and brackets, in the order of the
+    ``states`` keys sorted as strings."""
     yield (
         '{\n  "alphas": [\n    '
         + ",\n    ".join(_float_texts(fan.grid))
         + f'\n  ],\n  "order": {fan.spec.order!r},\n  "states": {{\n'
     )
-    separator = ""
-    for alpha, rows in sorted(texts, key=itemgetter(0)):
-        body = rows.replace("], [", _JSON_ROW_SEP).replace(", ", _JSON_VALUE_SEP)
-        yield f'{separator}    "{alpha}": [\n      [\n        {body}\n      ]\n    ]'
-        separator = ",\n"
+    keys = [repr(alpha) for alpha in fan.grid]
+    paths = sorted(range(len(keys)), key=keys.__getitem__)
+    for i, body in enumerate(solver.path_texts(fan, "json", paths)):
+        yield (",\n" if i else "") + f'    "{keys[paths[i]]}": [\n      [\n        '
+        yield body
+        yield "\n      ]\n    ]"
+    times = _float_texts(fan.times.tolist())
     yield '\n  },\n  "times": [\n    ' + ",\n    ".join(times) + "\n  ]\n}\n"
 
 
@@ -183,15 +158,12 @@ def _solve_configured_fan(config: RunConfig) -> AlphaFan:
 
 def cmd_solve(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
-    formats = config.output_formats
-    times = _float_texts(fan.times.tolist())
-    texts: Iterable[tuple[str, str]] = _fan_texts(fan)
-    if len(formats) > 1:
-        texts = list(texts)  # both files are rendered from this one repr pass
-    if "csv" in formats:
-        _write_text(outdir / "fan.csv", _fan_csv_chunks(fan.spec.order, times, texts))
-    if "json" in formats:
-        _write_text(outdir / "fan.json", _fan_json_chunks(fan, times, texts))
+    if "csv" in config.output_formats:  # the header, then each path's rows
+        header = "alpha,t," + ",".join(f"x{k}" for k in range(fan.spec.order))
+        rows = solver.path_texts(fan, "csv", range(len(fan.grid)))
+        _write_text(outdir / "fan.csv", chain([header + "\n"], rows))
+    if "json" in config.output_formats:
+        _write_text(outdir / "fan.json", _fan_json_chunks(fan))
     _update_run_json(outdir, config, _run_json_payload(fan))
     return EXIT_OK
 

@@ -22,11 +22,11 @@ solve carries g at every node for the regularity check to read.
 fan of one. ``sample_positions`` records positions only: no other component
 and no g.
 
-The same library also renders the fan's states as text (``_render_paths``):
-a fixed C text finds each float's shortest round-trip digits by Schubfach
-and lays them out as float.__repr__ does, every value included. Only
-``_solve_rows``, ``condition_h_partials`` and ``path_texts`` choose between
-C and Python.
+The fan's text comes from one more library per process, the same for every
+problem (``_renderer_source``): it writes each float as float.__repr__ does,
+its digits found by Schubfach, and a path in fan.csv's or fan.json's layout;
+without it repr and str.replace write the same bytes. Only ``_solve_rows``,
+``condition_h_partials`` and ``path_texts`` choose between C and Python.
 """
 
 from __future__ import annotations
@@ -58,11 +58,18 @@ _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 
 # a call whose rows x steps reach this many builds its problem's library;
 # once it is built, calls of any size use it. Below it the row loop, the only
-# runner besides C, integrates the batch: one build, the fan renderer's text
-# included, takes about 0.08 s (median of 12, 2-core Intel Xeon x86-64; the
-# renderer adds about 0.012 s), what the row loop spends on 18,000 to 27,000
-# row-steps at 3-4.5 us each
+# runner besides C, integrates the batch. A build takes 0.06-0.08 s (medians
+# of 11, 2-core Intel Xeon x86-64): 36,000 to 48,000 row-steps of the row
+# loop at 1.4-2.2 us each, at 1, 20 or 200 rows alike, but also about 2 us
+# saved per node of the condition-H audit, so a solve and its audit break
+# even near this count
 COMPILE_MIN_ROW_STEPS = 20_000
+
+# a fan text builds the renderer library once the values that repr has
+# rendered in the process, the text's own included, reach this many (rent
+# or buy): its build takes about 0.10 s, and it writes a value in about
+# 0.08 us against repr's 1.0 us (medians, 2-core Intel Xeon x86-64)
+RENDER_MIN_VALUES = 100_000
 
 # the C step is built by this compiler, named by a fixed path and run in a
 # fixed environment (gcc needs PATH to find the linker), so a build consults
@@ -71,6 +78,9 @@ COMPILE_MIN_ROW_STEPS = 20_000
 # -ffp-contract=off keeps it from fusing a multiply and an add
 COMPILER = "/usr/bin/gcc"
 _BUILD_ARGS = ("-O0", "-fno-builtin", "-ffp-contract=off", "-shared", "-fPIC")
+# the renderer only reads a double's bits, with no floating-point arithmetic
+# and no libm call, so optimisation cannot change the text it writes
+_RENDER_BUILD_ARGS = ("-O1", "-shared", "-fPIC")
 _BUILD_ENV = {"PATH": "/usr/bin:/bin"}
 _BUILD_TIMEOUT_S = 60.0
 # each build runs in a private directory made here, not where TMPDIR points,
@@ -79,6 +89,10 @@ _BUILD_ROOT = "/tmp"
 
 # the process's loaded libraries by ``_library_key``; None marks a failed build
 _LIBRARIES: dict[tuple[int, str, str], ctypes.CDLL | None] = {}
+# the process's renderer library, [None] after a failed build, and the
+# values of fan texts that repr has rendered in this process
+_RENDERER: list[ctypes.CDLL | None] = []
+_REPR_VALUES = 0
 # library file names are never reused: the loader hands back an already
 # loaded library for a path it has seen
 _BUILD_NUMBERS = count()
@@ -281,11 +295,11 @@ int partials(int64_t points, const double *times, const double *states,
 """
 
 
-# the fan renderer of the C translation unit: Schubfach (Giulietti, "The
-# Schubfach way to render doubles", 2020), which finds the shortest digits
-# that read back to the double and are closest to it from three products
-# rounded to odd, then CPython's repr layout of those digits. It reads the
-# table of ``_powers`` that ``_renderer_source`` writes above it
+# the renderer library's C text: Schubfach (Giulietti, "The Schubfach way to
+# render doubles", 2020), which finds the shortest digits that read back to
+# the double and are closest to it from three products rounded to odd, then
+# CPython's repr layout of those digits, then fan.csv's or fan.json's layout
+# of a path. It reads the table of ``_powers`` written above it
 _C_RENDERER = """\
 /* g * cp / 2^127 rounded to odd, with g = g1 2^63 + g0 */
 static uint64_t rop(uint64_t g1, uint64_t g0, uint64_t cp) {
@@ -369,20 +383,50 @@ static int64_t format_double(double value, char *out) {
     return p - out;
 }
 
-int64_t render(int64_t rows, int64_t cols, const double *values, char *text) {
-    char *p = text;
-    for (int64_t i = 0; i < rows * cols; i++) {
-        if (i % cols) { *p++ = ','; *p++ = ' '; }
-        else if (i) { *p++ = ']'; *p++ = ','; *p++ = ' '; *p++ = '['; }
-        p += format_double(values[i], p);
+/* the separators of json.dumps(indent=2) between a path's values and rows */
+static const char value_sep[] = ",\\n        ";
+static const char row_sep[] = "\\n      ],\\n      [\\n        ";
+#define COPY(p, text, length) (memcpy(p, text, length), p + (length))
+
+/* one path of rows x cols values at text, in layout 0 (fan.csv's rows) or 1
+   (fan.json's body), as ``_render_paths`` describes; its length. Row i's
+   time text is times[ends[i - 1] .. ends[i]) */
+int64_t render(int32_t layout, int64_t rows, int64_t cols, const double *values,
+               double alpha, const char *times, const int64_t *ends, char *text) {
+    char *p = text, head[24];
+    int64_t head_length = format_double(alpha, head);
+    for (int64_t i = 0, start = 0; i < rows; start = ends[i++]) {
+        if (!layout) {
+            p = COPY(p, head, head_length);
+            *p++ = ',';
+            p = COPY(p, times + start, ends[i] - start);
+        } else if (i) {
+            p = COPY(p, row_sep, sizeof row_sep - 1);
+        }
+        for (int64_t k = 0; k < cols; k++) {
+            if (!layout) *p++ = ',';
+            else if (k) p = COPY(p, value_sep, sizeof value_sep - 1);
+            p += format_double(values[i * cols + k], p);
+        }
+        if (!layout) *p++ = '\\n';
     }
     return p - text;
 }
 """
 
-# bytes of ``render``'s text per value: the longest repr of a double,
-# "-2.2250738585072014e-308", and the row separator "], ["
-_RENDER_BYTES = 24 + 4
+# the layouts of ``render``, by its layout argument, and the separators of
+# json.dumps(indent=2) between the values and the rows of a path
+_LAYOUTS = ("csv", "json")
+_JSON_VALUE_SEP = ",\n        "
+_JSON_ROW_SEP = "\n      ],\n      [\n        "
+
+
+def _row_bytes(cols: int, time_bytes: int) -> int:
+    """A bound on the bytes ``render`` writes per row of ``cols`` values and
+    a time text of at most ``time_bytes``: 24 per repr and 10 per separator
+    before a value, and 26 + ``time_bytes`` for the rest, fan.json's row
+    separator or fan.csv's alpha, "," after it, time and newline."""
+    return 26 + time_bytes + 34 * cols
 
 
 @cache
@@ -403,11 +447,15 @@ def _powers() -> tuple[int, ...]:
 
 @cache
 def _renderer_source() -> str:
-    """The table of ``_powers`` as a C array of 63-bit halves, then
+    """The renderer library's C translation unit, the same for every
+    problem: the table of ``_powers`` as a C array of 63-bit halves, then
     ``_C_RENDERER``."""
     low = (1 << 63) - 1
     rows = ",\n".join(f"    {{{g >> 63:#x}u, {g & low:#x}u}}" for g in _powers())
-    return f"\nstatic const uint64_t powers[][2] = {{\n{rows}\n}};\n\n{_C_RENDERER}"
+    return (
+        "#include <stdint.h>\n#include <string.h>\n\n"
+        f"static const uint64_t powers[][2] = {{\n{rows}\n}};\n\n{_C_RENDERER}"
+    )
 
 
 def _c_source(spec: UdeSpec) -> str:
@@ -419,10 +467,8 @@ def _c_source(spec: UdeSpec) -> str:
     for a rerun in Python a row that leaves the bound or raises an invalid,
     division-by-zero or overflow flag; ``partials``, which writes (df, dg)
     at every point of an audit group and returns whether the group raised
-    one of those flags; and ``render``, the fixed text ``_C_RENDERER`` after
-    the table of ``_powers``, which writes a path's states as
-    ``_render_paths`` describes. It reads the spec's order, f and g alone,
-    as ``_library_key`` does."""
+    one of those flags. It reads the spec's order, f and g alone, as
+    ``_library_key`` does."""
     n = spec.order
     load = "".join(f"    double y{k} = state[{k}];\n" for k in range(n))
     store = "".join(f"    state[{k}] = z{k};\n" for k in range(n))
@@ -446,16 +492,25 @@ def _c_source(spec: UdeSpec) -> str:
         "    out[0] = df;\n    out[1] = dg;\n}\n"
     )
     parts.append("\n" + _C_RUNNER.format(load=load, g=_diffusion_source(spec), order=n))
-    parts.append(_renderer_source())
     return "".join(parts)
 
 
-def _build(source: str) -> ctypes.CDLL | None:
-    """Compile C ``source`` into a shared library in a private directory,
-    load it, remove the directory and return the library, its ``run``,
-    ``partials`` and ``render`` typed; None when the compiler is missing,
-    fails or runs out of time, or the library does not load or lacks one of
-    those functions. Nothing reaches stderr."""
+# the argument and result types, as ctypes names without "c_", of each
+# function a library exports: a problem's run and partials, render
+_FUNCTIONS = {
+    "run": ("int32 double int64 int64 void_p void_p void_p void_p int64 void_p"
+            " void_p void_p", None),
+    "partials": ("int64 void_p void_p void_p void_p", "int"),
+    "render": ("int32 int64 int64 void_p double void_p void_p void_p", "int64"),
+}
+
+
+def _build(source: str, args: Sequence[str], names: list[str]) -> ctypes.CDLL | None:
+    """Compile C ``source`` with the compiler ``args`` into a shared library
+    in a private directory, load it, remove the directory and return the
+    library with its functions ``names`` typed; None when the compiler is
+    missing, fails or runs out of time, or the library does not load or
+    lacks one of those functions. Nothing reaches stderr."""
     # a run that builds nothing never imports subprocess
     import ctypes
     import shutil
@@ -467,12 +522,12 @@ def _build(source: str) -> ctypes.CDLL | None:
     except OSError:
         return None
     try:
-        c_file = os.path.join(folder, "step.c")
-        library = os.path.join(folder, f"step{next(_BUILD_NUMBERS)}.so")
+        c_file = os.path.join(folder, "source.c")
+        library = os.path.join(folder, f"library{next(_BUILD_NUMBERS)}.so")
         with open(c_file, "w") as out:
             out.write(source)
         subprocess.run(
-            [COMPILER, *_BUILD_ARGS, "-o", library, c_file, "-lm"],
+            [COMPILER, *args, "-o", library, c_file, "-lm"],
             env=_BUILD_ENV,
             timeout=_BUILD_TIMEOUT_S,
             check=True,
@@ -482,16 +537,10 @@ def _build(source: str) -> ctypes.CDLL | None:
             capture_output=True,
         )
         loaded = ctypes.CDLL(library)
-        pointer, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        run, partials, render = loaded.run, loaded.partials, loaded.render
-        run.argtypes = [
-            ctypes.c_int32, double, int64, int64, *[pointer] * 4, int64, *[pointer] * 3
-        ]
-        run.restype = None
-        partials.argtypes = [int64, *[pointer] * 4]
-        partials.restype = ctypes.c_int
-        render.argtypes = [int64, int64, pointer, pointer]
-        render.restype = int64
+        for name in names:
+            function, (params, result) = getattr(loaded, name), _FUNCTIONS[name]
+            function.argtypes = [getattr(ctypes, f"c_{t}") for t in params.split()]
+            function.restype = result and getattr(ctypes, f"c_{result}")
         return loaded
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
@@ -507,12 +556,6 @@ def _library_key(spec: UdeSpec) -> tuple[int, str, str]:
     return spec.order, expr._emit(spec.drift, names), expr._emit(spec.diffusion, names)
 
 
-def _built_library(spec: UdeSpec) -> ctypes.CDLL | None:
-    """The problem's C library if a solve has built it; None otherwise (no
-    build yet, no compiler or a failed build). Never builds."""
-    return _LIBRARIES.get(_library_key(spec))
-
-
 def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
     """The problem's C library, built first if ``row_steps`` reaches
     COMPILE_MIN_ROW_STEPS; None without one (a smaller call before any
@@ -521,7 +564,7 @@ def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
     if key not in _LIBRARIES:
         if row_steps < COMPILE_MIN_ROW_STEPS:
             return None
-        _LIBRARIES[key] = _build(_c_source(spec))
+        _LIBRARIES[key] = _build(_c_source(spec), _BUILD_ARGS, ["run", "partials"])
     return _LIBRARIES[key]
 
 
@@ -590,19 +633,43 @@ def _run_partials(
     return values if np.isfinite(values).all() else None
 
 
-def _render_paths(library: ctypes.CDLL, states: np.ndarray) -> Iterator[str]:
-    """Each path of ``states`` (paths, nodes, n) as the text
-    ``repr(path.tolist())[2:-2]``, values joined by ", " and rows by
-    "], [", written by the library's ``render`` into one buffer that every
-    path reuses."""
+def _render_paths(
+    library: ctypes.CDLL, layout: str, states: np.ndarray, alphas: list, times: list
+) -> Iterator[memoryview]:
+    """The texts of ``_python_paths`` as the renderer library's ``render``
+    writes them, each a view of one buffer that the next path overwrites."""
     paths = np.ascontiguousarray(states, dtype=float)
-    if paths.ndim != 3:  # the library reads this shape through raw pointers
-        raise ValueError("states must be (paths, nodes, n)")
+    # the library reads these shapes through raw pointers
+    if paths.ndim != 3 or paths.shape[1] != len(times) or len(alphas) != len(paths):
+        raise ValueError("states, alphas and times do not fit")
     nodes, n = paths.shape[1:]
-    text = np.empty(nodes * n * _RENDER_BYTES, dtype=np.uint8)
-    for path in paths:
-        length = library.render(nodes, n, path.ctypes.data, text.ctypes.data)
-        yield text[:length].tobytes().decode("ascii")
+    ends = np.cumsum([len(t) for t in times], dtype=np.int64)
+    text = np.empty(nodes * _row_bytes(n, max(map(len, times))), dtype=np.uint8)
+    pointers = "".join(times).encode("ascii"), ends.ctypes.data, text.ctypes.data
+    code = _LAYOUTS.index(layout)
+    for path, alpha in zip(paths, alphas):
+        length = library.render(code, nodes, n, path.ctypes.data, alpha, *pointers)
+        yield memoryview(text)[:length]
+
+
+def _python_paths(
+    layout: str, states: np.ndarray, alphas: list, times: list
+) -> Iterator[bytes]:
+    """Each path of ``states`` (paths, nodes, n) in ``layout``, from repr's
+    text of its rows: fan.csv's rows, alpha's repr, the time text from
+    ``times`` and the values, or fan.json's body. A repr holds no ", " and no
+    "], [", so replacing and splitting on them is exact."""
+    middles = [f",{t}," for t in times]
+    for path, alpha in zip(states, alphas):
+        rows = repr(path.tolist())[2:-2]
+        if layout == "json":
+            text = rows.replace("], [", _JSON_ROW_SEP).replace(", ", _JSON_VALUE_SEP)
+        else:
+            parts = [repr(alpha), "", "", "\n"] * len(middles)
+            parts[1::4] = middles
+            parts[2::4] = rows.replace(", ", ",").split("],[")
+            text = "".join(parts)
+        yield text.encode("ascii")
 
 
 def _integrate(
@@ -713,10 +780,11 @@ def condition_h_partials(
     spec: UdeSpec, groups: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
 ) -> Iterator[np.ndarray]:
     """(points, 2) partials of f and g in x0 per group (times, states, h),
-    the text of ``_partials_lines`` at each point. A built library (this
-    builds none) runs each group; a group it flags, and every group without
-    one, runs point by point in Python (``_python_partials``)."""
-    library = _built_library(spec)
+    the text of ``_partials_lines`` at each point. The problem's library, if
+    a solve has built it (this builds none), runs each group; a group it
+    flags, and every group without it, runs point by point in Python
+    (``_python_partials``)."""
+    library = _LIBRARIES.get(_library_key(spec))
     python = None
     for group in groups:
         values = None if library is None else _run_partials(spec, library, *group)
@@ -726,14 +794,24 @@ def condition_h_partials(
         yield values
 
 
-def path_texts(fan: AlphaFan) -> Iterator[str]:
-    """Each path of the fan as the text ``repr(path.tolist())[2:-2]``:
-    values joined by ", " and rows by "], [". The problem's C library
-    writes it when a solve has built it (this builds none), repr when not."""
-    library = _built_library(fan.spec)
-    if library is None:
-        return (repr(states.tolist())[2:-2] for states in fan.states)
-    return _render_paths(library, fan.states)
+def path_texts(
+    fan: AlphaFan, layout: str, paths: Sequence[int]
+) -> Iterator[bytes | memoryview]:
+    """The fan's paths at the grid indices ``paths``, in that order, each as
+    one text in ``layout``: "csv" for its fan.csv rows, "json" for its rows
+    as fan.json lays them out in the path's list. The renderer library,
+    built here once RENDER_MIN_VALUES is reached (this process's repr values
+    and these), writes them as views that the next path overwrites; without
+    it repr and str.replace write the same bytes."""
+    global _REPR_VALUES
+    states, alphas = fan.states[list(paths)], [fan.grid[k] for k in paths]
+    times = repr(fan.times.tolist())[1:-1].split(", ")
+    if not _RENDERER and _REPR_VALUES + states.size >= RENDER_MIN_VALUES:
+        _RENDERER.append(_build(_renderer_source(), _RENDER_BUILD_ARGS, ["render"]))
+    if _RENDERER and _RENDERER[0] is not None:
+        return _render_paths(_RENDERER[0], layout, states, alphas, times)
+    _REPR_VALUES += states.size
+    return _python_paths(layout, states, alphas, times)
 
 
 def _require_valid(spec: UdeSpec) -> None:

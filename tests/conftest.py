@@ -60,24 +60,34 @@ needs_compiler = pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
 @pytest.fixture
 def engines(monkeypatch):
     """``for _ in engines():`` runs a body once per engine: first with the
-    C library forced off (the Python row loop, and the condition-H audit on
-    the Python text), then forced on (every solve builds or reuses its
-    problem's C library and runs every row in C, and an audit runs in the
-    library that is built for its problem). Yields the engine's name.
-    Without a compiler at ``solver.COMPILER`` only the Python round runs."""
+    C libraries forced off (the Python row loop, the condition-H audit on
+    the Python text and the fan's text by repr), then forced on (every solve
+    builds or reuses its problem's C library and runs every row in C, an
+    audit runs in the library that is built for its problem, and the fan's
+    text is written by the renderer library, built at the first fan text).
+    Yields the engine's name. Without a compiler at ``solver.COMPILER`` only
+    the Python round runs."""
+
+    def force(compiled: bool):
+        monkeypatch.setattr(solver, "_LIBRARIES", {})
+        monkeypatch.setattr(solver, "_RENDERER", [])
+        monkeypatch.setattr(solver, "_REPR_VALUES", 0)
+        limit = 0 if compiled else math.inf
+        monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", limit)
+        monkeypatch.setattr(solver, "RENDER_MIN_VALUES", limit)
 
     def rounds():
-        monkeypatch.setattr(solver, "_LIBRARIES", {})
-        monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+        force(compiled=False)
         yield "python"
-        assert not solver._LIBRARIES  # nothing was built
+        assert not solver._LIBRARIES and not solver._RENDERER  # nothing was built
         if not HAVE_COMPILER:
             return
-        monkeypatch.setattr(solver, "_LIBRARIES", {})
-        monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+        force(compiled=True)
         yield "compiled"
-        # every problem solved had its library built and loaded
+        # every problem solved had its library built and loaded, and so did
+        # the renderer if a fan was written
         assert solver._LIBRARIES and all(solver._LIBRARIES.values())
+        assert all(solver._RENDERER)
 
     return rounds
 

@@ -505,6 +505,27 @@ def test_runs_reproduce_byte_identical_artifacts(tmp_path):
     ).read_bytes()
 
 
+def _use_compiler(tmp_path, monkeypatch, compiler):
+    """Point the solver at gcc, at a compiler that is missing or at one that
+    exits 1."""
+    if compiler != "gcc":
+        stub = tmp_path / "cc"
+        if compiler == "exits-1":
+            stub.write_text("#!/bin/sh\nexit 1\n")
+            stub.chmod(0o755)
+        monkeypatch.setattr(solver, "COMPILER", str(stub))
+
+
+def _fresh_libraries(monkeypatch, compile_min=math.inf, render_min=math.inf):
+    """A process with no library built and no value rendered yet, and the
+    two build thresholds."""
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "_RENDERER", [])
+    monkeypatch.setattr(solver, "_REPR_VALUES", 0)
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", compile_min)
+    monkeypatch.setattr(solver, "RENDER_MIN_VALUES", render_min)
+
+
 def _run_every_command(tmp_path, capsys, name):
     """Exit codes, stdout and stderr of solve, check, dist and oracle on the
     base config, and the bytes of every artifact they write."""
@@ -523,11 +544,10 @@ def _run_every_command(tmp_path, capsys, name):
 def test_every_engine_writes_the_same_artifacts(
     tmp_path, capsys, monkeypatch, compiler
 ):
-    # the Python runner, then every call compiled: with gcc the C library
-    # writes the same bytes; with no compiler, or one that fails, every call
-    # falls back to the Python runner silently. No build directory is left
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+    # the Python runner and repr, then every call compiled: with gcc the C
+    # libraries write the same bytes; with no compiler, or one that fails,
+    # every call falls back to Python silently. No build directory is left
+    _fresh_libraries(monkeypatch)
     runs, artifacts = _run_every_command(tmp_path, capsys, "python")
     assert [code for code, _, _ in runs] == [0, 0, 0, 0]
     assert [err for _, _, err in runs] == [""] * 4
@@ -543,17 +563,13 @@ def test_every_engine_writes_the_same_artifacts(
 
     builds = tmp_path / "builds"
     builds.mkdir()
-    if compiler != "gcc":
-        stub = tmp_path / "cc"
-        if compiler == "exits-1":
-            stub.write_text("#!/bin/sh\nexit 1\n")
-            stub.chmod(0o755)
-        monkeypatch.setattr(solver, "COMPILER", str(stub))
+    _use_compiler(tmp_path, monkeypatch, compiler)
     monkeypatch.setattr(solver, "_BUILD_ROOT", str(builds))
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    _fresh_libraries(monkeypatch, 0, 0)
     assert _run_every_command(tmp_path, capsys, compiler) == (runs, artifacts)
-    built = list(solver._LIBRARIES.values())
-    assert len(built) == 1 and (built[0] is not None) == (compiler == "gcc")
+    built = [*solver._LIBRARIES.values(), *solver._RENDERER]
+    assert len(built) == 2
+    assert all((library is not None) == (compiler == "gcc") for library in built)
     assert os.listdir(builds) == []
 
 
@@ -590,65 +606,116 @@ def test_a_warm_command_writes_no_c_text(tmp_path, capsys, monkeypatch):
 )
 def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
     # a 99-alpha fan in both formats, rendered by repr where no library is
-    # built, then with every call compiled: with gcc the library's renderer
-    # writes every value of every path, none left out; with no compiler, or
-    # one that fails, repr renders it all. The files are the same bytes
-    # every time
+    # built, then with every library built at once: with gcc the renderer
+    # library writes every path of both layouts, the repr reference's text;
+    # with no compiler, or one that fails, repr renders it all. The files
+    # are the same bytes every time
     text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
     cfg = write_config(tmp_path, text)
-    rendered = []  # per path rendered in C, whether its text is repr's
+    rendered = []  # per path rendered in C, its layout and whether it is repr's
     render_paths = solver._render_paths
 
-    def spy(library, states):
-        for path, text in zip(states, render_paths(library, states)):
-            rendered.append(text == repr(path.tolist())[2:-2])
-            yield text
+    def spy(library, layout, states, alphas, times):
+        texts = render_paths(library, layout, states, alphas, times)
+        want = solver._python_paths(layout, states, alphas, times)
+        for got, reference in zip(texts, want):
+            rendered.append((layout, bytes(got) == reference))
+            yield got
 
     monkeypatch.setattr(solver, "_render_paths", spy)
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+    _fresh_libraries(monkeypatch)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "repr")]) == 0
-    assert rendered == []
+    assert rendered == [] and solver._RENDERER == []
 
-    if compiler != "gcc":
-        stub = tmp_path / "cc"
-        if compiler == "exits-1":
-            stub.write_text("#!/bin/sh\nexit 1\n")
-            stub.chmod(0o755)
-        monkeypatch.setattr(solver, "COMPILER", str(stub))
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    _use_compiler(tmp_path, monkeypatch, compiler)
+    _fresh_libraries(monkeypatch, 0, 0)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / compiler)]) == 0
     for name in ("fan.csv", "fan.json"):
         want = (tmp_path / "repr" / name).read_bytes()
         assert (tmp_path / compiler / name).read_bytes() == want
     if compiler == "gcc":
-        assert rendered == [True] * 99
+        assert rendered == [("csv", True)] * 99 + [("json", True)] * 99
     else:
-        assert rendered == []
+        assert rendered == [] and solver._RENDERER == [None]
+
+
+def _solve_without_a_compiler(tmp_path, monkeypatch, cfg) -> Path:
+    """The fan artifacts of ``cfg`` as a process with no compiler writes
+    them."""
+    with monkeypatch.context() as patch:
+        _fresh_libraries(patch, 0, 0)
+        patch.setattr(solver, "COMPILER", str(tmp_path / "missing"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "none")]) == 0
+    return tmp_path / "none"
 
 
 @needs_compiler
 def test_a_library_without_a_function_is_a_failed_build(tmp_path, monkeypatch):
-    # the README problem's C text cut before the renderer compiles and
-    # loads but has no ``render``: the build counts as failed, and solve
-    # writes the bytes it writes with no compiler
+    # the renderer's text cut before ``render`` compiles and loads but lacks
+    # it: the build counts as failed, the problem's library still runs the
+    # solve, and solve writes the bytes it writes with no compiler
     text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
     cfg = write_config(tmp_path, text.replace("0.0025", "0.001"))
     spec = load_config(cfg).spec
-    source = solver._c_source(spec)
-    cut = source[: source.index(solver._renderer_source())]
-    assert solver._build(cut) is None
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "COMPILER", str(tmp_path / "missing"))
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "none")]) == 0
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "_c_source", lambda spec: cut)
+    source = solver._renderer_source()
+    cut = source[: source.index("int64_t render(")]
+    assert solver._build(cut, solver._RENDER_BUILD_ARGS, ["render"]) is None
+    none = _solve_without_a_compiler(tmp_path, monkeypatch, cfg)
+    _fresh_libraries(monkeypatch, solver.COMPILE_MIN_ROW_STEPS, 0)
+    monkeypatch.setattr(solver, "_renderer_source", lambda: cut)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "cut")]) == 0
-    assert solver._LIBRARIES == {solver._library_key(spec): None}
+    assert solver._RENDERER == [None]
+    assert list(solver._LIBRARIES) == [solver._library_key(spec)]
+    assert all(solver._LIBRARIES.values())
     for name in ("fan.csv", "fan.json", "run.json"):
-        want = (tmp_path / "none" / name).read_bytes()
-        assert (tmp_path / "cut" / name).read_bytes() == want
+        assert (tmp_path / "cut" / name).read_bytes() == (none / name).read_bytes()
+
+
+@needs_compiler
+def test_the_renderer_runs_without_the_problems_library(tmp_path, monkeypatch):
+    # a fan below COMPILE_MIN_ROW_STEPS in a process whose repr count has
+    # reached RENDER_MIN_VALUES: the renderer library is built and writes
+    # the fan, the problem's is not, and the bytes are those of a process
+    # with no compiler
+    cfg = write_config(tmp_path)
+    none = _solve_without_a_compiler(tmp_path, monkeypatch, cfg)
+    config = load_config(cfg)
+    row_steps = len(alpha_grid(config.alpha)) * config.spec.step_count
+    assert row_steps < solver.COMPILE_MIN_ROW_STEPS
+    limits = solver.COMPILE_MIN_ROW_STEPS, solver.RENDER_MIN_VALUES
+    _fresh_libraries(monkeypatch, *limits)
+    monkeypatch.setattr(solver, "_REPR_VALUES", solver.RENDER_MIN_VALUES)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "render")]) == 0
+    assert solver._LIBRARIES == {} and solver._RENDERER[0] is not None
+    for name in ("fan.csv", "fan.json", "run.json"):
+        assert (tmp_path / "render" / name).read_bytes() == (none / name).read_bytes()
+
+
+def test_the_renderer_is_built_once_repr_has_rendered_enough(monkeypatch):
+    # rent or buy: each fan text call of a fan below RENDER_MIN_VALUES
+    # renders by repr and adds its values to the process's count, and the
+    # call that brings the count to the constant builds the renderer, once
+    builds = []
+
+    def spy(source, args, names):
+        builds.append((source, args, names))
+        return None  # as a failed build, so that the test needs no compiler
+
+    spec = tanh_spec(2, step=0.01)
+    fan = solve_fan(spec, [0.25, 0.5, 0.75])
+    values = fan.states.size
+    _fresh_libraries(monkeypatch, render_min=2.5 * values)
+    monkeypatch.setattr(solver, "_build", spy)
+    counts = []
+    rows = reference_fan_csv(fan).split("\n", 1)[1]
+    for layout in ("csv", "json", "csv", "json"):
+        texts = b"".join(solver.path_texts(fan, layout, range(3)))
+        assert layout == "json" or texts.decode() == rows
+        counts.append((len(builds), solver._REPR_VALUES))
+    assert counts == [(0, values), (0, 2 * values), (1, 3 * values), (1, 4 * values)]
+    assert builds == [
+        (solver._renderer_source(), solver._RENDER_BUILD_ARGS, ["render"])
+    ]
 
 
 def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):

@@ -47,11 +47,14 @@ def test_only_the_solver_names_its_engine_internals():
         "_LIBRARIES",
         "_library_key",
         "_c_source",
-        "_built_library",
         "_run_partials",
         "_compile_partials",
         "_python_partials",
         "_render_paths",
+        "_python_paths",
+        "_renderer_source",
+        "_RENDERER",
+        "_REPR_VALUES",
         "_STEP_FAILURES",
         "ctypes",
     ]

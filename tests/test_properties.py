@@ -12,6 +12,7 @@ import tempfile
 from functools import cache
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -117,7 +118,8 @@ def test_condition_h_c_text_equals_python_text_bitwise(tree, t, seed):
     times = np.full(64, t)
     h = 1e-6 * np.maximum(1.0, np.abs(states[:, 0]))
     spec = UdeSpec(ORDER, tree, tree, (0.5,) * ORDER, 1.0, 1.0)
-    library = solver._build(solver._c_source(spec))
+    source = solver._c_source(spec)
+    library = solver._build(source, solver._BUILD_ARGS, ["run", "partials"])
     assert library is not None
     values = solver._run_partials(spec, library, times, states, h)
     if values is None:
@@ -129,12 +131,20 @@ def test_condition_h_c_text_equals_python_text_bitwise(tree, t, seed):
 
 @cache
 def _render_library():
-    """One library for every example of the renderer test: ``render`` is
-    the same text in every problem's library."""
-    spec = UdeSpec(1, Const(0.0), Const(1.0), (0.0,), 1.0, 1.0)
-    library = solver._build(solver._c_source(spec))
+    """The renderer library, built from its own text alone, for every
+    example of the renderer tests."""
+    source = solver._renderer_source()
+    library = solver._build(source, solver._RENDER_BUILD_ARGS, ["render"])
     assert library is not None
     return library
+
+
+def _rendered(layout, states, alpha, times) -> tuple[str, str]:
+    """A one-path ``states`` (1, nodes, n) in ``layout``, as the renderer
+    library writes it and as the repr reference does."""
+    (view,) = solver._render_paths(_render_library(), layout, states, [alpha], times)
+    (want,) = solver._python_paths(layout, states, [alpha], times)
+    return bytes(view).decode("ascii"), want.decode("ascii")
 
 
 def _double(bits: int) -> float:
@@ -170,11 +180,13 @@ finite_doubles = st.one_of(
 @example(-0.0)
 @example(GRISU3_REJECTS)
 def test_c_renderer_writes_repr(value):
-    # a path of two rows holding the value and its negation: the C text is
-    # repr's text, every value written, none left for repr to splice in
+    # a path of two rows holding the value and its negation, with the value
+    # as its alpha: in both layouts the C text is the repr reference's, every
+    # value written, none left for repr to splice in
     states = np.array([[[value, -value], [1.0, value]]])
-    (text,) = solver._render_paths(_render_library(), states)
-    assert text == repr(states[0].tolist())[2:-2]
+    for layout in ("csv", "json"):
+        got, want = _rendered(layout, states, value, ["0.0", "0.5"])
+        assert got == want
 
 
 @needs_compiler
@@ -193,24 +205,42 @@ def test_c_renderer_sweep_writes_repr():
         [powers, near, tens, special, subnormals, random.view(float)]
     )
     states = np.concatenate([values, -values]).reshape(1, -1, 1)
-    (text,) = solver._render_paths(_render_library(), states)
-    # compared value by value, so that a failure names the values
-    got, want = (t.split("], [") for t in (text, repr(states[0].tolist())[2:-2]))
-    assert len(got) == len(want)
+    texts = _rendered("csv", states, 0.5, [""] * states.shape[1])
+    # compared row by row, so that a failure names the values
+    got, want = (text.splitlines() for text in texts)
+    assert len(got) == len(want) == states.size
     assert [(g, w) for g, w in zip(got, want) if g != w] == []
 
 
 @needs_compiler
-def test_c_renderer_stays_within_its_buffer():
-    # values whose repr is the longest, 24 characters, one per row so that
-    # each takes the longest separator, then nan and -inf: the text is
-    # repr's and never longer than _RENDER_BYTES per value
+@pytest.mark.parametrize("layout", ["csv", "json"])
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_c_renderer_rows_stay_within_their_bound(layout, cols):
+    # rows of values whose repr is the longest, 24 characters, then rows of
+    # nan and -inf, with the longest alpha and time texts: the text is the
+    # repr reference's, its first k rows take at most k times
+    # ``_row_bytes``, and nothing is written past its end
     longest = [-2.2250738585072014e-308, -1.7976931348623157e308]
     assert {len(repr(v)) for v in longest} == {24}
-    states = np.array([*longest * 500, math.nan, -math.inf]).reshape(1, -1, 1)
-    (text,) = solver._render_paths(_render_library(), states)
-    assert text == repr(states[0].tolist())[2:-2]
-    assert len(text) <= states.size * solver._RENDER_BYTES
+    rows = [[v] * cols for v in longest * 3] + [[math.nan] * cols, [-math.inf] * cols]
+    times = [repr(longest[k % 2]) for k in range(len(rows))]
+    bound = solver._row_bytes(cols, 24)
+    library = _render_library()
+    for k in range(1, len(rows) + 1):
+        states = np.array([rows[:k]])
+        got, want = _rendered(layout, states, longest[0], times[:k])
+        assert got == want
+        assert len(got) <= k * bound
+        # the raw call, into a buffer of exactly the bound and a guard
+        joined = "".join(times[:k]).encode()
+        ends = np.cumsum([len(t) for t in times[:k]], dtype=np.int64)
+        text = np.full(k * bound + 64, 0xA5, dtype=np.uint8)
+        length = library.render(
+            solver._LAYOUTS.index(layout), k, cols, states.ctypes.data,
+            longest[0], joined, ends.ctypes.data, text.ctypes.data,
+        )
+        assert text[:length].tobytes().decode() == want
+        assert (text[length:] == 0xA5).all()
 
 
 @settings(

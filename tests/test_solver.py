@@ -498,7 +498,7 @@ def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
     assert argv[6] == "-o" and argv[-1] == "-lm"
     folder = os.path.dirname(argv[7])
     assert os.path.dirname(folder) == str(tmp_path)
-    assert argv[8] == os.path.join(folder, "step.c")
+    assert argv[8] == os.path.join(folder, "source.c")
     assert kwargs["env"] == {"PATH": "/usr/bin:/bin"}
     assert 0 < kwargs["timeout"] <= 60
     assert all(solver._LIBRARIES.values())

@@ -27,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
@@ -69,7 +69,7 @@ def _prepare_outdir(path: Path, force: bool) -> None:
         path.mkdir(parents=True)
 
 
-def _write_text(path: Path, chunks: Iterable[str | bytes | memoryview]) -> None:
+def _write_text(path: Path, chunks: Iterable[str | bytes]) -> None:
     """Write ``chunks`` in order, text as UTF-8 and bytes as they are,
     through a temporary file in the same directory, then rename it over
     ``path``: a write that fails partway, in the file system or in the code
@@ -96,11 +96,13 @@ def _float_texts(values: list[float]) -> list[str]:
     return repr(values)[1:-1].split(", ")
 
 
-def _fan_json_chunks(fan: AlphaFan) -> Iterator[str | bytes | memoryview]:
+def _fan_json_chunks(
+    fan: AlphaFan, times: list[str], texts: Callable
+) -> Iterator[str | bytes]:
     """fan.json in the layout of ``json.dumps(payload, indent=2,
     sort_keys=True) + "\\n"`` for the payload {order, alphas, times, states}:
-    each path's body between its key and brackets, in the order of the
-    ``states`` keys sorted as strings."""
+    each path's body from ``texts`` between its key and brackets, in the
+    order of the ``states`` keys sorted as strings."""
     yield (
         '{\n  "alphas": [\n    '
         + ",\n    ".join(_float_texts(fan.grid))
@@ -108,11 +110,10 @@ def _fan_json_chunks(fan: AlphaFan) -> Iterator[str | bytes | memoryview]:
     )
     keys = [repr(alpha) for alpha in fan.grid]
     paths = sorted(range(len(keys)), key=keys.__getitem__)
-    for i, body in enumerate(solver.path_texts(fan, "json", paths)):
+    for i, body in enumerate(texts("json", paths)):
         yield (",\n" if i else "") + f'    "{keys[paths[i]]}": [\n      [\n        '
         yield body
         yield "\n      ]\n    ]"
-    times = _float_texts(fan.times.tolist())
     yield '\n  },\n  "times": [\n    ' + ",\n    ".join(times) + "\n  ]\n}\n"
 
 
@@ -158,12 +159,14 @@ def _solve_configured_fan(config: RunConfig) -> AlphaFan:
 
 def cmd_solve(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
-    if "csv" in config.output_formats:  # the header, then each path's rows
+    formats, times = config.output_formats, _float_texts(fan.times.tolist())
+    texts = solver.path_texts(fan, times, formats)  # one renderer for every format
+    if "csv" in formats:  # the header, then each path's rows
         header = "alpha,t," + ",".join(f"x{k}" for k in range(fan.spec.order))
-        rows = solver.path_texts(fan, "csv", range(len(fan.grid)))
+        rows = texts("csv", range(len(fan.grid)))
         _write_text(outdir / "fan.csv", chain([header + "\n"], rows))
-    if "json" in config.output_formats:
-        _write_text(outdir / "fan.json", _fan_json_chunks(fan))
+    if "json" in formats:
+        _write_text(outdir / "fan.json", _fan_json_chunks(fan, times, texts))
     _update_run_json(outdir, config, _run_json_payload(fan))
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import chain, count, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -65,10 +65,10 @@ _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 # even near this count
 COMPILE_MIN_ROW_STEPS = 20_000
 
-# a fan text builds the renderer library once the values that repr has
-# rendered in the process, the text's own included, reach this many (rent
-# or buy): its build takes about 0.10 s, and it writes a value in about
-# 0.08 us against repr's 1.0 us (medians, 2-core Intel Xeon x86-64)
+# a fan write builds the renderer library once the values that repr has
+# rendered in the process, the write's own once per layout, reach this many
+# (rent or buy): the build takes about 0.10 s, and C writes a value in 0.08
+# us against repr's 1.0 us (medians, 2-core Intel Xeon x86-64)
 RENDER_MIN_VALUES = 100_000
 
 # the C step is built by this compiler, named by a fixed path and run in a
@@ -414,11 +414,8 @@ int64_t render(int32_t layout, int64_t rows, int64_t cols, const double *values,
 }
 """
 
-# the layouts of ``render``, by its layout argument, and the separators of
-# json.dumps(indent=2) between the values and the rows of a path
+# the layouts of ``render``, by its layout argument
 _LAYOUTS = ("csv", "json")
-_JSON_VALUE_SEP = ",\n        "
-_JSON_ROW_SEP = "\n      ],\n      [\n        "
 
 
 def _row_bytes(cols: int, time_bytes: int) -> int:
@@ -495,16 +492,6 @@ def _c_source(spec: UdeSpec) -> str:
     return "".join(parts)
 
 
-# the argument and result types, as ctypes names without "c_", of each
-# function a library exports: a problem's run and partials, render
-_FUNCTIONS = {
-    "run": ("int32 double int64 int64 void_p void_p void_p void_p int64 void_p"
-            " void_p void_p", None),
-    "partials": ("int64 void_p void_p void_p void_p", "int"),
-    "render": ("int32 int64 int64 void_p double void_p void_p void_p", "int64"),
-}
-
-
 def _build(source: str, args: Sequence[str], names: list[str]) -> ctypes.CDLL | None:
     """Compile C ``source`` with the compiler ``args`` into a shared library
     in a private directory, load it, remove the directory and return the
@@ -537,10 +524,16 @@ def _build(source: str, args: Sequence[str], names: list[str]) -> ctypes.CDLL | 
             capture_output=True,
         )
         loaded = ctypes.CDLL(library)
+        i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+        ptr = ctypes.c_void_p
+        types = {  # each function's argument types and result type
+            "run": ([i32, f64, i64, i64, *[ptr] * 4, i64, *[ptr] * 3], None),
+            "partials": ([i64, *[ptr] * 4], ctypes.c_int),
+            "render": ([i32, i64, i64, ptr, f64, *[ptr] * 3], i64),
+        }
         for name in names:
-            function, (params, result) = getattr(loaded, name), _FUNCTIONS[name]
-            function.argtypes = [getattr(ctypes, f"c_{t}") for t in params.split()]
-            function.restype = result and getattr(ctypes, f"c_{result}")
+            function = getattr(loaded, name)
+            function.argtypes, function.restype = types[name]
         return loaded
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
@@ -635,9 +628,9 @@ def _run_partials(
 
 def _render_paths(
     library: ctypes.CDLL, layout: str, states: np.ndarray, alphas: list, times: list
-) -> Iterator[memoryview]:
+) -> Iterator[bytes]:
     """The texts of ``_python_paths`` as the renderer library's ``render``
-    writes them, each a view of one buffer that the next path overwrites."""
+    writes them, each copied out of the one buffer it writes every path in."""
     paths = np.ascontiguousarray(states, dtype=float)
     # the library reads these shapes through raw pointers
     if paths.ndim != 3 or paths.shape[1] != len(times) or len(alphas) != len(paths):
@@ -649,7 +642,7 @@ def _render_paths(
     code = _LAYOUTS.index(layout)
     for path, alpha in zip(paths, alphas):
         length = library.render(code, nodes, n, path.ctypes.data, alpha, *pointers)
-        yield memoryview(text)[:length]
+        yield text[:length].tobytes()
 
 
 def _python_paths(
@@ -657,13 +650,15 @@ def _python_paths(
 ) -> Iterator[bytes]:
     """Each path of ``states`` (paths, nodes, n) in ``layout``, from repr's
     text of its rows: fan.csv's rows, alpha's repr, the time text from
-    ``times`` and the values, or fan.json's body. A repr holds no ", " and no
-    "], [", so replacing and splitting on them is exact."""
+    ``times`` and the values, or fan.json's body, json.dumps(indent=2)'s
+    separators between values and rows. A repr holds no ", " and no "], [",
+    so replacing and splitting on them is exact."""
     middles = [f",{t}," for t in times]
     for path, alpha in zip(states, alphas):
         rows = repr(path.tolist())[2:-2]
         if layout == "json":
-            text = rows.replace("], [", _JSON_ROW_SEP).replace(", ", _JSON_VALUE_SEP)
+            rows = rows.replace("], [", "\n      ],\n      [\n        ")
+            text = rows.replace(", ", ",\n        ")
         else:
             parts = [repr(alpha), "", "", "\n"] * len(middles)
             parts[1::4] = middles
@@ -794,24 +789,26 @@ def condition_h_partials(
         yield values
 
 
-def path_texts(
-    fan: AlphaFan, layout: str, paths: Sequence[int]
-) -> Iterator[bytes | memoryview]:
-    """The fan's paths at the grid indices ``paths``, in that order, each as
-    one text in ``layout``: "csv" for its fan.csv rows, "json" for its rows
-    as fan.json lays them out in the path's list. The renderer library,
-    built here once RENDER_MIN_VALUES is reached (this process's repr values
-    and these), writes them as views that the next path overwrites; without
-    it repr and str.replace write the same bytes."""
+def path_texts(fan: AlphaFan, times: list[str], layouts: Sequence[str]) -> Callable:
+    """A function of a layout and grid indices that yields those paths'
+    texts in order, "csv" a path's fan.csv rows and "json" its rows as
+    fan.json lays them out, ``times`` the texts of the fan's times. One
+    engine, chosen here, serves every layout in ``layouts``: the renderer
+    library, built once this process's repr values and those of every
+    layout reach RENDER_MIN_VALUES, or else repr and str.replace, alike."""
     global _REPR_VALUES
-    states, alphas = fan.states[list(paths)], [fan.grid[k] for k in paths]
-    times = repr(fan.times.tolist())[1:-1].split(", ")
-    if not _RENDERER and _REPR_VALUES + states.size >= RENDER_MIN_VALUES:
+    values = fan.states.size * len(layouts)
+    if not _RENDERER and _REPR_VALUES + values >= RENDER_MIN_VALUES:
         _RENDERER.append(_build(_renderer_source(), _RENDER_BUILD_ARGS, ["render"]))
-    if _RENDERER and _RENDERER[0] is not None:
-        return _render_paths(_RENDERER[0], layout, states, alphas, times)
-    _REPR_VALUES += states.size
-    return _python_paths(layout, states, alphas, times)
+    library = _RENDERER[0] if _RENDERER else None
+    _REPR_VALUES += values if library is None else 0
+    engine = _python_paths if library is None else partial(_render_paths, library)
+
+    def texts(layout: str, paths: Sequence[int]) -> Iterator[bytes]:
+        states, alphas = fan.states[list(paths)], [fan.grid[k] for k in paths]
+        return engine(layout, states, alphas, times)
+
+    return texts
 
 
 def _require_valid(spec: UdeSpec) -> None:

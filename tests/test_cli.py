@@ -606,12 +606,16 @@ def test_a_warm_command_writes_no_c_text(tmp_path, capsys, monkeypatch):
 )
 def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
     # a 99-alpha fan in both formats, rendered by repr where no library is
-    # built, then with every library built at once: with gcc the renderer
-    # library writes every path of both layouts, the repr reference's text;
-    # with no compiler, or one that fails, repr renders it all. The files
-    # are the same bytes every time
+    # built, then in a process where RENDER_MIN_VALUES lies between the
+    # fan's values in one format and in two: the solve decides for both
+    # formats before the first, so with gcc the renderer library writes
+    # every path of both layouts, the repr reference's text; with no
+    # compiler, or one that fails, repr renders it all. The files are the
+    # same bytes every time
     text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
     cfg = write_config(tmp_path, text)
+    spec = load_config(cfg).spec
+    values = 99 * (spec.step_count + 1) * spec.order
     rendered = []  # per path rendered in C, its layout and whether it is repr's
     render_paths = solver._render_paths
 
@@ -619,7 +623,7 @@ def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
         texts = render_paths(library, layout, states, alphas, times)
         want = solver._python_paths(layout, states, alphas, times)
         for got, reference in zip(texts, want):
-            rendered.append((layout, bytes(got) == reference))
+            rendered.append((layout, got == reference))
             yield got
 
     monkeypatch.setattr(solver, "_render_paths", spy)
@@ -628,7 +632,7 @@ def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
     assert rendered == [] and solver._RENDERER == []
 
     _use_compiler(tmp_path, monkeypatch, compiler)
-    _fresh_libraries(monkeypatch, 0, 0)
+    _fresh_libraries(monkeypatch, 0, 1.5 * values)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / compiler)]) == 0
     for name in ("fan.csv", "fan.json"):
         want = (tmp_path / "repr" / name).read_bytes()
@@ -692,9 +696,10 @@ def test_the_renderer_runs_without_the_problems_library(tmp_path, monkeypatch):
 
 
 def test_the_renderer_is_built_once_repr_has_rendered_enough(monkeypatch):
-    # rent or buy: each fan text call of a fan below RENDER_MIN_VALUES
-    # renders by repr and adds its values to the process's count, and the
-    # call that brings the count to the constant builds the renderer, once
+    # rent or buy, decided once per fan write for every layout it writes: a
+    # write below RENDER_MIN_VALUES renders by repr and adds the values of
+    # all its layouts to the process's count, and the write that brings the
+    # count to the constant builds the renderer, once
     builds = []
 
     def spy(source, args, names):
@@ -703,19 +708,40 @@ def test_the_renderer_is_built_once_repr_has_rendered_enough(monkeypatch):
 
     spec = tanh_spec(2, step=0.01)
     fan = solve_fan(spec, [0.25, 0.5, 0.75])
-    values = fan.states.size
+    values, times = fan.states.size, [repr(t) for t in fan.times.tolist()]
     _fresh_libraries(monkeypatch, render_min=2.5 * values)
     monkeypatch.setattr(solver, "_build", spy)
     counts = []
     rows = reference_fan_csv(fan).split("\n", 1)[1]
-    for layout in ("csv", "json", "csv", "json"):
-        texts = b"".join(solver.path_texts(fan, layout, range(3)))
-        assert layout == "json" or texts.decode() == rows
+    for layouts in (["csv"], ["json"], ["csv", "json"], ["csv"]):
+        texts = solver.path_texts(fan, times, layouts)
         counts.append((len(builds), solver._REPR_VALUES))
-    assert counts == [(0, values), (0, 2 * values), (1, 3 * values), (1, 4 * values)]
+        assert b"".join(texts("csv", range(3))).decode() == rows
+    assert counts == [(0, values), (0, 2 * values), (1, 4 * values), (1, 5 * values)]
     assert builds == [
         (solver._renderer_source(), solver._RENDER_BUILD_ARGS, ["render"])
     ]
+    # a write of both layouts past the constant builds before its first
+    # layout, though that layout alone is below it
+    _fresh_libraries(monkeypatch, render_min=1.5 * values)
+    solver.path_texts(fan, times, ["csv", "json"])
+    assert len(builds) == 2 and solver._REPR_VALUES == 2 * values
+
+
+@needs_compiler
+def test_the_renderers_path_texts_can_be_kept(monkeypatch):
+    # every path text is bytes of its own, not a view of the buffer that the
+    # renderer writes the next path in: each layout's texts, collected
+    # before any is read, are those of repr
+    fan = solve_fan(tanh_spec(2, step=0.01), [0.25, 0.5, 0.75])
+    times = [repr(t) for t in fan.times.tolist()]
+    kept = []
+    for render_min in (math.inf, 0):
+        _fresh_libraries(monkeypatch, render_min=render_min)
+        texts = solver.path_texts(fan, times, ["csv", "json"])
+        kept.append([list(texts(layout, [2, 0, 1])) for layout in ("csv", "json")])
+    assert solver._RENDERER[0] is not None
+    assert kept[1] == kept[0] and len(set(kept[0][0])) == 3
 
 
 def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):

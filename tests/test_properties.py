@@ -142,9 +142,9 @@ def _render_library():
 def _rendered(layout, states, alpha, times) -> tuple[str, str]:
     """A one-path ``states`` (1, nodes, n) in ``layout``, as the renderer
     library writes it and as the repr reference does."""
-    (view,) = solver._render_paths(_render_library(), layout, states, [alpha], times)
+    (got,) = solver._render_paths(_render_library(), layout, states, [alpha], times)
     (want,) = solver._python_paths(layout, states, [alpha], times)
-    return bytes(view).decode("ascii"), want.decode("ascii")
+    return got.decode("ascii"), want.decode("ascii")
 
 
 def _double(bits: int) -> float:

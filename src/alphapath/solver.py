@@ -15,9 +15,13 @@ process, whatever the step, horizon or initial state, that runs every row
 of a batch, or every point of an audit group; and Python floats
 (``_compile_step``, ``_compile_partials``), the reference and the fallback,
 which runs a row or a point at a time where there is no library and reruns
-every row or group that raised a floating-point flag in C. The step reads
-its step size as an input and also returns g at its starting node, so a fan
-solve carries g at every node for the regularity check to read.
+every row or group that raised a floating-point flag in C. A batch of at
+least 2 * SPLIT_MIN_ROW_STEPS row-steps is cut into contiguous slices of
+rows, at most one per CPU of the process, that C runs on threads at once
+(``_run_compiled``); a row's bits, rerun and error do not depend on the
+slice it falls in or on the CPU count. The step reads its step size as an
+input and also returns g at its starting node, so a fan solve carries g at
+every node for the regularity check to read.
 ``solve_fan`` returns these arrays as an ``AlphaFan``; an alpha-path is a
 fan of one. ``sample_positions`` records positions only: no other component
 and no g.
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, count, repeat
@@ -64,6 +69,15 @@ _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 # saved per node of the condition-H audit, so a solve and its audit break
 # even near this count
 COMPILE_MIN_ROW_STEPS = 20_000
+
+# a C batch is cut into slices of at least this many row-steps each, at most
+# one per CPU the process may run on, and the slices run on threads at once.
+# Starting and joining a thread costs 0.14-0.15 ms, an order-3 row of 800
+# steps 0.08-0.11 ms; split in two, 2 and 4 such rows lose (0.22-0.28 ->
+# 0.44-0.50 ms at 2 rows), 8 to 16 rows are near even and from 24 rows it
+# wins (64 rows: 5.4-6.0 -> 3.3-3.8 ms; medians of 101, 2-core Intel Xeon
+# x86-64). So a batch splits in two from 20,000 row-steps
+SPLIT_MIN_ROW_STEPS = 10_000
 
 # a fan write builds the renderer library once the values that repr has
 # rendered in the process, the write's own once per layout, reach this many
@@ -561,6 +575,54 @@ def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
     return _LIBRARIES[key]
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _slice_bounds(rows: int, steps: int) -> list[int]:
+    """Row bounds of the contiguous slices a C batch of ``rows`` rows of
+    ``steps`` steps is cut into: one slice per SPLIT_MIN_ROW_STEPS
+    row-steps, but no more than the rows or the CPUs and at least one,
+    their row counts differing by at most one."""
+    slices = min(rows, rows * steps // max(SPLIT_MIN_ROW_STEPS, 1))
+    if slices > 1:
+        slices = min(slices, _cpu_count())
+    slices = max(slices, 1)
+    return [rows * k // slices for k in range(slices + 1)]
+
+
+def _run_slices(work: Callable[[int, int], None], bounds: Sequence[int]) -> None:
+    """``work(start, stop)`` for each slice of ``bounds``, at once: the last
+    on the calling thread, every other on a thread of its own, each joined
+    before this returns, however it returns. The calling thread's exception
+    is raised first, else the first to be raised in a worker."""
+    slices = list(zip(bounds, bounds[1:]))
+    errors: list[BaseException] = []
+
+    def worker(start: int, stop: int) -> None:
+        try:
+            work(start, stop)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for bound in slices[:-1]:
+            thread = threading.Thread(target=worker, args=bound)
+            thread.start()
+            threads.append(thread)
+        work(*slices[-1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _run_compiled(
     library: ctypes.CDLL,
     spec: UdeSpec,
@@ -573,13 +635,20 @@ def _run_compiled(
     """Every row through the library's ``run``: the first ``kept`` state
     components and g (None without ``keep_g``) as ``_solve_rows`` returns
     them, and the indices of the rows to rerun in Python, whose values are
-    not final."""
+    not final.
+
+    The rows are cut into the slices of ``_slice_bounds``, each a ``run``
+    on pointers offset into the same arrays, run at once by
+    ``_run_slices``; ctypes releases the GIL for the call. A row's bits and
+    its rerun mark are the same in any slice: each row starts by clearing
+    the FP flags, the FP environment is per thread, and the library holds no
+    mutable static state."""
     rows, nodes = len(slopes), spec.step_count + 1
     # the runner reads and writes these shapes through raw pointers
     spans = slopes.shape[1:] == (len(counts),) and sum(counts) == spec.step_count
     if not spans or not 1 <= kept <= spec.order:
         raise ValueError("slopes, segment counts and kept do not fit the problem")
-    inputs = (
+    counts_in, slopes_in, times, initial = (
         np.array(counts, dtype=np.int64),
         np.ascontiguousarray(slopes, dtype=float),
         time_grid(spec),
@@ -588,18 +657,26 @@ def _run_compiled(
     states = np.empty((rows, nodes, kept))
     diffusion = np.empty((rows, nodes)) if keep_g else None
     rerun = np.zeros(rows, dtype=np.uint8)
-    g_nodes = None if diffusion is None else diffusion.ctypes.data
-    library.run(
-        signed,
-        spec.horizon / spec.step_count,
-        rows,
-        len(counts),
-        *(a.ctypes.data for a in inputs),
-        kept,
-        states.ctypes.data,
-        g_nodes,
-        rerun.ctypes.data,
-    )
+    h = spec.horizon / spec.step_count
+
+    def run(start: int, stop: int) -> None:
+        g_nodes = None if diffusion is None else diffusion[start:].ctypes.data
+        library.run(
+            signed,
+            h,
+            stop - start,
+            len(counts),
+            counts_in.ctypes.data,
+            slopes_in[start:].ctypes.data,
+            times.ctypes.data,
+            initial.ctypes.data,
+            kept,
+            states[start:].ctypes.data,
+            g_nodes,
+            rerun[start:].ctypes.data,
+        )
+
+    _run_slices(run, _slice_bounds(rows, spec.step_count))
     return states, diffusion, np.flatnonzero(rerun).tolist()
 
 

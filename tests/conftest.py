@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -62,11 +63,14 @@ def engines(monkeypatch):
     """``for _ in engines():`` runs a body once per engine: first with the
     C libraries forced off (the Python row loop, the condition-H audit on
     the Python text and the fan's text by repr), then forced on (every solve
-    builds or reuses its problem's C library and runs every row in C, an
-    audit runs in the library that is built for its problem, and the fan's
-    text is written by the renderer library, built at the first fan text).
-    Yields the engine's name. Without a compiler at ``solver.COMPILER`` only
-    the Python round runs."""
+    builds or reuses its problem's C library and runs every row in C, every
+    batch of two rows or more cut into at least two slices that run on
+    threads, whatever the host's CPU count, an audit runs in the library
+    that is built for its problem, and the fan's text is written by the
+    renderer library, built at the first fan text). Yields the engine's
+    name. Without a compiler at ``solver.COMPILER`` only the Python round
+    runs."""
+    cpus = max(2, solver._cpu_count())
 
     def force(compiled: bool):
         monkeypatch.setattr(solver, "_LIBRARIES", {})
@@ -75,6 +79,9 @@ def engines(monkeypatch):
         limit = 0 if compiled else math.inf
         monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", limit)
         monkeypatch.setattr(solver, "RENDER_MIN_VALUES", limit)
+        if compiled:
+            monkeypatch.setattr(solver, "SPLIT_MIN_ROW_STEPS", 0)
+            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
 
     def rounds():
         force(compiled=False)
@@ -82,12 +89,14 @@ def engines(monkeypatch):
         assert not solver._LIBRARIES and not solver._RENDERER  # nothing was built
         if not HAVE_COMPILER:
             return
+        threads = threading.active_count()
         force(compiled=True)
         yield "compiled"
         # every problem solved had its library built and loaded, and so did
-        # the renderer if a fan was written
+        # the renderer if a fan was written; every slice's thread was joined
         assert solver._LIBRARIES and all(solver._LIBRARIES.values())
         assert all(solver._RENDERER)
+        assert threading.active_count() == threads
 
     return rounds
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 import os
 import re
+import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -313,8 +315,9 @@ def test_batched_rows_equal_single_rows_bitwise(engines, order, f, g, initial, r
 
 def test_wide_fan_blowup_failures_match_scalar(engines):
     # the C runner marks rows, the rows are rerun alone, and the failures
-    # name the same alphas and last good times as row-by-row solves; 65 rows
-    # x 300 steps reach COMPILE_MIN_ROW_STEPS, so the fan builds by default
+    # name the same alphas and last good times as row-by-row solves, on both
+    # engines of the fixture (65 rows x 300 steps are 19,500 row-steps, below
+    # COMPILE_MIN_ROW_STEPS, so outside it the fan would not build)
     spec = UdeSpec.from_strings(2, "x0^2", "1", [1.0, 0.0], 3.0, 1e-2)
     grid = np.linspace(0.02, 0.98, 65).tolist()
     for _ in engines():
@@ -358,6 +361,165 @@ def test_rows_the_c_runner_flags_are_rerun_alone_in_python(engines, monkeypatch)
         failures = excinfo.value.failures
         reports.append([(a, e.last_good_time, str(e)) for a, e in failures])
     assert all(report == reports[0] for report in reports)
+
+
+# the fans whose rows the split must not move: ln(x0) raises a flag in the
+# rows below alpha 0.5, which several slices share, and x0^2 blows up in
+# some rows; tanh has no failure, and its surrogates keep positions only
+SPLIT_CASES = [
+    (UdeSpec.from_strings(1, "ln(x0)", "1", [1.0], 1.5, 1e-2), 64),
+    (UdeSpec.from_strings(2, "x0^2", "1", [1.0, 0.0], 3.0, 1e-2), 65),
+    (tanh_spec(3, step=1.0 / 64), 40),
+]
+
+
+def _split_solves(spec, rows):
+    """Every array, rerun index and failure of the C runner's fan rows and
+    surrogate rows of a problem, as comparable values."""
+    grid = np.linspace(0.02, 0.98, rows).tolist()
+    fan_slopes = np.array([[phi_inv(a)] for a in grid])
+    slopes = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 4))
+    counts = solver.segment_counts(spec.step_count, 4)
+    library = solver._library(spec, 0)
+    out = []
+    for signed, row_slopes, row_counts, kept, keep_g in [
+        (False, fan_slopes, [spec.step_count], spec.order, True),
+        (True, slopes, counts, 1, False),
+    ]:
+        args = (spec, signed, row_counts, row_slopes, kept)
+        states, diffusion, reruns = solver._run_compiled(library, *args, keep_g)
+        final = np.delete(np.arange(rows), reruns)  # a marked row is not final
+        solved, solved_g, failures = solver._solve_rows(*args, grid, keep_g)
+        out.append(
+            [
+                states[final].tobytes(),
+                None if diffusion is None else diffusion[final].tobytes(),
+                reruns,
+                solved.tobytes(),
+                None if solved_g is None else solved_g.tobytes(),
+                [(r, e.last_good_time, str(e)) for r, e in failures],
+            ]
+        )
+    return out
+
+
+@needs_compiler
+@pytest.mark.parametrize("spec,rows", SPLIT_CASES)
+def test_split_batches_have_the_bits_of_one_slice(monkeypatch, spec, rows):
+    # 1, 2 and 3 slices, and more CPUs than rows (a slice per row, more
+    # threads than cores, switching as often as the interpreter allows):
+    # every state, g, rerun mark and failure is the same, bit for bit
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(solver, "SPLIT_MIN_ROW_STEPS", 0)
+    results = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 2, 3, rows + 5):
+            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+            bounds = solver._slice_bounds(rows, spec.step_count)
+            assert len(bounds) == min(cpus, rows) + 1
+            results.append(_split_solves(spec, rows))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(result == results[0] for result in results)
+    (_, _, reruns, *_, failures), _ = results[0]
+    if spec.order < 3:  # some rows, but not all, are rerun and fail
+        assert 0 < len(failures) <= len(reruns) < rows
+    if spec.order == 1:  # the marked rows span slices at 3 slices
+        bounds = [rows * k // 3 for k in range(4)]
+        assert len({np.searchsorted(bounds, r, "right") for r in reruns}) > 1
+
+
+class _SpyLibrary:
+    """A problem's library whose ``run`` is replaced."""
+
+    def __init__(self, library, run):
+        self._library, self.run = library, run
+
+    def __getattr__(self, name):
+        return getattr(self._library, name)
+
+
+def _os_threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+@needs_compiler
+def test_a_split_batch_holds_at_most_a_thread_per_cpu(monkeypatch):
+    # a large sample_positions at the constant and the process's own CPU
+    # count: while it runs, the process holds no more threads than its CPUs
+    # (beyond those it held before), and none outlives the call
+    spec = tanh_spec(3, step=1.0 / 800)
+    slopes = np.random.default_rng(8).uniform(-3.0, 3.0, (400, 32))
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    library = solver._library(spec, math.inf)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    held = []
+
+    def run(*args):
+        held.append((_os_threads(), threading.active_count()))
+        library.run(*args)
+
+    solver._LIBRARIES[solver._library_key(spec)] = _SpyLibrary(library, run)
+    before = _os_threads(), threading.active_count()
+    positions = solver.sample_positions(spec, slopes)
+    cpus = len(os.sched_getaffinity(0))
+    slices = len(solver._slice_bounds(400, spec.step_count)) - 1
+    assert slices == min(cpus, 400 * 800 // solver.SPLIT_MIN_ROW_STEPS)
+    assert len(held) == slices and len(started) == slices - 1
+    assert max(os_threads for os_threads, _ in held) <= before[0] + cpus - 1
+    assert max(active for _, active in held) <= before[1] + cpus - 1
+    assert (_os_threads(), threading.active_count()) == before
+    assert not any(thread.is_alive() for thread in started)
+    # the bits of one slice
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
+    assert _same_bits(positions, solver.sample_positions(spec, slopes))
+
+
+@needs_compiler
+def test_a_failing_slice_reaches_the_caller_and_shapes_are_checked_first(
+    monkeypatch,
+):
+    # an exception in a worker's slice is raised by the call, once every
+    # slice's thread is joined; a batch that does not fit the problem is
+    # refused before any thread starts
+    spec = tanh_spec(2, step=1.0 / 64)
+    slopes = np.random.default_rng(9).uniform(-3.0, 3.0, (8, 4))
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "SPLIT_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 3)
+    library = solver._library(spec, math.inf)
+    calls = []
+
+    def run(*args):
+        calls.append(threading.current_thread())
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("slice failed")
+        library.run(*args)
+
+    spy = _SpyLibrary(library, run)
+    solver._LIBRARIES[solver._library_key(spec)] = spy
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="slice failed"):
+        solver.sample_positions(spec, slopes)
+    assert len(calls) == 3 and threading.active_count() == before
+    started = []
+    monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(a))
+    counts = solver.segment_counts(spec.step_count, 4)
+    for bad_slopes, kept in [(slopes[:, :3], 1), (slopes, 0), (slopes, 3)]:
+        calls.clear()
+        with pytest.raises(ValueError, match="do not fit the problem"):
+            solver._run_compiled(spy, spec, True, counts, bad_slopes, kept, False)
+        assert not calls and not started
 
 
 def _solved_bits(spec, grid, slopes):

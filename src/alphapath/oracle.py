@@ -16,7 +16,10 @@ exactly rather than estimated.
 setting rules (``setting_problems``) and its chunk size (``chunk_rows``). It
 runs every alpha on both sides, below then above. An alpha's surrogates are
 integrated in chunks of paths, each chunk holding both sides' rows of its
-paths, and only their positions are stored. Sampled frequencies carry no
+paths, and only their positions are stored. Path k's slopes on either side
+and for every alpha map the same uniforms (``_uniforms``) onto the side's
+window (``_slopes``), so a run draws each path's uniforms once for all of
+them (a later chunk's, once per alpha). Sampled frequencies carry no
 measure-theoretic meaning here; only the universally quantified dominance
 is being tested, path by path.
 """
@@ -32,7 +35,13 @@ import numpy as np
 from .analysis import Report, check_hypotheses
 from .core import UdeSpec, phi_inv
 from .errors import ConfigError, HypothesisError
-from .solver import _require_valid, sample_positions, segment_problem, solve_fan
+from .solver import (
+    AlphaFan,
+    _require_valid,
+    sample_positions,
+    segment_problem,
+    solve_fan,
+)
 
 SLOPE_WINDOW = 2.0  # W: how far below/above the bound slopes are drawn
 SLOPE_MARGIN = 1e-6  # eps: strict standoff from the bound itself
@@ -41,7 +50,9 @@ SIDES = ("below", "above")
 
 # paths of one alpha integrated together, their below rows and then their
 # above rows; bounds the memory of a run to chunk_rows(n_paths) positions-only
-# trajectories whatever n_paths is
+# trajectories whatever n_paths is, plus the first chunk's uniforms, which a
+# run holds for every alpha: at most CHUNK_PATHS x segments doubles, half a
+# chunk's positions or less since segments <= steps
 CHUNK_PATHS = 512
 
 
@@ -74,16 +85,29 @@ def _path_seed(seed: int, k: int) -> int:
     return (seed * 1_000_003 + k) % (2**63)
 
 
-def _draw_slopes(bound: float, side: str, segments: int, seed: int) -> np.ndarray:
-    """One surrogate's slopes, strictly on one side of ``bound``.
+def _uniforms(seed: int, first: int, last: int, segments: int) -> np.ndarray:
+    """The uniforms in [0, 1) of paths first, first + 1, ..., last - 1: row
+    k - first is ``segments`` draws of a generator seeded with
+    ``_path_seed(seed, k)``. A path's row serves both sides and every alpha;
+    only the window it is mapped onto (``_slopes``) differs."""
+    rows = np.empty((last - first, segments))
+    for k, row in enumerate(rows, first):
+        np.random.default_rng(_path_seed(seed, k)).random(out=row)
+    return rows
 
-    below: uniform in [bound - W, bound - eps]; above: mirrored to
-    [bound + eps, bound + W]. Deterministic given the seed.
-    """
-    rng = np.random.default_rng(seed)
-    if side == "below":
-        return rng.uniform(bound - SLOPE_WINDOW, bound - SLOPE_MARGIN, segments)
-    return rng.uniform(bound + SLOPE_MARGIN, bound + SLOPE_WINDOW, segments)
+
+def _slopes(bounds: tuple[float, float], uniforms: np.ndarray) -> np.ndarray:
+    """Both sides' surrogate slopes of a chunk's paths, strictly on their
+    side of ``bounds`` (one bound a side, in the order of SIDES): the below
+    rows in [bound - W, bound - eps], then the above rows in
+    [bound + eps, bound + W]. A row is lo + (hi - lo) * u, the values
+    ``Generator.uniform(lo, hi)`` gives from the generator of ``u``."""
+    below, above = bounds
+    windows = (
+        (below - SLOPE_WINDOW, below - SLOPE_MARGIN),
+        (above + SLOPE_MARGIN, above + SLOPE_WINDOW),
+    )
+    return np.concatenate([lo + (hi - lo) * uniforms for lo, hi in windows])
 
 
 def chunk_rows(n_paths: int) -> int:
@@ -169,10 +193,8 @@ def _scan(
         report.min_margin_time = float(times[j])
 
 
-def _check_alpha(
-    spec: UdeSpec, alpha: float, delta: float, n_paths: int, segments: int, seed: int
-) -> list[DominanceReport]:
-    """Gate one alpha, then sample it: its reports in the order of SIDES."""
+def _gated_path(spec: UdeSpec, alpha: float, seed: int) -> AlphaFan:
+    """Alpha's path, once ``check_hypotheses`` passes on it."""
     target = solve_fan(spec, [alpha])
     hypotheses = check_hypotheses(target, samples=128, seed=seed)
     if not hypotheses.passed:
@@ -180,6 +202,21 @@ def _check_alpha(
             "dominance is only guaranteed under regularity and the position-"
             f"monotonicity condition (failed: {', '.join(hypotheses.failed)})"
         )
+    return target
+
+
+def _check_alpha(
+    spec: UdeSpec,
+    target: AlphaFan,
+    delta: float,
+    n_paths: int,
+    seed: int,
+    head: np.ndarray,
+) -> list[DominanceReport]:
+    """Sample one gated alpha-path: its reports in the order of SIDES.
+    ``head`` holds the uniforms of the first chunk's paths, drawn once for
+    every alpha; a later chunk's are drawn here, once for both sides."""
+    (alpha,), segments = target.grid, head.shape[1]
     reference, times = target.positions[0], target.times
     bounds = (phi_inv(alpha - delta), phi_inv(alpha + delta))
     reports = [  # no violation and no margin yet
@@ -188,14 +225,8 @@ def _check_alpha(
     ]
     for first in range(0, n_paths, CHUNK_PATHS):
         last = min(first + CHUNK_PATHS, n_paths)
-        slopes = np.array(
-            [
-                _draw_slopes(bound, side, segments, _path_seed(seed, k))
-                for bound, side in zip(bounds, SIDES)
-                for k in range(first, last)
-            ]
-        )
-        chunk = sample_positions(spec, slopes)
+        uniforms = head if first == 0 else _uniforms(seed, first, last, segments)
+        chunk = sample_positions(spec, _slopes(bounds, uniforms))
         for report, block in zip(reports, np.split(chunk, len(SIDES))):
             _scan(report, reference, times, block, first)
         del chunk, block  # one chunk's trajectories in memory at a time
@@ -225,19 +256,27 @@ def dominance_checks(
     ``segment_counts`` steps, all below phi_inv(alpha - delta) (or above
     phi_inv(alpha + delta)), and its trajectory must stay strictly on that
     side of the alpha-path at every node t >= h; at t = 0 both share the
-    initial state exactly. Path k of either side draws its slopes from
-    ``_path_seed(seed, k)``. An alpha's paths are integrated in chunks of at
-    most CHUNK_PATHS paths (see ``sample_positions``), each chunk the below
-    rows and then the above rows of its paths, and each side's rows of a
-    chunk are scanned in place as one margin matrix.
+    initial state exactly. Path k's slopes map ``segments`` uniforms drawn
+    from ``_path_seed(seed, k)`` onto each side's window, the same uniforms
+    for both sides and every alpha. An alpha's paths are integrated in
+    chunks of at most CHUNK_PATHS paths (see ``sample_positions``), each
+    chunk the below rows and then the above rows of its paths, and each
+    side's rows of a chunk are scanned in place as one margin matrix. The
+    first chunk's uniforms are drawn once, after the first alpha passes its
+    gate, and serve every alpha; a later chunk's are drawn for each alpha,
+    once for both sides. A run refused before its first gate passes draws
+    none.
     """
     _require_valid(spec)  # before the step count divides by the step
     steps = spec.step_count
     problems = setting_problems(alphas, delta, n_paths, segments, seed, steps)
     if problems:
         raise ConfigError(problems[0][1])
-    return [
-        report
-        for alpha in alphas
-        for report in _check_alpha(spec, alpha, delta, n_paths, segments, seed)
-    ]
+    reports: list[DominanceReport] = []
+    head = None  # the first chunk's uniforms, drawn once the first alpha passes
+    for alpha in alphas:
+        target = _gated_path(spec, alpha, seed)
+        if head is None:
+            head = _uniforms(seed, 0, min(n_paths, CHUNK_PATHS), segments)
+        reports += _check_alpha(spec, target, delta, n_paths, seed, head)
+    return reports

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -23,7 +24,14 @@ from alphapath.errors import (
     ConfigError,
     HypothesisError,
 )
-from alphapath.oracle import SLOPE_MARGIN, SLOPE_WINDOW, _draw_slopes, setting_problems
+from alphapath.oracle import (
+    SLOPE_MARGIN,
+    SLOPE_WINDOW,
+    _path_seed,
+    _slopes,
+    _uniforms,
+    setting_problems,
+)
 
 from conftest import driven, polynomial_spec, tanh_spec
 
@@ -38,15 +46,33 @@ def _quotients(slopes, horizon):
     return (values[later] - values[earlier]) / (times[later] - times[earlier])
 
 
+def reference_slopes(bound, side, segments, seed):
+    """One surrogate's slopes as ``Generator.uniform`` draws them from one
+    generator per (alpha, side, path): below in [bound - W, bound - eps],
+    above in [bound + eps, bound + W]. The oracle's slopes must equal these
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    if side == "below":
+        return rng.uniform(bound - SLOPE_WINDOW, bound - SLOPE_MARGIN, segments)
+    return rng.uniform(bound + SLOPE_MARGIN, bound + SLOPE_WINDOW, segments)
+
+
+def path_slopes(bounds, seed, k, segments):
+    """Path k's rows of a run seeded ``seed``, below then above, as the
+    oracle maps its uniforms."""
+    return _slopes(bounds, _uniforms(seed, k, k + 1, segments))
+
+
 def test_sampler_single_segment_range():
-    slopes = _draw_slopes(1.0, "below", 1, 3)
-    assert slopes.shape == (1,)
-    assert 1.0 - SLOPE_WINDOW <= slopes[0] <= 1.0 - SLOPE_MARGIN
+    below, above = path_slopes((1.0, 1.5), 3, 0, 1)
+    assert below.shape == above.shape == (1,)
+    assert 1.0 - SLOPE_WINDOW <= below[0] <= 1.0 - SLOPE_MARGIN
+    assert 1.5 + SLOPE_MARGIN <= above[0] <= 1.5 + SLOPE_WINDOW
 
 
 def test_sampler_below_certifies_difference_quotients():
     bound = 0.75
-    slopes = _draw_slopes(bound, "below", 16, 11)
+    slopes, _ = path_slopes((bound, 1.0), 11, 0, 16)
     assert slopes.max() <= bound - SLOPE_MARGIN
     assert slopes.min() >= bound - SLOPE_WINDOW
     # piecewise linearity: every difference quotient is within the slope hull
@@ -56,18 +82,50 @@ def test_sampler_below_certifies_difference_quotients():
 
 
 def test_sampler_above_mirrors():
+    # the above row of a path maps its below row's uniforms onto
+    # [bound + eps, bound + W]: the two rows are W + eps apart
     bound = -0.4
-    slopes = _draw_slopes(bound, "above", 8, 21)
+    below, slopes = path_slopes((bound, bound), 21, 0, 8)
     assert slopes.min() >= bound + SLOPE_MARGIN
     assert slopes.max() <= bound + SLOPE_WINDOW
     assert (_quotients(slopes, 1.0) >= bound + SLOPE_MARGIN - 1e-12).all()
+    gap = SLOPE_WINDOW + SLOPE_MARGIN
+    np.testing.assert_allclose(slopes - below, gap, rtol=0, atol=1e-12)
 
 
 def test_sampler_deterministic():
-    a = _draw_slopes(0.3, "below", 4, 123)
-    b = _draw_slopes(0.3, "below", 4, 123)
+    a = _uniforms(123, 0, 3, 4)
+    b = _uniforms(123, 0, 3, 4)
     assert a.tobytes() == b.tobytes()
-    assert a.tobytes() != _draw_slopes(0.3, "below", 4, 124).tobytes()
+    assert _slopes((0.3, 0.5), a).tobytes() == _slopes((0.3, 0.5), b).tobytes()
+    assert a.tobytes() != _uniforms(124, 0, 3, 4).tobytes()
+    # a path's row does not depend on the range it is drawn in
+    assert a[1:].tobytes() == _uniforms(123, 1, 3, 4).tobytes()
+
+
+@pytest.mark.parametrize("segments", [1, 4, 32, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 123456789, 2**62 + 5])
+def test_slopes_equal_one_uniform_draw_per_alpha_side_and_path(seed, segments):
+    # the uniforms drawn once for a run, mapped onto each window, give the
+    # bits of one Generator.uniform draw per (alpha, side, path), with
+    # alpha - delta near 0 and alpha + delta near 1 among the windows
+    paths = (0, 1, 2, 511, 512, 600)
+    rows = {k: _uniforms(seed, k, k + 1, segments)[0] for k in paths}
+    for k, row in rows.items():
+        generator = np.random.default_rng(_path_seed(seed, k))
+        assert row.tobytes() == generator.random(segments).tobytes()
+    uniforms = np.array(list(rows.values()))
+    settings = ((0.05 + 1e-9, 0.05), (0.2, 0.05), (0.5, 0.3), (0.95 - 1e-9, 0.05))
+    for alpha, delta in settings:
+        bounds = (phi_inv(alpha - delta), phi_inv(alpha + delta))
+        slopes = _slopes(bounds, uniforms)
+        assert slopes.shape == (2 * len(paths), segments)
+        expected = [
+            reference_slopes(bound, side, segments, _path_seed(seed, k))
+            for bound, side in zip(bounds, oracle_module.SIDES)
+            for k in paths
+        ]
+        assert slopes.tobytes() == np.array(expected).tobytes()
 
 
 def test_sampler_rejects_bad_arguments():
@@ -154,10 +212,10 @@ def test_boundary_driver_is_reported_as_violation(monkeypatch):
     spec = polynomial_spec(2, step=1.0 / 64)
     alpha = 0.8
 
-    def constant_bound_slopes(bound, side, segments, seed):
-        return np.full(segments, phi_inv(alpha))
+    def constant_bound_slopes(bounds, uniforms):
+        return np.full((2 * len(uniforms), uniforms.shape[1]), phi_inv(alpha))
 
-    monkeypatch.setattr(oracle_module, "_draw_slopes", constant_bound_slopes)
+    monkeypatch.setattr(oracle_module, "_slopes", constant_bound_slopes)
     # 64 paths a side: one batch of 128 rows, compared below with chunks of
     # 10 paths (20 rows) each
     n_paths = 64
@@ -212,7 +270,7 @@ def test_chunks_hold_both_sides_of_the_same_paths(monkeypatch):
     bounds = (phi_inv(0.7 - 0.05), phi_inv(0.7 + 0.05))
     for slopes, paths in zip(calls, (range(512), range(512, 600))):
         drawn = [
-            _draw_slopes(bound, side, 4, oracle_module._path_seed(3, k))
+            reference_slopes(bound, side, 4, _path_seed(3, k))
             for bound, side in zip(bounds, oracle_module.SIDES)
             for k in paths
         ]
@@ -245,7 +303,7 @@ def test_dominance_memory_is_one_chunk_of_positions():
 def test_dominance_monotone_coupling():
     # pointwise-ordered slopes produce ordered trajectories at every node
     spec = tanh_spec(2, step=1.0 / 128)
-    base = _draw_slopes(phi_inv(0.4), "below", 8, 33)
+    base = reference_slopes(phi_inv(0.4), "below", 8, 33)
     low, high = driven(spec, [base, base + 0.25])[0][:, :, 0]
     assert (high[1:] > low[1:]).all()
     assert high[0] == low[0]
@@ -292,7 +350,7 @@ def test_dominance_rejects_misaligned_segments_before_any_work(monkeypatch, segm
         raise AssertionError("work was done for a run that cannot start")
 
     monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
-    monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
+    monkeypatch.setattr(oracle_module, "_uniforms", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     message = f"segments must be <= the 64 solver steps, got {segments}"
     with pytest.raises(ConfigError, match=message):
@@ -385,7 +443,7 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
     bound = phi_inv(0.7 - 0.05 if side == "below" else 0.7 + 0.05)
     margins = []
     for k in range(70):
-        slopes = _draw_slopes(bound, side, 8, oracle_module._path_seed(5, k))
+        slopes = reference_slopes(bound, side, 8, _path_seed(5, k))
         sampled = solver.sample_positions(spec, slopes[None])[0, 1:]
         margin = target - sampled if side == "below" else sampled - target
         margins.append(margin.min())
@@ -397,13 +455,17 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
     # paths a side, most rows of the one batch of 128 fail, and the error is
     # path 3's, as when every path is solved alone. df/dx0 = 2 x0 < 0 below
     # the origin, so the gate would refuse this spec; it is passed by hand
-    def slope_k(bound, side, segments, seed):
-        return np.full(segments, float(seed))
+    def path_index(seed, first, last, segments):
+        return np.repeat(np.arange(first, last, dtype=float)[:, None], segments, 1)
+
+    def slope_k(bounds, uniforms):
+        return np.concatenate([uniforms, uniforms])
 
     def passing_gate(*args, **kwargs):
         return SimpleNamespace(passed=True)
 
-    monkeypatch.setattr(oracle_module, "_draw_slopes", slope_k)
+    monkeypatch.setattr(oracle_module, "_uniforms", path_index)
+    monkeypatch.setattr(oracle_module, "_slopes", slope_k)
     monkeypatch.setattr(oracle_module, "check_hypotheses", passing_gate)
     spec = type(polynomial_spec(1)).from_strings(1, "x0^2", "1", [0.0], 1.0, 1 / 64)
     with pytest.raises(BlowUpError) as excinfo:
@@ -414,6 +476,50 @@ def test_dominance_blowup_names_the_first_failing_path(monkeypatch):
         solver.sample_positions(spec, np.array([[3.0]]))
     assert str(excinfo.value) == str(alone.value)
     assert excinfo.value.last_good_time > 0.5
+
+
+def _spy_generators(monkeypatch):
+    """The seeds of every generator the oracle's own code builds, in order;
+    the generator of the gate's condition-H sample is not the oracle's."""
+    seeds = []
+    build = np.random.default_rng
+
+    def spy(seed):
+        if sys._getframe(1).f_globals["__name__"] == oracle_module.__name__:
+            seeds.append(seed)
+        return build(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return seeds
+
+
+def test_a_run_draws_each_paths_uniforms_once(monkeypatch):
+    # one generator per path for both sides and both alphas; in chunks of 2
+    # paths, the first chunk's paths 0 and 1 serve both alphas and the later
+    # chunks' paths 2, 3 and 4 are drawn once per alpha: 8 generators
+    seeds = _spy_generators(monkeypatch)
+    spec = tanh_spec(2, step=1.0 / 64)
+    kwargs = dict(alphas=[0.3, 0.8], delta=0.05, n_paths=5, segments=4, seed=3)
+    reports = dominance_checks(spec, **kwargs)
+    assert seeds == [_path_seed(3, k) for k in range(5)]
+    seeds.clear()
+    monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 2)
+    assert dominance_checks(spec, **kwargs) == reports
+    assert seeds == [_path_seed(3, k) for k in (0, 1, 2, 3, 4, 2, 3, 4)]
+
+
+def test_a_refused_run_draws_no_uniforms(monkeypatch):
+    # refused by its settings, or at its first alpha's gate: no generator
+    seeds = _spy_generators(monkeypatch)
+    spec = tanh_spec(2, step=1.0 / 64)
+    with pytest.raises(ConfigError, match="alpha - delta > 0"):
+        dominance_checks(spec, [0.8, 0.02], 0.05, 5, 4, 0)
+    with pytest.raises(ConfigError, match="segments must be <= the 64 solver"):
+        dominance_checks(spec, [0.8], 0.05, 5, 65, 0)
+    bad = UdeSpec.from_strings(2, "0-x0", "1", [0.1, 0.0], 1.0, 1.0 / 64)
+    with pytest.raises(HypothesisError):
+        dominance_checks(bad, [0.8, 0.3], 0.05, 5, 4, 0)
+    assert seeds == []
 
 
 def test_dominance_checks_equal_one_check_per_alpha_and_side():
@@ -438,7 +544,7 @@ def test_dominance_checks_reject_a_later_alpha_before_any_solve(monkeypatch):
         raise AssertionError("work was done for a run that cannot start")
 
     monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
-    monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
+    monkeypatch.setattr(oracle_module, "_uniforms", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     with pytest.raises(ConfigError, match="alpha - delta > 0"):
         dominance_checks(spec, [0.8, 0.02], 0.05, 5, 4, 0)
@@ -459,7 +565,7 @@ def test_dominance_checks_refuse_a_bad_seed_or_no_alphas_before_any_solve(
         raise AssertionError("work was done for a run that cannot start")
 
     monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
-    monkeypatch.setattr(oracle_module, "_draw_slopes", unreachable)
+    monkeypatch.setattr(oracle_module, "_uniforms", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     with pytest.raises(ConfigError, match=re.escape(message)):
         dominance_checks(spec, alphas, 0.05, 4, 4, seed)
@@ -476,10 +582,10 @@ def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, case)
     # (below path 3, above path 2)
     if case == "tied":
 
-        def same_surrogate(bound, side, segments, seed):
-            return _draw_slopes(bound, side, segments, 0)
+        def same_surrogate(seed, first, last, segments):
+            return np.repeat(_uniforms(0, 0, 1, segments), last - first, 0)
 
-        monkeypatch.setattr(oracle_module, "_draw_slopes", same_surrogate)
+        monkeypatch.setattr(oracle_module, "_uniforms", same_surrogate)
     seed = 1
     if case == "chunked":
         monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 2)
@@ -490,12 +596,11 @@ def test_min_margin_location_matches_a_brute_force_scan(monkeypatch, side, case)
     )
     (report,) = [r for r in reports if r.side == side]
     target = solve_fan(spec, [0.6])
-    bound = phi_inv(0.6 - 0.05 if side == "below" else 0.6 + 0.05)
+    bounds = (phi_inv(0.6 - 0.05), phi_inv(0.6 + 0.05))
     best = (np.inf, -1, np.nan)
     for k in range(5):
-        slopes = oracle_module._draw_slopes(
-            bound, side, 4, oracle_module._path_seed(seed, k)
-        )
+        rows = oracle_module._slopes(bounds, oracle_module._uniforms(seed, k, k + 1, 4))
+        slopes = rows[oracle_module.SIDES.index(side)]
         sampled = solver.sample_positions(spec, slopes[None])[0]
         for j in range(1, len(target.times)):
             gap = target.positions[0, j] - sampled[j]

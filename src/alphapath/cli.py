@@ -10,8 +10,11 @@ round-trip precision and without timestamps, so identical configs produce
 byte-identical outputs.
 
 A solve may build the problem's C library, and writing the fan the renderer
-library (``solver``); a build leaves nothing beside the artifacts. Without a
-working compiler the artifacts, exit codes and messages are the same.
+library (``solver``); a build leaves nothing beside the artifacts. Under the
+renderer library a solve writes fan.csv and fan.json at once, each to a
+temporary file on a thread of its own, and then renames them in that order,
+a file only if it and every file before it were written. Without a working
+compiler the artifacts, exit codes and messages are the same.
 
 Exit codes partition outcomes:
     0  success
@@ -29,6 +32,7 @@ import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -69,22 +73,66 @@ def _prepare_outdir(path: Path, force: bool) -> None:
         path.mkdir(parents=True)
 
 
-def _write_text(path: Path, chunks: Iterable[str | bytes]) -> None:
-    """Write ``chunks`` in order, text as UTF-8 and bytes as they are,
-    through a temporary file in the same directory, then rename it over
-    ``path``: a write that fails partway, in the file system or in the code
-    producing the chunks, leaves the previous artifact intact."""
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _stage(path: Path, chunks: Iterable[str | bytes]) -> Path:
+    """Write ``chunks`` in order, text as UTF-8 and bytes as they are, to a
+    temporary file beside ``path``, and return it; a write that fails
+    partway, in the file system or in the code producing the chunks,
+    removes it."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(partial, "wb") as stream:
+        with open(temporary, "wb") as stream:
             for chunk in chunks:
                 stream.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-        os.replace(partial, path)
     except BaseException as exc:
-        partial.unlink(missing_ok=True)
+        temporary.unlink(missing_ok=True)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
         raise
+    return temporary
+
+
+def _publish(temporary: Path, path: Path) -> None:
+    """Rename the staged ``temporary`` over ``path``, or remove it."""
+    try:
+        os.replace(temporary, path)
+    except OSError as exc:
+        temporary.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_text(path: Path, chunks: Iterable[str | bytes]) -> None:
+    """Write ``chunks`` through a temporary file (``_stage``), then rename
+    it over ``path``: a write that fails leaves the previous artifact
+    intact."""
+    _publish(_stage(path, chunks), path)
+
+
+def _write_texts(
+    files: list[tuple[Path, Iterable[str | bytes]]], run: Callable
+) -> None:
+    """Stage every (path, chunks) of ``files`` through ``run`` (at once when
+    ``run`` runs its functions at once), then publish them in their order
+    until one fails: a file is published only if it and every file before
+    it were written, the first failure in that order is raised, and no
+    temporary file is left."""
+    staged: list[Path | Exception | None] = [None] * len(files)
+
+    def stage(k: int) -> None:
+        try:
+            staged[k] = _stage(*files[k])
+        except Exception as exc:  # raised below, in the order of the files
+            staged[k] = exc
+
+    try:
+        run([partial(stage, k) for k in range(len(files))])
+        for (path, _), done in zip(files, staged):
+            if isinstance(done, Exception):
+                raise done
+            _publish(done, path)
+    finally:
+        for done in staged:
+            if isinstance(done, Path):
+                done.unlink(missing_ok=True)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -160,13 +208,16 @@ def _solve_configured_fan(config: RunConfig) -> AlphaFan:
 def cmd_solve(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
     formats, times = config.output_formats, _float_texts(fan.times.tolist())
-    texts = solver.path_texts(fan, times, formats)  # one renderer for every format
+    # one renderer for every format, and the formats written at once under C
+    texts, run = solver.path_texts(fan, times, formats)
+    files = []
     if "csv" in formats:  # the header, then each path's rows
         header = "alpha,t," + ",".join(f"x{k}" for k in range(fan.spec.order))
         rows = texts("csv", range(len(fan.grid)))
-        _write_text(outdir / "fan.csv", chain([header + "\n"], rows))
+        files.append((outdir / "fan.csv", chain([header + "\n"], rows)))
     if "json" in formats:
-        _write_text(outdir / "fan.json", _fan_json_chunks(fan, times, texts))
+        files.append((outdir / "fan.json", _fan_json_chunks(fan, times, texts)))
+    _write_texts(files, run)
     _update_run_json(outdir, config, _run_json_payload(fan))
     return EXIT_OK
 

@@ -28,8 +28,11 @@ and no g.
 
 The fan's text comes from one more library per process, the same for every
 problem (``_renderer_source``): it writes each float as float.__repr__ does,
-its digits found by Schubfach, and a path in fan.csv's or fan.json's layout;
-without it repr and str.replace write the same bytes. Only ``_solve_rows``,
+its digits found by Schubfach and written two at a time, and a path in
+fan.csv's or fan.json's layout; without it one repr of each path's values,
+split and joined, writes the same bytes. Under the library the layouts of a
+solve are written at once, each on a thread of its own; under repr, one
+after the other (``path_texts``). Only ``_solve_rows``,
 ``condition_h_partials`` and ``path_texts`` choose between C and Python.
 """
 
@@ -81,8 +84,10 @@ SPLIT_MIN_ROW_STEPS = 10_000
 
 # a fan write builds the renderer library once the values that repr has
 # rendered in the process, the write's own once per layout, reach this many
-# (rent or buy): the build takes about 0.10 s, and C writes a value in 0.08
-# us against repr's 1.0 us (medians, 2-core Intel Xeon x86-64)
+# (rent or buy): the build takes 0.13 s, and C writes a value in 0.08 us
+# against repr's 1.4 us, so they break even at 94,000 to 97,000 values
+# (medians of 11 on the wide-fan benchmark fan, one layout at a time, 2-core
+# Intel Xeon x86-64)
 RENDER_MIN_VALUES = 100_000
 
 # the C step is built by this compiler, named by a fixed path and run in a
@@ -356,43 +361,64 @@ static uint64_t shortest(uint64_t bits, int *k) {
     return cmp < 0 || (cmp == 0 && !(s & 1)) ? s : t;
 }
 
-/* repr of the double at out; its length */
+#define COPY(p, text, length) (memcpy(p, text, length), p + (length))
+/* the 2 digits of v < 100 from the table of pairs, written at p */
+#define PAIR(p, v) memcpy(p, pairs + 2 * (v), 2)
+
+/* the digits of 0 < v < 10^9, written backwards so that they end just
+   before end, two at a time; where they start */
+static char *digits32(uint32_t v, char *end) {
+    for (; v >= 100; v /= 100) PAIR(end -= 2, v % 100);
+    if (v >= 10) PAIR(end -= 2, v);
+    else *--end = (char)('0' + v);
+    return end;
+}
+
+/* repr of the double at out, at most 24 bytes; its length */
 static int64_t format_double(double value, char *out) {
     union { double d; uint64_t u; } cast = {value};
     uint64_t bits = cast.u & ~((uint64_t)1 << 63), inf = (uint64_t)2047 << 52;
-    char *p = out, buffer[20], *digits = buffer + 20;
-    int k, length, i;
-    if (bits > inf) { *p++ = 'n'; *p++ = 'a'; *p++ = 'n'; return p - out; }
+    char *p = out, buffer[20], *end = buffer + 20, *digits = end;
+    int k;
+    if (bits > inf) return COPY(p, "nan", 3) - out;
     if (cast.u >> 63) *p++ = '-';
-    if (bits == inf) { *p++ = 'i'; *p++ = 'n'; *p++ = 'f'; return p - out; }
-    if (!bits) { *p++ = '0'; *p++ = '.'; *p++ = '0'; return p - out; }
+    if (bits == inf) return COPY(p, "inf", 3) - out;
+    if (!bits) return COPY(p, "0.0", 3) - out;
     uint64_t s = shortest(bits, &k);
     for (; s % 10 == 0; s /= 10) k++;
-    for (; s; s /= 10) *--digits = (char)('0' + s % 10);
-    length = (int)(buffer + 20 - digits);
-    int point = length + k; /* value = 0.digits * 10^point */
+    /* s < 10^17: a high part below 10^9 and a low part of 8 digits, zeros
+       included, each in 32-bit arithmetic */
+    if (s >= 100000000) {
+        uint32_t low = (uint32_t)(s % 100000000);
+        for (int i = 0; i < 4; i++, low /= 100) PAIR(digits -= 2, low % 100);
+        s /= 100000000;
+    }
+    digits = digits32((uint32_t)s, digits);
+    int length = (int)(end - digits), point = length + k; /* 0.digits * 10^point */
     if (point <= -4 || point > 16) {
         int e = point - 1;
         *p++ = digits[0];
-        if (length > 1) *p++ = '.';
-        for (i = 1; i < length; i++) *p++ = digits[i];
+        if (length > 1) {
+            *p++ = '.';
+            p = COPY(p, digits + 1, length - 1);
+        }
         *p++ = 'e';
         *p++ = e < 0 ? '-' : '+';
         if (e < 0) e = -e;
         if (e >= 100) *p++ = (char)('0' + e / 100);
-        *p++ = (char)('0' + e / 10 % 10);
-        *p++ = (char)('0' + e % 10);
+        PAIR(p, e % 100);
+        p += 2;
     } else if (point <= 0) {
-        *p++ = '0';
+        p = COPY(p, "0.000", 2 - point);
+        p = COPY(p, digits, length);
+    } else if (point < length) {
+        p = COPY(p, digits, point);
         *p++ = '.';
-        for (i = point; i < 0; i++) *p++ = '0';
-        for (i = 0; i < length; i++) *p++ = digits[i];
+        p = COPY(p, digits + point, length - point);
     } else {
-        for (i = 0; i < length || i < point; i++) {
-            if (i == point) *p++ = '.';
-            *p++ = i < length ? digits[i] : '0';
-        }
-        if (point >= length) { *p++ = '.'; *p++ = '0'; }
+        p = COPY(p, digits, length);
+        memset(p, '0', point - length);
+        p = COPY(p + point - length, ".0", 2);
     }
     return p - out;
 }
@@ -400,7 +426,6 @@ static int64_t format_double(double value, char *out) {
 /* the separators of json.dumps(indent=2) between a path's values and rows */
 static const char value_sep[] = ",\\n        ";
 static const char row_sep[] = "\\n      ],\\n      [\\n        ";
-#define COPY(p, text, length) (memcpy(p, text, length), p + (length))
 
 /* one path of rows x cols values at text, in layout 0 (fan.csv's rows) or 1
    (fan.json's body), as ``_render_paths`` describes; its length. Row i's
@@ -459,13 +484,18 @@ def _powers() -> tuple[int, ...]:
 @cache
 def _renderer_source() -> str:
     """The renderer library's C translation unit, the same for every
-    problem: the table of ``_powers`` as a C array of 63-bit halves, then
-    ``_C_RENDERER``."""
+    problem: the table of ``_powers`` as a C array of 63-bit halves, the
+    digit pairs "00" .. "99" as one string, then ``_C_RENDERER``."""
     low = (1 << 63) - 1
     rows = ",\n".join(f"    {{{g >> 63:#x}u, {g & low:#x}u}}" for g in _powers())
+    pairs = "\n".join(
+        '    "' + "".join(f"{v:02d}" for v in range(k, k + 20)) + '"'
+        for k in range(0, 100, 20)
+    )
     return (
         "#include <stdint.h>\n#include <string.h>\n\n"
-        f"static const uint64_t powers[][2] = {{\n{rows}\n}};\n\n{_C_RENDERER}"
+        f"static const uint64_t powers[][2] = {{\n{rows}\n}};\n\n"
+        f"static const char pairs[] =\n{pairs};\n\n{_C_RENDERER}"
     )
 
 
@@ -726,21 +756,19 @@ def _python_paths(
     layout: str, states: np.ndarray, alphas: list, times: list
 ) -> Iterator[bytes]:
     """Each path of ``states`` (paths, nodes, n) in ``layout``, from repr's
-    text of its rows: fan.csv's rows, alpha's repr, the time text from
-    ``times`` and the values, or fan.json's body, json.dumps(indent=2)'s
-    separators between values and rows. A repr holds no ", " and no "], [",
-    so replacing and splitting on them is exact."""
-    middles = [f",{t}," for t in times]
+    text of its values, one flat list per path: fan.csv's rows, alpha's
+    repr, the time text from ``times`` and the row's values, or fan.json's
+    body, json.dumps(indent=2)'s separators between values and rows. A repr
+    holds no ", ", so splitting on it is exact."""
+    n = states.shape[2]
     for path, alpha in zip(states, alphas):
-        rows = repr(path.tolist())[2:-2]
-        if layout == "json":
-            rows = rows.replace("], [", "\n      ],\n      [\n        ")
-            text = rows.replace(", ", ",\n        ")
+        values = [iter(repr(path.ravel().tolist())[1:-1].split(", "))] * n
+        if layout == "json":  # zip(*values) yields each row's n values
+            rows = map(",\n        ".join, zip(*values))
+            text = "\n      ],\n      [\n        ".join(rows)
         else:
-            parts = [repr(alpha), "", "", "\n"] * len(middles)
-            parts[1::4] = middles
-            parts[2::4] = rows.replace(", ", ",").split("],[")
-            text = "".join(parts)
+            rows = map(",".join, zip(repeat(repr(alpha)), times, *values))
+            text = "\n".join(rows) + "\n"
         yield text.encode("ascii")
 
 
@@ -866,13 +894,21 @@ def condition_h_partials(
         yield values
 
 
-def path_texts(fan: AlphaFan, times: list[str], layouts: Sequence[str]) -> Callable:
+def path_texts(
+    fan: AlphaFan, times: list[str], layouts: Sequence[str]
+) -> tuple[Callable, Callable]:
     """A function of a layout and grid indices that yields those paths'
     texts in order, "csv" a path's fan.csv rows and "json" its rows as
-    fan.json lays them out, ``times`` the texts of the fan's times. One
-    engine, chosen here, serves every layout in ``layouts``: the renderer
-    library, built once this process's repr values and those of every
-    layout reach RENDER_MIN_VALUES, or else repr and str.replace, alike."""
+    fan.json lays them out, ``times`` the texts of the fan's times; and a
+    function that calls each of a list of functions of no argument, such
+    as the writes of those layouts. One engine, chosen here, serves every
+    layout in ``layouts``: the renderer library, built once this process's
+    repr values and those of every layout reach RENDER_MIN_VALUES, or else
+    repr, alike. Under the library the functions run at once, each on a
+    thread of its own (``_run_slices``) while there are CPUs for them, as
+    ctypes releases the GIL while ``render`` writes a path; under repr,
+    which holds the GIL throughout, one after the other on the calling
+    thread."""
     global _REPR_VALUES
     values = fan.states.size * len(layouts)
     if not _RENDERER and _REPR_VALUES + values >= RENDER_MIN_VALUES:
@@ -885,7 +921,15 @@ def path_texts(fan: AlphaFan, times: list[str], layouts: Sequence[str]) -> Calla
         states, alphas = fan.states[list(paths)], [fan.grid[k] for k in paths]
         return engine(layout, states, alphas, times)
 
-    return texts
+    def run(jobs: Sequence[Callable[[], None]]) -> None:
+        def work(start: int, stop: int) -> None:
+            for job in jobs[start:stop]:
+                job()
+
+        slices = 1 if library is None else max(min(len(jobs), _cpu_count()), 1)
+        _run_slices(work, [len(jobs) * k // slices for k in range(slices + 1)])
+
+    return texts, run
 
 
 def _require_valid(spec: UdeSpec) -> None:

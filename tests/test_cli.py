@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 
 import numpy as np
@@ -397,6 +398,90 @@ def test_an_output_file_that_is_a_directory_exits_2_naming_it(
     assert sorted(p.name for p in out.iterdir()) == left  # no temporary file
 
 
+@pytest.mark.parametrize("renderer", [pytest.param("c", marks=needs_compiler), "repr"])
+def test_a_fan_json_that_is_a_directory_exits_2_after_publishing_fan_csv(
+    tmp_path, capsys, monkeypatch, renderer
+):
+    # both layouts are written to temporary files (at once under the
+    # renderer library), then renamed in format order: fan.csv gets the
+    # bytes of a solve that writes both, the rename of fan.json fails and
+    # names it, and no temporary file is left
+    cfg = write_config(tmp_path)
+    _fresh_libraries(monkeypatch, render_min=0 if renderer == "c" else math.inf)
+    whole = tmp_path / "whole"
+    assert main(["solve", "--config", cfg, "--out", str(whole)]) == 0
+    out = tmp_path / "out"
+    (out / "fan.json").mkdir(parents=True)
+    assert main(["solve", "--config", cfg, "--out", str(out), "--force"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out / 'fan.json'}: Is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == ["fan.csv", "fan.json"]
+    assert (out / "fan.csv").read_bytes() == (whole / "fan.csv").read_bytes()
+    assert list((out / "fan.json").iterdir()) == []
+    built = [library is not None for library in solver._RENDERER]
+    assert built == ([True] if renderer == "c" else [])
+
+
+@needs_compiler
+@pytest.mark.parametrize("failing", ["csv", "json"])
+def test_a_layout_that_fails_to_render_reaches_the_caller(
+    tmp_path, monkeypatch, failing
+):
+    # under the renderer library fan.csv is written on a thread of its own
+    # and fan.json on the calling thread; a layout that raises partway
+    # stops the solve with its error once the other layout's thread is
+    # joined, fan.csv is published only if its own write succeeded, and no
+    # temporary file is left
+    cfg = write_config(tmp_path)
+    _fresh_libraries(monkeypatch, render_min=0)
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+    render_paths = solver._render_paths
+
+    def spy(library, layout, *args):
+        for k, text in enumerate(render_paths(library, layout, *args)):
+            if layout == failing and k == 3:
+                raise RuntimeError(f"{layout} failed")
+            yield text
+
+    monkeypatch.setattr(solver, "_render_paths", spy)
+    threads = threading.active_count()
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
+        main(["solve", "--config", cfg, "--out", str(out)])
+    assert threading.active_count() == threads
+    left = ["fan.csv"] if failing == "json" else []
+    assert sorted(p.name for p in out.iterdir()) == left
+
+
+@pytest.mark.parametrize("renderer", [pytest.param("c", marks=needs_compiler), "repr"])
+def test_the_renderer_library_writes_two_layouts_on_two_threads(
+    tmp_path, monkeypatch, renderer
+):
+    # each layout's paths are drawn on the thread that writes its file:
+    # under the renderer library fan.csv's on a thread of its own and
+    # fan.json's on the calling thread; under repr both on the calling
+    # thread, one after the other
+    cfg = write_config(tmp_path)
+    _fresh_libraries(monkeypatch, render_min=0 if renderer == "c" else math.inf)
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+    name = "_render_paths" if renderer == "c" else "_python_paths"
+    engine, drawn = getattr(solver, name), {}
+
+    def spy(*args):  # (library,) layout, states, alphas, times
+        for text in engine(*args):
+            drawn.setdefault(args[-4], set()).add(threading.get_ident())
+            yield text
+
+    monkeypatch.setattr(solver, name, spy)
+    threads = threading.active_count()
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert threading.active_count() == threads
+    main_thread = threading.get_ident()
+    assert drawn["json"] == {main_thread}
+    assert (drawn["csv"] == {main_thread}) == (renderer == "repr")
+    assert len(drawn["csv"]) == 1
+
+
 def _fan_config(
     order=2,
     f="x0",
@@ -609,9 +694,9 @@ def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
     # built, then in a process where RENDER_MIN_VALUES lies between the
     # fan's values in one format and in two: the solve decides for both
     # formats before the first, so with gcc the renderer library writes
-    # every path of both layouts, the repr reference's text; with no
-    # compiler, or one that fails, repr renders it all. The files are the
-    # same bytes every time
+    # every path of both layouts, the repr reference's text (the layouts at
+    # once, so their paths interleave); with no compiler, or one that
+    # fails, repr renders it all. The files are the same bytes every time
     text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
     cfg = write_config(tmp_path, text)
     spec = load_config(cfg).spec
@@ -638,7 +723,7 @@ def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
         want = (tmp_path / "repr" / name).read_bytes()
         assert (tmp_path / compiler / name).read_bytes() == want
     if compiler == "gcc":
-        assert rendered == [("csv", True)] * 99 + [("json", True)] * 99
+        assert sorted(rendered) == [("csv", True)] * 99 + [("json", True)] * 99
     else:
         assert rendered == [] and solver._RENDERER == [None]
 
@@ -714,7 +799,7 @@ def test_the_renderer_is_built_once_repr_has_rendered_enough(monkeypatch):
     counts = []
     rows = reference_fan_csv(fan).split("\n", 1)[1]
     for layouts in (["csv"], ["json"], ["csv", "json"], ["csv"]):
-        texts = solver.path_texts(fan, times, layouts)
+        texts, _ = solver.path_texts(fan, times, layouts)
         counts.append((len(builds), solver._REPR_VALUES))
         assert b"".join(texts("csv", range(3))).decode() == rows
     assert counts == [(0, values), (0, 2 * values), (1, 4 * values), (1, 5 * values)]
@@ -738,7 +823,7 @@ def test_the_renderers_path_texts_can_be_kept(monkeypatch):
     kept = []
     for render_min in (math.inf, 0):
         _fresh_libraries(monkeypatch, render_min=render_min)
-        texts = solver.path_texts(fan, times, ["csv", "json"])
+        texts, _ = solver.path_texts(fan, times, ["csv", "json"])
         kept.append([list(texts(layout, [2, 0, 1])) for layout in ("csv", "json")])
     assert solver._RENDERER[0] is not None
     assert kept[1] == kept[0] and len(set(kept[0][0])) == 3

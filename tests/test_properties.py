@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
 import tempfile
+from decimal import Decimal
 from functools import cache
 
 import numpy as np
@@ -241,6 +243,82 @@ def test_c_renderer_rows_stay_within_their_bound(layout, cols):
         )
         assert text[:length].tobytes().decode() == want
         assert (text[length:] == 0xA5).all()
+
+
+def _digits_and_point(value: float) -> tuple[int, int]:
+    """The count of repr's shortest digits of a finite nonzero ``value``
+    and its decimal point's position: |value| = 0.digits * 10^point."""
+    _, digits, exponent = Decimal(repr(abs(value))).normalize().as_tuple()
+    return len(digits), len(digits) + exponent
+
+
+def _with_digits(count: int, point: int) -> float:
+    """A double near 0.31415926535897932 * 10^point whose repr has
+    ``count`` digits and that point."""
+    value = float(f"0.{'31415926535897932'[:count]}e{point}")
+    for _ in range(1000):
+        if _digits_and_point(value) == (count, point):
+            return value
+        value = math.nextafter(value, math.inf)
+    raise AssertionError(f"no double of {count} digits at point {point}")
+
+
+@needs_compiler
+def test_c_renderer_grid_writes_repr():
+    # a grid of values in both signs, both layouts: every digit count from 1
+    # to 17 at every decimal point position from -6 to 18, across repr's
+    # switches to exponents below 1e-4 and from 1e16; digits either side of
+    # the split at 10^8 (99,999,999, 10^8, 10^8 + 1, 10^16 - 1, 10^16 + 2);
+    # the subnormals' edges and every power of two, where the rounding
+    # interval narrows. The text is the repr reference's, and a row of each
+    # value alone stays within its bound, no byte written past its end
+    grid = [_with_digits(c, p) for c in range(1, 18) for p in range(-6, 19)]
+    near_split = ("99999999", "1", "100000001", "9999999999999999", "10000000000000002")
+    split = [
+        float(f"0.{digits}e{point}")
+        for digits in near_split
+        for point in (-5, -4, -3, 0, 1, 8, 9, 16, 17)
+    ]
+    subnormals = [5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308]
+    powers = [2.0**e for e in range(-1074, 1024)]
+    values = np.array([*grid, *split, *subnormals, *powers])
+    assert {_digits_and_point(v) for v in grid} == {
+        (c, p) for c in range(1, 18) for p in range(-6, 19)
+    }
+    states = np.concatenate([values, -values]).reshape(1, -1, 1)
+    for layout in ("csv", "json"):
+        got, want = _rendered(layout, states, 0.5, [""] * states.shape[1])
+        # compared line by line, so that a failure names the values
+        lines = zip(got.split("\n"), want.split("\n"))
+        assert [(g, w) for g, w in lines if g != w] == []
+        assert got == want
+        # each value alone in a row of its own, raw, into a buffer of the
+        # row's bound and a guard
+        bound, ends = solver._row_bytes(1, 0), np.zeros(1, dtype=np.int64)
+        code, render = solver._LAYOUTS.index(layout), _render_library().render
+        for row in states[0]:
+            text = np.full(bound + 64, 0xA5, dtype=np.uint8)
+            pointers = row.ctypes.data, 0.5, b"", ends.ctypes.data, text.ctypes.data
+            length = render(code, 1, 1, *pointers)
+            assert length <= bound and (text[length:] == 0xA5).all(), row[0]
+
+
+@needs_compiler
+def test_the_renderer_builds_clean_with_warnings_as_errors(tmp_path):
+    # the renderer's C text under -Wall -Wextra -Werror: no warning at all
+    source = tmp_path / "renderer.c"
+    source.write_text(solver._renderer_source(), encoding="ascii")
+    warnings = ("-Wall", "-Wextra", "-Werror")
+    library = str(tmp_path / "renderer.so")
+    args = [*solver._RENDER_BUILD_ARGS, *warnings, "-o", library, str(source)]
+    done = subprocess.run(
+        [solver.COMPILER, *args],
+        env=solver._BUILD_ENV,
+        capture_output=True,
+        text=True,
+        timeout=solver._BUILD_TIMEOUT_S,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @settings(

@@ -10,11 +10,13 @@ round-trip precision and without timestamps, so identical configs produce
 byte-identical outputs.
 
 A solve may build the problem's C library, and writing the fan the renderer
-library (``solver``); a build leaves nothing beside the artifacts. Under the
-renderer library a solve writes fan.csv and fan.json at once, each to a
-temporary file on a thread of its own, and then renames them in that order,
-a file only if it and every file before it were written. Without a working
-compiler the artifacts, exit codes and messages are the same.
+library (``solver``); a build leaves nothing beside the artifacts. The
+solver gives the fan's texts, its time texts included, and how to run the
+writes: under the renderer library a solve writes fan.csv and fan.json at
+once, each to a temporary file on a thread of its own, and then renames
+them in that order, a file only if it and every file before it were
+written. Without a working compiler the artifacts, exit codes and messages
+are the same.
 
 Exit codes partition outcomes:
     0  success
@@ -139,30 +141,28 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
-def _float_texts(values: list[float]) -> list[str]:
-    """repr of each value, from one list repr: a float's repr holds no ", "."""
-    return repr(values)[1:-1].split(", ")
-
-
 def _fan_json_chunks(
-    fan: AlphaFan, times: list[str], texts: Callable
+    fan: AlphaFan, texts: Callable, times: Callable
 ) -> Iterator[str | bytes]:
     """fan.json in the layout of ``json.dumps(payload, indent=2,
     sort_keys=True) + "\\n"`` for the payload {order, alphas, times, states}:
     each path's body from ``texts`` between its key and brackets, in the
-    order of the ``states`` keys sorted as strings."""
+    order of the ``states`` keys sorted as strings, and the time texts
+    joined by ``times``."""
+    keys = [repr(alpha) for alpha in fan.grid]
     yield (
         '{\n  "alphas": [\n    '
-        + ",\n    ".join(_float_texts(fan.grid))
+        + ",\n    ".join(keys)
         + f'\n  ],\n  "order": {fan.spec.order!r},\n  "states": {{\n'
     )
-    keys = [repr(alpha) for alpha in fan.grid]
     paths = sorted(range(len(keys)), key=keys.__getitem__)
     for i, body in enumerate(texts("json", paths)):
         yield (",\n" if i else "") + f'    "{keys[paths[i]]}": [\n      [\n        '
         yield body
         yield "\n      ]\n    ]"
-    yield '\n  },\n  "times": [\n    ' + ",\n    ".join(times) + "\n  ]\n}\n"
+    yield '\n  },\n  "times": [\n    '
+    yield times(",\n    ")
+    yield "\n  ]\n}\n"
 
 
 def _run_json_payload(fan: AlphaFan) -> dict:
@@ -207,16 +207,16 @@ def _solve_configured_fan(config: RunConfig) -> AlphaFan:
 
 def cmd_solve(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
-    formats, times = config.output_formats, _float_texts(fan.times.tolist())
+    formats = config.output_formats
     # one renderer for every format, and the formats written at once under C
-    texts, run = solver.path_texts(fan, times, formats)
+    texts, times, run = solver.path_texts(fan, formats)
     files = []
     if "csv" in formats:  # the header, then each path's rows
         header = "alpha,t," + ",".join(f"x{k}" for k in range(fan.spec.order))
         rows = texts("csv", range(len(fan.grid)))
         files.append((outdir / "fan.csv", chain([header + "\n"], rows)))
     if "json" in formats:
-        files.append((outdir / "fan.json", _fan_json_chunks(fan, times, texts)))
+        files.append((outdir / "fan.json", _fan_json_chunks(fan, texts, times)))
     _write_texts(files, run)
     _update_run_json(outdir, config, _run_json_payload(fan))
     return EXIT_OK

@@ -389,6 +389,44 @@ def _children(node: ExprAst) -> tuple[ExprAst, ...]:
     return ()
 
 
+def time_terms(trees: list[ExprAst]) -> tuple[list[ExprAst], list[ExprAst]]:
+    """The time terms of ``trees`` and the trees that read them by name.
+
+    A time term is a maximal subtree that reads no variable but t and holds
+    a call or a ``^``: its value depends on the time alone, and costs more
+    than an arithmetic operation. Returns each term once per emitted text, in
+    the order first met walking the trees left to right, and each tree with
+    every term replaced by Var(f"m{k}"), k the term's index, so that a solver
+    can compute a term once per time and emit the rest over its name.
+    """
+    terms: dict[str, int] = {}
+    found: list[ExprAst] = []
+
+    def rewrite(node: ExprAst) -> ExprAst:
+        if variables_of(node) <= {"t"} and _holds_call(node):
+            text = _emit(node, {"t": "t"})
+            if text not in terms:
+                terms[text] = len(found)
+                found.append(node)
+            return Var(f"m{terms[text]}")
+        if isinstance(node, BinOp):
+            return BinOp(node.op, rewrite(node.left), rewrite(node.right))
+        if isinstance(node, Neg):
+            return Neg(rewrite(node.operand))
+        if isinstance(node, Call):
+            return Call(node.func, rewrite(node.arg))
+        return node
+
+    rewritten = [rewrite(tree) for tree in trees]
+    return found, rewritten
+
+
+def _holds_call(node: ExprAst) -> bool:
+    if isinstance(node, Call) or (isinstance(node, BinOp) and node.op == "^"):
+        return True
+    return any(_holds_call(child) for child in _children(node))
+
+
 def variables_of(ast: ExprAst) -> set[str]:
     """All variable names referenced by the tree."""
     if isinstance(ast, Var):

@@ -21,19 +21,24 @@ rows, at most one per CPU of the process, that C runs on threads at once
 (``_run_compiled``); a row's bits, rerun and error do not depend on the
 slice it falls in or on the CPU count. The step reads its step size as an
 input and also returns g at its starting node, so a fan solve carries g at
-every node for the regularity check to read.
+every node for the regularity check to read. The parts of f and g that
+depend on the time alone (``expr.time_terms``) are computed once per stage
+time: in C once per batch, into a table of every node that every slice
+reads, whose fill reruns the whole batch in Python if it raises a flag; in
+Python once per step, and once per point of the audit.
 ``solve_fan`` returns these arrays as an ``AlphaFan``; an alpha-path is a
 fan of one. ``sample_positions`` records positions only: no other component
 and no g.
 
 The fan's text comes from one more library per process, the same for every
 problem (``_renderer_source``): it writes each float as float.__repr__ does,
-its digits found by Schubfach and written two at a time, and a path in
-fan.csv's or fan.json's layout; without it one repr of each path's values,
-split and joined, writes the same bytes. Under the library the layouts of a
-solve are written at once, each on a thread of its own; under repr, one
-after the other (``path_texts``). Only ``_solve_rows``,
-``condition_h_partials`` and ``path_texts`` choose between C and Python.
+its digits found by Schubfach and written two at a time, the fan's time
+texts once per solve, and a path in fan.csv's or fan.json's layout; without
+it one repr of each path's values, split and joined, writes the same bytes.
+Under the library the layouts of a solve are written at once, each on a
+thread of its own; under repr, one after the other (``path_texts``). Only
+``_solve_rows``, ``condition_h_partials`` and ``path_texts`` choose between
+C and Python.
 """
 
 from __future__ import annotations
@@ -146,50 +151,74 @@ def time_grid(spec: UdeSpec) -> np.ndarray:
     return np.linspace(0.0, spec.horizon, spec.step_count + 1)
 
 
+def _names(spec: UdeSpec, time: str, row: Sequence[str], terms: int = 0) -> dict:
+    """The source text of t, x0 .. x{n-1} and each of ``terms`` time terms
+    m0 .. (``expr.time_terms``) at the stage time ``time``."""
+    names = dict(zip(expr.state_variables(spec.order), [time, *row]))
+    names.update((f"m{k}", f"m{k}{time}") for k in range(terms))
+    return names
+
+
 def _forcing(
-    spec: UdeSpec, signed: bool, time: str, row: Sequence[str], g: str = ""
+    drift: expr.ExprAst, diffusion: expr.ExprAst, signed: bool, names: dict, g: str = ""
 ) -> str:
     """Source of the companion system's top row, f + w(g) * c, over the
-    given source text for t and x0 .. x{n-1}.
+    source texts ``names`` (``_names``).
 
     The driver weight w is abs for alpha-paths (c = phi_inv(alpha)) and the
     identity for surrogate drivers, whose slope c keeps the sign of dC/dt.
     A non-empty ``g`` names an already computed diffusion value.
     """
-    names = dict(zip(expr.state_variables(spec.order), [time, *row]))
-    g = g or expr._emit(spec.diffusion, names)
+    g = g or expr._emit(diffusion, names)
     weight = g if signed else f"abs({g})"
-    return f"{expr._emit(spec.drift, names)} + {weight} * c"
+    return f"{expr._emit(drift, names)} + {weight} * c"
+
+
+def _term_lines(terms: list, time: str) -> list[tuple[str, str]]:
+    """Each time term at the stage time ``time`` as an assignment (name,
+    rhs), its name m{k}{time}."""
+    return [(f"m{k}{time}", expr._emit(m, {"t": time})) for k, m in enumerate(terms)]
 
 
 def _step_lines(spec: UdeSpec, signed: bool) -> list[tuple[str, str]]:
     """One classical RK4 step of the companion system, f and g inlined, as
-    assignments (name, rhs) in order: hh = h/2 and w = h/6, g at the step's
-    node, the four stage forcings p q r s with the stage states a b e between
-    them, then the next state z0 .. z{n-1}. Each stage derivative is the stage state shifted up
-    one row with the forcing on top, and the arithmetic is the classical
-    tableau's, operation for operation. The right-hand sides read t, the
-    step size h, c and the state y0 .. y{n-1}, and are valid Python and C
-    alike; the text depends on the order, f and g alone."""
+    assignments (name, rhs) in order: hh = h/2 and w = h/6, each time term
+    of f and g at t (``_term_lines``), g at the step's node, the four stage
+    forcings p q r s with the stage states a b e between them, each stage
+    time u = t + hh and v = t + h followed by the time terms there, then the
+    next state z0 .. z{n-1}. Each stage derivative is the stage state
+    shifted up one row with the forcing on top, and the arithmetic is the
+    classical tableau's, operation for operation; a time term is computed
+    once per stage time, q and r sharing it at u. The right-hand sides read
+    t, the step size h, c and the state y0 .. y{n-1}, and are valid Python
+    and C alike; the text depends on the order, f and g alone."""
+    terms, (drift, diffusion) = expr.time_terms([spec.drift, spec.diffusion])
     y, a, b, e, z = ([f"{v}{k}" for k in range(spec.order)] for v in "yabez")
     k1, k2, k3, k4 = y[1:] + ["p"], a[1:] + ["q"], b[1:] + ["r"], e[1:] + ["s"]
 
     def stage(out: list[str], coef: str, derivative: list[str]):
         return [(o, f"{s} + {coef} * {d}") for o, s, d in zip(out, y, derivative)]
 
+    def forcing(time: str, row: list[str], g: str = "") -> str:
+        names = _names(spec, time, row, len(terms))
+        return _forcing(drift, diffusion, signed, names, g)
+
     return [
         ("hh", "0.5 * h"),
         ("w", "h / 6.0"),
-        ("g", _diffusion_source(spec)),
-        ("p", _forcing(spec, signed, "t", y, "g")),
+        *_term_lines(terms, "t"),
+        ("g", expr._emit(diffusion, _names(spec, "t", y, len(terms)))),
+        ("p", forcing("t", y, "g")),
         ("u", "t + hh"),
+        *_term_lines(terms, "u"),
         *stage(a, "hh", k1),
-        ("q", _forcing(spec, signed, "u", a)),
+        ("q", forcing("u", a)),
         *stage(b, "hh", k2),
-        ("r", _forcing(spec, signed, "u", b)),
+        ("r", forcing("u", b)),
         *stage(e, "h", k3),
         ("v", "t + h"),
-        ("s", _forcing(spec, signed, "v", e)),
+        *_term_lines(terms, "v"),
+        ("s", forcing("v", e)),
         *(
             (o, f"{s} + w * ({p} + 2.0 * ({q} + {r}) + {d})")
             for o, s, p, q, r, d in zip(z, y, k1, k2, k3, k4)
@@ -199,27 +228,28 @@ def _step_lines(spec: UdeSpec, signed: bool) -> list[tuple[str, str]]:
 
 def _diffusion_source(spec: UdeSpec) -> str:
     """g over t and the state y0 .. y{n-1}."""
-    names = [f"y{k}" for k in range(spec.order)]
-    variables = expr.state_variables(spec.order)
-    return expr._emit(spec.diffusion, dict(zip(variables, ["t", *names])))
+    state = [f"y{k}" for k in range(spec.order)]
+    return expr._emit(spec.diffusion, _names(spec, "t", state))
 
 
 def _partials_lines(spec: UdeSpec) -> list[tuple[str, str]]:
     """The condition-H audit's central differences in x0, f and g inlined,
     as assignments (name, rhs) in order: hi = y0 + h, lo = y0 - h,
-    w = 2.0 * h, then df = (f(hi) - f(lo)) / w and dg, the same of g. The
-    right-hand sides read t, h and the state y0 .. y{n-1}, and are valid
-    Python and C alike."""
+    w = 2.0 * h, each time term of f and g at t, shared by hi and lo, then
+    df = (f(hi) - f(lo)) / w and dg, the same of g. The right-hand sides
+    read t, h and the state y0 .. y{n-1}, and are valid Python and C
+    alike."""
+    terms, (drift, diffusion) = expr.time_terms([spec.drift, spec.diffusion])
     y = [f"y{k}" for k in range(spec.order)]
-    names = expr.state_variables(spec.order)
-    hi, lo = (dict(zip(names, ["t", x, *y[1:]])) for x in ("hi", "lo"))
+    hi, lo = (_names(spec, "t", [x, *y[1:]], len(terms)) for x in ("hi", "lo"))
     return [
         ("hi", "y0 + h"),
         ("lo", "y0 - h"),
         ("w", "2.0 * h"),
+        *_term_lines(terms, "t"),
         *(
             (name, f"({expr._emit(tree, hi)} - {expr._emit(tree, lo)}) / w")
-            for name, tree in (("df", spec.drift), ("dg", spec.diffusion))
+            for name, tree in (("df", drift), ("dg", diffusion))
         ),
     ]
 
@@ -261,21 +291,25 @@ def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
     return namespace["step"], namespace["diffusion"]
 
 
+# generated code declares every value of its text, whether f and g read it
+# or not (a stage time, a component of the state)
+_UNUSED = "__attribute__((unused))"
+
 # the loops of the C translation unit. The batch loop goes row by row, the
 # FP flags cleared at the row's start, g and the kept components stored at
-# every node; the audit loop clears the flags once before its first point
-# and tests them once after its last
+# every node, each step given its node's row of the time-term table (NULL
+# without time terms); the audit loop clears the flags once before its first
+# point and tests them once after its last
 _C_RUNNER = """\
-static double diffusion(double t, const double *state) {{
+static double diffusion(double t {unused}, const double *state) {{
 {load}    return {g};
 }}
 
 void run(int32_t signed_rows, double h, int64_t rows, int64_t segments,
          const int64_t *counts, const double *slopes, const double *times,
-         const double *initial, int64_t kept, double *states,
-         double *g_nodes, uint8_t *rerun) {{
-    int (*step)(double, double, double, double *, double *) =
-        signed_rows ? step_signed : step_abs;
+         const double *terms {unused}, const double *initial, int64_t kept,
+         double *states, double *g_nodes, uint8_t *rerun) {{
+    int (*step)({params}) = signed_rows ? step_signed : step_abs;
     int64_t steps = 0;
     for (int64_t k = 0; k < segments; k++) steps += counts[k];
     for (int64_t row = 0; row < rows; row++) {{
@@ -290,7 +324,7 @@ void run(int32_t signed_rows, double h, int64_t rows, int64_t segments,
         for (int64_t seg = 0; ok && seg < segments; seg++) {{
             double c = slopes[row * segments + seg];
             for (int64_t i = 0; ok && i < counts[seg]; i++, node++) {{
-                ok = step(times[node], h, c, state, &g);
+                ok = step(times[node], h, c, state, &g{node_terms});
                 if (gs) gs[node] = g;
                 for (int64_t k = 0; k < kept; k++)
                     out[(node + 1) * kept + k] = state[k];
@@ -307,6 +341,21 @@ int partials(int64_t points, const double *times, const double *states,
     feclearexcept(FE_ALL_EXCEPT);
     for (int64_t i = 0; i < points; i++)
         partial(times[i], states + i * {order}, steps[i], out + 2 * i);
+    int flagged = fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW) != 0;
+    feclearexcept(FE_ALL_EXCEPT);
+    return flagged;
+}}
+"""
+
+
+# the time-term table's loop: every term at every node's stage times, the
+# FP flags cleared before the first node and tested after the last
+_C_FILL = """
+int fill(int64_t steps, double h, const double *times, double *terms) {{
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t node = 0; node < steps; node++) {{
+{declared}        double *m = terms + node * {width};
+{written}    }}
     int flagged = fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW) != 0;
     feclearexcept(FE_ALL_EXCEPT);
     return flagged;
@@ -451,6 +500,18 @@ int64_t render(int32_t layout, int64_t rows, int64_t cols, const double *values,
     }
     return p - text;
 }
+
+/* the repr of each of count values at text, one after the other, at most
+   24 bytes each, and the end of each in ends; their length */
+int64_t render_values(int64_t count, const double *values, char *text,
+                      int64_t *ends) {
+    char *p = text;
+    for (int64_t i = 0; i < count; i++) {
+        p += format_double(values[i], p);
+        ends[i] = p - text;
+    }
+    return p - text;
+}
 """
 
 # the layouts of ``render``, by its layout argument
@@ -508,31 +569,64 @@ def _c_source(spec: UdeSpec) -> str:
     for a rerun in Python a row that leaves the bound or raises an invalid,
     division-by-zero or overflow flag; ``partials``, which writes (df, dg)
     at every point of an audit group and returns whether the group raised
-    one of those flags. It reads the spec's order, f and g alone, as
-    ``_library_key`` does."""
+    one of those flags. With time terms (``expr.time_terms``) also ``fill``,
+    which writes every term at each node's stage times t, u and v into a
+    table of (steps, 3, terms) and returns whether it raised one of those
+    flags; a step reads its node's row of the table where its text computes
+    a term, and the audit computes its terms itself. It reads the spec's
+    order, f and g alone, as ``_library_key`` does."""
     n = spec.order
-    load = "".join(f"    double y{k} = state[{k}];\n" for k in range(n))
+    terms = expr.time_terms([spec.drift, spec.diffusion])[0]
+    load = "".join(f"    double y{k} {_UNUSED} = state[{k}];\n" for k in range(n))
     store = "".join(f"    state[{k}] = z{k};\n" for k in range(n))
     within = " && ".join(f"abs(z{k}) <= {BLOWUP_LIMIT!r}" for k in range(n))
     parts = [
         "#include <fenv.h>\n#include <math.h>\n#include <stdint.h>\n",
         "#define ln log\n#define abs fabs\n",
     ]
+    # each term at each stage time, by its name, and its place in a row
+    staged = list(chain.from_iterable(_term_lines(terms, time) for time in "tuv"))
+    slots = {name: k for k, (name, _) in enumerate(staged)}
     params = "double t, double h, double c, double *state, double *g_out"
+    params += ", const double *m" if terms else ""
     for name, signed in (("step_abs", False), ("step_signed", True)):
         lines = _step_lines(spec, signed)
-        body = "".join(f"    double {v} = {rhs};\n" for v, rhs in lines)
+        body = "".join(
+            f"    double {v} {_UNUSED} = {f'm[{slots[v]}]' if v in slots else rhs};\n"
+            for v, rhs in lines
+        )
         parts.append(
             f"\nstatic int {name}({params}) {{\n"
             f"{load}{body}    *g_out = g;\n{store}    return {within};\n}}\n"
         )
-    body = "".join(f"    double {v} = {rhs};\n" for v, rhs in _partials_lines(spec))
-    signature = "void partial(double t, const double *state, double h, double *out)"
+    body = "".join(
+        f"    double {v} {_UNUSED} = {rhs};\n" for v, rhs in _partials_lines(spec)
+    )
+    signature = (
+        f"void partial(double t {_UNUSED}, const double *state, double h, double *out)"
+    )
     parts.append(
         f"\nstatic {signature} {{\n{load}{body}"
         "    out[0] = df;\n    out[1] = dg;\n}\n"
     )
-    parts.append("\n" + _C_RUNNER.format(load=load, g=_diffusion_source(spec), order=n))
+    width = len(slots)
+    parts.append(
+        "\n"
+        + _C_RUNNER.format(
+            load=load,
+            g=_diffusion_source(spec),
+            order=n,
+            unused=_UNUSED,
+            params=params,
+            node_terms=f", terms + node * {width}" if terms else "",
+        )
+    )
+    if terms:  # the stage times as the step computes them
+        stage = dict(_step_lines(spec, False))
+        clock = [("t", "times[node]"), *((v, stage[v]) for v in ("hh", "u", "v"))]
+        declared = "".join(f"        double {v} {_UNUSED} = {x};\n" for v, x in clock)
+        written = "".join(f"        m[{slots[v]}] = {rhs};\n" for v, rhs in staged)
+        parts.append(_C_FILL.format(width=width, declared=declared, written=written))
     return "".join(parts)
 
 
@@ -571,9 +665,11 @@ def _build(source: str, args: Sequence[str], names: list[str]) -> ctypes.CDLL | 
         i32, i64, f64 = ctypes.c_int32, ctypes.c_int64, ctypes.c_double
         ptr = ctypes.c_void_p
         types = {  # each function's argument types and result type
-            "run": ([i32, f64, i64, i64, *[ptr] * 4, i64, *[ptr] * 3], None),
+            "run": ([i32, f64, i64, i64, *[ptr] * 5, i64, *[ptr] * 3], None),
             "partials": ([i64, *[ptr] * 4], ctypes.c_int),
+            "fill": ([i64, f64, ptr, ptr], ctypes.c_int),
             "render": ([i32, i64, i64, ptr, f64, *[ptr] * 3], i64),
+            "render_values": ([i64, *[ptr] * 3], i64),
         }
         for name in names:
             function = getattr(loaded, name)
@@ -593,6 +689,11 @@ def _library_key(spec: UdeSpec) -> tuple[int, str, str]:
     return spec.order, expr._emit(spec.drift, names), expr._emit(spec.diffusion, names)
 
 
+def _term_count(spec: UdeSpec) -> int:
+    """The time terms of the spec's f and g (``expr.time_terms``)."""
+    return len(expr.time_terms([spec.drift, spec.diffusion])[0])
+
+
 def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
     """The problem's C library, built first if ``row_steps`` reaches
     COMPILE_MIN_ROW_STEPS; None without one (a smaller call before any
@@ -601,7 +702,8 @@ def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
     if key not in _LIBRARIES:
         if row_steps < COMPILE_MIN_ROW_STEPS:
             return None
-        _LIBRARIES[key] = _build(_c_source(spec), _BUILD_ARGS, ["run", "partials"])
+        names = ["run", "partials"] + (["fill"] if _term_count(spec) else [])
+        _LIBRARIES[key] = _build(_c_source(spec), _BUILD_ARGS, names)
     return _LIBRARIES[key]
 
 
@@ -667,12 +769,17 @@ def _run_compiled(
     them, and the indices of the rows to rerun in Python, whose values are
     not final.
 
-    The rows are cut into the slices of ``_slice_bounds``, each a ``run``
-    on pointers offset into the same arrays, run at once by
-    ``_run_slices``; ctypes releases the GIL for the call. A row's bits and
-    its rerun mark are the same in any slice: each row starts by clearing
-    the FP flags, the FP environment is per thread, and the library holds no
-    mutable static state."""
+    A problem with time terms first has the library's ``fill`` write them
+    at every node into one table, on the calling thread, that every slice
+    reads. A fill that raises an invalid, division-by-zero or overflow flag
+    marks every row for the rerun and runs none: a row that completes
+    computes every node's terms and would raise the flag itself, and a row
+    that stops early is rerun anyway. The rows are cut into the slices of
+    ``_slice_bounds``, each a ``run`` on pointers offset into the same
+    arrays, run at once by ``_run_slices``; ctypes releases the GIL for the
+    call. A row's bits and its rerun mark are the same in any slice: each
+    row starts by clearing the FP flags, the FP environment is per thread,
+    and the library holds no mutable static state."""
     rows, nodes = len(slopes), spec.step_count + 1
     # the runner reads and writes these shapes through raw pointers
     spans = slopes.shape[1:] == (len(counts),) and sum(counts) == spec.step_count
@@ -688,6 +795,11 @@ def _run_compiled(
     diffusion = np.empty((rows, nodes)) if keep_g else None
     rerun = np.zeros(rows, dtype=np.uint8)
     h = spec.horizon / spec.step_count
+    terms = _term_count(spec)
+    table = np.empty((spec.step_count, 3, terms))
+    if terms and library.fill(spec.step_count, h, times.ctypes.data, table.ctypes.data):
+        return states, diffusion, list(range(rows))
+    table_in = table.ctypes.data if terms else None
 
     def run(start: int, stop: int) -> None:
         g_nodes = None if diffusion is None else diffusion[start:].ctypes.data
@@ -699,6 +811,7 @@ def _run_compiled(
             counts_in.ctypes.data,
             slopes_in[start:].ctypes.data,
             times.ctypes.data,
+            table_in,
             initial.ctypes.data,
             kept,
             states[start:].ctypes.data,
@@ -733,36 +846,66 @@ def _run_partials(
     return values if np.isfinite(values).all() else None
 
 
+def _float_texts(values: list[float]) -> list[str]:
+    """repr of each value, from one list repr: a float's repr holds no ", "."""
+    return repr(values)[1:-1].split(", ")
+
+
+def _render_values(
+    library: ctypes.CDLL, values: np.ndarray
+) -> tuple[bytes, np.ndarray]:
+    """The texts of ``_float_texts`` as the renderer library's
+    ``render_values`` writes them: one after the other in one bytes, and
+    the end of each."""
+    values = np.ascontiguousarray(values, dtype=float)
+    if values.ndim != 1:  # the library reads it through a raw pointer
+        raise ValueError("values are not one list")
+    ends = np.empty(len(values), dtype=np.int64)
+    text = np.empty(24 * len(values), dtype=np.uint8)
+    pointers = values.ctypes.data, text.ctypes.data, ends.ctypes.data
+    return text[: library.render_values(len(values), *pointers)].tobytes(), ends
+
+
 def _render_paths(
-    library: ctypes.CDLL, layout: str, states: np.ndarray, alphas: list, times: list
+    library: ctypes.CDLL,
+    layout: str,
+    states: Sequence[np.ndarray],
+    alphas: list,
+    times: tuple[bytes, np.ndarray],
 ) -> Iterator[bytes]:
     """The texts of ``_python_paths`` as the renderer library's ``render``
-    writes them, each copied out of the one buffer it writes every path in."""
-    paths = np.ascontiguousarray(states, dtype=float)
+    writes them, each copied out of the one buffer it writes every path in;
+    ``times`` the time texts as ``_render_values`` returns them."""
+    joined, ends = times
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    widths = np.diff(ends, prepend=0)
+    nodes = len(ends)
+    n = np.shape(states[0])[-1] if len(states) else 0
     # the library reads these shapes through raw pointers
-    if paths.ndim != 3 or paths.shape[1] != len(times) or len(alphas) != len(paths):
+    fits = ends.ndim == 1 and (widths >= 0).all() and ends[-1:].sum() == len(joined)
+    if not fits or len(alphas) != len(states):
         raise ValueError("states, alphas and times do not fit")
-    nodes, n = paths.shape[1:]
-    ends = np.cumsum([len(t) for t in times], dtype=np.int64)
-    text = np.empty(nodes * _row_bytes(n, max(map(len, times))), dtype=np.uint8)
-    pointers = "".join(times).encode("ascii"), ends.ctypes.data, text.ctypes.data
+    text = np.empty(nodes * _row_bytes(n, int(widths.max(initial=0))), dtype=np.uint8)
+    pointers = joined, ends.ctypes.data, text.ctypes.data
     code = _LAYOUTS.index(layout)
-    for path, alpha in zip(paths, alphas):
+    for path, alpha in zip(states, alphas):
+        path = np.ascontiguousarray(path, dtype=float)
+        if path.shape != (nodes, n):
+            raise ValueError("states, alphas and times do not fit")
         length = library.render(code, nodes, n, path.ctypes.data, alpha, *pointers)
         yield text[:length].tobytes()
 
 
 def _python_paths(
-    layout: str, states: np.ndarray, alphas: list, times: list
+    layout: str, states: Sequence[np.ndarray], alphas: list, times: list
 ) -> Iterator[bytes]:
-    """Each path of ``states`` (paths, nodes, n) in ``layout``, from repr's
-    text of its values, one flat list per path: fan.csv's rows, alpha's
-    repr, the time text from ``times`` and the row's values, or fan.json's
-    body, json.dumps(indent=2)'s separators between values and rows. A repr
-    holds no ", ", so splitting on it is exact."""
-    n = states.shape[2]
+    """Each path of ``states`` (nodes, n) in ``layout``, from repr's text of
+    its values, one flat list per path: fan.csv's rows, alpha's repr, the
+    time text from ``times`` and the row's values, or fan.json's body,
+    json.dumps(indent=2)'s separators between values and rows. A repr holds
+    no ", ", so splitting on it is exact."""
     for path, alpha in zip(states, alphas):
-        values = [iter(repr(path.ravel().tolist())[1:-1].split(", "))] * n
+        values = [iter(_float_texts(path.ravel().tolist()))] * path.shape[1]
         if layout == "json":  # zip(*values) yields each row's n values
             rows = map(",\n        ".join, zip(*values))
             text = "\n      ],\n      [\n        ".join(rows)
@@ -895,31 +1038,44 @@ def condition_h_partials(
 
 
 def path_texts(
-    fan: AlphaFan, times: list[str], layouts: Sequence[str]
-) -> tuple[Callable, Callable]:
+    fan: AlphaFan, layouts: Sequence[str]
+) -> tuple[Callable, Callable, Callable]:
     """A function of a layout and grid indices that yields those paths'
     texts in order, "csv" a path's fan.csv rows and "json" its rows as
-    fan.json lays them out, ``times`` the texts of the fan's times; and a
-    function that calls each of a list of functions of no argument, such
-    as the writes of those layouts. One engine, chosen here, serves every
-    layout in ``layouts``: the renderer library, built once this process's
-    repr values and those of every layout reach RENDER_MIN_VALUES, or else
-    repr, alike. Under the library the functions run at once, each on a
-    thread of its own (``_run_slices``) while there are CPUs for them, as
-    ctypes releases the GIL while ``render`` writes a path; under repr,
-    which holds the GIL throughout, one after the other on the calling
-    thread."""
+    fan.json lays them out; a function of a separator that joins the texts
+    of the fan's times with it; and a function that calls each of a list of
+    functions of no argument, such as the writes of those layouts. One
+    engine, chosen here, serves every layout in ``layouts``: the renderer
+    library, built once this process's repr values and those of every
+    layout reach RENDER_MIN_VALUES, or else repr, alike. Either writes the
+    time texts once, here, for every layout. Under the library the functions
+    run at once, each on a thread of its own (``_run_slices``) while there
+    are CPUs for them, as ctypes releases the GIL while ``render`` writes a
+    path; under repr, which holds the GIL throughout, one after the other on
+    the calling thread."""
     global _REPR_VALUES
     values = fan.states.size * len(layouts)
     if not _RENDERER and _REPR_VALUES + values >= RENDER_MIN_VALUES:
-        _RENDERER.append(_build(_renderer_source(), _RENDER_BUILD_ARGS, ["render"]))
+        names = ["render", "render_values"]
+        _RENDERER.append(_build(_renderer_source(), _RENDER_BUILD_ARGS, names))
     library = _RENDERER[0] if _RENDERER else None
-    _REPR_VALUES += values if library is None else 0
-    engine = _python_paths if library is None else partial(_render_paths, library)
+    if library is None:
+        _REPR_VALUES += values
+        engine, times = _python_paths, _float_texts(fan.times.tolist())
+    else:
+        engine = partial(_render_paths, library)
+        times = _render_values(library, fan.times)
 
     def texts(layout: str, paths: Sequence[int]) -> Iterator[bytes]:
-        states, alphas = fan.states[list(paths)], [fan.grid[k] for k in paths]
-        return engine(layout, states, alphas, times)
+        states = [fan.states[k] for k in paths]  # views, not a copy
+        return engine(layout, states, [fan.grid[k] for k in paths], times)
+
+    def joined(separator: str) -> str | bytes:
+        if library is None:
+            return separator.join(times)
+        text, ends = times[0], times[1].tolist()
+        words = map(slice, [0, *ends[:-1]], ends)
+        return separator.encode("ascii").join(map(text.__getitem__, words))
 
     def run(jobs: Sequence[Callable[[], None]]) -> None:
         def work(start: int, stop: int) -> None:
@@ -929,7 +1085,7 @@ def path_texts(
         slices = 1 if library is None else max(min(len(jobs), _cpu_count()), 1)
         _run_slices(work, [len(jobs) * k // slices for k in range(slices + 1)])
 
-    return texts, run
+    return texts, joined, run
 
 
 def _require_valid(spec: UdeSpec) -> None:
@@ -1020,7 +1176,8 @@ def integral_residual(fan: AlphaFan, k: int) -> IntegralResidual:
     spec, times, states = fan.spec, fan.times, fan.states[k]
     n = spec.order
     c = phi_inv(fan.grid[k])
-    top = _forcing(spec, False, "t", [f"y[{i}]" for i in range(n)])
+    names = _names(spec, "t", [f"y[{i}]" for i in range(n)])
+    top = _forcing(spec.drift, spec.diffusion, False, names)
     forcing_fn = expr._exec(f"def forcing(t, y, c):\n    return {top}\n")["forcing"]
     # Python floats, so the forcing fails as the solver's step does
     tlist, rows = times.tolist(), states.tolist()

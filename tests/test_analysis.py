@@ -216,6 +216,10 @@ CONDITION_H_CASES = [
         list(range(9)),
     ),
     (2, "1", "2 + tanh(x0)", None, []),
+    # time terms, each computed once per point for hi and lo: long-narrow's
+    # f and g, and terms beside partials that fail the condition
+    (2, "0.5*x0 + sin(3*t)*x1", "1.5 + tanh(x0) + 0.25*cos(t)", None, []),
+    (2, "sin(3*t)*x1 - x0*exp(-t)", "1 + 0.25*cos(t)^2 - x0^2", None, []),
     (2, "abs(x0 - 0.2) + x1^2", "sqrt(x0 + 5) + (x0 + 5)^1.5 - x0^3", None, []),
     # the minimum (-inf, for g) lies in the rerun path, violations (f) in all
     (1, "0 - x0", "0 - 1.7e308*tanh(1e9*(x0 - 0.5))", ONE_PATH_FALLS_BACK, [1]),

@@ -30,6 +30,8 @@ from alphapath.expr import MAX_DEPTH
 
 from conftest import needs_compiler, reference_fan_csv, reference_fan_json, tanh_spec
 
+RENDERERS = [pytest.param("c", marks=needs_compiler), "repr"]
+
 BASE_CONFIG = """\
 # nonlinear second-order run
 order   = 2
@@ -611,10 +613,10 @@ def _fresh_libraries(monkeypatch, compile_min=math.inf, render_min=math.inf):
     monkeypatch.setattr(solver, "RENDER_MIN_VALUES", render_min)
 
 
-def _run_every_command(tmp_path, capsys, name):
+def _run_every_command(tmp_path, capsys, name, text=BASE_CONFIG):
     """Exit codes, stdout and stderr of solve, check, dist and oracle on the
-    base config, and the bytes of every artifact they write."""
-    cfg = write_config(tmp_path)
+    config ``text``, and the bytes of every artifact they write."""
+    cfg = write_config(tmp_path, text)
     out = tmp_path / name
     runs = []
     for argv in (["solve"], ["check"], ["dist", "--t", "1.0"], ["oracle"]):
@@ -656,6 +658,118 @@ def test_every_engine_writes_the_same_artifacts(
     assert len(built) == 2
     assert all((library is not None) == (compiler == "gcc") for library in built)
     assert os.listdir(builds) == []
+
+
+# f and g with time terms: long-narrow's, one whose term fails at t = 0
+# (ln(0)), and one whose term overflows in C where a later tanh absorbs it,
+# as Python's float arithmetic does
+TIME_TERM_CONFIGS = [
+    pytest.param(
+        '"0.5*x0 + sin(3*t)*x1"', '"1.5 + tanh(x0) + 0.25*cos(t)"', [0, 0, 0, 0],
+        id="long-narrow",
+    ),
+    pytest.param('"x0"', '"2 + tanh(x0) + 0.01*ln(t)"', [3, 3, 3, 3], id="ln-at-0"),
+    pytest.param(
+        '"x0 + tanh(1e200*1e200*(t + 1))"', '"2 + tanh(x0) + cos(t)^2"', [0, 0, 0, 0],
+        id="absorbed-overflow",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "compiler", [pytest.param("gcc", marks=needs_compiler), "missing", "exits-1"]
+)
+@pytest.mark.parametrize("f, g, codes", TIME_TERM_CONFIGS)
+def test_time_terms_give_every_engine_the_same_artifacts_and_errors(
+    tmp_path, capsys, monkeypatch, compiler, f, g, codes
+):
+    # every command on the Python runner and repr, then every call compiled,
+    # a flagged table fill rerunning its whole batch in Python: the same
+    # exit codes, messages and artifact bytes
+    text = BASE_CONFIG.replace('"x0"', f, 1).replace('"2 + tanh(x0)"', g, 1)
+    _fresh_libraries(monkeypatch)
+    runs, artifacts = _run_every_command(tmp_path, capsys, "python", text)
+    assert [code for code, _, _ in runs] == codes
+    _use_compiler(tmp_path, monkeypatch, compiler)
+    _fresh_libraries(monkeypatch, 0, 0)
+    assert _run_every_command(tmp_path, capsys, compiler, text) == (runs, artifacts)
+
+
+# grids whose time texts take each of repr's forms, and texts they hold
+TIME_TEXT_CASES = [
+    pytest.param(
+        _fan_config(horizon="0.0001", step="1e-05"), ["1e-05", "9e-05", "0.0001"],
+        id="exponent-below-1e-4",
+    ),
+    pytest.param(
+        _fan_config(f="0", g="0", initial="[0, 0]", horizon="1.5e16", step="5e15"),
+        ["5000000000000000.0", "1e+16", "1.5e+16"],
+        id="exponent-from-1e16",
+    ),
+    pytest.param(
+        _fan_config(horizon="10.0", step="0.3333333333333333"),
+        ["0.3333333333333333", "1.6666666666666665", "10.0"],
+        id="17-digits",
+    ),
+    pytest.param(
+        _fan_config(horizon="3.0", step="1.0"), ["0.0", "1.0", "2.0", "3.0"],
+        id="integral",
+    ),
+]
+
+
+@pytest.mark.parametrize("renderer", RENDERERS)
+@pytest.mark.parametrize("text, times", TIME_TEXT_CASES)
+def test_every_form_of_time_text_is_written_as_repr(
+    tmp_path, monkeypatch, renderer, text, times
+):
+    # the time texts written once per solve, by the renderer library or by
+    # repr: fan.csv's time column and fan.json's "times" are the reference
+    # renders' bytes, and hold the texts of each form
+    cfg = write_config(tmp_path, text)
+    _fresh_libraries(monkeypatch, render_min=0 if renderer == "c" else math.inf)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert [library is not None for library in solver._RENDERER] == (
+        [True] if renderer == "c" else []
+    )
+    config = load_config(cfg)
+    fan = solve_fan(config.spec, alpha_grid(config.alpha))
+    assert (out / "fan.csv").read_text() == reference_fan_csv(fan)
+    assert (out / "fan.json").read_text() == reference_fan_json(fan)
+    written = json.loads((out / "fan.json").read_text())["times"]
+    assert set(times) <= {repr(t) for t in written}
+    assert all(f",{t}," in (out / "fan.csv").read_text() for t in times)
+
+
+@needs_compiler
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_a_fan_at_the_render_threshold_writes_the_reference_bytes(
+    tmp_path, monkeypatch, offset
+):
+    # order-1 fans of RENDER_MIN_VALUES - 1, RENDER_MIN_VALUES and
+    # RENDER_MIN_VALUES + 1 values as fan.csv in a fresh process: repr writes
+    # the first, the renderer library the others, and each is the reference
+    values = solver.RENDER_MIN_VALUES + offset
+    count = {-1: 3, 0: 5, 1: 11}[offset]
+    assert values % count == 0
+    steps = values // count - 1
+    text = _fan_config(
+        order=1, initial="[0.1]", horizon=repr(steps / 10000), step="0.0001",
+        count=count, formats="[csv]",
+    )
+    cfg = write_config(tmp_path, text + "oracle.n_paths = 2\n")  # under the size cap
+    limits = solver.COMPILE_MIN_ROW_STEPS, solver.RENDER_MIN_VALUES
+    _fresh_libraries(monkeypatch, *limits)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    config = load_config(cfg)
+    fan = solve_fan(config.spec, alpha_grid(config.alpha))
+    assert fan.states.size == values
+    assert [library is not None for library in solver._RENDERER] == (
+        [True] if offset >= 0 else []
+    )
+    assert (out / "fan.csv").read_text() == reference_fan_csv(fan)
 
 
 def test_a_warm_command_writes_no_c_text(tmp_path, capsys, monkeypatch):
@@ -706,7 +820,9 @@ def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
 
     def spy(library, layout, states, alphas, times):
         texts = render_paths(library, layout, states, alphas, times)
-        want = solver._python_paths(layout, states, alphas, times)
+        (joined, ends), starts = times, [0, *times[1][:-1]]
+        words = [joined[a:b].decode() for a, b in zip(starts, ends)]
+        want = solver._python_paths(layout, states, alphas, words)
         for got, reference in zip(texts, want):
             rendered.append((layout, got == reference))
             yield got
@@ -793,23 +909,27 @@ def test_the_renderer_is_built_once_repr_has_rendered_enough(monkeypatch):
 
     spec = tanh_spec(2, step=0.01)
     fan = solve_fan(spec, [0.25, 0.5, 0.75])
-    values, times = fan.states.size, [repr(t) for t in fan.times.tolist()]
+    values = fan.states.size
     _fresh_libraries(monkeypatch, render_min=2.5 * values)
     monkeypatch.setattr(solver, "_build", spy)
     counts = []
     rows = reference_fan_csv(fan).split("\n", 1)[1]
     for layouts in (["csv"], ["json"], ["csv", "json"], ["csv"]):
-        texts, _ = solver.path_texts(fan, times, layouts)
+        texts, _, _ = solver.path_texts(fan, layouts)
         counts.append((len(builds), solver._REPR_VALUES))
         assert b"".join(texts("csv", range(3))).decode() == rows
     assert counts == [(0, values), (0, 2 * values), (1, 4 * values), (1, 5 * values)]
     assert builds == [
-        (solver._renderer_source(), solver._RENDER_BUILD_ARGS, ["render"])
+        (
+            solver._renderer_source(),
+            solver._RENDER_BUILD_ARGS,
+            ["render", "render_values"],
+        )
     ]
     # a write of both layouts past the constant builds before its first
     # layout, though that layout alone is below it
     _fresh_libraries(monkeypatch, render_min=1.5 * values)
-    solver.path_texts(fan, times, ["csv", "json"])
+    solver.path_texts(fan, ["csv", "json"])
     assert len(builds) == 2 and solver._REPR_VALUES == 2 * values
 
 
@@ -819,11 +939,10 @@ def test_the_renderers_path_texts_can_be_kept(monkeypatch):
     # renderer writes the next path in: each layout's texts, collected
     # before any is read, are those of repr
     fan = solve_fan(tanh_spec(2, step=0.01), [0.25, 0.5, 0.75])
-    times = [repr(t) for t in fan.times.tolist()]
     kept = []
     for render_min in (math.inf, 0):
         _fresh_libraries(monkeypatch, render_min=render_min)
-        texts, _ = solver.path_texts(fan, times, ["csv", "json"])
+        texts, _, _ = solver.path_texts(fan, ["csv", "json"])
         kept.append([list(texts(layout, [2, 0, 1])) for layout in ("csv", "json")])
     assert solver._RENDERER[0] is not None
     assert kept[1] == kept[0] and len(set(kept[0][0])) == 3

@@ -27,6 +27,7 @@ from alphapath.expr import (
     parse_source,
     pretty,
     state_variables,
+    time_terms,
     tokenize,
     variables_of,
 )
@@ -295,3 +296,52 @@ def test_parse_trees_structural():
         "+", Var("x0"), BinOp("*", Const(2.0), Var("t"))
     )
     assert parse_source("abs(x0)", 1) == Call("abs", Var("x0"))
+
+
+@pytest.mark.parametrize(
+    "f, g, terms, rewritten",
+    [
+        # long-narrow: one term in each, inside a product and a sum
+        (
+            "0.5*x0 + sin(3*t)*x1",
+            "1.5 + tanh(x0) + 0.25*cos(t)",
+            ["sin(3.0 * t)", "0.25 * cos(t)"],
+            ["0.5 * x0 + m0 * x1", "1.5 + tanh(x0) + m1"],
+        ),
+        # no call or power on t alone: no term, the trees as they are
+        ("x0 + 2*t", "2 + tanh(x0)", [], ["x0 + 2.0 * t", "2.0 + tanh(x0)"]),
+        # a power and a constant call are terms; a whole tree can be one;
+        # one text is one term, in f and in g alike
+        (
+            "x0*t^2 + tanh(0.5)",
+            "exp(-t) + t^2",
+            ["t^2.0", "tanh(0.5)", "exp(-t) + t^2.0"],
+            ["x0 * m0 + m1", "m2"],
+        ),
+        # the maximal subtree: cos(t) inside sin(1 + cos(t)) is no term of
+        # its own, and a call on the state is none
+        (
+            "sin(1 + cos(t)) * sqrt(x1)",
+            "ln(x0 + t)",
+            ["sin(1.0 + cos(t))"],
+            ["m0 * sqrt(x1)", "ln(x0 + t)"],
+        ),
+    ],
+)
+def test_time_terms_are_the_maximal_calls_and_powers_on_t_alone(
+    f, g, terms, rewritten
+):
+    trees = [parse_source(f, 2), parse_source(g, 2)]
+    found, trees = time_terms(trees)
+    assert [pretty(term) for term in found] == terms
+    assert [pretty(tree) for tree in trees] == rewritten
+    assert all(variables_of(term) <= {"t"} for term in found)
+
+
+def test_time_terms_are_told_apart_by_their_text():
+    # Const(0.0) == Const(-0.0), but the terms emit apart and stay two
+    terms = [Call("sin", BinOp("*", Const(z), Var("t"))) for z in (0.0, -0.0)]
+    trees = [BinOp("+", term, Var("x0")) for term in terms]
+    found, rewritten = time_terms(trees)
+    assert len(found) == 2
+    assert [pretty(tree) for tree in rewritten] == ["m0 + x0", "m1 + x0"]

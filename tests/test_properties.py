@@ -35,6 +35,7 @@ from alphapath.expr import (
     evaluate,
     parse_source,
     pretty,
+    time_terms,
     variables_of,
 )
 from alphapath.solver import _compile_step, segment_counts
@@ -144,7 +145,9 @@ def _render_library():
 def _rendered(layout, states, alpha, times) -> tuple[str, str]:
     """A one-path ``states`` (1, nodes, n) in ``layout``, as the renderer
     library writes it and as the repr reference does."""
-    (got,) = solver._render_paths(_render_library(), layout, states, [alpha], times)
+    ends = np.cumsum([len(t) for t in times], dtype=np.int64)
+    joined = ("".join(times).encode("ascii"), ends)
+    (got,) = solver._render_paths(_render_library(), layout, states, [alpha], joined)
     (want,) = solver._python_paths(layout, states, [alpha], times)
     return got.decode("ascii"), want.decode("ascii")
 
@@ -303,22 +306,50 @@ def test_c_renderer_grid_writes_repr():
             assert length <= bound and (text[length:] == 0xA5).all(), row[0]
 
 
-@needs_compiler
-def test_the_renderer_builds_clean_with_warnings_as_errors(tmp_path):
-    # the renderer's C text under -Wall -Wextra -Werror: no warning at all
-    source = tmp_path / "renderer.c"
-    source.write_text(solver._renderer_source(), encoding="ascii")
+def _builds_clean(tmp_path, text: str, args) -> tuple[int, str]:
+    """The exit code and stderr of the compiler on C ``text`` with the build
+    ``args`` and -Wall -Wextra -Werror."""
+    source = tmp_path / "source.c"
+    source.write_text(text, encoding="ascii")
     warnings = ("-Wall", "-Wextra", "-Werror")
-    library = str(tmp_path / "renderer.so")
-    args = [*solver._RENDER_BUILD_ARGS, *warnings, "-o", library, str(source)]
+    library = str(tmp_path / "library.so")
     done = subprocess.run(
-        [solver.COMPILER, *args],
+        [solver.COMPILER, *args, *warnings, "-o", library, str(source)],
         env=solver._BUILD_ENV,
         capture_output=True,
         text=True,
         timeout=solver._BUILD_TIMEOUT_S,
     )
-    assert (done.returncode, done.stderr) == (0, "")
+    return done.returncode, done.stderr
+
+
+@needs_compiler
+def test_the_renderer_builds_clean_with_warnings_as_errors(tmp_path):
+    # the renderer's C text under -Wall -Wextra -Werror: no warning at all
+    text = solver._renderer_source()
+    assert _builds_clean(tmp_path, text, solver._RENDER_BUILD_ARGS) == (0, "")
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "order, f, g",
+    [
+        (2, "x0", "2 + tanh(x0)"),  # reads no t, and g no x1
+        (3, "x0 - x2/(1 + t)", "2 + tanh(x0)"),  # reads t, but no time term
+        (2, "0.5*x0 + sin(3*t)*x1", "1.5 + tanh(x0) + 0.25*cos(t)"),
+        (1, "x0 + tanh(0.5)", "1 + t^2"),  # terms that read no t, or are g
+    ],
+    ids=["no-t", "t-without-terms", "time-terms", "constant-terms"],
+)
+def test_the_problem_library_builds_clean_with_warnings_as_errors(
+    tmp_path, order, f, g
+):
+    # a problem's C text, with and without time terms and their table fill,
+    # under -Wall -Wextra -Werror: no warning at all
+    spec = UdeSpec.from_strings(order, f, g, [0.1] * order, 1.0, 0.01)
+    assert ("int fill(" in solver._c_source(spec)) == bool(solver._term_count(spec))
+    text = solver._c_source(spec)
+    assert _builds_clean(tmp_path, text, solver._BUILD_ARGS) == (0, "")
 
 
 @settings(
@@ -389,6 +420,59 @@ def test_compiled_rows_equal_python_rows_bitwise(engines, f, g, seed):
                 for states, diffusion, failures in solves
             ]
         )
+    assert all(result == results[0] for result in results)
+
+
+# trees of t and small constants alone that are time terms themselves, and
+# trees that join one to a tree of the state by an operator, either side first
+time_trees = st.recursive(
+    st.floats(0.0, 4.0).map(Const) | st.just(Var("t")), _extend, max_leaves=6
+).filter(lambda tree: time_terms([tree])[0] == [tree])
+mixed_trees = st.builds(
+    lambda op, term, tree, swap: BinOp(op, *((tree, term) if swap else (term, tree))),
+    st.sampled_from("+-*"),
+    time_trees,
+    state_trees,
+    st.booleans(),
+)
+
+
+@settings(
+    SETTINGS,
+    max_examples=15,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(mixed_trees, mixed_trees, st.integers(1, 5), st.integers(0, 2**32 - 1))
+@example(_tree("0.5*x0 + sin(3*t)*x1"), _tree("1.5 + tanh(x0) + 0.25*cos(t)"), 5, 0)
+@example(_tree("x0 + ln(t)"), _tree("2 + tanh(x1)"), 3, 1)
+@example(_tree("x1 - exp(40*t)*x0"), _tree("tanh(x2) + t^0.5"), 4, 2)
+def test_time_terms_have_the_bits_of_python_rows(
+    engines, monkeypatch, f, g, rows, seed
+):
+    # f and g that mix time terms with terms of the state: alpha rows (abs)
+    # and two-segment surrogate rows (signed) of 1 to 5 rows, through the
+    # Python row loop and through the C runner in one slice and in two, its
+    # terms read from one table per batch: the same states, g and failures,
+    # bit for bit, a fill that raises a flag included
+    spec = UdeSpec(ORDER, f, g, (0.5, -0.25, 0.125), 1.0, 1.0 / 8)
+    alphas = [(k + 1) / (rows + 1) for k in range(rows)]
+    alpha_slopes = np.array([[phi_inv(a)] for a in alphas])
+    surrogate_slopes = np.random.default_rng(seed).uniform(-3.0, 3.0, (rows, 2))
+    results = []
+    for engine in engines():
+        for cpus in (1, 2) if engine == "compiled" else (1,):
+            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+            solves = [
+                solver._solve_rows(spec, False, [8], alpha_slopes, ORDER, alphas),
+                solver._solve_rows(spec, True, [4, 4], surrogate_slopes, ORDER, None),
+            ]
+            results.append(
+                [
+                    (states.tobytes(), diffusion.tobytes())
+                    + tuple((r, e.last_good_time, str(e)) for r, e in failures)
+                    for states, diffusion, failures in solves
+                ]
+            )
     assert all(result == results[0] for result in results)
 
 

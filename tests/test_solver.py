@@ -27,12 +27,14 @@ from alphapath import (
 )
 from alphapath import solver
 from alphapath.errors import (
+    BlowUpError,
     ConfigError,
     FanSolveError,
 )
 from alphapath.expr import BinOp, Const
 
 from conftest import (
+    HAVE_COMPILER,
     companion_rhs,
     driven,
     needs_compiler,
@@ -829,3 +831,128 @@ def test_convergence_order_across_three_halvings():
     errors = [abs(endpoint(h) - reference) for h in (1e-2, 5e-3, 2.5e-3, 1.25e-3)]
     for coarse, fine in zip(errors, errors[1:]):
         assert coarse / fine >= 13.0
+
+
+# the long-narrow benchmark problem: f and g each hold one time term
+LONG_NARROW = ("0.5*x0 + sin(3*t)*x1", "1.5 + tanh(x0) + 0.25*cos(t)")
+
+
+def _row_bits(solved) -> tuple:
+    """States, g and failures of a ``_solve_rows`` call, as comparable bytes."""
+    states, diffusion, failures = solved
+    errors = tuple((r, e.last_good_time, str(e)) for r, e in failures)
+    return states.tobytes(), diffusion.tobytes(), errors
+
+
+def test_rows_with_time_terms_have_the_bits_of_python_rows(engines, monkeypatch):
+    # alpha rows (abs) and three-segment surrogate rows (signed) of 1 to 5
+    # rows, in the C runner as one slice and as two, its time terms read from
+    # one table per batch: every state, g and failure has the bits of the
+    # Python row loop
+    spec = UdeSpec.from_strings(2, *LONG_NARROW, [0.1, 0.0], 1.0, 1e-3)
+    assert solver._term_count(spec) == 2 and "int fill(" in solver._c_source(spec)
+    alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
+    alpha_slopes = np.array([[phi_inv(a)] for a in alphas])
+    slopes = np.random.default_rng(27).uniform(-3.0, 3.0, (5, 3))
+    counts = solver.segment_counts(spec.step_count, 3)
+    results: dict[tuple, list] = {}
+    for engine in engines():
+        for cpus in (1, 2) if engine == "compiled" else (1,):
+            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+            for rows in range(1, 6):
+                fan = solver._solve_rows(
+                    spec, False, [spec.step_count], alpha_slopes[:rows], 2, alphas
+                )
+                driven = solver._solve_rows(spec, True, counts, slopes[:rows], 2, None)
+                results.setdefault(rows, []).append((_row_bits(fan), _row_bits(driven)))
+    for rows, found in results.items():
+        assert len(found) == (3 if HAVE_COMPILER else 1)
+        assert all(bits == found[0] for bits in found), rows
+
+
+@pytest.mark.parametrize(
+    "f, g, failed_at",
+    [
+        # ln(t) at t = 0 divides by zero in the first node's terms
+        ("x0", "1.5 + tanh(x0) + 0.01*ln(t)", 0.0),
+        # exp(800*t) overflows only from t = 0.887..., in the last nodes
+        ("x0 + 1e-300*exp(800*t)", "2 + tanh(x0)", 0.887),
+    ],
+)
+def test_a_time_term_that_raises_a_flag_reruns_the_batch(
+    engines, monkeypatch, f, g, failed_at
+):
+    # the table's fill raises a flag: no row runs in C, every row runs again
+    # in Python and fails there, with the alpha, time and message of the
+    # Python row loop, for alpha rows and surrogate rows alike
+    spec = UdeSpec.from_strings(2, f, g, [0.1, 0.0], 1.0, 1e-3)
+    assert solver._term_count(spec) == 1
+    slopes = np.random.default_rng(6).uniform(-3.0, 3.0, (3, 4))
+    integrated, batches = [], []
+    integrate, run_slices = solver._integrate, solver._run_slices
+
+    def integrate_spy(*args):
+        integrated.append(args[3])
+        return integrate(*args)
+
+    def run_slices_spy(*args):
+        batches.append(args)
+        return run_slices(*args)
+
+    monkeypatch.setattr(solver, "_integrate", integrate_spy)
+    monkeypatch.setattr(solver, "_run_slices", run_slices_spy)
+    results = []
+    for _ in engines():
+        integrated.clear()
+        with pytest.raises(FanSolveError) as fan_error:
+            solve_fan(spec, [0.2, 0.5, 0.8])
+        with pytest.raises(BlowUpError) as driven_error:
+            solver.sample_positions(spec, slopes)
+        assert integrated == [0.2, 0.5, 0.8, None, None, None]
+        assert batches == []
+        failures = [(a, e.last_good_time, str(e)) for a, e in fan_error.value.failures]
+        results.append((failures, driven_error.value.last_good_time))
+    assert all(result == results[0] for result in results)
+    assert [t for _, t, _ in results[0][0]] == [pytest.approx(failed_at)] * 3
+
+
+def test_a_problem_without_time_terms_keeps_its_step_text(engines, monkeypatch):
+    # f and g with no call or power on t alone: the classical tableau's
+    # lines as they are, no table fill in the C text, the steps' signature
+    # without a table, and every batch given NULL for it
+    spec = tanh_spec(2, step=0.01)
+    assert solver._step_lines(spec, False) == [
+        ("hh", "0.5 * h"),
+        ("w", "h / 6.0"),
+        ("g", "((2.0) + tanh(y0))"),
+        ("p", "y0 + abs(g) * c"),
+        ("u", "t + hh"),
+        ("a0", "y0 + hh * y1"),
+        ("a1", "y1 + hh * p"),
+        ("q", "a0 + abs(((2.0) + tanh(a0))) * c"),
+        ("b0", "y0 + hh * a1"),
+        ("b1", "y1 + hh * q"),
+        ("r", "b0 + abs(((2.0) + tanh(b0))) * c"),
+        ("e0", "y0 + h * b1"),
+        ("e1", "y1 + h * r"),
+        ("v", "t + h"),
+        ("s", "e0 + abs(((2.0) + tanh(e0))) * c"),
+        ("z0", "y0 + w * (y1 + 2.0 * (a1 + b1) + e1)"),
+        ("z1", "y1 + w * (p + 2.0 * (q + r) + s)"),
+    ]
+    source = solver._c_source(spec)
+    assert "fill" not in source and "m[" not in source
+    assert "double *state, double *g_out) {" in source
+    tables = []
+    for engine in engines():
+        if engine == "compiled":
+            library = solver._library(spec, math.inf)
+
+            def run(*args):
+                tables.append(args[7])
+                library.run(*args)
+
+            spy = _SpyLibrary(library, run)
+            solver._LIBRARIES[solver._library_key(spec)] = spy
+        solve_fan(spec, [0.25, 0.5, 0.75])
+    assert tables == ([None, None] if HAVE_COMPILER else [])

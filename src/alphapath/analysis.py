@@ -113,18 +113,22 @@ def check_regularity(fan: AlphaFan) -> RegularityCheck:
     """Read g along every path at every node, as the solver recorded it; pass
     iff every value is strictly positive. The minimum is the first smallest
     value in path order, then node order; nan is a violation, never the
-    minimum."""
+    minimum. When every value is positive, as on a fan that passes, g is
+    read once more for its minimum and there is nothing else to find."""
     g = fan.diffusion
-    first = np.argmin(np.where(np.isnan(g), math.inf, g))  # row-major
-    r, j = np.unravel_index(first, g.shape)
+    positive = bool((g > 0.0).all())  # no nan and no violation
+    first = np.argmin(g if positive else np.where(np.isnan(g), math.inf, g))
+    r, j = np.unravel_index(first, g.shape)  # row-major
     min_value, min_alpha, min_time = math.inf, math.nan, math.nan
     if g[r, j] < min_value:
         min_value, min_alpha = float(g[r, j]), fan.grid[r]
         min_time = float(fan.times[j])
-    low = ~(g > 0.0)
-    rows, nodes = np.nonzero(low)  # row-major: path order, then node order
-    alphas = [fan.grid[i] for i in rows.tolist()]
-    violations = list(zip(alphas, fan.times[nodes].tolist(), g[low].tolist()))
+    violations = []
+    if not positive:
+        low = ~(g > 0.0)
+        rows, nodes = np.nonzero(low)  # row-major: path order, then node order
+        alphas = [fan.grid[i] for i in rows.tolist()]
+        violations = list(zip(alphas, fan.times[nodes].tolist(), g[low].tolist()))
     return RegularityCheck(
         passed=not violations,
         min_value=min_value,

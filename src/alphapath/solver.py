@@ -11,11 +11,15 @@ integrated by one RK4 step generated per problem with f and g inlined
 (``_step_lines``), and the condition-H audit takes its differences by one
 generated text beside it (``_partials_lines``). Each text has two runners
 with the same bits: C (``_c_source``), one library per (order, f, g) and
-process, whatever the step, horizon or initial state, that runs every row
-of a batch, or every point of an audit group; and Python floats
-(``_compile_step``, ``_compile_partials``), the reference and the fallback,
-which runs a row or a point at a time where there is no library and reruns
-every row or group that raised a floating-point flag in C. A batch of at
+process, whatever the step, horizon or initial state, that runs every point
+of an audit group, and every row of a batch two at a time, through one step
+of two rows whose lanes share only the grid's values, so that a CPU
+overlaps the two rows' chains of libm calls (an odd last row is paired with
+itself, and a pair that raises a floating-point flag or leaves the bound is
+run again as two rows alone); and Python floats (``_compile_step``,
+``_compile_partials``), the reference and the fallback, which runs a row or
+a point at a time where there is no library and reruns every row or group
+that raised a floating-point flag in C. A batch of at
 least 2 * SPLIT_MIN_ROW_STEPS row-steps is cut into contiguous slices of
 rows, at most one per CPU of the process, that C runs on threads at once
 (``_run_compiled``); a row's bits, rerun and error do not depend on the
@@ -24,8 +28,9 @@ input and also returns g at its starting node, so a fan solve carries g at
 every node for the regularity check to read. The parts of f and g that
 depend on the time alone (``expr.time_terms``) are computed once per stage
 time: in C once per batch, into a table of every node that every slice
-reads, whose fill reruns the whole batch in Python if it raises a flag; in
-Python once per step, and once per point of the audit.
+reads, whose fill reruns the whole batch in Python if it raises a flag and
+reuses a node's terms at t + h as the next node's at t where the two are
+the same double; in Python once per step, and once per point of the audit.
 ``solve_fan`` returns these arrays as an ``AlphaFan``; an alpha-path is a
 fan of one. ``sample_positions`` records positions only: no other component
 and no g.
@@ -71,11 +76,12 @@ _STEP_FAILURES = (ValueError, OverflowError, ZeroDivisionError)
 
 # a call whose rows x steps reach this many builds its problem's library;
 # once it is built, calls of any size use it. Below it the row loop, the only
-# runner besides C, integrates the batch. A build takes 0.06-0.08 s (medians
-# of 11, 2-core Intel Xeon x86-64): 36,000 to 48,000 row-steps of the row
-# loop at 1.4-2.2 us each, at 1, 20 or 200 rows alike, but also about 2 us
-# saved per node of the condition-H audit, so a solve and its audit break
-# even near this count
+# runner besides C, integrates the batch. A build of the README and the
+# three benchmark problems takes 0.06-0.09 s (medians of 21 and 31, 2-core
+# Intel Xeon x86-64): 30,000 to 75,000 row-steps of the row loop at 1.2-2.1
+# us each, at 1, 20 or 200 rows alike (C: 0.08-0.10 us on one CPU at 100
+# rows), but also about 2 us saved per node of the condition-H audit, so a
+# solve and its audit break even near this count
 COMPILE_MIN_ROW_STEPS = 20_000
 
 # a C batch is cut into slices of at least this many row-steps each, at most
@@ -160,10 +166,15 @@ def _names(spec: UdeSpec, time: str, row: Sequence[str], terms: int = 0) -> dict
 
 
 def _forcing(
-    drift: expr.ExprAst, diffusion: expr.ExprAst, signed: bool, names: dict, g: str = ""
+    drift: expr.ExprAst,
+    diffusion: expr.ExprAst,
+    signed: bool,
+    names: dict,
+    g: str = "",
+    c: str = "c",
 ) -> str:
     """Source of the companion system's top row, f + w(g) * c, over the
-    source texts ``names`` (``_names``).
+    source texts ``names`` (``_names``), the slope named ``c``.
 
     The driver weight w is abs for alpha-paths (c = phi_inv(alpha)) and the
     identity for surrogate drivers, whose slope c keeps the sign of dC/dt.
@@ -171,7 +182,7 @@ def _forcing(
     """
     g = g or expr._emit(diffusion, names)
     weight = g if signed else f"abs({g})"
-    return f"{expr._emit(drift, names)} + {weight} * c"
+    return f"{expr._emit(drift, names)} + {weight} * {c}"
 
 
 def _term_lines(terms: list, time: str) -> list[tuple[str, str]]:
@@ -180,7 +191,7 @@ def _term_lines(terms: list, time: str) -> list[tuple[str, str]]:
     return [(f"m{k}{time}", expr._emit(m, {"t": time})) for k, m in enumerate(terms)]
 
 
-def _step_lines(spec: UdeSpec, signed: bool) -> list[tuple[str, str]]:
+def _step_lines(spec: UdeSpec, signed: bool, lane: str = "") -> list[tuple[str, str]]:
     """One classical RK4 step of the companion system, f and g inlined, as
     assignments (name, rhs) in order: hh = h/2 and w = h/6, each time term
     of f and g at t (``_term_lines``), g at the step's node, the four stage
@@ -191,37 +202,44 @@ def _step_lines(spec: UdeSpec, signed: bool) -> list[tuple[str, str]]:
     classical tableau's, operation for operation; a time term is computed
     once per stage time, q and r sharing it at u. The right-hand sides read
     t, the step size h, c and the state y0 .. y{n-1}, and are valid Python
-    and C alike; the text depends on the order, f and g alone."""
+    and C alike; the text depends on the order, f and g alone.
+
+    ``lane`` is appended to every name that belongs to the row: c, the
+    state, the stage states, g, p q r s and the next state (y0 becomes y00
+    in lane "0"). t, h, hh, w, u, v and the time terms are the grid's and
+    keep their names, so the steps of two lanes can share them; lane ""
+    is the step of one row."""
     terms, (drift, diffusion) = expr.time_terms([spec.drift, spec.diffusion])
-    y, a, b, e, z = ([f"{v}{k}" for k in range(spec.order)] for v in "yabez")
-    k1, k2, k3, k4 = y[1:] + ["p"], a[1:] + ["q"], b[1:] + ["r"], e[1:] + ["s"]
+    y, a, b, e, z = ([f"{v}{k}{lane}" for k in range(spec.order)] for v in "yabez")
+    p, q, r, s, g, c = (f"{v}{lane}" for v in "pqrsgc")
+    k1, k2, k3, k4 = y[1:] + [p], a[1:] + [q], b[1:] + [r], e[1:] + [s]
 
     def stage(out: list[str], coef: str, derivative: list[str]):
-        return [(o, f"{s} + {coef} * {d}") for o, s, d in zip(out, y, derivative)]
+        return [(o, f"{x} + {coef} * {d}") for o, x, d in zip(out, y, derivative)]
 
-    def forcing(time: str, row: list[str], g: str = "") -> str:
+    def forcing(time: str, row: list[str], known: str = "") -> str:
         names = _names(spec, time, row, len(terms))
-        return _forcing(drift, diffusion, signed, names, g)
+        return _forcing(drift, diffusion, signed, names, known, c)
 
     return [
         ("hh", "0.5 * h"),
         ("w", "h / 6.0"),
         *_term_lines(terms, "t"),
-        ("g", expr._emit(diffusion, _names(spec, "t", y, len(terms)))),
-        ("p", forcing("t", y, "g")),
+        (g, expr._emit(diffusion, _names(spec, "t", y, len(terms)))),
+        (p, forcing("t", y, g)),
         ("u", "t + hh"),
         *_term_lines(terms, "u"),
         *stage(a, "hh", k1),
-        ("q", forcing("u", a)),
+        (q, forcing("u", a)),
         *stage(b, "hh", k2),
-        ("r", forcing("u", b)),
+        (r, forcing("u", b)),
         *stage(e, "h", k3),
         ("v", "t + h"),
         *_term_lines(terms, "v"),
-        ("s", forcing("v", e)),
+        (s, forcing("v", e)),
         *(
-            (o, f"{s} + w * ({p} + 2.0 * ({q} + {r}) + {d})")
-            for o, s, p, q, r, d in zip(z, y, k1, k2, k3, k4)
+            (o, f"{x} + w * ({d1} + 2.0 * ({d2} + {d3}) + {d4})")
+            for o, x, d1, d2, d3, d4 in zip(z, y, k1, k2, k3, k4)
         ),
     ]
 
@@ -295,43 +313,85 @@ def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
 # or not (a stage time, a component of the state)
 _UNUSED = "__attribute__((unused))"
 
-# the loops of the C translation unit. The batch loop goes row by row, the
-# FP flags cleared at the row's start, g and the kept components stored at
-# every node, each step given its node's row of the time-term table (NULL
-# without time terms); the audit loop clears the flags once before its first
-# point and tests them once after its last
+# the loops of the C translation unit. The batch loop steps its rows two at
+# a time, an odd last row paired with itself, through ``pair``: the FP flags
+# cleared at the pair's start and tested at its end, g and the kept
+# components of each row stored at every node, each step given its node's
+# row of the time-term table (NULL without time terms). A pair that leaves
+# the bound or raises a flag is run again as two pairs of one row each, so
+# that each row's values and rerun mark are those of the row alone. The
+# audit loop clears the flags once before its first point and tests them
+# once after its last
 _C_RUNNER = """\
 static double diffusion(double t {unused}, const double *state) {{
 {load}    return {g};
 }}
 
-void run(int32_t signed_rows, double h, int64_t rows, int64_t segments,
-         const int64_t *counts, const double *slopes, const double *times,
-         const double *terms {unused}, const double *initial, int64_t kept,
-         double *states, double *g_nodes, uint8_t *rerun) {{
-    int (*step)({params}) = signed_rows ? step_signed : step_abs;
-    int64_t steps = 0;
-    for (int64_t k = 0; k < segments; k++) steps += counts[k];
-    for (int64_t row = 0; row < rows; row++) {{
-        double state[{order}], g = 0.0;
-        double *out = states + row * (steps + 1) * kept;
-        double *gs = g_nodes ? g_nodes + row * (steps + 1) : 0;
-        int ok = 1;
-        int64_t node = 0;
-        feclearexcept(FE_ALL_EXCEPT);
-        for (int64_t k = 0; k < {order}; k++) state[k] = initial[k];
-        for (int64_t k = 0; k < kept; k++) out[k] = initial[k];
-        for (int64_t seg = 0; ok && seg < segments; seg++) {{
-            double c = slopes[row * segments + seg];
-            for (int64_t i = 0; ok && i < counts[seg]; i++, node++) {{
-                ok = step(times[node], h, c, state, &g{node_terms});
-                if (gs) gs[node] = g;
-                for (int64_t k = 0; k < kept; k++)
-                    out[(node + 1) * kept + k] = state[k];
+/* a batch as ``run`` is given it, and the step its rows take */
+struct batch {{
+    int (*step)({params});
+    double h;
+    int64_t segments, steps, kept;
+    const int64_t *counts;
+    const double *slopes, *times, *terms, *initial;
+    double *states, *g_nodes;
+}};
+
+/* rows first and second of the batch, one in each lane of the pair step,
+   from the initial state to the last node or the first step that leaves
+   the bound, each row's values stored in its own place; a row paired with
+   itself writes its copy's values, the same bits, over its own. Whether
+   both lanes stayed within the bound and raised no invalid,
+   division-by-zero or overflow flag */
+static int pair(const struct batch *b, int64_t first, int64_t second) {{
+    int64_t steps = b->steps, kept = b->kept, segments = b->segments, node = 0;
+    int (*step)({params}) = b->step;
+    const double *times = b->times;
+    double h = b->h;
+    double state[2 * {order}], g[2] = {{0.0, 0.0}};
+    double *out0 = b->states + first * (steps + 1) * kept;
+    double *out1 = b->states + second * (steps + 1) * kept;
+    double *gs0 = b->g_nodes ? b->g_nodes + first * (steps + 1) : 0;
+    double *gs1 = b->g_nodes ? b->g_nodes + second * (steps + 1) : 0;
+    int ok = 1;
+    feclearexcept(FE_ALL_EXCEPT);
+    for (int64_t k = 0; k < {order}; k++) state[k] = state[{order} + k] = b->initial[k];
+    for (int64_t k = 0; k < kept; k++) out0[k] = out1[k] = b->initial[k];
+    for (int64_t seg = 0; ok && seg < segments; seg++) {{
+        double c0 = b->slopes[first * segments + seg];
+        double c1 = b->slopes[second * segments + seg];
+        for (int64_t i = 0; ok && i < b->counts[seg]; i++, node++) {{
+            ok = step(times[node], h, c0, c1, state, g{node_terms});
+            if (gs0) {{ gs0[node] = g[0]; gs1[node] = g[1]; }}
+            for (int64_t k = 0; k < kept; k++) {{
+                out0[(node + 1) * kept + k] = state[k];
+                out1[(node + 1) * kept + k] = state[{order} + k];
             }}
         }}
-        if (ok && gs) gs[steps] = diffusion(times[steps], state);
-        rerun[row] = !ok || fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW);
+    }}
+    if (ok && gs0) {{
+        gs0[steps] = diffusion(times[steps], state);
+        gs1[steps] = diffusion(times[steps], state + {order});
+    }}
+    return ok && !fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW);
+}}
+
+void run(int32_t signed_rows, double h, int64_t rows, int64_t segments,
+         const int64_t *counts, const double *slopes, const double *times,
+         const double *terms, const double *initial, int64_t kept,
+         double *states, double *g_nodes, uint8_t *rerun) {{
+    struct batch b = {{
+        signed_rows ? step_signed : step_abs, h, segments, 0, kept, counts,
+        slopes, times, terms, initial, states, g_nodes,
+    }};
+    for (int64_t k = 0; k < segments; k++) b.steps += counts[k];
+    for (int64_t row = 0; row < rows; row += 2) {{
+        int64_t second = row + 1 < rows ? row + 1 : row;
+        rerun[row] = rerun[second] = 0;
+        if (!pair(&b, row, second)) {{
+            rerun[row] = !pair(&b, row, row);
+            if (second != row) rerun[second] = !pair(&b, second, second);
+        }}
     }}
     feclearexcept(FE_ALL_EXCEPT);
 }}
@@ -349,12 +409,18 @@ int partials(int64_t points, const double *times, const double *states,
 
 
 # the time-term table's loop: every term at every node's stage times, the
-# FP flags cleared before the first node and tested after the last
+# FP flags cleared before the first node and tested after the last. A node
+# whose t is the last node's v, as doubles, copies the terms at v into its
+# terms at t: the same terms at the same double, computed once
 _C_FILL = """
 int fill(int64_t steps, double h, const double *times, double *terms) {{
     feclearexcept(FE_ALL_EXCEPT);
     for (int64_t node = 0; node < steps; node++) {{
 {declared}        double *m = terms + node * {width};
+        if (node && times[node - 1] + h == t) {{
+            for (int64_t k = 0; k < {count}; k++) m[k] = m[k - {count}];
+        }} else {{
+{at_t}        }}
 {written}    }}
     int flagged = fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW) != 0;
     feclearexcept(FE_ALL_EXCEPT);
@@ -560,13 +626,23 @@ def _renderer_source() -> str:
     )
 
 
+def _pair_lines(spec: UdeSpec, signed: bool) -> list[tuple[str, str]]:
+    """The lines of ``_step_lines`` in lanes "0" and "1" interleaved line by
+    line, a line the two lanes share (the grid's) once: one step of two rows
+    at once, whose two chains of libm calls a CPU can overlap."""
+    lanes = zip(_step_lines(spec, signed, "0"), _step_lines(spec, signed, "1"))
+    return [line for pair in lanes for line in dict.fromkeys(pair)]
+
+
 def _c_source(spec: UdeSpec) -> str:
     """The texts of ``_step_lines`` and ``_partials_lines`` as one C
     translation unit: ``step_abs`` (alpha-paths) and ``step_signed``
-    (surrogates), each a static function that advances ``state`` in place
-    by a step h and returns whether it stayed within BLOWUP_LIMIT; ``run``,
-    which integrates every row of a batch into the caller's arrays and marks
-    for a rerun in Python a row that leaves the bound or raises an invalid,
+    (surrogates), each a static function of the lines of ``_pair_lines``
+    that advances the two rows of ``state`` (lane 0's state, then lane 1's)
+    in place by a step h, one at slope c0 and one at c1, and returns whether
+    both stayed within BLOWUP_LIMIT; ``run``, which integrates the rows of a
+    batch two at a time into the caller's arrays and marks for a rerun in
+    Python a row that leaves the bound or raises an invalid,
     division-by-zero or overflow flag; ``partials``, which writes (df, dg)
     at every point of an audit group and returns whether the group raised
     one of those flags. With time terms (``expr.time_terms``) also ``fill``,
@@ -578,26 +654,33 @@ def _c_source(spec: UdeSpec) -> str:
     n = spec.order
     terms = expr.time_terms([spec.drift, spec.diffusion])[0]
     load = "".join(f"    double y{k} {_UNUSED} = state[{k}];\n" for k in range(n))
-    store = "".join(f"    state[{k}] = z{k};\n" for k in range(n))
-    within = " && ".join(f"abs(z{k}) <= {BLOWUP_LIMIT!r}" for k in range(n))
+    # abs is gcc's fabs, inline despite -fno-builtin: it clears the sign bit
+    # as libm's does, exactly and with no flag, but without a call on the
+    # stages' chain of dependent operations
     parts = [
         "#include <fenv.h>\n#include <math.h>\n#include <stdint.h>\n",
-        "#define ln log\n#define abs fabs\n",
+        "#define ln log\n#define abs __builtin_fabs\n",
     ]
     # each term at each stage time, by its name, and its place in a row
     staged = list(chain.from_iterable(_term_lines(terms, time) for time in "tuv"))
     slots = {name: k for k, (name, _) in enumerate(staged)}
-    params = "double t, double h, double c, double *state, double *g_out"
+    params = "double t, double h, double c0, double c1, double *state, double *g_out"
     params += ", const double *m" if terms else ""
+    # lane l's component k is state[l * n + k]
+    places = [(k, lane, lane * n + k) for k in range(n) for lane in (0, 1)]
+    pair_load = "".join(
+        f"    double y{k}{lane} {_UNUSED} = state[{i}];\n" for k, lane, i in places
+    )
+    store = "".join(f"    state[{i}] = z{k}{lane};\n" for k, lane, i in places)
+    within = " && ".join(f"abs(z{k}{l}) <= {BLOWUP_LIMIT!r}" for k, l, _ in places)
     for name, signed in (("step_abs", False), ("step_signed", True)):
-        lines = _step_lines(spec, signed)
         body = "".join(
             f"    double {v} {_UNUSED} = {f'm[{slots[v]}]' if v in slots else rhs};\n"
-            for v, rhs in lines
+            for v, rhs in _pair_lines(spec, signed)
         )
         parts.append(
-            f"\nstatic int {name}({params}) {{\n"
-            f"{load}{body}    *g_out = g;\n{store}    return {within};\n}}\n"
+            f"\nstatic int {name}({params}) {{\n{pair_load}{body}"
+            f"    g_out[0] = g0;\n    g_out[1] = g1;\n{store}    return {within};\n}}\n"
         )
     body = "".join(
         f"    double {v} {_UNUSED} = {rhs};\n" for v, rhs in _partials_lines(spec)
@@ -618,15 +701,23 @@ def _c_source(spec: UdeSpec) -> str:
             order=n,
             unused=_UNUSED,
             params=params,
-            node_terms=f", terms + node * {width}" if terms else "",
+            node_terms=f", b->terms + node * {width}" if terms else "",
         )
     )
     if terms:  # the stage times as the step computes them
         stage = dict(_step_lines(spec, False))
         clock = [("t", "times[node]"), *((v, stage[v]) for v in ("hh", "u", "v"))]
         declared = "".join(f"        double {v} {_UNUSED} = {x};\n" for v, x in clock)
-        written = "".join(f"        m[{slots[v]}] = {rhs};\n" for v, rhs in staged)
-        parts.append(_C_FILL.format(width=width, declared=declared, written=written))
+        at_t, at_u_v = staged[: len(terms)], staged[len(terms) :]
+        parts.append(
+            _C_FILL.format(
+                width=width,
+                count=len(terms),
+                declared=declared,
+                at_t="".join(f"            m[{slots[v]}] = {x};\n" for v, x in at_t),
+                written="".join(f"        m[{slots[v]}] = {x};\n" for v, x in at_u_v),
+            )
+        )
     return "".join(parts)
 
 
@@ -697,13 +788,18 @@ def _term_count(spec: UdeSpec) -> int:
 def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
     """The problem's C library, built first if ``row_steps`` reaches
     COMPILE_MIN_ROW_STEPS; None without one (a smaller call before any
-    build, no compiler or a failed build)."""
+    build, no compiler or a failed build). Its ``term_count`` is the
+    problem's ``_term_count``."""
     key = _library_key(spec)
     if key not in _LIBRARIES:
         if row_steps < COMPILE_MIN_ROW_STEPS:
             return None
-        names = ["run", "partials"] + (["fill"] if _term_count(spec) else [])
-        _LIBRARIES[key] = _build(_c_source(spec), _BUILD_ARGS, names)
+        terms = _term_count(spec)
+        names = ["run", "partials"] + (["fill"] if terms else [])
+        library = _build(_c_source(spec), _BUILD_ARGS, names)
+        if library is not None:  # read by every batch, found once
+            library.term_count = terms
+        _LIBRARIES[key] = library
     return _LIBRARIES[key]
 
 
@@ -777,8 +873,12 @@ def _run_compiled(
     that stops early is rerun anyway. The rows are cut into the slices of
     ``_slice_bounds``, each a ``run`` on pointers offset into the same
     arrays, run at once by ``_run_slices``; ctypes releases the GIL for the
-    call. A row's bits and its rerun mark are the same in any slice: each
-    row starts by clearing the FP flags, the FP environment is per thread,
+    call. ``run`` steps a slice's rows two at a time, an odd last row paired
+    with itself, its copy writing the same bits (``_C_RUNNER``). A row's bits
+    and its rerun mark are those of the row alone, in any slice and any
+    pair: the two lanes of a pair share only the grid's values, each pair
+    starts by clearing the FP flags, a pair that raises one or leaves the
+    bound is run again as two rows alone, the FP environment is per thread,
     and the library holds no mutable static state."""
     rows, nodes = len(slopes), spec.step_count + 1
     # the runner reads and writes these shapes through raw pointers
@@ -795,7 +895,7 @@ def _run_compiled(
     diffusion = np.empty((rows, nodes)) if keep_g else None
     rerun = np.zeros(rows, dtype=np.uint8)
     h = spec.horizon / spec.step_count
-    terms = _term_count(spec)
+    terms = library.term_count
     table = np.empty((spec.step_count, 3, terms))
     if terms and library.fill(spec.step_count, h, times.ctypes.data, table.ctypes.data):
         return states, diffusion, list(range(rows))

@@ -106,6 +106,10 @@ REGULARITY_CASES = {
     "signed-zero-rows": (2, "x0", "0*(t-0.5)", [0.1, 0.0], 1e-2, NARROW_GRID),
     "signed-zero-block": (2, "x0", "0*(t-0.5)", [0.1, 0.0], 1e-2, WIDE_GRID),
     "nan-at-last-node": (1, "0-3*t^2", "ln(x0)", [1.0], 0.25, [0.5]),
+    # every value positive, every node tied: the first node of the first path
+    "all-positive-tied": (2, "x0", "2", [0.1, 0.0], 1e-2, WIDE_GRID),
+    # every value positive but the nan where ln(x0) fails at the last node
+    "positive-but-nan": (1, "0-3*t^2", "1 + 0*ln(x0)", [1.0], 0.25, [0.5]),
 }
 
 
@@ -123,6 +127,12 @@ def test_regularity_matches_reference_bitwise(order, f, g, initial, step, grid):
         assert _regularity_bits(report)[1] == _hexed(-0.0, grid[0], 0.0)
     if g == "ln(x0)":
         assert math.isnan(report.violations[-1][2])
+    if g == "2":
+        assert report.passed
+        assert _regularity_bits(report)[1] == _hexed(2.0, grid[0], 0.0)
+    if g == "1 + 0*ln(x0)":
+        assert [v for *_, v in report.violations if not math.isnan(v)] == []
+        assert len(report.violations) == 1 and report.min_value == 1.0
 
 
 def test_regularity_reads_the_recorded_diffusion(tanh_fan_small, monkeypatch):

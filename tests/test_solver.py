@@ -25,7 +25,7 @@ from alphapath import (
     phi_inv,
     solve_fan,
 )
-from alphapath import solver
+from alphapath import expr, solver
 from alphapath.errors import (
     BlowUpError,
     ConfigError,
@@ -956,3 +956,156 @@ def test_a_problem_without_time_terms_keeps_its_step_text(engines, monkeypatch):
             solver._LIBRARIES[solver._library_key(spec)] = spy
         solve_fan(spec, [0.25, 0.5, 0.75])
     assert tables == ([None, None] if HAVE_COMPILER else [])
+
+
+# the problems of the README (wide-fan's too) and the other two benchmark
+# workloads, and one with a time term in each of f and g
+PAIR_PROBLEMS = {
+    "readme": (2, "x0", "2 + tanh(x0)"),
+    "oracle-sweep": (3, "x0", "2 + tanh(x0)"),
+    "long-narrow": (2, *LONG_NARROW),
+    "time-terms": (1, "x0 + tanh(0.5)", "1 + t^2"),
+}
+
+
+def _c_function(source: str, name: str) -> str:
+    """The body of the C function ``name`` in ``source``."""
+    start = source.index(f"static int {name}(")
+    return source[start : source.index("\n}\n", start)]
+
+
+@pytest.mark.parametrize("order, f, g", PAIR_PROBLEMS.values(), ids=PAIR_PROBLEMS)
+def test_the_c_pair_step_is_the_step_text_in_lanes_0_and_1(order, f, g):
+    # each C step is the two lanes' lines of the one step text, line by
+    # line, a grid line that both lanes share once and a time term read
+    # from its node's row of the table; it loads lane l's component k from
+    # state[l * n + k], and stores g and the next state the same way
+    spec = UdeSpec.from_strings(order, f, g, [0.1] * order, 1.0, 0.01)
+    source = solver._c_source(spec)
+    terms = expr.time_terms([spec.drift, spec.diffusion])[0]
+    declared = re.compile(r"    double (\w+) __attribute__\(\(unused\)\) = (.*);")
+    places = [(k, l) for k in range(order) for l in (0, 1)]
+    loads = [(f"y{k}{l}", f"state[{l * order + k}]") for k, l in places]
+    for name, signed in (("step_abs", False), ("step_signed", True)):
+        body = _c_function(source, name)
+        found = [m.groups() for m in map(declared.fullmatch, body.split("\n")) if m]
+        expected = []
+        lanes = (solver._step_lines(spec, signed, lane) for lane in "01")
+        for zero, one in zip(*lanes):
+            assert (zero[0] == one[0]) == (zero == one)  # shared by name and text
+            expected += [zero] if zero == one else [zero, one]
+        assert found[: len(loads)] == loads
+        assert [v for v, _ in found[len(loads) :]] == [v for v, _ in expected]
+        for (v, rhs), (_, text) in zip(found[len(loads) :], expected):
+            is_term = re.fullmatch(r"m\d+[tuv]", v) and rhs.startswith("m[")
+            assert rhs == text or is_term
+        assert sum(rhs.startswith("m[") for _, rhs in found) == 3 * len(terms)
+        assert "g_out[0] = g0;\n    g_out[1] = g1;\n" in body
+        for k, l in places:
+            assert f"state[{l * order + k}] = z{k}{l};" in body
+    assert solver._step_lines(spec, False, "") == solver._step_lines(spec, False)
+
+
+def test_rows_in_pairs_have_the_bits_of_python_rows(engines, monkeypatch):
+    # 1, 2, 3 and 5 rows: a row alone, a pair, a pair and an odd row, two
+    # pairs and an odd row, and at two slices 3 rows are a row alone and a
+    # pair; alpha rows and surrogate rows of a problem without time terms
+    # (test_rows_with_time_terms_have_the_bits_of_python_rows has them)
+    spec = tanh_spec(2, step=1.0 / 64)
+    alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
+    alpha_slopes = np.array([[phi_inv(a)] for a in alphas])
+    slopes = np.random.default_rng(31).uniform(-3.0, 3.0, (5, 4))
+    counts = solver.segment_counts(spec.step_count, 4)
+    results: dict[int, list] = {}
+    for engine in engines():
+        for cpus in (1, 2) if engine == "compiled" else (1,):
+            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+            for rows in (1, 2, 3, 5):
+                fan = solver._solve_rows(
+                    spec, False, [spec.step_count], alpha_slopes[:rows], 2, alphas
+                )
+                driven = solver._solve_rows(spec, True, counts, slopes[:rows], 2, None)
+                results.setdefault(rows, []).append((_row_bits(fan), _row_bits(driven)))
+    for rows, found in results.items():
+        assert len(found) == (3 if HAVE_COMPILER else 1)
+        assert all(bits == found[0] for bits in found), rows
+
+
+# a pair of which exactly one lane raises a flag (ln(x0) below alpha 0.32)
+# or blows up (x0^2 from alpha 0.5), in either lane, and an odd row alone;
+# the rows the runner of one row at a time marked, and their failures
+PAIR_FAILURES = [
+    (
+        UdeSpec.from_strings(1, "ln(x0)", "1", [1.0], 1.0, 1e-2),
+        [0.3, 0.34, 0.36, 0.28, 0.2],
+        [0, 3, 4],
+        [(0, 0.96), (3, 0.9), (4, 0.71)],
+    ),
+    (
+        UdeSpec.from_strings(2, "x0^2", "1", [1.0, 0.0], 3.0, 1e-2),
+        [0.46, 0.5, 0.52, 0.48, 0.3],
+        [1, 2],
+        [(1, 2.98), (2, 2.95)],
+    ),
+]
+
+
+@needs_compiler
+@pytest.mark.parametrize("spec, grid, reruns, failed", PAIR_FAILURES)
+def test_a_pair_with_one_failing_lane_keeps_each_rows_own_results(
+    monkeypatch, spec, grid, reruns, failed
+):
+    # the failing lane's row is marked and rerun alone in Python, its
+    # partner keeps the bits of the Python row, and the failures are the
+    # Python row loop's
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
+    slopes = np.array([[phi_inv(a)] for a in grid])
+    args = (spec, False, [spec.step_count], slopes, spec.order)
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+    python = solver._solve_rows(*args, grid)
+    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    library = solver._library(spec, 0)
+    states, diffusion, marked = solver._run_compiled(library, *args, True)
+    assert marked == reruns
+    final = np.delete(np.arange(len(grid)), reruns)
+    assert _same_bits(states[final], python[0][final])
+    assert _same_bits(diffusion[final], python[1][final])
+    solved = solver._solve_rows(*args, grid)
+    assert _row_bits(solved) == _row_bits(python)
+    assert [(r, round(e.last_good_time, 9)) for r, e in solved[2]] == failed
+
+
+def _terms_per_node(spec, times):
+    """Every time term at each node's t, t + h/2 and t + h, a node at a
+    time in Python: the table ``fill`` writes."""
+    terms = expr.time_terms([spec.drift, spec.diffusion])[0]
+    lines = [line for time in "tuv" for line in solver._term_lines(terms, time)]
+    names = ", ".join(name for name, _ in lines)
+    source = "def row(t, h):\n    hh = 0.5 * h\n    u = t + hh\n    v = t + h\n"
+    source += "".join(f"    {name} = {rhs}\n" for name, rhs in lines)
+    row = expr._exec(source + f"    return [{names}]\n")["row"]
+    h = spec.horizon / spec.step_count
+    return np.array([row(t, h) for t in times[:-1].tolist()]).reshape(-1, 3, len(terms))
+
+
+@needs_compiler
+@pytest.mark.parametrize("nudged", [False, True], ids=["long-narrow", "nudged-grid"])
+def test_the_table_has_the_bits_of_a_fill_per_node(monkeypatch, nudged):
+    # the fill copies a node's terms at v into the next node's terms at t
+    # where the two times are the same double, and computes them where they
+    # are not: on long-narrow's grid, and on one with every seventh time
+    # moved up an ulp, the table has the bits of every term at every node
+    spec = UdeSpec.from_strings(2, *LONG_NARROW, [0.1, 0.0], 1.0, 1e-4)
+    times = solver.time_grid(spec)
+    if nudged:
+        times[1::7] = np.nextafter(times[1::7], math.inf)
+    h = spec.horizon / spec.step_count
+    reused = times[:-2] + h == times[1:-1]
+    assert 0.5 < reused.mean() < 0.9
+    monkeypatch.setattr(solver, "_LIBRARIES", {})
+    library = solver._library(spec, math.inf)
+    assert library.term_count == solver._term_count(spec) == 2
+    table = np.empty((spec.step_count, 3, 2))
+    assert library.fill(spec.step_count, h, times.ctypes.data, table.ctypes.data) == 0
+    assert _same_bits(table, _terms_per_node(spec, times))

@@ -20,8 +20,6 @@ from .core import (
 )
 from .solver import (
     AlphaFan,
-    IntegralResidual,
-    integral_residual,
     solve_fan,
 )
 from .analysis import (
@@ -29,6 +27,7 @@ from .analysis import (
     DistributionPoint,
     DistributionTable,
     HypothesisReport,
+    IntegralResidual,
     MonotoneCheck,
     RegularityCheck,
     check_condition_h,
@@ -37,6 +36,7 @@ from .analysis import (
     check_regularity,
     distribution_at,
     expected_value,
+    integral_residual,
     inverse_distribution,
 )
 from .oracle import (

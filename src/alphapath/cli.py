@@ -9,11 +9,11 @@ LINES for the width of its help. Artifacts are written with full
 round-trip precision and without timestamps, so identical configs produce
 byte-identical outputs.
 
-A solve may build the problem's C library, and writing the fan the renderer
-library (``solver``); a build leaves nothing beside the artifacts. The
-solver gives the fan's texts, its time texts included, and how to run the
-writes: under the renderer library a solve writes fan.csv and fan.json at
-once, each to a temporary file on a thread of its own, and then renames
+A solve may build the problem's C library (``engine``), and writing the
+fan the renderer library (``render``); a build leaves nothing beside the
+artifacts. ``render`` gives each fan file's name and bytes and how to run
+the writes: under the renderer library a solve writes fan.csv and fan.json
+at once, each to a temporary file on a thread of its own, and then renames
 them in that order, a file only if it and every file before it were
 written. Without a working compiler the artifacts, exit codes and messages
 are the same.
@@ -32,13 +32,11 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import asdict
-from functools import partial
-from itertools import chain
 from pathlib import Path
 
-from . import analysis, oracle, solver
+from . import analysis, oracle, render
 from .config import RunConfig, load_config
 from .core import alpha_grid
 from .errors import (
@@ -112,21 +110,23 @@ def _write_text(path: Path, chunks: Iterable[str | bytes]) -> None:
 def _write_texts(
     files: list[tuple[Path, Iterable[str | bytes]]], run: Callable
 ) -> None:
-    """Stage every (path, chunks) of ``files`` through ``run`` (at once when
-    ``run`` runs its functions at once), then publish them in their order
-    until one fails: a file is published only if it and every file before
-    it were written, the first failure in that order is raised, and no
-    temporary file is left."""
+    """Stage every (path, chunks) of ``files`` through ``run``, which calls
+    a function of (start, stop) once per slice of the files' indices (at
+    once when ``run`` runs its slices at once), then publish them in their
+    order until one fails: a file is published only if it and every file
+    before it were written, the first failure in that order is raised, and
+    no temporary file is left."""
     staged: list[Path | Exception | None] = [None] * len(files)
 
-    def stage(k: int) -> None:
-        try:
-            staged[k] = _stage(*files[k])
-        except Exception as exc:  # raised below, in the order of the files
-            staged[k] = exc
+    def stage(start: int, stop: int) -> None:
+        for k in range(start, stop):
+            try:
+                staged[k] = _stage(*files[k])
+            except Exception as exc:  # raised below, in the order of the files
+                staged[k] = exc
 
     try:
-        run([partial(stage, k) for k in range(len(files))])
+        run(stage)
         for (path, _), done in zip(files, staged):
             if isinstance(done, Exception):
                 raise done
@@ -139,30 +139,6 @@ def _write_texts(
 
 def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
-
-
-def _fan_json_chunks(
-    fan: AlphaFan, texts: Callable, times: Callable
-) -> Iterator[str | bytes]:
-    """fan.json in the layout of ``json.dumps(payload, indent=2,
-    sort_keys=True) + "\\n"`` for the payload {order, alphas, times, states}:
-    each path's body from ``texts`` between its key and brackets, in the
-    order of the ``states`` keys sorted as strings, and the time texts
-    joined by ``times``."""
-    keys = [repr(alpha) for alpha in fan.grid]
-    yield (
-        '{\n  "alphas": [\n    '
-        + ",\n    ".join(keys)
-        + f'\n  ],\n  "order": {fan.spec.order!r},\n  "states": {{\n'
-    )
-    paths = sorted(range(len(keys)), key=keys.__getitem__)
-    for i, body in enumerate(texts("json", paths)):
-        yield (",\n" if i else "") + f'    "{keys[paths[i]]}": [\n      [\n        '
-        yield body
-        yield "\n      ]\n    ]"
-    yield '\n  },\n  "times": [\n    '
-    yield times(",\n    ")
-    yield "\n  ]\n}\n"
 
 
 def _run_json_payload(fan: AlphaFan) -> dict:
@@ -207,17 +183,8 @@ def _solve_configured_fan(config: RunConfig) -> AlphaFan:
 
 def cmd_solve(config: RunConfig, outdir: Path) -> int:
     fan = _solve_configured_fan(config)
-    formats = config.output_formats
-    # one renderer for every format, and the formats written at once under C
-    texts, times, run = solver.path_texts(fan, formats)
-    files = []
-    if "csv" in formats:  # the header, then each path's rows
-        header = "alpha,t," + ",".join(f"x{k}" for k in range(fan.spec.order))
-        rows = texts("csv", range(len(fan.grid)))
-        files.append((outdir / "fan.csv", chain([header + "\n"], rows)))
-    if "json" in formats:
-        files.append((outdir / "fan.json", _fan_json_chunks(fan, texts, times)))
-    _write_texts(files, run)
+    files, run = render.fan_files(fan, config.output_formats)
+    _write_texts([(outdir / name, chunks) for name, chunks in files], run)
     _update_run_json(outdir, config, _run_json_payload(fan))
     return EXIT_OK
 

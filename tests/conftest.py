@@ -7,18 +7,47 @@ positivity and position-monotonicity hypotheses everywhere.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from alphapath import AlphaGridSpec, RegularityCheck, UdeSpec, alpha_grid, solve_fan
-from alphapath import solver
+from alphapath import engine, render, solver
 from alphapath.analysis import TOL_CONDITION_H
 from alphapath.expr import _emit, _exec, evaluate, state_variables
+
+
+# the seconds of each gcc build (``engine._build``) in the pytest process,
+# reported in the terminal summary; the CLI tests that run a subprocess
+# build in it, unseen here
+BUILD_SECONDS: list[float] = []
+
+
+def pytest_sessionstart(session):
+    build = engine._build
+
+    @functools.wraps(build)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            BUILD_SECONDS.append(time.perf_counter() - start)
+
+    engine._build = timed
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(
+        f"gcc builds in the pytest process: {len(BUILD_SECONDS)} calls, "
+        f"{sum(BUILD_SECONDS):.1f} s (builds in CLI-subprocess tests not counted)"
+    )
 
 
 def polynomial_spec(order: int, initial=None, horizon=1.0, step=1e-3) -> UdeSpec:
@@ -53,8 +82,8 @@ def driven(spec: UdeSpec, slopes):
     return states, diffusion
 
 
-# the tests that build C steps need the compiler the solver names
-HAVE_COMPILER = os.access(solver.COMPILER, os.X_OK)
+# the tests that build C steps need the compiler the engine names
+HAVE_COMPILER = os.access(engine.COMPILER, os.X_OK)
 needs_compiler = pytest.mark.skipif(not HAVE_COMPILER, reason="no C compiler")
 
 
@@ -68,25 +97,25 @@ def engines(monkeypatch):
     threads, whatever the host's CPU count, an audit runs in the library
     that is built for its problem, and the fan's text is written by the
     renderer library, built at the first fan text). Yields the engine's
-    name. Without a compiler at ``solver.COMPILER`` only the Python round
+    name. Without a compiler at ``engine.COMPILER`` only the Python round
     runs."""
-    cpus = max(2, solver._cpu_count())
+    cpus = max(2, engine._cpu_count())
 
     def force(compiled: bool):
-        monkeypatch.setattr(solver, "_LIBRARIES", {})
-        monkeypatch.setattr(solver, "_RENDERER", [])
-        monkeypatch.setattr(solver, "_REPR_VALUES", 0)
+        monkeypatch.setattr(engine, "_LIBRARIES", {})
+        monkeypatch.setattr(render, "_RENDERER", [])
+        monkeypatch.setattr(render, "_REPR_VALUES", 0)
         limit = 0 if compiled else math.inf
-        monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", limit)
-        monkeypatch.setattr(solver, "RENDER_MIN_VALUES", limit)
+        monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", limit)
+        monkeypatch.setattr(render, "RENDER_MIN_VALUES", limit)
         if compiled:
-            monkeypatch.setattr(solver, "SPLIT_MIN_ROW_STEPS", 0)
-            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(engine, "SPLIT_MIN_ROW_STEPS", 0)
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
 
     def rounds():
         force(compiled=False)
         yield "python"
-        assert not solver._LIBRARIES and not solver._RENDERER  # nothing was built
+        assert not engine._LIBRARIES and not render._RENDERER  # nothing was built
         if not HAVE_COMPILER:
             return
         threads = threading.active_count()
@@ -94,8 +123,8 @@ def engines(monkeypatch):
         yield "compiled"
         # every problem solved had its library built and loaded, and so did
         # the renderer if a fan was written; every slice's thread was joined
-        assert solver._LIBRARIES and all(solver._LIBRARIES.values())
-        assert all(solver._RENDERER)
+        assert engine._LIBRARIES and all(engine._LIBRARIES.values())
+        assert all(render._RENDERER)
         assert threading.active_count() == threads
 
     return rounds
@@ -105,7 +134,7 @@ def build_in_compiled_round(spec: UdeSpec) -> None:
     """Build the problem's C library in the compiled round of ``engines``
     (nothing in the Python round): the condition-H audit builds none of its
     own, so an audit of an f and g that no solve has run needs this."""
-    solver._library(spec, 0)
+    engine._library(spec, 0)
 
 
 def companion_rhs(spec: UdeSpec, c: float, weight=abs):

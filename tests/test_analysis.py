@@ -23,7 +23,7 @@ from alphapath import (
     phi_inv,
     solve_fan,
 )
-from alphapath import analysis, expr, solver
+from alphapath import analysis, engine, expr, solver
 from alphapath.errors import (
     ConfigError,
     DomainError,
@@ -265,12 +265,12 @@ def test_condition_h_matches_reference_bitwise(
     scalar_partials = solver._python_partials
     monkeypatch.setattr(solver, "_python_partials", spy)
     (label, env, value), violations = reference_condition_h(spec, fan, 64, 11)
-    for engine in engines():
+    for kind in engines():
         build_in_compiled_round(spec)
         scalar_groups.clear()
         report = check_condition_h(fan, samples=64, seed=11)
         # without a library every group runs on the Python text
-        assert scalar_groups == (rerun if engine == "compiled" else every_group)
+        assert scalar_groups == (rerun if kind == "compiled" else every_group)
         assert report.min_partial.hex() == value.hex()
         assert (report.min_function, report.min_env) == (label, env)
         assert report.violations == violations
@@ -295,7 +295,7 @@ def test_condition_h_keeps_an_overflow_that_a_later_operation_absorbs(
     spec = UdeSpec.from_strings(2, "tanh(1e308*(x0 + 10))", "1", [0.1, 0.0], 1.0, 1e-2)
     fan = dataclasses.replace(fan, spec=spec)
     flagged, reruns = [], []
-    run_partials, scalar_partials = solver._run_partials, solver._python_partials
+    run_partials, scalar_partials = engine._run_partials, solver._python_partials
 
     def c_spy(spec, library, times, states, h):
         values = np.empty((len(times), 2))
@@ -308,9 +308,9 @@ def test_condition_h_keeps_an_overflow_that_a_later_operation_absorbs(
         reruns.append(len(args[2]))
         return scalar_partials(*args)
 
-    monkeypatch.setattr(solver, "_run_partials", c_spy)
+    monkeypatch.setattr(engine, "_run_partials", c_spy)
     monkeypatch.setattr(solver, "_python_partials", scalar_spy)
-    for engine in engines():
+    for kind in engines():
         build_in_compiled_round(spec)
         flagged.clear()
         reruns.clear()
@@ -320,7 +320,7 @@ def test_condition_h_keeps_an_overflow_that_a_later_operation_absorbs(
         # every group runs on the Python text: after a flagged C call, or
         # without a library
         assert reruns == [len(fan.times)] * len(fan.states) + [16]
-        assert flagged == ([True] * len(reruns) if engine == "compiled" else [])
+        assert flagged == ([True] * len(reruns) if kind == "compiled" else [])
     with pytest.raises(NonFiniteError):
         expr.evaluate(spec.drift, {"t": 0.0, "x0": 0.1, "x1": 0.0})
 
@@ -455,6 +455,23 @@ def test_distribution_at_clamps_with_flag(poly_fan_small):
     assert lo.alpha == float(table.alphas[0]) and lo.saturated
     hi = distribution_at(table, float(table.values[-1]) + 1.0)
     assert hi.alpha == float(table.alphas[-1]) and hi.saturated
+
+
+def test_distribution_at_refuses_a_nan_x(tanh_fan_small):
+    # a NaN x lies nowhere in the table: a DomainError that names it, not a
+    # point of alpha nan
+    _, fan = tanh_fan_small
+    table = inverse_distribution(fan, 1.0)
+    with pytest.raises(DomainError, match="^x=nan is not a number$"):
+        distribution_at(table, math.nan)
+
+
+@pytest.mark.parametrize("x, end", [(-math.inf, 0), (math.inf, -1)])
+def test_distribution_at_clamps_an_infinite_x_with_flag(tanh_fan_small, x, end):
+    _, fan = tanh_fan_small
+    table = inverse_distribution(fan, 1.0)
+    point = distribution_at(table, x)
+    assert point.alpha == float(table.alphas[end]) and point.saturated
 
 
 def test_distribution_at_midpoint_interpolates(poly_fan_small):

@@ -22,7 +22,7 @@ from alphapath import (
 )
 from alphapath import cli
 from alphapath import config as config_module
-from alphapath import oracle, solver
+from alphapath import emit, engine, oracle, render
 from alphapath.cli import _write_text, main
 from alphapath.config import KNOWN_KEYS, load_config, parse_config_text
 from alphapath.errors import ConfigError
@@ -420,7 +420,7 @@ def test_a_fan_json_that_is_a_directory_exits_2_after_publishing_fan_csv(
     assert sorted(p.name for p in out.iterdir()) == ["fan.csv", "fan.json"]
     assert (out / "fan.csv").read_bytes() == (whole / "fan.csv").read_bytes()
     assert list((out / "fan.json").iterdir()) == []
-    built = [library is not None for library in solver._RENDERER]
+    built = [library is not None for library in render._RENDERER]
     assert built == ([True] if renderer == "c" else [])
 
 
@@ -436,8 +436,8 @@ def test_a_layout_that_fails_to_render_reaches_the_caller(
     # temporary file is left
     cfg = write_config(tmp_path)
     _fresh_libraries(monkeypatch, render_min=0)
-    monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
-    render_paths = solver._render_paths
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    render_paths = render._render_paths
 
     def spy(library, layout, *args):
         for k, text in enumerate(render_paths(library, layout, *args)):
@@ -445,7 +445,7 @@ def test_a_layout_that_fails_to_render_reaches_the_caller(
                 raise RuntimeError(f"{layout} failed")
             yield text
 
-    monkeypatch.setattr(solver, "_render_paths", spy)
+    monkeypatch.setattr(render, "_render_paths", spy)
     threads = threading.active_count()
     out = tmp_path / "out"
     with pytest.raises(RuntimeError, match=f"^{failing} failed$"):
@@ -465,16 +465,16 @@ def test_the_renderer_library_writes_two_layouts_on_two_threads(
     # thread, one after the other
     cfg = write_config(tmp_path)
     _fresh_libraries(monkeypatch, render_min=0 if renderer == "c" else math.inf)
-    monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
     name = "_render_paths" if renderer == "c" else "_python_paths"
-    engine, drawn = getattr(solver, name), {}
+    paths, drawn = getattr(render, name), {}
 
     def spy(*args):  # (library,) layout, states, alphas, times
-        for text in engine(*args):
+        for text in paths(*args):
             drawn.setdefault(args[-4], set()).add(threading.get_ident())
             yield text
 
-    monkeypatch.setattr(solver, name, spy)
+    monkeypatch.setattr(render, name, spy)
     threads = threading.active_count()
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert threading.active_count() == threads
@@ -593,24 +593,24 @@ def test_runs_reproduce_byte_identical_artifacts(tmp_path):
 
 
 def _use_compiler(tmp_path, monkeypatch, compiler):
-    """Point the solver at gcc, at a compiler that is missing or at one that
+    """Point the builds at gcc, at a compiler that is missing or at one that
     exits 1."""
     if compiler != "gcc":
         stub = tmp_path / "cc"
         if compiler == "exits-1":
             stub.write_text("#!/bin/sh\nexit 1\n")
             stub.chmod(0o755)
-        monkeypatch.setattr(solver, "COMPILER", str(stub))
+        monkeypatch.setattr(engine, "COMPILER", str(stub))
 
 
 def _fresh_libraries(monkeypatch, compile_min=math.inf, render_min=math.inf):
     """A process with no library built and no value rendered yet, and the
     two build thresholds."""
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "_RENDERER", [])
-    monkeypatch.setattr(solver, "_REPR_VALUES", 0)
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", compile_min)
-    monkeypatch.setattr(solver, "RENDER_MIN_VALUES", render_min)
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    monkeypatch.setattr(render, "_RENDERER", [])
+    monkeypatch.setattr(render, "_REPR_VALUES", 0)
+    monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", compile_min)
+    monkeypatch.setattr(render, "RENDER_MIN_VALUES", render_min)
 
 
 def _run_every_command(tmp_path, capsys, name, text=BASE_CONFIG):
@@ -651,10 +651,10 @@ def test_every_engine_writes_the_same_artifacts(
     builds = tmp_path / "builds"
     builds.mkdir()
     _use_compiler(tmp_path, monkeypatch, compiler)
-    monkeypatch.setattr(solver, "_BUILD_ROOT", str(builds))
+    monkeypatch.setattr(engine, "_BUILD_ROOT", str(builds))
     _fresh_libraries(monkeypatch, 0, 0)
     assert _run_every_command(tmp_path, capsys, compiler) == (runs, artifacts)
-    built = [*solver._LIBRARIES.values(), *solver._RENDERER]
+    built = [*engine._LIBRARIES.values(), *render._RENDERER]
     assert len(built) == 2
     assert all((library is not None) == (compiler == "gcc") for library in built)
     assert os.listdir(builds) == []
@@ -730,7 +730,7 @@ def test_every_form_of_time_text_is_written_as_repr(
     _fresh_libraries(monkeypatch, render_min=0 if renderer == "c" else math.inf)
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    assert [library is not None for library in solver._RENDERER] == (
+    assert [library is not None for library in render._RENDERER] == (
         [True] if renderer == "c" else []
     )
     config = load_config(cfg)
@@ -750,7 +750,7 @@ def test_a_fan_at_the_render_threshold_writes_the_reference_bytes(
     # order-1 fans of RENDER_MIN_VALUES - 1, RENDER_MIN_VALUES and
     # RENDER_MIN_VALUES + 1 values as fan.csv in a fresh process: repr writes
     # the first, the renderer library the others, and each is the reference
-    values = solver.RENDER_MIN_VALUES + offset
+    values = render.RENDER_MIN_VALUES + offset
     count = {-1: 3, 0: 5, 1: 11}[offset]
     assert values % count == 0
     steps = values // count - 1
@@ -759,14 +759,14 @@ def test_a_fan_at_the_render_threshold_writes_the_reference_bytes(
         count=count, formats="[csv]",
     )
     cfg = write_config(tmp_path, text + "oracle.n_paths = 2\n")  # under the size cap
-    limits = solver.COMPILE_MIN_ROW_STEPS, solver.RENDER_MIN_VALUES
+    limits = engine.COMPILE_MIN_ROW_STEPS, render.RENDER_MIN_VALUES
     _fresh_libraries(monkeypatch, *limits)
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     config = load_config(cfg)
     fan = solve_fan(config.spec, alpha_grid(config.alpha))
     assert fan.states.size == values
-    assert [library is not None for library in solver._RENDERER] == (
+    assert [library is not None for library in render._RENDERER] == (
         [True] if offset >= 0 else []
     )
     assert (out / "fan.csv").read_text() == reference_fan_csv(fan)
@@ -776,17 +776,17 @@ def test_a_warm_command_writes_no_c_text(tmp_path, capsys, monkeypatch):
     # the process's library is found by (order, f, g), so once every command
     # has run, running each again renders the problem's C text not once and
     # writes the same bytes; the one library serves all four commands
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", 0)
     cold = _run_every_command(tmp_path, capsys, "cold")
     rendered = []
-    c_source = solver._c_source
+    c_source = emit._c_source
 
     def spy(spec):
         rendered.append(spec)
         return c_source(spec)
 
-    monkeypatch.setattr(solver, "_c_source", spy)
+    monkeypatch.setattr(emit, "_c_source", spy)
     cfg = write_config(tmp_path)
     out = tmp_path / "warm"
     counts = []
@@ -795,7 +795,7 @@ def test_a_warm_command_writes_no_c_text(tmp_path, capsys, monkeypatch):
         assert main([*argv, "--config", cfg, "--out", str(out), "--force"]) == 0
         counts.append(len(rendered))
     assert counts == [0, 0, 0, 0]
-    assert len(solver._LIBRARIES) == 1
+    assert len(engine._LIBRARIES) == 1
     warm = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     assert warm == cold[1]
 
@@ -816,21 +816,21 @@ def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
     spec = load_config(cfg).spec
     values = 99 * (spec.step_count + 1) * spec.order
     rendered = []  # per path rendered in C, its layout and whether it is repr's
-    render_paths = solver._render_paths
+    render_paths = render._render_paths
 
     def spy(library, layout, states, alphas, times):
         texts = render_paths(library, layout, states, alphas, times)
         (joined, ends), starts = times, [0, *times[1][:-1]]
         words = [joined[a:b].decode() for a, b in zip(starts, ends)]
-        want = solver._python_paths(layout, states, alphas, words)
+        want = render._python_paths(layout, states, alphas, words)
         for got, reference in zip(texts, want):
             rendered.append((layout, got == reference))
             yield got
 
-    monkeypatch.setattr(solver, "_render_paths", spy)
+    monkeypatch.setattr(render, "_render_paths", spy)
     _fresh_libraries(monkeypatch)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "repr")]) == 0
-    assert rendered == [] and solver._RENDERER == []
+    assert rendered == [] and render._RENDERER == []
 
     _use_compiler(tmp_path, monkeypatch, compiler)
     _fresh_libraries(monkeypatch, 0, 1.5 * values)
@@ -841,7 +841,7 @@ def test_every_renderer_writes_the_same_fan(tmp_path, monkeypatch, compiler):
     if compiler == "gcc":
         assert sorted(rendered) == [("csv", True)] * 99 + [("json", True)] * 99
     else:
-        assert rendered == [] and solver._RENDERER == [None]
+        assert rendered == [] and render._RENDERER == [None]
 
 
 def _solve_without_a_compiler(tmp_path, monkeypatch, cfg) -> Path:
@@ -849,7 +849,7 @@ def _solve_without_a_compiler(tmp_path, monkeypatch, cfg) -> Path:
     them."""
     with monkeypatch.context() as patch:
         _fresh_libraries(patch, 0, 0)
-        patch.setattr(solver, "COMPILER", str(tmp_path / "missing"))
+        patch.setattr(engine, "COMPILER", str(tmp_path / "missing"))
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "none")]) == 0
     return tmp_path / "none"
 
@@ -862,16 +862,16 @@ def test_a_library_without_a_function_is_a_failed_build(tmp_path, monkeypatch):
     text = BASE_CONFIG.replace("alpha.count = 9", "alpha.count = 99")
     cfg = write_config(tmp_path, text.replace("0.0025", "0.001"))
     spec = load_config(cfg).spec
-    source = solver._renderer_source()
+    source = render._renderer_source()
     cut = source[: source.index("int64_t render(")]
-    assert solver._build(cut, solver._RENDER_BUILD_ARGS, ["render"]) is None
+    assert engine._build(cut, render._RENDER_BUILD_ARGS, {"render": ([], None)}) is None
     none = _solve_without_a_compiler(tmp_path, monkeypatch, cfg)
-    _fresh_libraries(monkeypatch, solver.COMPILE_MIN_ROW_STEPS, 0)
-    monkeypatch.setattr(solver, "_renderer_source", lambda: cut)
+    _fresh_libraries(monkeypatch, engine.COMPILE_MIN_ROW_STEPS, 0)
+    monkeypatch.setattr(render, "_renderer_source", lambda: cut)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "cut")]) == 0
-    assert solver._RENDERER == [None]
-    assert list(solver._LIBRARIES) == [solver._library_key(spec)]
-    assert all(solver._LIBRARIES.values())
+    assert render._RENDERER == [None]
+    assert list(engine._LIBRARIES) == [emit._library_key(spec)]
+    assert all(engine._LIBRARIES.values())
     for name in ("fan.csv", "fan.json", "run.json"):
         assert (tmp_path / "cut" / name).read_bytes() == (none / name).read_bytes()
 
@@ -886,14 +886,19 @@ def test_the_renderer_runs_without_the_problems_library(tmp_path, monkeypatch):
     none = _solve_without_a_compiler(tmp_path, monkeypatch, cfg)
     config = load_config(cfg)
     row_steps = len(alpha_grid(config.alpha)) * config.spec.step_count
-    assert row_steps < solver.COMPILE_MIN_ROW_STEPS
-    limits = solver.COMPILE_MIN_ROW_STEPS, solver.RENDER_MIN_VALUES
+    assert row_steps < engine.COMPILE_MIN_ROW_STEPS
+    limits = engine.COMPILE_MIN_ROW_STEPS, render.RENDER_MIN_VALUES
     _fresh_libraries(monkeypatch, *limits)
-    monkeypatch.setattr(solver, "_REPR_VALUES", solver.RENDER_MIN_VALUES)
+    monkeypatch.setattr(render, "_REPR_VALUES", render.RENDER_MIN_VALUES)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "render")]) == 0
-    assert solver._LIBRARIES == {} and solver._RENDERER[0] is not None
+    assert engine._LIBRARIES == {} and render._RENDERER[0] is not None
     for name in ("fan.csv", "fan.json", "run.json"):
         assert (tmp_path / "render" / name).read_bytes() == (none / name).read_bytes()
+
+
+def _chunk_bytes(chunks) -> list[bytes]:
+    """Every chunk of a fan file, collected before any is read, as bytes."""
+    return [c.encode("utf-8") if isinstance(c, str) else c for c in list(chunks)]
 
 
 def test_the_renderer_is_built_once_repr_has_rendered_enough(monkeypatch):
@@ -903,49 +908,51 @@ def test_the_renderer_is_built_once_repr_has_rendered_enough(monkeypatch):
     # count to the constant builds the renderer, once
     builds = []
 
-    def spy(source, args, names):
-        builds.append((source, args, names))
+    def spy(source, args, signatures):
+        builds.append((source, args, list(signatures)))
         return None  # as a failed build, so that the test needs no compiler
 
     spec = tanh_spec(2, step=0.01)
     fan = solve_fan(spec, [0.25, 0.5, 0.75])
     values = fan.states.size
     _fresh_libraries(monkeypatch, render_min=2.5 * values)
-    monkeypatch.setattr(solver, "_build", spy)
+    monkeypatch.setattr(engine, "_build", spy)
     counts = []
-    rows = reference_fan_csv(fan).split("\n", 1)[1]
+    want = {"fan.csv": reference_fan_csv(fan), "fan.json": reference_fan_json(fan)}
     for layouts in (["csv"], ["json"], ["csv", "json"], ["csv"]):
-        texts, _, _ = solver.path_texts(fan, layouts)
-        counts.append((len(builds), solver._REPR_VALUES))
-        assert b"".join(texts("csv", range(3))).decode() == rows
+        files, _ = render.fan_files(fan, layouts)
+        counts.append((len(builds), render._REPR_VALUES))
+        assert [name for name, _ in files] == [f"fan.{layout}" for layout in layouts]
+        for name, chunks in files:
+            assert b"".join(_chunk_bytes(chunks)).decode() == want[name]
     assert counts == [(0, values), (0, 2 * values), (1, 4 * values), (1, 5 * values)]
     assert builds == [
         (
-            solver._renderer_source(),
-            solver._RENDER_BUILD_ARGS,
+            render._renderer_source(),
+            render._RENDER_BUILD_ARGS,
             ["render", "render_values"],
         )
     ]
     # a write of both layouts past the constant builds before its first
     # layout, though that layout alone is below it
     _fresh_libraries(monkeypatch, render_min=1.5 * values)
-    solver.path_texts(fan, ["csv", "json"])
-    assert len(builds) == 2 and solver._REPR_VALUES == 2 * values
+    render.fan_files(fan, ["csv", "json"])
+    assert len(builds) == 2 and render._REPR_VALUES == 2 * values
 
 
 @needs_compiler
 def test_the_renderers_path_texts_can_be_kept(monkeypatch):
     # every path text is bytes of its own, not a view of the buffer that the
-    # renderer writes the next path in: each layout's texts, collected
+    # renderer writes the next path in: each file's chunks, collected
     # before any is read, are those of repr
     fan = solve_fan(tanh_spec(2, step=0.01), [0.25, 0.5, 0.75])
     kept = []
     for render_min in (math.inf, 0):
         _fresh_libraries(monkeypatch, render_min=render_min)
-        texts, _, _ = solver.path_texts(fan, ["csv", "json"])
-        kept.append([list(texts(layout, [2, 0, 1])) for layout in ("csv", "json")])
-    assert solver._RENDERER[0] is not None
-    assert kept[1] == kept[0] and len(set(kept[0][0])) == 3
+        files, _ = render.fan_files(fan, ["csv", "json"])
+        kept.append([_chunk_bytes(chunks) for _, chunks in files])
+    assert render._RENDERER[0] is not None
+    assert kept[1] == kept[0] and len(set(kept[0][0])) == 4  # header, 3 paths
 
 
 def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):
@@ -963,11 +970,11 @@ def test_a_run_that_builds_nothing_never_imports_subprocess(tmp_path):
     commands = [["solve"], ["check"], ["dist", "--t", "1.0"], ["oracle"]]
     code = (
         "import sys\n"
-        "from alphapath import solver\n"
+        "from alphapath import engine\n"
         "from alphapath.cli import main\n"
         f"codes = [main(command + {tail!r}) for command in {commands!r}]\n"
-        f"below = {row_steps} < solver.COMPILE_MIN_ROW_STEPS\n"
-        "print(codes, below, solver._LIBRARIES, 'subprocess' in sys.modules)\n"
+        f"below = {row_steps} < engine.COMPILE_MIN_ROW_STEPS\n"
+        "print(codes, below, engine._LIBRARIES, 'subprocess' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     result = subprocess.run(

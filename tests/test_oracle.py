@@ -18,7 +18,7 @@ from alphapath import (
     solve_fan,
 )
 from alphapath import oracle as oracle_module
-from alphapath import solver
+from alphapath import engine, solver
 from alphapath.errors import (
     BlowUpError,
     ConfigError,
@@ -429,13 +429,13 @@ def test_dominance_report_does_not_depend_on_batching(monkeypatch, side):
     # bit for bit
     spec = tanh_spec(3, step=1.0 / 128)
     kwargs = dict(alphas=[0.7], delta=0.05, n_paths=70, segments=8, seed=5)
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", 0)
     block = dominance_checks(spec, **kwargs)
     monkeypatch.setattr(oracle_module, "CHUNK_PATHS", 66)
     chunked = dominance_checks(spec, **kwargs)
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", math.inf)
     scalar = dominance_checks(spec, **kwargs)
     assert block == chunked == scalar
     (report,) = [r for r in block if r.side == side]

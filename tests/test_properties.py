@@ -6,6 +6,7 @@ Examples are derandomized, so every run checks the same inputs.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import subprocess
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from alphapath import AlphaFan, UdeSpec, check_condition_h, integral_residual, phi_inv
-from alphapath import solver
+from alphapath import emit, engine, render, solver
 from alphapath.cli import main
 from alphapath.config import KNOWN_KEYS, RunConfig, build_config, parse_config_text
 from alphapath.errors import ConfigError, NonFiniteError, ParseError
@@ -38,7 +39,8 @@ from alphapath.expr import (
     time_terms,
     variables_of,
 )
-from alphapath.solver import _compile_step, segment_counts
+from alphapath.emit import _compile_step
+from alphapath.solver import segment_counts
 
 from conftest import (
     build_in_compiled_round,
@@ -108,6 +110,12 @@ def test_compiled_equals_evaluate_bitwise(tree, point):
 
 state_trees = trees.filter(lambda tree: variables_of(tree) - {"t"})
 
+# the ctypes signatures, (argument types, result type), of the library
+# functions these tests call
+I64, PTR = ctypes.c_int64, ctypes.c_void_p
+PARTIALS = {"partials": ([I64, *[PTR] * 4], ctypes.c_int)}
+RENDER = {"render": ([ctypes.c_int32, I64, I64, PTR, ctypes.c_double, *[PTR] * 3], I64)}
+
 
 @needs_compiler
 @settings(SETTINGS, max_examples=100)
@@ -121,13 +129,13 @@ def test_condition_h_c_text_equals_python_text_bitwise(tree, t, seed):
     times = np.full(64, t)
     h = 1e-6 * np.maximum(1.0, np.abs(states[:, 0]))
     spec = UdeSpec(ORDER, tree, tree, (0.5,) * ORDER, 1.0, 1.0)
-    source = solver._c_source(spec)
-    library = solver._build(source, solver._BUILD_ARGS, ["run", "partials"])
+    source = emit._c_source(spec)
+    library = engine._build(source, engine._BUILD_ARGS, PARTIALS)
     assert library is not None
-    values = solver._run_partials(spec, library, times, states, h)
+    values = engine._run_partials(spec, library, times, states, h)
     if values is None:
         return
-    python = solver._compile_partials(spec)
+    python = emit._compile_partials(spec)
     for value, row, step in zip(values.tolist(), states.tolist(), h.tolist()):
         assert [v.hex() for v in value] == [v.hex() for v in python(t, *row, step)]
 
@@ -136,8 +144,8 @@ def test_condition_h_c_text_equals_python_text_bitwise(tree, t, seed):
 def _render_library():
     """The renderer library, built from its own text alone, for every
     example of the renderer tests."""
-    source = solver._renderer_source()
-    library = solver._build(source, solver._RENDER_BUILD_ARGS, ["render"])
+    source = render._renderer_source()
+    library = engine._build(source, render._RENDER_BUILD_ARGS, RENDER)
     assert library is not None
     return library
 
@@ -147,8 +155,8 @@ def _rendered(layout, states, alpha, times) -> tuple[str, str]:
     library writes it and as the repr reference does."""
     ends = np.cumsum([len(t) for t in times], dtype=np.int64)
     joined = ("".join(times).encode("ascii"), ends)
-    (got,) = solver._render_paths(_render_library(), layout, states, [alpha], joined)
-    (want,) = solver._python_paths(layout, states, [alpha], times)
+    (got,) = render._render_paths(_render_library(), layout, states, [alpha], joined)
+    (want,) = render._python_paths(layout, states, [alpha], times)
     return got.decode("ascii"), want.decode("ascii")
 
 
@@ -229,7 +237,7 @@ def test_c_renderer_rows_stay_within_their_bound(layout, cols):
     assert {len(repr(v)) for v in longest} == {24}
     rows = [[v] * cols for v in longest * 3] + [[math.nan] * cols, [-math.inf] * cols]
     times = [repr(longest[k % 2]) for k in range(len(rows))]
-    bound = solver._row_bytes(cols, 24)
+    bound = render._row_bytes(cols, 24)
     library = _render_library()
     for k in range(1, len(rows) + 1):
         states = np.array([rows[:k]])
@@ -241,7 +249,7 @@ def test_c_renderer_rows_stay_within_their_bound(layout, cols):
         ends = np.cumsum([len(t) for t in times[:k]], dtype=np.int64)
         text = np.full(k * bound + 64, 0xA5, dtype=np.uint8)
         length = library.render(
-            solver._LAYOUTS.index(layout), k, cols, states.ctypes.data,
+            render._LAYOUTS.index(layout), k, cols, states.ctypes.data,
             longest[0], joined, ends.ctypes.data, text.ctypes.data,
         )
         assert text[:length].tobytes().decode() == want
@@ -297,12 +305,12 @@ def test_c_renderer_grid_writes_repr():
         assert got == want
         # each value alone in a row of its own, raw, into a buffer of the
         # row's bound and a guard
-        bound, ends = solver._row_bytes(1, 0), np.zeros(1, dtype=np.int64)
-        code, render = solver._LAYOUTS.index(layout), _render_library().render
+        bound, ends = render._row_bytes(1, 0), np.zeros(1, dtype=np.int64)
+        code, write = render._LAYOUTS.index(layout), _render_library().render
         for row in states[0]:
             text = np.full(bound + 64, 0xA5, dtype=np.uint8)
             pointers = row.ctypes.data, 0.5, b"", ends.ctypes.data, text.ctypes.data
-            length = render(code, 1, 1, *pointers)
+            length = write(code, 1, 1, *pointers)
             assert length <= bound and (text[length:] == 0xA5).all(), row[0]
 
 
@@ -314,11 +322,11 @@ def _builds_clean(tmp_path, text: str, args) -> tuple[int, str]:
     warnings = ("-Wall", "-Wextra", "-Werror")
     library = str(tmp_path / "library.so")
     done = subprocess.run(
-        [solver.COMPILER, *args, *warnings, "-o", library, str(source)],
-        env=solver._BUILD_ENV,
+        [engine.COMPILER, *args, *warnings, "-o", library, str(source)],
+        env=engine._BUILD_ENV,
         capture_output=True,
         text=True,
-        timeout=solver._BUILD_TIMEOUT_S,
+        timeout=engine._BUILD_TIMEOUT_S,
     )
     return done.returncode, done.stderr
 
@@ -326,8 +334,8 @@ def _builds_clean(tmp_path, text: str, args) -> tuple[int, str]:
 @needs_compiler
 def test_the_renderer_builds_clean_with_warnings_as_errors(tmp_path):
     # the renderer's C text under -Wall -Wextra -Werror: no warning at all
-    text = solver._renderer_source()
-    assert _builds_clean(tmp_path, text, solver._RENDER_BUILD_ARGS) == (0, "")
+    text = render._renderer_source()
+    assert _builds_clean(tmp_path, text, render._RENDER_BUILD_ARGS) == (0, "")
 
 
 @needs_compiler
@@ -347,9 +355,9 @@ def test_the_problem_library_builds_clean_with_warnings_as_errors(
     # a problem's C text, with and without time terms and their table fill,
     # under -Wall -Wextra -Werror: no warning at all
     spec = UdeSpec.from_strings(order, f, g, [0.1] * order, 1.0, 0.01)
-    assert ("int fill(" in solver._c_source(spec)) == bool(solver._term_count(spec))
-    text = solver._c_source(spec)
-    assert _builds_clean(tmp_path, text, solver._BUILD_ARGS) == (0, "")
+    assert ("int fill(" in emit._c_source(spec)) == bool(emit._term_count(spec))
+    text = emit._c_source(spec)
+    assert _builds_clean(tmp_path, text, engine._BUILD_ARGS) == (0, "")
 
 
 @settings(
@@ -459,9 +467,9 @@ def test_time_terms_have_the_bits_of_python_rows(
     alpha_slopes = np.array([[phi_inv(a)] for a in alphas])
     surrogate_slopes = np.random.default_rng(seed).uniform(-3.0, 3.0, (rows, 2))
     results = []
-    for engine in engines():
-        for cpus in (1, 2) if engine == "compiled" else (1,):
-            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+    for kind in engines():
+        for cpus in (1, 2) if kind == "compiled" else (1,):
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
             solves = [
                 solver._solve_rows(spec, False, [8], alpha_slopes, ORDER, alphas),
                 solver._solve_rows(spec, True, [4, 4], surrogate_slopes, ORDER, None),

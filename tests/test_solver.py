@@ -25,7 +25,7 @@ from alphapath import (
     phi_inv,
     solve_fan,
 )
-from alphapath import expr, solver
+from alphapath import emit, engine, expr, render, solver
 from alphapath.errors import (
     BlowUpError,
     ConfigError,
@@ -296,8 +296,8 @@ def test_batched_rows_equal_single_rows_bitwise(engines, order, f, g, initial, r
     grid = np.linspace(0.01, 0.99, rows).tolist()
     # surrogate rows: signed g, slopes that change per segment and per row
     signed_slopes = np.random.default_rng(order).uniform(-3.0, 3.0, (rows, 4))
-    for engine in engines():
-        if engine == "python":
+    for kind in engines():
+        if kind == "python":
             alone = [solve_fan(spec, [alpha]) for alpha in grid]
             driven_alone = [driven(spec, signed_slopes[r : r + 1]) for r in range(rows)]
         fan = solve_fan(spec, grid)
@@ -352,13 +352,13 @@ def test_rows_the_c_runner_flags_are_rerun_alone_in_python(engines, monkeypatch)
 
     monkeypatch.setattr(solver, "_integrate", spy)
     reports = []
-    for engine in engines():
+    for kind in engines():
         reruns.clear()
         with pytest.raises(FanSolveError) as excinfo:
             solve_fan(spec, grid)
         failed = [a for a, _ in excinfo.value.failures]
         assert failed and failed == sorted(failed) and failed[-1] < 0.5
-        if engine == "compiled":  # the marked rows, the failing ones among them
+        if kind == "compiled":  # the marked rows, the failing ones among them
             assert set(failed) <= set(reruns) and len(reruns) < len(grid)
         failures = excinfo.value.failures
         reports.append([(a, e.last_good_time, str(e)) for a, e in failures])
@@ -382,14 +382,15 @@ def _split_solves(spec, rows):
     fan_slopes = np.array([[phi_inv(a)] for a in grid])
     slopes = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 4))
     counts = solver.segment_counts(spec.step_count, 4)
-    library = solver._library(spec, 0)
+    library = engine._library(spec, 0)
     out = []
     for signed, row_slopes, row_counts, kept, keep_g in [
         (False, fan_slopes, [spec.step_count], spec.order, True),
         (True, slopes, counts, 1, False),
     ]:
         args = (spec, signed, row_counts, row_slopes, kept)
-        states, diffusion, reruns = solver._run_compiled(library, *args, keep_g)
+        times = solver.time_grid(spec)
+        states, diffusion, reruns = engine._run_compiled(library, *args, keep_g, times)
         final = np.delete(np.arange(rows), reruns)  # a marked row is not final
         solved, solved_g, failures = solver._solve_rows(*args, grid, keep_g)
         out.append(
@@ -411,16 +412,16 @@ def test_split_batches_have_the_bits_of_one_slice(monkeypatch, spec, rows):
     # 1, 2 and 3 slices, and more CPUs than rows (a slice per row, more
     # threads than cores, switching as often as the interpreter allows):
     # every state, g, rerun mark and failure is the same, bit for bit
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
-    monkeypatch.setattr(solver, "SPLIT_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(engine, "SPLIT_MIN_ROW_STEPS", 0)
     results = []
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         for cpus in (1, 2, 3, rows + 5):
-            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
-            bounds = solver._slice_bounds(rows, spec.step_count)
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+            bounds = engine._slice_bounds(rows, spec.step_count)
             assert len(bounds) == min(cpus, rows) + 1
             results.append(_split_solves(spec, rows))
     finally:
@@ -455,8 +456,8 @@ def test_a_split_batch_holds_at_most_a_thread_per_cpu(monkeypatch):
     # (beyond those it held before), and none outlives the call
     spec = tanh_spec(3, step=1.0 / 800)
     slopes = np.random.default_rng(8).uniform(-3.0, 3.0, (400, 32))
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    library = solver._library(spec, math.inf)
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    library = engine._library(spec, math.inf)
     started = []
 
     class Recorded(threading.Thread):
@@ -471,19 +472,19 @@ def test_a_split_batch_holds_at_most_a_thread_per_cpu(monkeypatch):
         held.append((_os_threads(), threading.active_count()))
         library.run(*args)
 
-    solver._LIBRARIES[solver._library_key(spec)] = _SpyLibrary(library, run)
+    engine._LIBRARIES[emit._library_key(spec)] = _SpyLibrary(library, run)
     before = _os_threads(), threading.active_count()
     positions = solver.sample_positions(spec, slopes)
     cpus = len(os.sched_getaffinity(0))
-    slices = len(solver._slice_bounds(400, spec.step_count)) - 1
-    assert slices == min(cpus, 400 * 800 // solver.SPLIT_MIN_ROW_STEPS)
+    slices = len(engine._slice_bounds(400, spec.step_count)) - 1
+    assert slices == min(cpus, 400 * 800 // engine.SPLIT_MIN_ROW_STEPS)
     assert len(held) == slices and len(started) == slices - 1
     assert max(os_threads for os_threads, _ in held) <= before[0] + cpus - 1
     assert max(active for _, active in held) <= before[1] + cpus - 1
     assert (_os_threads(), threading.active_count()) == before
     assert not any(thread.is_alive() for thread in started)
     # the bits of one slice
-    monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
     assert _same_bits(positions, solver.sample_positions(spec, slopes))
 
 
@@ -496,10 +497,10 @@ def test_a_failing_slice_reaches_the_caller_and_shapes_are_checked_first(
     # refused before any thread starts
     spec = tanh_spec(2, step=1.0 / 64)
     slopes = np.random.default_rng(9).uniform(-3.0, 3.0, (8, 4))
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "SPLIT_MIN_ROW_STEPS", 0)
-    monkeypatch.setattr(solver, "_cpu_count", lambda: 3)
-    library = solver._library(spec, math.inf)
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    monkeypatch.setattr(engine, "SPLIT_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
+    library = engine._library(spec, math.inf)
     calls = []
 
     def run(*args):
@@ -509,7 +510,7 @@ def test_a_failing_slice_reaches_the_caller_and_shapes_are_checked_first(
         library.run(*args)
 
     spy = _SpyLibrary(library, run)
-    solver._LIBRARIES[solver._library_key(spec)] = spy
+    engine._LIBRARIES[emit._library_key(spec)] = spy
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="slice failed"):
         solver.sample_positions(spec, slopes)
@@ -517,10 +518,18 @@ def test_a_failing_slice_reaches_the_caller_and_shapes_are_checked_first(
     started = []
     monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(a))
     counts = solver.segment_counts(spec.step_count, 4)
-    for bad_slopes, kept in [(slopes[:, :3], 1), (slopes, 0), (slopes, 3)]:
+    times = solver.time_grid(spec)
+    for bad_slopes, kept, bad_times in [
+        (slopes[:, :3], 1, times),
+        (slopes, 0, times),
+        (slopes, 3, times),
+        (slopes, 1, times[:-1]),
+    ]:
         calls.clear()
         with pytest.raises(ValueError, match="do not fit the problem"):
-            solver._run_compiled(spy, spec, True, counts, bad_slopes, kept, False)
+            engine._run_compiled(
+                spy, spec, True, counts, bad_slopes, kept, False, bad_times
+            )
         assert not calls and not started
 
 
@@ -551,17 +560,17 @@ def test_the_generated_texts_depend_on_the_order_f_and_g_alone():
         replace(base, drift=BinOp("+", base.drift, Const(zero))) for zero in (0.0, -0.0)
     ]
     assert zeros[0] == zeros[1]
-    source, key = solver._c_source(base), solver._library_key(base)
-    step = solver._compile_step(base, False)[0].__code__
+    source, key = emit._c_source(base), emit._library_key(base)
+    step = emit._compile_step(base, False)[0].__code__
     for spec in same:
-        assert solver._c_source(spec) == source
-        assert solver._library_key(spec) == key
-        assert solver._compile_step(spec, False)[0].__code__ is step
+        assert emit._c_source(spec) == source
+        assert emit._library_key(spec) == key
+        assert emit._compile_step(spec, False)[0].__code__ is step
     for spec in [*other, *zeros]:
-        assert solver._c_source(spec) != source
-        assert solver._library_key(spec) != key
-    assert solver._c_source(zeros[0]) != solver._c_source(zeros[1])
-    assert solver._library_key(zeros[0]) != solver._library_key(zeros[1])
+        assert emit._c_source(spec) != source
+        assert emit._library_key(spec) != key
+    assert emit._c_source(zeros[0]) != emit._c_source(zeros[1])
+    assert emit._library_key(zeros[0]) != emit._library_key(zeros[1])
 
 
 def test_one_library_serves_every_step_size(engines, monkeypatch):
@@ -578,11 +587,11 @@ def test_one_library_serves_every_step_size(engines, monkeypatch):
         return [a.tobytes() for a in (fan.states, fan.diffusion, positions)]
 
     results = []
-    for engine in engines():
+    for kind in engines():
         shared = [solved(spec) for spec in specs]
-        assert len(solver._LIBRARIES) == (engine == "compiled")
+        assert len(engine._LIBRARIES) == (kind == "compiled")
         for spec, bits in zip(specs, shared):
-            monkeypatch.setattr(solver, "_LIBRARIES", {})
+            monkeypatch.setattr(engine, "_LIBRARIES", {})
             assert solved(spec) == bits
         results.append(shared)
     assert all(result == results[0] for result in results)
@@ -645,17 +654,17 @@ def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
 
     monkeypatch.setattr(subprocess, "run", spy)
     monkeypatch.setattr(solver, "_python_partials", no_rerun)
-    monkeypatch.setattr(solver, "_BUILD_ROOT", str(tmp_path))
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
+    monkeypatch.setattr(engine, "_BUILD_ROOT", str(tmp_path))
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", 0)
     for key in list(os.environ):
         monkeypatch.delenv(key)
     spec = tanh_spec(1, step=0.1)
     fan = solve_fan(spec, [0.5])
     solver.sample_positions(spec, np.ones((2, 3)))  # the same library
     assert check_hypotheses(fan).passed  # and again
-    assert len(solver._LIBRARIES) == 1
-    assert solver.COMPILER == "/usr/bin/gcc"
+    assert len(engine._LIBRARIES) == 1
+    assert engine.COMPILER == "/usr/bin/gcc"
     ((argv, kwargs),) = calls
     flags = ["-O0", "-fno-builtin", "-ffp-contract=off", "-shared", "-fPIC"]
     assert argv[:6] == ["/usr/bin/gcc", *flags]
@@ -665,7 +674,7 @@ def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
     assert argv[8] == os.path.join(folder, "source.c")
     assert kwargs["env"] == {"PATH": "/usr/bin:/bin"}
     assert 0 < kwargs["timeout"] <= 60
-    assert all(solver._LIBRARIES.values())
+    assert all(engine._LIBRARIES.values())
     assert os.listdir(tmp_path) == []
 
 
@@ -673,14 +682,14 @@ def test_renderer_powers_are_the_schubfach_table():
     # the fan renderer's table: for k = -324 .. 292, g = floor(10^-k * 2^-r)
     # + 1 with r the integer that puts g in [2^125, 2^126), exactly; the C
     # text holds each g as its upper and lower 63-bit halves
-    powers = solver._powers()
+    powers = render._powers()
     assert len(powers) == 617
     assert powers[324] == 2**125 + 1  # k = 0
     for k, g in zip(range(-324, 293), powers):
         r = math.floor(-k * math.log2(10)) - 125
         assert 2**125 <= g < 2**126
         assert (g - 1) * Fraction(2) ** r <= Fraction(10) ** -k < g * Fraction(2) ** r
-    source = solver._renderer_source()
+    source = render._renderer_source()
     halves = re.findall(r"\{(0x[0-9a-f]+)u, (0x[0-9a-f]+)u\}", source)
     assert [(int(hi, 16) << 63) + int(lo, 16) for hi, lo in halves] == list(powers)
     assert all(int(lo, 16) < 2**63 for _, lo in halves)
@@ -850,15 +859,15 @@ def test_rows_with_time_terms_have_the_bits_of_python_rows(engines, monkeypatch)
     # one table per batch: every state, g and failure has the bits of the
     # Python row loop
     spec = UdeSpec.from_strings(2, *LONG_NARROW, [0.1, 0.0], 1.0, 1e-3)
-    assert solver._term_count(spec) == 2 and "int fill(" in solver._c_source(spec)
+    assert emit._term_count(spec) == 2 and "int fill(" in emit._c_source(spec)
     alphas = [0.1, 0.3, 0.5, 0.7, 0.9]
     alpha_slopes = np.array([[phi_inv(a)] for a in alphas])
     slopes = np.random.default_rng(27).uniform(-3.0, 3.0, (5, 3))
     counts = solver.segment_counts(spec.step_count, 3)
     results: dict[tuple, list] = {}
-    for engine in engines():
-        for cpus in (1, 2) if engine == "compiled" else (1,):
-            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+    for kind in engines():
+        for cpus in (1, 2) if kind == "compiled" else (1,):
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
             for rows in range(1, 6):
                 fan = solver._solve_rows(
                     spec, False, [spec.step_count], alpha_slopes[:rows], 2, alphas
@@ -886,10 +895,10 @@ def test_a_time_term_that_raises_a_flag_reruns_the_batch(
     # in Python and fails there, with the alpha, time and message of the
     # Python row loop, for alpha rows and surrogate rows alike
     spec = UdeSpec.from_strings(2, f, g, [0.1, 0.0], 1.0, 1e-3)
-    assert solver._term_count(spec) == 1
+    assert emit._term_count(spec) == 1
     slopes = np.random.default_rng(6).uniform(-3.0, 3.0, (3, 4))
     integrated, batches = [], []
-    integrate, run_slices = solver._integrate, solver._run_slices
+    integrate, run_slices = solver._integrate, engine._run_slices
 
     def integrate_spy(*args):
         integrated.append(args[3])
@@ -900,7 +909,7 @@ def test_a_time_term_that_raises_a_flag_reruns_the_batch(
         return run_slices(*args)
 
     monkeypatch.setattr(solver, "_integrate", integrate_spy)
-    monkeypatch.setattr(solver, "_run_slices", run_slices_spy)
+    monkeypatch.setattr(engine, "_run_slices", run_slices_spy)
     results = []
     for _ in engines():
         integrated.clear()
@@ -921,7 +930,7 @@ def test_a_problem_without_time_terms_keeps_its_step_text(engines, monkeypatch):
     # lines as they are, no table fill in the C text, the steps' signature
     # without a table, and every batch given NULL for it
     spec = tanh_spec(2, step=0.01)
-    assert solver._step_lines(spec, False) == [
+    assert emit._step_lines(spec, False) == [
         ("hh", "0.5 * h"),
         ("w", "h / 6.0"),
         ("g", "((2.0) + tanh(y0))"),
@@ -940,20 +949,20 @@ def test_a_problem_without_time_terms_keeps_its_step_text(engines, monkeypatch):
         ("z0", "y0 + w * (y1 + 2.0 * (a1 + b1) + e1)"),
         ("z1", "y1 + w * (p + 2.0 * (q + r) + s)"),
     ]
-    source = solver._c_source(spec)
+    source = emit._c_source(spec)
     assert "fill" not in source and "m[" not in source
     assert "double *state, double *g_out) {" in source
     tables = []
-    for engine in engines():
-        if engine == "compiled":
-            library = solver._library(spec, math.inf)
+    for kind in engines():
+        if kind == "compiled":
+            library = engine._library(spec, math.inf)
 
             def run(*args):
                 tables.append(args[7])
                 library.run(*args)
 
             spy = _SpyLibrary(library, run)
-            solver._LIBRARIES[solver._library_key(spec)] = spy
+            engine._LIBRARIES[emit._library_key(spec)] = spy
         solve_fan(spec, [0.25, 0.5, 0.75])
     assert tables == ([None, None] if HAVE_COMPILER else [])
 
@@ -981,7 +990,7 @@ def test_the_c_pair_step_is_the_step_text_in_lanes_0_and_1(order, f, g):
     # from its node's row of the table; it loads lane l's component k from
     # state[l * n + k], and stores g and the next state the same way
     spec = UdeSpec.from_strings(order, f, g, [0.1] * order, 1.0, 0.01)
-    source = solver._c_source(spec)
+    source = emit._c_source(spec)
     terms = expr.time_terms([spec.drift, spec.diffusion])[0]
     declared = re.compile(r"    double (\w+) __attribute__\(\(unused\)\) = (.*);")
     places = [(k, l) for k in range(order) for l in (0, 1)]
@@ -990,7 +999,7 @@ def test_the_c_pair_step_is_the_step_text_in_lanes_0_and_1(order, f, g):
         body = _c_function(source, name)
         found = [m.groups() for m in map(declared.fullmatch, body.split("\n")) if m]
         expected = []
-        lanes = (solver._step_lines(spec, signed, lane) for lane in "01")
+        lanes = (emit._step_lines(spec, signed, lane) for lane in "01")
         for zero, one in zip(*lanes):
             assert (zero[0] == one[0]) == (zero == one)  # shared by name and text
             expected += [zero] if zero == one else [zero, one]
@@ -1003,7 +1012,7 @@ def test_the_c_pair_step_is_the_step_text_in_lanes_0_and_1(order, f, g):
         assert "g_out[0] = g0;\n    g_out[1] = g1;\n" in body
         for k, l in places:
             assert f"state[{l * order + k}] = z{k}{l};" in body
-    assert solver._step_lines(spec, False, "") == solver._step_lines(spec, False)
+    assert emit._step_lines(spec, False, "") == emit._step_lines(spec, False)
 
 
 def test_rows_in_pairs_have_the_bits_of_python_rows(engines, monkeypatch):
@@ -1017,9 +1026,9 @@ def test_rows_in_pairs_have_the_bits_of_python_rows(engines, monkeypatch):
     slopes = np.random.default_rng(31).uniform(-3.0, 3.0, (5, 4))
     counts = solver.segment_counts(spec.step_count, 4)
     results: dict[int, list] = {}
-    for engine in engines():
-        for cpus in (1, 2) if engine == "compiled" else (1,):
-            monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+    for kind in engines():
+        for cpus in (1, 2) if kind == "compiled" else (1,):
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
             for rows in (1, 2, 3, 5):
                 fan = solver._solve_rows(
                     spec, False, [spec.step_count], alpha_slopes[:rows], 2, alphas
@@ -1058,15 +1067,16 @@ def test_a_pair_with_one_failing_lane_keeps_each_rows_own_results(
     # the failing lane's row is marked and rerun alone in Python, its
     # partner keeps the bits of the Python row, and the failures are the
     # Python row loop's
-    monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
     slopes = np.array([[phi_inv(a)] for a in grid])
     args = (spec, False, [spec.step_count], slopes, spec.order)
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", math.inf)
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", math.inf)
     python = solver._solve_rows(*args, grid)
-    monkeypatch.setattr(solver, "COMPILE_MIN_ROW_STEPS", 0)
-    library = solver._library(spec, 0)
-    states, diffusion, marked = solver._run_compiled(library, *args, True)
+    monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", 0)
+    library = engine._library(spec, 0)
+    times = solver.time_grid(spec)
+    states, diffusion, marked = engine._run_compiled(library, *args, True, times)
     assert marked == reruns
     final = np.delete(np.arange(len(grid)), reruns)
     assert _same_bits(states[final], python[0][final])
@@ -1080,7 +1090,7 @@ def _terms_per_node(spec, times):
     """Every time term at each node's t, t + h/2 and t + h, a node at a
     time in Python: the table ``fill`` writes."""
     terms = expr.time_terms([spec.drift, spec.diffusion])[0]
-    lines = [line for time in "tuv" for line in solver._term_lines(terms, time)]
+    lines = [line for time in "tuv" for line in emit._term_lines(terms, time)]
     names = ", ".join(name for name, _ in lines)
     source = "def row(t, h):\n    hh = 0.5 * h\n    u = t + hh\n    v = t + h\n"
     source += "".join(f"    {name} = {rhs}\n" for name, rhs in lines)
@@ -1103,9 +1113,9 @@ def test_the_table_has_the_bits_of_a_fill_per_node(monkeypatch, nudged):
     h = spec.horizon / spec.step_count
     reused = times[:-2] + h == times[1:-1]
     assert 0.5 < reused.mean() < 0.9
-    monkeypatch.setattr(solver, "_LIBRARIES", {})
-    library = solver._library(spec, math.inf)
-    assert library.term_count == solver._term_count(spec) == 2
+    monkeypatch.setattr(engine, "_LIBRARIES", {})
+    library = engine._library(spec, math.inf)
+    assert library.term_count == emit._term_count(spec) == 2
     table = np.empty((spec.step_count, 3, 2))
     assert library.fill(spec.step_count, h, times.ctypes.data, table.ctypes.data) == 0
     assert _same_bits(table, _terms_per_node(spec, times))

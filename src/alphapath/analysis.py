@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import emit, expr, solver
-from .core import phi_inv
+from .core import phi, phi_inv
 from .errors import ConfigError, DomainError, MonotonicityError
 from .solver import AlphaFan
 
@@ -334,20 +334,29 @@ def inverse_distribution(fan: AlphaFan, t: float) -> DistributionTable:
 
 
 def distribution_at(table: DistributionTable, x: float) -> DistributionPoint:
-    """Invert the monotone table by piecewise-linear interpolation.
+    """Invert the monotone table by interpolation in the driver slope.
 
-    Outside the tabulated x range the result clamps to the table's alpha
-    endpoints with the saturation flag set; a NaN x is a DomainError.
+    Between two table nodes the slope c = phi_inv(alpha) is interpolated
+    linearly in x and mapped back to alpha by ``phi``: x is smooth in c,
+    while x(alpha) steepens like 1/(alpha(1-alpha)) toward the grid's ends.
+    At a node (the last of equal x values) the result is the table's alpha
+    exactly. Outside the tabulated x range the result clamps to the table's
+    alpha endpoints with the saturation flag set; a NaN x is a DomainError.
     Assumes the table is strictly increasing in x.
     """
     if math.isnan(x):
         raise DomainError(f"x={x} is not a number")
-    xs = table.values
+    xs, alphas = table.values, table.alphas
     if x < xs[0]:
-        return DistributionPoint(float(table.alphas[0]), True)
+        return DistributionPoint(float(alphas[0]), True)
     if x > xs[-1]:
-        return DistributionPoint(float(table.alphas[-1]), True)
-    return DistributionPoint(float(np.interp(x, xs, table.alphas)), False)
+        return DistributionPoint(float(alphas[-1]), True)
+    k = int(np.searchsorted(xs, x, side="right")) - 1  # xs[k] <= x < xs[k + 1]
+    if xs[k] == x:
+        return DistributionPoint(float(alphas[k]), False)
+    lo, hi = phi_inv(float(alphas[k])), phi_inv(float(alphas[k + 1]))
+    weight = (x - float(xs[k])) / float(xs[k + 1] - xs[k])
+    return DistributionPoint(phi(lo + weight * (hi - lo)), False)
 
 
 def expected_value(table: DistributionTable) -> float:
@@ -429,9 +438,7 @@ def integral_residual(fan: AlphaFan, k: int) -> IntegralResidual:
     spec, times, states = fan.spec, fan.times, fan.states[k]
     n = spec.order
     c = phi_inv(fan.grid[k])
-    names = emit._names(spec, "t", [f"y[{i}]" for i in range(n)])
-    top = emit._forcing(spec.drift, spec.diffusion, False, names)
-    forcing_fn = expr._exec(f"def forcing(t, y, c):\n    return {top}\n")["forcing"]
+    forcing_fn = emit._compile_forcing(spec)
     # Python floats, so the forcing fails as the solver's step does
     tlist, rows = times.tolist(), states.tolist()
     forcing = np.array([forcing_fn(t, row, c) for t, row in zip(tlist, rows)])

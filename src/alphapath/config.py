@@ -90,6 +90,10 @@ def _parse_scalar(text: str) -> Scalar:
     text = text.strip()
     if text.startswith('"') and text.endswith('"') and len(text) >= 2:
         return text[1:-1]
+    # the DSL's digits alone (``expr.tokenize``): int() and float() would
+    # also read "1_0" and digits of other scripts
+    if "_" in text or not text.isascii():
+        return text
     try:
         number = int(text)
         float(number)  # an integer no double can hold reads as +-inf, as 1e400 does

@@ -31,6 +31,19 @@ def phi_inv(alpha: float) -> float:
     return SQRT3_OVER_PI * math.log(alpha / (1.0 - alpha))
 
 
+def phi(c: float) -> float:
+    """Standard normal uncertainty distribution: 1 / (1 + exp(-pi*c/sqrt(3))).
+
+    The inverse of ``phi_inv`` up to rounding: the alpha whose driver slope
+    is c. Below c = 0 it is written as z / (1 + z), z = exp(pi*c/sqrt(3)),
+    which does not overflow where exp(-pi*c/sqrt(3)) would.
+    """
+    if c < 0.0:
+        z = math.exp(c / SQRT3_OVER_PI)
+        return z / (1.0 + z)
+    return 1.0 / (1.0 + math.exp(-c / SQRT3_OVER_PI))
+
+
 @dataclass(frozen=True)
 class UdeSpec:
     """Order-n problem definition.

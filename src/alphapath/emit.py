@@ -1,13 +1,14 @@
-"""The texts of a problem's RK4 step (``_step_lines``) and condition-H
-differences (``_partials_lines``), f and g inlined, written on Python floats
-(``_compile_step``, ``_compile_partials``), the reference and the fallback,
-and as one C unit per (order, f, g) (``_c_source``, ``_library_key``)
-whose step takes two rows at once, in lanes that share only the grid's
-values, so that a CPU overlaps their chains of libm calls. The step reads
-its step size and returns g at its starting node. Terms of f and g that
-read only the time (``expr.time_terms``) are computed once per stage time:
-in C once per batch into a table of every node, in Python once per step.
-``engine`` builds and runs the C text.
+"""A problem's RK4 step (``_step_lines``) and condition-H differences
+(``_partials_lines``), f and g inlined, as lists of (name, rhs) lines, and
+their two renderers: ``_python`` writes Python on floats, the reference and
+the fallback (``_compile_step``, ``_compile_partials``, ``_compile_forcing``);
+``_kernel`` writes the kernels of one C unit per (order, f, g) (``_c_source``,
+``_library_key``), whose loops are one text for every problem. The C step
+takes two rows at once, in lanes that share only the grid's values, so that
+a CPU overlaps their chains of libm calls. Terms of f and g that read only
+the time (``expr.time_terms``) are computed once per stage time: in C once
+per batch into a table of every node, in Python once per step. ``engine``
+builds and runs the C text.
 """
 
 from __future__ import annotations
@@ -138,15 +139,25 @@ def _partials_lines(spec: UdeSpec) -> list[tuple[str, str]]:
     ]
 
 
+def _python(*functions: tuple[str, list, list[str]]) -> list[Callable]:
+    """Each (head, lines, tail) as a Python function, all run as one text:
+    ``def head:``, then each line (name, rhs) as an assignment and each
+    statement of the tail. The functions in the order given."""
+    source = "".join(
+        f"def {head}:\n"
+        + "".join(f"    {x}\n" for x in [*(f"{v} = {rhs}" for v, rhs in lines), *tail])
+        for head, lines, tail in functions
+    )
+    namespace = expr._exec(source)
+    return [namespace[head.partition("(")[0]] for head, _, _ in functions]
+
+
 def _compile_partials(spec: UdeSpec) -> Callable:
     """The text of ``_partials_lines`` as Python:
     ``partials(t, y0, ..., y{n-1}, h)`` returns (df, dg) on floats."""
     state = ", ".join(f"y{k}" for k in range(spec.order))
-    body = [f"{name} = {rhs}" for name, rhs in _partials_lines(spec)]
-    source = f"def partials(t, {state}, h):\n" + "".join(
-        f"    {line}\n" for line in [*body, "return df, dg"]
-    )
-    return expr._exec(source)["partials"]
+    head = f"partials(t, {state}, h)"
+    return _python((head, _partials_lines(spec), ["return df, dg"]))[0]
 
 
 def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
@@ -160,48 +171,51 @@ def _compile_step(spec: UdeSpec, signed: bool) -> tuple[Callable, Callable]:
     """
     z = [f"z{k}" for k in range(spec.order)]
     within = [f"abs({v}) <= {BLOWUP_LIMIT!r}" for v in z]
-    unpack = f"_, {', '.join(f'y{k}' for k in range(spec.order))}, = y"
-    body = [
-        unpack,
-        *(f"{name} = {rhs}" for name, rhs in _step_lines(spec, signed)),
+    unpack = (f"_, {', '.join(f'y{k}' for k in range(spec.order))},", "y")
+    tail = [
         "if " + " and ".join(within) + ":",
         f"    return g, {', '.join(z)}",
         "raise OverflowError('state left the finite range')",
     ]
-    source = "def step(t, y, c, h):\n" + "".join(f"    {line}\n" for line in body)
-    g = _diffusion_source(spec)
-    source += f"def diffusion(t, y):\n    {unpack}\n    return {g}\n"
-    namespace = expr._exec(source)
-    return namespace["step"], namespace["diffusion"]
+    step = ("step(t, y, c, h)", [unpack, *_step_lines(spec, signed)], tail)
+    diffusion = ("diffusion(t, y)", [unpack], [f"return {_diffusion_source(spec)}"])
+    return tuple(_python(step, diffusion))
+
+
+def _compile_forcing(spec: UdeSpec) -> Callable:
+    """The alpha-path companion system's top row (``_forcing``, w = abs) as
+    Python: ``forcing(t, y, c)`` over t, a state row y and the slope c."""
+    names = _names(spec, "t", [f"y[{i}]" for i in range(spec.order)])
+    top = _forcing(spec.drift, spec.diffusion, False, names)
+    return _python(("forcing(t, y, c)", [], [f"return {top}"]))[0]
 
 
 # generated code declares every value of its text, whether f and g read it
 # or not (a stage time, a component of the state)
 _UNUSED = "__attribute__((unused))"
 
-# the loops of the C translation unit. The batch loop steps its rows two at
-# a time, an odd last row paired with itself, through ``pair``: the FP flags
-# cleared at the pair's start and tested at its end, g and the kept
-# components of each row stored at every node, each step given its node's
-# row of the time-term table (NULL without time terms). A pair that leaves
-# the bound or raises a flag is run again as two pairs of one row each, so
-# that each row's values and rerun mark are those of the row alone. The
-# audit loop clears the flags once before its first point and tests them
-# once after its last
-_C_RUNNER = """\
-static double diffusion(double t {unused}, const double *state) {{
-{load}    return {g};
-}}
-
+# the loops of the C translation unit, one text for every problem, after
+# the problem's ORDER, WIDTH and kernels (``_c_source``). ``run`` steps a
+# batch's rows two at a time, an odd last row paired with itself, through
+# ``pair``: the FP flags cleared at the pair's start and tested at its end,
+# g and the kept components of each row stored at every node, each step
+# given its node's row of the time-term table (NULL, folded at compile
+# time, when WIDTH is 0). A pair that leaves the bound or raises an
+# invalid, division-by-zero or overflow flag is run again as two pairs of
+# one row each, and a row that fails alone is marked for a rerun in Python,
+# so that each row's values and mark are those of the row alone. The audit
+# loop ``partials`` clears the flags once before its first point and tests
+# them once after its last
+_C_RUNNER = """
 /* a batch as ``run`` is given it, and the step its rows take */
-struct batch {{
-    int (*step)({params});
+struct batch {
+    int (*step)(double, double, double, double, double *, double *, const double *);
     double h;
     int64_t segments, steps, kept;
     const int64_t *counts;
     const double *slopes, *times, *terms, *initial;
     double *states, *g_nodes;
-}};
+};
 
 /* rows first and second of the batch, one in each lane of the pair step,
    from the initial state to the last node or the first step that leaves
@@ -209,89 +223,87 @@ struct batch {{
    itself writes its copy's values, the same bits, over its own. Whether
    both lanes stayed within the bound and raised no invalid,
    division-by-zero or overflow flag */
-static int pair(const struct batch *b, int64_t first, int64_t second) {{
+static int pair(const struct batch *b, int64_t first, int64_t second) {
     int64_t steps = b->steps, kept = b->kept, segments = b->segments, node = 0;
-    int (*step)({params}) = b->step;
+    int (*step)(double, double, double, double, double *, double *, const double *) =
+        b->step;
     const double *times = b->times;
     double h = b->h;
-    double state[2 * {order}], g[2] = {{0.0, 0.0}};
+    double state[2 * ORDER], g[2] = {0.0, 0.0};
     double *out0 = b->states + first * (steps + 1) * kept;
     double *out1 = b->states + second * (steps + 1) * kept;
     double *gs0 = b->g_nodes ? b->g_nodes + first * (steps + 1) : 0;
     double *gs1 = b->g_nodes ? b->g_nodes + second * (steps + 1) : 0;
     int ok = 1;
     feclearexcept(FE_ALL_EXCEPT);
-    for (int64_t k = 0; k < {order}; k++) state[k] = state[{order} + k] = b->initial[k];
+    for (int64_t k = 0; k < ORDER; k++) state[k] = state[ORDER + k] = b->initial[k];
     for (int64_t k = 0; k < kept; k++) out0[k] = out1[k] = b->initial[k];
-    for (int64_t seg = 0; ok && seg < segments; seg++) {{
+    for (int64_t seg = 0; ok && seg < segments; seg++) {
         double c0 = b->slopes[first * segments + seg];
         double c1 = b->slopes[second * segments + seg];
-        for (int64_t i = 0; ok && i < b->counts[seg]; i++, node++) {{
-            ok = step(times[node], h, c0, c1, state, g{node_terms});
-            if (gs0) {{ gs0[node] = g[0]; gs1[node] = g[1]; }}
-            for (int64_t k = 0; k < kept; k++) {{
+        for (int64_t i = 0; ok && i < b->counts[seg]; i++, node++) {
+            ok = step(times[node], h, c0, c1, state, g,
+                      WIDTH ? b->terms + node * WIDTH : 0);
+            if (gs0) { gs0[node] = g[0]; gs1[node] = g[1]; }
+            for (int64_t k = 0; k < kept; k++) {
                 out0[(node + 1) * kept + k] = state[k];
-                out1[(node + 1) * kept + k] = state[{order} + k];
-            }}
-        }}
-    }}
-    if (ok && gs0) {{
+                out1[(node + 1) * kept + k] = state[ORDER + k];
+            }
+        }
+    }
+    if (ok && gs0) {
         gs0[steps] = diffusion(times[steps], state);
-        gs1[steps] = diffusion(times[steps], state + {order});
-    }}
+        gs1[steps] = diffusion(times[steps], state + ORDER);
+    }
     return ok && !fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW);
-}}
+}
 
 void run(int32_t signed_rows, double h, int64_t rows, int64_t segments,
          const int64_t *counts, const double *slopes, const double *times,
          const double *terms, const double *initial, int64_t kept,
-         double *states, double *g_nodes, uint8_t *rerun) {{
-    struct batch b = {{
+         double *states, double *g_nodes, uint8_t *rerun) {
+    struct batch b = {
         signed_rows ? step_signed : step_abs, h, segments, 0, kept, counts,
         slopes, times, terms, initial, states, g_nodes,
-    }};
+    };
     for (int64_t k = 0; k < segments; k++) b.steps += counts[k];
-    for (int64_t row = 0; row < rows; row += 2) {{
+    for (int64_t row = 0; row < rows; row += 2) {
         int64_t second = row + 1 < rows ? row + 1 : row;
         rerun[row] = rerun[second] = 0;
-        if (!pair(&b, row, second)) {{
+        if (!pair(&b, row, second)) {
             rerun[row] = !pair(&b, row, row);
             if (second != row) rerun[second] = !pair(&b, second, second);
-        }}
-    }}
+        }
+    }
     feclearexcept(FE_ALL_EXCEPT);
-}}
+}
 
 int partials(int64_t points, const double *times, const double *states,
-             const double *steps, double *out) {{
+             const double *steps, double *out) {
     feclearexcept(FE_ALL_EXCEPT);
     for (int64_t i = 0; i < points; i++)
-        partial(times[i], states + i * {order}, steps[i], out + 2 * i);
+        partial(times[i], states + i * ORDER, steps[i], out + 2 * i);
     int flagged = fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW) != 0;
     feclearexcept(FE_ALL_EXCEPT);
     return flagged;
-}}
+}
 """
 
-
-# the time-term table's loop: every term at every node's stage times, the
-# FP flags cleared before the first node and tested after the last. A node
-# whose t is the last node's v, as doubles, copies the terms at v into its
-# terms at t: the same terms at the same double, computed once
+# the time-term table's loop: every term at every node's stage times, one
+# row of WIDTH per node, the FP flags cleared before the first node and
+# tested after the last. A node whose t is the last node's t + h, as
+# doubles, has ``node_terms`` copy the terms there into its terms at t: the
+# same terms at the same double, computed once
 _C_FILL = """
-int fill(int64_t steps, double h, const double *times, double *terms) {{
+int fill(int64_t steps, double h, const double *times, double *terms) {
     feclearexcept(FE_ALL_EXCEPT);
-    for (int64_t node = 0; node < steps; node++) {{
-{declared}        double *m = terms + node * {width};
-        if (node && times[node - 1] + h == t) {{
-            for (int64_t k = 0; k < {count}; k++) m[k] = m[k - {count}];
-        }} else {{
-{at_t}        }}
-{written}    }}
+    for (int64_t node = 0; node < steps; node++)
+        node_terms(times[node], h, node && times[node - 1] + h == times[node],
+                   terms + node * WIDTH);
     int flagged = fetestexcept(FE_INVALID | FE_DIVBYZERO | FE_OVERFLOW) != 0;
     feclearexcept(FE_ALL_EXCEPT);
     return flagged;
-}}
+}
 """
 
 
@@ -303,91 +315,80 @@ def _pair_lines(spec: UdeSpec, signed: bool) -> list[tuple[str, str]]:
     return [line for pair in lanes for line in dict.fromkeys(pair)]
 
 
+def _kernel(head: str, lines: list[tuple[str, str]], tail: list[str]) -> str:
+    """The C function ``head``: each line (name, rhs) declared as a double
+    in order, then the statements of ``tail``."""
+    body = [*(f"double {v} {_UNUSED} = {rhs};" for v, rhs in lines), *tail]
+    return f"\n{head} {{\n" + "".join(f"    {x}\n" for x in body) + "}\n"
+
+
 def _c_source(spec: UdeSpec) -> str:
     """The texts of ``_step_lines`` and ``_partials_lines`` as one C
-    translation unit: ``step_abs`` (alpha-paths) and ``step_signed``
-    (surrogates), each a static function of the lines of ``_pair_lines``
-    that advances the two rows of ``state`` (lane 0's state, then lane 1's)
-    in place by a step h, one at slope c0 and one at c1, and returns whether
-    both stayed within BLOWUP_LIMIT; ``run``, which integrates the rows of a
-    batch two at a time into the caller's arrays and marks for a rerun in
-    Python a row that leaves the bound or raises an invalid,
-    division-by-zero or overflow flag; ``partials``, which writes (df, dg)
-    at every point of an audit group and returns whether the group raised
-    one of those flags. With time terms (``expr.time_terms``) also ``fill``,
-    which writes every term at each node's stage times t, u and v into a
-    table of (steps, 3, terms) and returns whether it raised one of those
-    flags; a step reads its node's row of the table where its text computes
-    a term, and the audit computes its terms itself. It reads the spec's
-    order, f and g alone, as ``_library_key`` does."""
+    translation unit: the problem's ORDER, its table's WIDTH and its
+    kernels, each rendered by ``_kernel``, then the loops of ``_C_RUNNER``
+    and ``_C_FILL``. ``step_abs`` (alpha-paths) and ``step_signed``
+    (surrogates), the lines of ``_pair_lines``, advance the two rows of
+    ``state`` (lane 0's, then lane 1's) in place by a step h, at slopes c0
+    and c1, read each time term from their node's row ``m`` of the table,
+    and return whether both stayed within BLOWUP_LIMIT; ``partial`` writes
+    (df, dg) at a point, computing its terms itself; ``diffusion`` is g at
+    a state; ``node_terms`` writes every term at a node's stage times t, u
+    and v into its row of (3, terms). It reads the spec's order, f and g
+    alone, as ``_library_key`` does."""
     n = spec.order
     terms = expr.time_terms([spec.drift, spec.diffusion])[0]
-    load = "".join(f"    double y{k} {_UNUSED} = state[{k}];\n" for k in range(n))
-    # abs is gcc's fabs, inline despite -fno-builtin: it clears the sign bit
-    # as libm's does, exactly and with no flag, but without a call on the
-    # stages' chain of dependent operations
-    parts = [
-        "#include <fenv.h>\n#include <math.h>\n#include <stdint.h>\n",
-        "#define ln log\n#define abs __builtin_fabs\n",
-    ]
     # each term at each stage time, by its name, and its place in a row
     staged = list(chain.from_iterable(_term_lines(terms, time) for time in "tuv"))
     slots = {name: k for k, (name, _) in enumerate(staged)}
-    params = "double t, double h, double c0, double c1, double *state, double *g_out"
-    params += ", const double *m" if terms else ""
     # lane l's component k is state[l * n + k]
     places = [(k, lane, lane * n + k) for k in range(n) for lane in (0, 1)]
-    pair_load = "".join(
-        f"    double y{k}{lane} {_UNUSED} = state[{i}];\n" for k, lane, i in places
-    )
-    store = "".join(f"    state[{i}] = z{k}{lane};\n" for k, lane, i in places)
     within = " && ".join(f"abs(z{k}{l}) <= {BLOWUP_LIMIT!r}" for k, l, _ in places)
-    for name, signed in (("step_abs", False), ("step_signed", True)):
-        body = "".join(
-            f"    double {v} {_UNUSED} = {f'm[{slots[v]}]' if v in slots else rhs};\n"
-            for v, rhs in _pair_lines(spec, signed)
-        )
-        parts.append(
-            f"\nstatic int {name}({params}) {{\n{pair_load}{body}"
-            f"    g_out[0] = g0;\n    g_out[1] = g1;\n{store}    return {within};\n}}\n"
-        )
-    body = "".join(
-        f"    double {v} {_UNUSED} = {rhs};\n" for v, rhs in _partials_lines(spec)
-    )
-    signature = (
-        f"void partial(double t {_UNUSED}, const double *state, double h, double *out)"
-    )
-    parts.append(
-        f"\nstatic {signature} {{\n{load}{body}"
-        "    out[0] = df;\n    out[1] = dg;\n}\n"
-    )
-    width = len(slots)
-    parts.append(
-        "\n"
-        + _C_RUNNER.format(
-            load=load,
-            g=_diffusion_source(spec),
-            order=n,
-            unused=_UNUSED,
-            params=params,
-            node_terms=f", b->terms + node * {width}" if terms else "",
-        )
-    )
-    if terms:  # the stage times as the step computes them
-        stage = dict(_step_lines(spec, False))
-        clock = [("t", "times[node]"), *((v, stage[v]) for v in ("hh", "u", "v"))]
-        declared = "".join(f"        double {v} {_UNUSED} = {x};\n" for v, x in clock)
-        at_t, at_u_v = staged[: len(terms)], staged[len(terms) :]
-        parts.append(
-            _C_FILL.format(
-                width=width,
-                count=len(terms),
-                declared=declared,
-                at_t="".join(f"            m[{slots[v]}] = {x};\n" for v, x in at_t),
-                written="".join(f"        m[{slots[v]}] = {x};\n" for v, x in at_u_v),
+    pair = "double c0, double c1, double *state, double *g_out, const double *m"
+    point = f"double t {_UNUSED}, const double *state"
+    load = [(f"y{k}", f"state[{k}]") for k in range(n)]
+    g = _diffusion_source(spec)
+    stage, count = dict(_step_lines(spec, False)), len(terms)
+    kernels = [
+        *(
+            (
+                f"static int {name}(double t, double h, {pair} {_UNUSED})",
+                [(f"y{k}{lane}", f"state[{i}]") for k, lane, i in places]
+                + [(v, f"m[{slots[v]}]" if v in slots else x) for v, x in lines],
+                ["g_out[0] = g0;", "g_out[1] = g1;"]
+                + [f"state[{i}] = z{k}{lane};" for k, lane, i in places]
+                + [f"return {within};"],
             )
-        )
-    return "".join(parts)
+            for name, lines in (
+                ("step_abs", _pair_lines(spec, False)),
+                ("step_signed", _pair_lines(spec, True)),
+            )
+        ),
+        (
+            f"static void partial({point}, double h, double *out)",
+            load + _partials_lines(spec),
+            ["out[0] = df;", "out[1] = dg;"],
+        ),
+        (f"static double diffusion({point})", load, [f"return {g};"]),
+        # the stage times as the step computes them; the terms at t are the
+        # last node's terms at v where its row shares t
+        (
+            f"static void node_terms(double t, double h, int shared {_UNUSED}, "
+            f"double *m {_UNUSED})",
+            [(v, stage[v]) for v in ("hh", "u", "v")]
+            + [(v, f"shared ? m[{slots[v] - count}] : {x}") for v, x in staged[:count]]
+            + staged[count:],
+            [f"m[{k}] = {v};" for v, k in slots.items()],
+        ),
+    ]
+    # abs is gcc's fabs, inline despite -fno-builtin: it clears the sign bit
+    # as libm's does, exactly and with no flag, but without a call on the
+    # stages' chain of dependent operations
+    head = (
+        "#include <fenv.h>\n#include <math.h>\n#include <stdint.h>\n"
+        "#define ln log\n#define abs __builtin_fabs\n"
+        f"\nenum {{ ORDER = {n}, WIDTH = {len(slots)} }};\n"
+    )
+    return "".join([head, *(_kernel(*k) for k in kernels), _C_RUNNER, _C_FILL])
 
 
 def _library_key(spec: UdeSpec) -> tuple[int, str, str]:

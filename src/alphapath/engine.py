@@ -1,12 +1,13 @@
 """The C engine: gcc builds (``_build``), the process's problem libraries,
 one per (order, f, g), built by the first call whose rows x steps reach
-COMPILE_MIN_ROW_STEPS (``_library``), and their callers (``_run_partials``,
-``_run_compiled``). A batch's rows run two at a time, an odd last row
-paired with itself, and a pair that raises a floating-point flag or leaves
-the bound runs again as two rows alone. A batch of 2 * SPLIT_MIN_ROW_STEPS
-row-steps or more is cut into slices of rows, at most one per CPU, that run
-on threads at once (``_run_slices``). A row's bits and rerun do not depend
-on its pair, its slice or the CPU count.
+COMPILE_MIN_ROW_STEPS (``_library``), each the same loops (``run``,
+``partials``, ``fill``) around its problem's kernels, and their callers
+(``_run_partials``, ``_run_compiled``). A batch's rows run in pairs, an
+odd last row paired with itself, and a pair that raises a floating-point
+flag or leaves the bound runs again as two rows alone. A batch of 2 *
+SPLIT_MIN_ROW_STEPS row-steps or more is cut into slices of rows, at most
+one per CPU, that run on threads at once (``_run_slices``). A row's bits
+and rerun do not depend on its pair, its slice or the CPU count.
 """
 
 from __future__ import annotations
@@ -119,9 +120,8 @@ def _library(spec: UdeSpec, row_steps: int) -> ctypes.CDLL | None:
         signatures = {  # each function's argument types and result type
             "run": ([i32, f64, i64, i64, *[ptr] * 5, i64, *[ptr] * 3], None),
             "partials": ([i64, *[ptr] * 4], ctypes.c_int),
+            "fill": ([i64, f64, ptr, ptr], ctypes.c_int),
         }
-        if terms:
-            signatures["fill"] = ([i64, f64, ptr, ptr], ctypes.c_int)
         library = _build(emit._c_source(spec), _BUILD_ARGS, signatures)
         if library is not None:  # read by every batch, found once
             library.term_count = terms

@@ -23,30 +23,68 @@ from alphapath.analysis import TOL_CONDITION_H
 from alphapath.expr import _emit, _exec, evaluate, state_variables
 
 
-# the seconds of each gcc build (``engine._build``) in the pytest process,
-# reported in the terminal summary; the CLI tests that run a subprocess
-# build in it, unseen here
+# the seconds of each gcc run of ``engine._build`` in the pytest process,
+# and the builds the session's memo answered instead; both are reported in
+# the terminal summary. The CLI tests that run a subprocess build in it,
+# unseen here
 BUILD_SECONDS: list[float] = []
+# each library built in the session by (compiler, args, source): a C text
+# is built once and every later build of it returns the loaded library. A
+# failed build is never kept. A test marked ``fresh_builds`` runs every
+# build it makes
+BUILT: dict[tuple, object] = {}
+MEMO = {"on": True, "hits": 0}
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "fresh_builds: every engine._build runs the compiler (the test patches "
+        "the build or asserts on its files, count or time)",
+    )
 
 
 def pytest_sessionstart(session):
     build = engine._build
 
     @functools.wraps(build)
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            BUILD_SECONDS.append(time.perf_counter() - start)
+    def memoised(source, args, signatures):
+        key = (engine.COMPILER, tuple(args), source)
+        library = BUILT.get(key) if MEMO["on"] else None
+        if library is None:
+            start = time.perf_counter()
+            try:
+                library = build(source, args, signatures)
+            finally:
+                BUILD_SECONDS.append(time.perf_counter() - start)
+            if library is not None and MEMO["on"]:
+                BUILT[key] = library
+            return library
+        MEMO["hits"] += 1
+        try:  # the caller's signatures, as a build applies them
+            for name, types in signatures.items():
+                function = getattr(library, name)
+                function.argtypes, function.restype = types
+        except AttributeError:
+            return None
+        return library
 
-    engine._build = timed
+    engine._build = memoised
+
+
+@pytest.fixture(autouse=True)
+def _build_memo(request):
+    """The session's build memo, off for a test marked ``fresh_builds``."""
+    MEMO["on"] = request.node.get_closest_marker("fresh_builds") is None
+    yield
+    MEMO["on"] = True
 
 
 def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_line(
         f"gcc builds in the pytest process: {len(BUILD_SECONDS)} calls, "
-        f"{sum(BUILD_SECONDS):.1f} s (builds in CLI-subprocess tests not counted)"
+        f"{sum(BUILD_SECONDS):.1f} s, {MEMO['hits']} memo hits (builds in "
+        "CLI-subprocess tests not counted)"
     )
 
 

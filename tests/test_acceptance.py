@@ -35,6 +35,10 @@ from conftest import polynomial_spec, tanh_spec
 
 DEFAULT_GRID = AlphaGridSpec()  # 99 symmetric alphas, 0.01 .. 0.99
 
+# the runtime budgets time the builds their bodies make, so every build here
+# runs the compiler
+pytestmark = pytest.mark.fresh_builds
+
 
 @contextmanager
 def criterion(number: int, label: str, budget_seconds: float | None):

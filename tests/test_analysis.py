@@ -475,14 +475,32 @@ def test_distribution_at_clamps_an_infinite_x_with_flag(tanh_fan_small, x, end):
 
 
 def test_distribution_at_midpoint_interpolates(poly_fan_small):
+    # x is linear in the driver slope c here, so halfway between two nodes
+    # in x is halfway between their slopes, mapped back to alpha
     _, fan = poly_fan_small
     table = inverse_distribution(fan, 1.0)
     alphas = table.alphas
     i = 3
     x_mid = 0.5 * (table.values[i] + table.values[i + 1])
     result = distribution_at(table, float(x_mid))
-    expected = 0.5 * (alphas[i] + alphas[i + 1])
-    assert result.alpha == pytest.approx(float(expected), abs=1e-12)
+    c_mid = 0.5 * (phi_inv(alphas[i]) + phi_inv(alphas[i + 1]))
+    expected = 1.0 / (1.0 + math.exp(-math.pi * c_mid / math.sqrt(3.0)))
+    assert result.alpha == pytest.approx(expected, abs=1e-12)
+    assert not result.saturated
+
+
+def test_distribution_at_reads_a_midpoint_fan_within_its_bound():
+    # the README problem's 99-alpha table at t = 1, read at the x of a fan
+    # solved at the 98 midpoint alphas: each alpha within 1e-4 (3.4e-5 at
+    # most; linear interpolation in alpha errs by 8.5e-4 near the ends)
+    spec = tanh_spec(2)
+    grid = alpha_grid(AlphaGridSpec())
+    table = inverse_distribution(solve_fan(spec, grid), 1.0)
+    midpoints = [0.5 * (a + b) for a, b in zip(grid, grid[1:])]
+    solved = inverse_distribution(solve_fan(spec, midpoints), 1.0)
+    for alpha, x in solved.entries:
+        point = distribution_at(table, x)
+        assert abs(point.alpha - alpha) <= 1e-4 and not point.saturated
 
 
 def test_expected_value_odd_driver_cancels():

@@ -625,6 +625,7 @@ def _run_every_command(tmp_path, capsys, name, text=BASE_CONFIG):
     return runs, {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
+@pytest.mark.fresh_builds
 @pytest.mark.parametrize(
     "compiler", [pytest.param("gcc", marks=needs_compiler), "missing", "exits-1"]
 )
@@ -676,6 +677,7 @@ TIME_TERM_CONFIGS = [
 ]
 
 
+@pytest.mark.fresh_builds
 @pytest.mark.parametrize(
     "compiler", [pytest.param("gcc", marks=needs_compiler), "missing", "exits-1"]
 )
@@ -800,6 +802,7 @@ def test_a_warm_command_writes_no_c_text(tmp_path, capsys, monkeypatch):
     assert warm == cold[1]
 
 
+@pytest.mark.fresh_builds
 @pytest.mark.parametrize(
     "compiler", [pytest.param("gcc", marks=needs_compiler), "missing", "exits-1"]
 )
@@ -854,6 +857,7 @@ def _solve_without_a_compiler(tmp_path, monkeypatch, cfg) -> Path:
     return tmp_path / "none"
 
 
+@pytest.mark.fresh_builds
 @needs_compiler
 def test_a_library_without_a_function_is_a_failed_build(tmp_path, monkeypatch):
     # the renderer's text cut before ``render`` compiles and loads but lacks
@@ -876,6 +880,7 @@ def test_a_library_without_a_function_is_a_failed_build(tmp_path, monkeypatch):
         assert (tmp_path / "cut" / name).read_bytes() == (none / name).read_bytes()
 
 
+@pytest.mark.fresh_builds
 @needs_compiler
 def test_the_renderer_runs_without_the_problems_library(tmp_path, monkeypatch):
     # a fan below COMPILE_MIN_ROW_STEPS in a process whose repr count has
@@ -901,6 +906,7 @@ def _chunk_bytes(chunks) -> list[bytes]:
     return [c.encode("utf-8") if isinstance(c, str) else c for c in list(chunks)]
 
 
+@pytest.mark.fresh_builds
 def test_the_renderer_is_built_once_repr_has_rendered_enough(monkeypatch):
     # rent or buy, decided once per fan write for every layout it writes: a
     # write below RENDER_MIN_VALUES renders by repr and adds the values of
@@ -1463,6 +1469,19 @@ def test_a_value_of_the_wrong_type_exits_2_with_its_type_message(tmp_path, capsy
     _assert_load_error_on_every_command(
         tmp_path, capsys, text, f"line {line}: `{key}` {must}"
     )
+
+
+@pytest.mark.parametrize(
+    "key, value", [("order", "1_0"), ("step", "\u0660.\u0660\u0660\u0661")],
+    ids=["underscore", "arabic-indic-digits"],
+)
+def test_a_number_in_other_digits_is_a_string(tmp_path, capsys, key, value):
+    # int() and float() read 1_0 as 10 and Arabic-Indic 0.001 as 0.001; the
+    # config, like the expression DSL, reads ASCII digits alone, so each is
+    # a string and gets its key's type message
+    text, line = _set_key(key, value)
+    message = f"line {line}: `{key}` must be a number, got {value!r}"
+    _assert_load_error_on_every_command(tmp_path, capsys, text, message)
 
 
 def test_run_json_drops_sections_of_another_config(tmp_path):

@@ -62,6 +62,10 @@ INTERNALS = {
     "_c_source": ("emit", {"engine"}),
     "_compile_step": ("emit", {"solver"}),
     "_compile_partials": ("emit", {"solver"}),
+    "_compile_forcing": ("emit", {"analysis"}),
+    "_names": ("emit", set()),
+    "_forcing": ("emit", set()),
+    "_exec": ("expr", {"emit"}),
     "_python_partials": ("solver", set()),
     "_STEP_FAILURES": ("solver", set()),
     "_render_paths": ("render", set()),

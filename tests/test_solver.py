@@ -3,11 +3,14 @@ integral-form residual, sample-path solves, and convergence properties."""
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import os
 import re
 import sys
 import threading
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -481,6 +484,10 @@ def test_a_split_batch_holds_at_most_a_thread_per_cpu(monkeypatch):
     assert len(held) == slices and len(started) == slices - 1
     assert max(os_threads for os_threads, _ in held) <= before[0] + cpus - 1
     assert max(active for _, active in held) <= before[1] + cpus - 1
+    # a joined thread can stay in the task list a moment after join returns
+    deadline = time.monotonic() + 1.0
+    while _os_threads() != before[0] and time.monotonic() < deadline:
+        time.sleep(0.001)
     assert (_os_threads(), threading.active_count()) == before
     assert not any(thread.is_alive() for thread in started)
     # the bits of one slice
@@ -632,6 +639,7 @@ def test_rows_that_raise_a_flag_are_rerun_in_python(engines, monkeypatch):
 
 
 @needs_compiler
+@pytest.mark.fresh_builds
 def test_the_build_runs_a_fixed_command_in_a_fixed_environment(
     monkeypatch, tmp_path
 ):
@@ -728,6 +736,15 @@ def test_residual_division_by_zero_raises_like_the_solver():
         integral_residual(fan, 0)
     with pytest.raises(FanSolveError):
         solve_fan(spec, [0.5])
+
+
+def test_residual_forcing_weighs_g_by_its_absolute_value():
+    # the residual's forcing is the alpha-path's top row f + |g| * c, also
+    # where g is negative, with the reference evaluator's bits
+    spec = UdeSpec.from_strings(2, "x0 - t", "-2 - tanh(x1)", [0.1, 0.0], 1.0, 0.1)
+    forcing = emit._compile_forcing(spec)
+    for t, y, c in [(0.0, (0.1, 0.0), 1.5), (0.5, (-1.0, 2.0), -0.7)]:
+        assert forcing(t, list(y), c).hex() == companion_rhs(spec, c)(t, y)[-1].hex()
 
 
 def test_residual_nonlinear_decays_with_step():
@@ -927,8 +944,8 @@ def test_a_time_term_that_raises_a_flag_reruns_the_batch(
 
 def test_a_problem_without_time_terms_keeps_its_step_text(engines, monkeypatch):
     # f and g with no call or power on t alone: the classical tableau's
-    # lines as they are, no table fill in the C text, the steps' signature
-    # without a table, and every batch given NULL for it
+    # lines as they are, a table of width 0 in the C text that no step
+    # reads, and every batch given NULL for it
     spec = tanh_spec(2, step=0.01)
     assert emit._step_lines(spec, False) == [
         ("hh", "0.5 * h"),
@@ -950,8 +967,7 @@ def test_a_problem_without_time_terms_keeps_its_step_text(engines, monkeypatch):
         ("z1", "y1 + w * (p + 2.0 * (q + r) + s)"),
     ]
     source = emit._c_source(spec)
-    assert "fill" not in source and "m[" not in source
-    assert "double *state, double *g_out) {" in source
+    assert "enum { ORDER = 2, WIDTH = 0 };" in source and "m[" not in source
     tables = []
     for kind in engines():
         if kind == "compiled":
@@ -1013,6 +1029,20 @@ def test_the_c_pair_step_is_the_step_text_in_lanes_0_and_1(order, f, g):
         for k, l in places:
             assert f"state[{l * order + k}] = z{k}{l};" in body
     assert emit._step_lines(spec, False, "") == emit._step_lines(spec, False)
+
+
+@pytest.mark.parametrize("order, f, g", PAIR_PROBLEMS.values(), ids=PAIR_PROBLEMS)
+def test_every_c_text_holds_the_one_runner(order, f, g):
+    # the loops are one text for every problem, never filled in: each C
+    # text holds them verbatim after its kernels, and emit formats no text
+    spec = UdeSpec.from_strings(order, f, g, [0.1] * order, 1.0, 0.01)
+    source = emit._c_source(spec)
+    assert source.endswith(emit._C_RUNNER + emit._C_FILL)
+    width = 3 * emit._term_count(spec)
+    assert f"enum {{ ORDER = {order}, WIDTH = {width} }};" in source
+    tree = ast.parse(inspect.getsource(emit))
+    names = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    assert {"format", "format_map"} & set(names) == set()
 
 
 def test_rows_in_pairs_have_the_bits_of_python_rows(engines, monkeypatch):

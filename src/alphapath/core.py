@@ -166,11 +166,41 @@ def alpha_grid_problems(gspec: AlphaGridSpec) -> list[tuple[str, str]]:
         )
     if not (math.isfinite(lo) and 0.0 < lo < 0.5):
         problems.append(("alpha.lo", f"alpha lo must lie in (0, 0.5), got {lo!r}"))
+    if problems:
+        return problems
+    # a valid lo can still round to a grid that is not one: 1 - lo is 1.0
+    # for lo below about 1.1e-16, and a step finer than the spacing of
+    # doubles near 0.5 repeats a value. The largest value is 1 - lo (1 - v
+    # does not increase with v), and every value is at least lo > 0
+    grid = _mirrored(count, lo)
+    if grid[-1] >= 1.0:
+        problems.append(
+            (
+                "alpha.lo",
+                f"alpha lo = {lo!r} puts 1 - lo = {grid[-1]!r} in the grid; "
+                "every alpha must lie strictly inside (0, 1)",
+            )
+        )
+    elif any(b <= a for a, b in zip(grid, grid[1:])):
+        problems.append(
+            (
+                "alpha.lo",
+                f"alpha lo = {lo!r} with count {count} repeats a grid value; "
+                "the grid must be strictly increasing",
+            )
+        )
     return problems
 
 
+def _mirrored(count: int, lo: float) -> list[float]:
+    """The ``count`` values of ``alpha_grid``, built without checks."""
+    step = (1.0 - 2.0 * lo) / (count - 1)
+    lower = [lo + i * step for i in range(count // 2)]
+    return lower + [0.5] + [1.0 - v for v in reversed(lower)]
+
+
 def alpha_grid(gspec: AlphaGridSpec) -> list[float]:
-    """Strictly increasing alpha values from lo to 1 - lo.
+    """Strictly increasing alpha values from lo to 1 - lo, all inside (0, 1).
 
     The grid is built by mirroring the lower half about 0.5, so paired
     values satisfy a_i + a_{count-1-i} = 1 up to one rounding, and 0.5 is a
@@ -179,7 +209,4 @@ def alpha_grid(gspec: AlphaGridSpec) -> list[float]:
     problems = alpha_grid_problems(gspec)
     if problems:
         raise ConfigError(problems[0][1])
-    count, lo = gspec.count, gspec.lo
-    step = (1.0 - 2.0 * lo) / (count - 1)
-    lower = [lo + i * step for i in range(count // 2)]
-    return lower + [0.5] + [1.0 - v for v in reversed(lower)]
+    return _mirrored(gspec.count, gspec.lo)

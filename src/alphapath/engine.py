@@ -5,9 +5,11 @@ COMPILE_MIN_ROW_STEPS (``_library``), each the same loops (``run``,
 (``_run_partials``, ``_run_compiled``). A batch's rows run in pairs, an
 odd last row paired with itself, and a pair that raises a floating-point
 flag or leaves the bound runs again as two rows alone. A batch of 2 *
-SPLIT_MIN_ROW_STEPS row-steps or more is cut into slices of rows, at most
-one per CPU, that run on threads at once (``_run_slices``). A row's bits
-and rerun do not depend on its pair, its slice or the CPU count.
+SPLIT_MIN_ROW_STEPS row-steps or more is cut between pairs into slices of
+rows, at most one per CPU, that run on threads at once (``_run_slices``),
+so a slice never computes a row twice unless the batch's row count is odd.
+A row's bits and rerun do not depend on its pair, its slice or the CPU
+count.
 """
 
 from __future__ import annotations
@@ -140,13 +142,16 @@ def _cpu_count() -> int:
 def _slice_bounds(rows: int, steps: int) -> list[int]:
     """Row bounds of the contiguous slices a C batch of ``rows`` rows of
     ``steps`` steps is cut into: one slice per SPLIT_MIN_ROW_STEPS
-    row-steps, but no more than the rows or the CPUs and at least one,
-    their row counts differing by at most one."""
-    slices = min(rows, rows * steps // max(SPLIT_MIN_ROW_STEPS, 1))
+    row-steps, but no more than the row pairs or the CPUs and at least one.
+    Every bound but the last falls between two pairs, so only the last
+    slice may hold an odd row count, its odd row paired with itself as in a
+    batch of its own; the slices' pair counts differ by at most one."""
+    pairs = (rows + 1) // 2
+    slices = min(pairs, rows * steps // max(SPLIT_MIN_ROW_STEPS, 1))
     if slices > 1:
         slices = min(slices, _cpu_count())
     slices = max(slices, 1)
-    return [rows * k // slices for k in range(slices + 1)]
+    return [min(2 * (pairs * k // slices), rows) for k in range(slices + 1)]
 
 
 def _run_slices(work: Callable[[int, int], None], bounds: Sequence[int]) -> None:

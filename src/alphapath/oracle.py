@@ -34,13 +34,13 @@ import numpy as np
 
 from .analysis import Report, check_hypotheses
 from .core import UdeSpec, phi_inv
-from .errors import ConfigError, HypothesisError
+from .errors import ConfigError, FanSolveError, HypothesisError
 from .solver import (
     AlphaFan,
     _require_valid,
     sample_positions,
     segment_problem,
-    solve_fan,
+    solve_paths,
 )
 
 SLOPE_WINDOW = 2.0  # W: how far below/above the bound slopes are drawn
@@ -193,16 +193,18 @@ def _scan(
         report.min_margin_time = float(times[j])
 
 
-def _gated_path(spec: UdeSpec, alpha: float, seed: int) -> AlphaFan:
-    """Alpha's path, once ``check_hypotheses`` passes on it."""
-    target = solve_fan(spec, [alpha])
-    hypotheses = check_hypotheses(target, samples=128, seed=seed)
+def _gated_path(path: AlphaFan | FanSolveError, seed: int) -> AlphaFan:
+    """An alpha's path from ``solve_paths``, once ``check_hypotheses``
+    passes on it; raises the path's FanSolveError if it has one."""
+    if isinstance(path, FanSolveError):
+        raise path
+    hypotheses = check_hypotheses(path, samples=128, seed=seed)
     if not hypotheses.passed:
         raise HypothesisError(
             "dominance is only guaranteed under regularity and the position-"
             f"monotonicity condition (failed: {', '.join(hypotheses.failed)})"
         )
-    return target
+    return path
 
 
 def _check_alpha(
@@ -246,11 +248,14 @@ def dominance_checks(
 
     Before any solve, the spec is checked, then the settings against its step
     count (ConfigError, the first of ``setting_problems``): any ``segments``
-    from 1 to the step count runs. Each alpha-path is then solved once, and
-    the run refuses (HypothesisError, naming the failing checks) when
-    ``check_hypotheses`` fails on it, since dominance is only guaranteed
-    under its hypotheses; an alpha is gated before it is sampled, and
-    before any later alpha is solved.
+    from 1 to the step count runs. Each alpha-path is then solved once, two
+    alphas to a batch (``solve_paths``), alphas 1 and 2, then 3 and 4, and
+    so on, so that each fills a lane of the C runner's pairs. Each alpha is
+    still taken in its own turn, in order: its path's FanSolveError is
+    raised, or the run refuses (HypothesisError, naming the failing checks)
+    when ``check_hypotheses`` fails on it, since dominance is only
+    guaranteed under its hypotheses; an alpha is gated before it is
+    sampled, and sampled before any later alpha is gated.
 
     Each surrogate is one row of ``segments`` slopes, one per segment of
     ``segment_counts`` steps, all below phi_inv(alpha - delta) (or above
@@ -274,9 +279,10 @@ def dominance_checks(
         raise ConfigError(problems[0][1])
     reports: list[DominanceReport] = []
     head = None  # the first chunk's uniforms, drawn once the first alpha passes
-    for alpha in alphas:
-        target = _gated_path(spec, alpha, seed)
-        if head is None:
-            head = _uniforms(seed, 0, min(n_paths, CHUNK_PATHS), segments)
-        reports += _check_alpha(spec, target, delta, n_paths, seed, head)
+    for first in range(0, len(alphas), 2):  # a C pair's two rows
+        for path in solve_paths(spec, alphas[first : first + 2]):
+            target = _gated_path(path, seed)
+            if head is None:
+                head = _uniforms(seed, 0, min(n_paths, CHUNK_PATHS), segments)
+            reports += _check_alpha(spec, target, delta, n_paths, seed, head)
     return reports

@@ -215,6 +215,29 @@ def solve_fan(spec: UdeSpec, grid: Sequence[float]) -> AlphaFan:
     return AlphaFan(spec, grid, time_grid(spec), states, diffusion)
 
 
+def solve_paths(
+    spec: UdeSpec, alphas: Sequence[float]
+) -> list[AlphaFan | FanSolveError]:
+    """Each alpha's path, solved in one batch in the order given, repeats
+    and all: for each alpha the fan ``solve_fan(spec, [alpha])`` returns, or
+    the FanSolveError it raises, returned here, not raised. A path's bits do
+    not depend on the batch (see ``solve_fan``), so a caller can solve two
+    alphas in one C pair and still take each alpha in its own turn."""
+    _require_valid(spec)
+    alphas = [float(a) for a in alphas]
+    slopes = np.array([[phi_inv(a)] for a in alphas])
+    states, diffusion, failures = _solve_rows(
+        spec, False, [spec.step_count], slopes, spec.order, alphas
+    )
+    failed, times = dict(failures), time_grid(spec)
+    return [
+        FanSolveError([(a, failed[r])])
+        if r in failed
+        else AlphaFan(spec, [a], times, states[r : r + 1], diffusion[r : r + 1])
+        for r, a in enumerate(alphas)
+    ]
+
+
 def segment_problem(steps: int, segments: int) -> str:
     """Why ``segments`` driver segments cannot span ``steps`` solver steps,
     or "" when they can: every segment needs at least one step, so that its

@@ -25,7 +25,7 @@ from alphapath import config as config_module
 from alphapath import emit, engine, oracle, render
 from alphapath.cli import _write_text, main
 from alphapath.config import KNOWN_KEYS, load_config, parse_config_text
-from alphapath.errors import ConfigError
+from alphapath.errors import ConfigError, FanSolveError
 from alphapath.expr import MAX_DEPTH
 
 from conftest import needs_compiler, reference_fan_csv, reference_fan_json, tanh_spec
@@ -298,19 +298,179 @@ def test_oracle_refuses_on_failed_hypotheses(tmp_path, capsys):
     assert "(failed: condition_h); run `alphapath check`" in capsys.readouterr().err
 
 
-def test_oracle_solves_and_gates_once_per_alpha(tmp_path, monkeypatch):
-    calls = {"solve_fan": 0, "check_hypotheses": 0}
-    for name in calls:
+def _log_oracle_calls(monkeypatch) -> list:
+    """The oracle's solves (their alphas), gates (the gated grid) and
+    surrogate solves (their rows), logged in the order they are called."""
+    events = []
+    recorded = {
+        "solve_paths": lambda spec, alphas: list(alphas),
+        "check_hypotheses": lambda fan, **_: fan.grid,
+        "sample_positions": lambda spec, slopes: len(slopes),
+    }
+    for name, record in recorded.items():
         original = getattr(oracle, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
+        def logged(*args, _name=name, _record=record, _original=original, **kwargs):
+            events.append((_name, _record(*args, **kwargs)))
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, name, counted)
+        monkeypatch.setattr(oracle, name, logged)
+    return events
+
+
+def test_oracle_solves_and_gates_once_per_alpha(tmp_path, monkeypatch):
+    # the alpha-paths are solved two to a batch, and each alpha is gated
+    # once and sampled in its own turn, in order: the default [0.2, 0.8] in
+    # one batch, and three alphas in a batch of two and one of one
+    events = _log_oracle_calls(monkeypatch)
     cfg = write_config(tmp_path)
     assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert calls == {"solve_fan": 2, "check_hypotheses": 2}
+    assert events == [
+        ("solve_paths", [0.2, 0.8]),
+        ("check_hypotheses", [0.2]),
+        ("sample_positions", 12),
+        ("check_hypotheses", [0.8]),
+        ("sample_positions", 12),
+    ]
+    events.clear()
+    cfg = write_config(tmp_path, BASE_CONFIG + "oracle.alphas = [0.2, 0.5, 0.8]\n")
+    assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o3")]) == 0
+    assert events == [
+        ("solve_paths", [0.2, 0.5]),
+        ("check_hypotheses", [0.2]),
+        ("sample_positions", 12),
+        ("check_hypotheses", [0.5]),
+        ("sample_positions", 12),
+        ("solve_paths", [0.8]),
+        ("check_hypotheses", [0.8]),
+        ("sample_positions", 12),
+    ]
+
+
+def _solve_one_at_a_time(spec, alphas):
+    """``oracle.solve_paths`` as one solve per alpha: each alpha's
+    ``solve_fan(spec, [alpha])``, or the FanSolveError it raises."""
+    paths = []
+    for alpha in alphas:
+        try:
+            paths.append(solve_fan(spec, [alpha]))
+        except FanSolveError as exc:
+            paths.append(exc)
+    return paths
+
+
+def _oracle_outcome(tmp_path, capsys, text, name):
+    """Exit code, stderr and every artifact's bytes of one oracle run."""
+    cfg = write_config(tmp_path, text, f"{name}.conf")
+    out = tmp_path / name
+    code = main(["oracle", "--config", cfg, "--out", str(out)])
+    files = sorted(out.iterdir()) if out.exists() else []
+    return code, capsys.readouterr().err, {f.name: f.read_bytes() for f in files}
+
+
+GATE_ORDER_CONFIG = """\
+order   = 1
+f       = "{f}"
+g       = "{g}"
+initial = [0]
+horizon = 2.0
+step    = 0.0025
+alpha.count = 9
+alpha.lo    = 0.1
+oracle.n_paths  = 6
+oracle.segments = 16
+oracle.seed     = 2718
+oracle.alphas   = {alphas}
+"""
+
+
+@pytest.mark.parametrize(
+    "f, g, alphas, code, err, events",
+    [
+        (  # x' = e^x - 2 + c blows up for c > 1, 0.92's path at t = 1.62
+            "exp(x0) - 2",
+            "1",
+            "[0.1, 0.92, 0.2]",
+            3,
+            "error: fan solve failed for alpha in [0.92]: trajectory blew up "
+            "after t=1.6225 (alpha=0.92)\n",
+            [("check_hypotheses", [0.1]), ("sample_positions", 12)],
+        ),
+        (  # 0.6's above surrogates, slopes up to 2.34, blow up first
+            "exp(x0) - 2",
+            "1",
+            "[0.6, 0.92, 0.2]",
+            3,
+            "error: trajectory blew up after t=1.905\n",
+            [("check_hypotheses", [0.6]), ("sample_positions", 12)],
+        ),
+        (  # g = 1 + x - t reaches 0 on 0.2's path, not on 0.9's
+            "0",
+            "1 + x0 - t",
+            "[0.9, 0.2, 0.92]",
+            5,
+            "error: dominance is only guaranteed under regularity and the "
+            "position-monotonicity condition (failed: regularity); run "
+            "`alphapath check` for the full report\n",
+            [
+                ("check_hypotheses", [0.9]),
+                ("sample_positions", 12),
+                ("check_hypotheses", [0.2]),
+            ],
+        ),
+    ],
+    ids=["second-gate-path-blows-up", "first-surrogates-blow-up", "second-gate-fails"],
+)
+def test_oracle_raises_each_alphas_failure_in_its_own_turn(
+    tmp_path, capsys, monkeypatch, engines, f, g, alphas, code, err, events
+):
+    # alphas 1 and 2 are solved in one batch, but a failure of alpha 2's
+    # path or gate is raised only after alpha 1 is gated and sampled, and a
+    # failure of alpha 1's surrogates before alpha 2 is gated: on either
+    # engine, the exit code, message and (no) artifacts of solving each
+    # alpha alone
+    text = GATE_ORDER_CONFIG.format(f=f, g=g, alphas=alphas)
+    logged = _log_oracle_calls(monkeypatch)
+    batched = oracle.solve_paths
+    for kind in engines():
+        logged.clear()
+        monkeypatch.setattr(oracle, "solve_paths", batched)
+        outcome = _oracle_outcome(tmp_path, capsys, text, f"{kind}-batched")
+        assert outcome == (code, err, {})
+        assert logged == [("solve_paths", json.loads(alphas)[:2]), *events]
+        monkeypatch.setattr(oracle, "solve_paths", _solve_one_at_a_time)
+        assert _oracle_outcome(tmp_path, capsys, text, f"{kind}-alone") == outcome
+
+
+@pytest.mark.parametrize(
+    "alphas",
+    [
+        "[0.5]",
+        "[0.2, 0.8]",
+        "[0.2, 0.5, 0.8]",
+        "[0.1, 0.3, 0.5, 0.7, 0.9]",
+        "[0.3, 0.3, 0.7]",
+        "[0.7, 0.7]",
+        "[0.8, 0.5, 0.2]",
+        "[0.9, 0.7, 0.5, 0.3, 0.1]",
+    ],
+    ids=["1", "2", "3", "5", "duplicate-first", "duplicate-pair", "descending-3",
+         "descending-5"],
+)
+def test_oracle_json_does_not_depend_on_the_gate_batches(
+    tmp_path, capsys, monkeypatch, engines, alphas
+):
+    # any number of alphas, repeated or descending, writes the bytes of
+    # solving each alpha's path alone, on either engine
+    text = BASE_CONFIG + f"oracle.alphas = {alphas}\n"
+    batched = oracle.solve_paths
+    for kind in engines():
+        monkeypatch.setattr(oracle, "solve_paths", batched)
+        code, err, files = _oracle_outcome(tmp_path, capsys, text, f"{kind}-batched")
+        assert (code, err) == (0, "")
+        monkeypatch.setattr(oracle, "solve_paths", _solve_one_at_a_time)
+        alone = _oracle_outcome(tmp_path, capsys, text, f"{kind}-alone")
+        assert files["oracle.json"] == alone[2]["oracle.json"]
 
 
 def test_oracle_argument_errors_precede_the_gate(tmp_path, capsys):
@@ -1038,13 +1198,13 @@ def test_no_output_directory_exits_2(tmp_path, capsys):
 
 def _count_alpha_path_solves(monkeypatch) -> list:
     solves = []
-    original = oracle.solve_fan
+    original = oracle.solve_paths
 
     def counted(*args, **kwargs):
         solves.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "solve_fan", counted)
+    monkeypatch.setattr(oracle, "solve_paths", counted)
     return solves
 
 
@@ -1390,6 +1550,37 @@ def test_oracle_settings_the_oracle_refuses_fail_every_command_at_load(
     text, line = _set_key(key, value)
     message = f"line {line}: {message}"
     _assert_load_error_on_every_command(tmp_path, capsys, text, message)
+
+
+@pytest.mark.parametrize(
+    "count, lo, message",
+    [
+        (
+            9,
+            "1e-17",
+            "alpha lo = 1e-17 puts 1 - lo = 1.0 in the grid; "
+            "every alpha must lie strictly inside (0, 1)",
+        ),
+        (
+            5,
+            "0.4999999999999999",
+            "alpha lo = 0.4999999999999999 with count 5 repeats a grid value; "
+            "the grid must be strictly increasing",
+        ),
+    ],
+    ids=["one-in-the-grid", "repeated-value"],
+)
+def test_alpha_grids_that_round_badly_fail_every_command_at_load(
+    tmp_path, capsys, count, lo, message
+):
+    # lo lies in (0, 0.5) and the count is odd, but the grid built from them
+    # is not one: each command names `alpha.lo`'s line, the oracle too,
+    # which reads no alpha grid
+    text = BASE_CONFIG.replace("alpha.count = 9", f"alpha.count = {count}")
+    text = text.replace("alpha.lo    = 0.1", f"alpha.lo    = {lo}")
+    with pytest.raises(ConfigError):
+        alpha_grid(AlphaGridSpec(count=count, lo=float(lo)))
+    _assert_load_error_on_every_command(tmp_path, capsys, text, f"line 9: {message}")
 
 
 def test_segments_that_do_not_divide_the_steps_run_every_command(tmp_path):

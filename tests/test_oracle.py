@@ -331,7 +331,7 @@ def test_dominance_rejects_segments_before_the_gate(monkeypatch, segments):
     def unreachable(*args, **kwargs):
         raise AssertionError("the alpha-path was solved")
 
-    monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
+    monkeypatch.setattr(oracle_module, "solve_paths", unreachable)
     bad = UdeSpec.from_strings(2, "0-x0", "1", [0.1, 0.0], 1.0, 1.0 / 64)
     with pytest.raises(ConfigError, match=f"segments must be >= 1, got {segments}"):
         dominance_checks(
@@ -349,7 +349,7 @@ def test_dominance_rejects_misaligned_segments_before_any_work(monkeypatch, segm
     def unreachable(*args, **kwargs):
         raise AssertionError("work was done for a run that cannot start")
 
-    monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
+    monkeypatch.setattr(oracle_module, "solve_paths", unreachable)
     monkeypatch.setattr(oracle_module, "_uniforms", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     message = f"segments must be <= the 64 solver steps, got {segments}"
@@ -543,7 +543,7 @@ def test_dominance_checks_reject_a_later_alpha_before_any_solve(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("work was done for a run that cannot start")
 
-    monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
+    monkeypatch.setattr(oracle_module, "solve_paths", unreachable)
     monkeypatch.setattr(oracle_module, "_uniforms", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     with pytest.raises(ConfigError, match="alpha - delta > 0"):
@@ -564,7 +564,7 @@ def test_dominance_checks_refuse_a_bad_seed_or_no_alphas_before_any_solve(
     def unreachable(*args, **kwargs):
         raise AssertionError("work was done for a run that cannot start")
 
-    monkeypatch.setattr(oracle_module, "solve_fan", unreachable)
+    monkeypatch.setattr(oracle_module, "solve_paths", unreachable)
     monkeypatch.setattr(oracle_module, "_uniforms", unreachable)
     spec = tanh_spec(2, step=1.0 / 64)
     with pytest.raises(ConfigError, match=re.escape(message)):

@@ -418,14 +418,14 @@ def test_split_batches_have_the_bits_of_one_slice(monkeypatch, spec, rows):
     monkeypatch.setattr(engine, "_LIBRARIES", {})
     monkeypatch.setattr(engine, "COMPILE_MIN_ROW_STEPS", 0)
     monkeypatch.setattr(engine, "SPLIT_MIN_ROW_STEPS", 0)
-    results = []
+    results, cuts = [], {}
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         for cpus in (1, 2, 3, rows + 5):
             monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
-            bounds = engine._slice_bounds(rows, spec.step_count)
-            assert len(bounds) == min(cpus, rows) + 1
+            cuts[cpus] = engine._slice_bounds(rows, spec.step_count)
+            assert len(cuts[cpus]) == min(cpus, (rows + 1) // 2) + 1
             results.append(_split_solves(spec, rows))
     finally:
         sys.setswitchinterval(interval)
@@ -434,8 +434,31 @@ def test_split_batches_have_the_bits_of_one_slice(monkeypatch, spec, rows):
     if spec.order < 3:  # some rows, but not all, are rerun and fail
         assert 0 < len(failures) <= len(reruns) < rows
     if spec.order == 1:  # the marked rows span slices at 3 slices
-        bounds = [rows * k // 3 for k in range(4)]
-        assert len({np.searchsorted(bounds, r, "right") for r in reruns}) > 1
+        assert len({np.searchsorted(cuts[3], r, "right") for r in reruns}) > 1
+
+
+def test_slices_are_cut_between_pairs(monkeypatch):
+    # every batch of 1 to 64 rows, at step counts on both sides of the
+    # split, on 1 to 8 CPUs: the bounds run from 0 to the rows and increase,
+    # every slice but the last holds whole pairs, the slices' pair counts
+    # differ by at most one, there is a slice per SPLIT_MIN_ROW_STEPS
+    # row-steps but at most one per CPU and per pair, so a batch under
+    # 2 * SPLIT_MIN_ROW_STEPS row-steps, or of 2 rows, is one slice
+    split = engine.SPLIT_MIN_ROW_STEPS
+    for cpus in range(1, 9):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+        for rows in range(1, 65):
+            pairs = (rows + 1) // 2
+            for steps in (1, 64, split // 64, split // 2, split, 3 * split):
+                bounds = engine._slice_bounds(rows, steps)
+                sizes = np.diff(bounds)
+                assert bounds[0] == 0 and bounds[-1] == rows
+                assert (sizes > 0).all() and (sizes[:-1] % 2 == 0).all()
+                slice_pairs = (sizes + 1) // 2
+                assert slice_pairs.max() - slice_pairs.min() <= 1
+                assert len(sizes) == max(1, min(cpus, pairs, rows * steps // split))
+                if rows * steps < 2 * split or rows <= 2:
+                    assert len(sizes) == 1
 
 
 class _SpyLibrary:
